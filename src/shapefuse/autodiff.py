@@ -248,15 +248,6 @@ def where(cond, a, b):
 # tensor primitives
 # ---------------------------------------------------------------------------
 
-def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 def matmul(a, b):
     """Matrix product; operands must have ndim >= 2 (batch dims broadcast)."""
     av, bv = value_of(a), value_of(b)
@@ -264,13 +255,9 @@ def matmul(a, b):
         raise ValueError("matmul operands must have at least 2 dimensions")
     out = av @ bv
 
-    def vjp_a(g):
-        return _reduce_to_shape(g @ np.swapaxes(bv, -1, -2), av.shape)
-
-    def vjp_b(g):
-        return _reduce_to_shape(np.swapaxes(av, -1, -2) @ g, bv.shape)
-
-    return _binary(a, b, out, vjp_a, vjp_b)
+    # _binary sums the products back over broadcast batch dimensions
+    return _binary(a, b, out, lambda g: g @ np.swapaxes(bv, -1, -2),
+                   lambda g: np.swapaxes(av, -1, -2) @ g)
 
 
 def sum_(x, axis=None, keepdims=False):
@@ -284,12 +271,6 @@ def sum_(x, axis=None, keepdims=False):
         return np.broadcast_to(g, xv.shape).copy()
 
     return _unary(x, out, vjp)
-
-
-def mean_(x, axis=None, keepdims=False):
-    xv = value_of(x)
-    n = xv.size if axis is None else np.prod([xv.shape[a] for a in np.atleast_1d(axis)])
-    return div(sum_(x, axis=axis, keepdims=keepdims), float(n))
 
 
 def reshape(x, shape):
@@ -401,14 +382,13 @@ def gradient(root: Node, inputs) -> list[np.ndarray]:
     return grads
 
 
-EPS_REL = 1e-12  # relative-error denominator floor
-
-
 def grad_check(f, x, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max mixed error between analytic and central-difference gradients.
 
     `f` takes a sequence of scalars (Nodes or floats) and returns a scalar;
-    the relative error per component is |analytic - fd| / (|analytic| + eps).
+    the error per component is |analytic - fd| / max(|analytic|, 1):
+    relative for large gradients, absolute for small ones, so a gradient
+    that is zero analytically is not measured against a vanishing scale.
     Reports the maximum; never raises on mismatch.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -429,5 +409,5 @@ def grad_check(f, x, step: float = 1e-5) -> float:
         fm = f(list(xm))
         fd[i] = (float(value_of(fp)) - float(value_of(fm))) / (2.0 * step)
 
-    rel = np.abs(analytic - fd) / (np.abs(analytic) + EPS_REL)
-    return float(rel.max()) if rel.size else 0.0
+    err = np.abs(analytic - fd) / np.maximum(np.abs(analytic), 1.0)
+    return float(err.max()) if err.size else 0.0

@@ -3,9 +3,12 @@
 Weak-perspective projection feeds the reprojection loss (differentiable);
 full-perspective projection, binary silhouette rasterization and joint
 heatmap synthesis produce the network's proxy inputs during data
-generation. The rasterizer is plain coverage (a pixel is set when its
-center lies inside any projected triangle, front- or back-facing), which
-is all a binary silhouette channel needs — no z-buffer, no anti-aliasing.
+generation. Heatmaps are separable: `heatmap_profiles` defines them once,
+as per-joint row and column profiles, and both the full-resolution maps
+and the network's pooled input are built from those profiles. The
+rasterizer is plain coverage (a pixel is set when its center lies inside
+any projected triangle, front- or back-facing), which is all a binary
+silhouette channel needs — no z-buffer, no anti-aliasing.
 """
 
 from __future__ import annotations
@@ -226,33 +229,37 @@ def rasterize_part_assignment(mesh: VertexMesh, part_labels: np.ndarray,
     return assignment
 
 
+def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
+                     image_w: int, sigma: float = DEFAULT_HEATMAP_SIGMA) -> tuple:
+    """Separable factors of the joint heatmaps: (L, H) row and (L, W)
+    column profiles.
+
+    Heatmap channel l is the outer product of row profile l and column
+    profile l: a unit-peak Gaussian of the distance to the joint's rounded
+    pixel, cut to the +-ceil(4 sigma) window around that pixel. Both
+    profiles of an invisible joint are zero.
+    """
+    centers = np.rint(np.asarray(joints2d, dtype=np.float64))
+    visible = np.asarray(visibility).astype(bool)[:, None]
+    radius = int(np.ceil(4 * sigma))
+
+    def profile(center, n):
+        offset = np.arange(n)[None, :] - center[:, None]
+        window = visible & (np.abs(offset) <= radius)
+        return np.where(window, np.exp(-(offset**2) / (2.0 * sigma**2)), 0.0)
+
+    return profile(centers[:, 1], image_h), profile(centers[:, 0], image_w)
+
+
 def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
                        image_w: int, sigma: float = DEFAULT_HEATMAP_SIGMA) -> np.ndarray:
     """Unit-peak Gaussian heatmaps (H, W, L), zeroed for invisible joints.
 
     Each visible channel is centered on the joint's rounded pixel so its
-    maximum is exactly 1 there.
+    maximum is exactly 1 there; see `heatmap_profiles`.
     """
-    joints2d = np.asarray(joints2d, dtype=np.float64)
-    visibility = np.asarray(visibility)
-    L = joints2d.shape[0]
-    maps = np.zeros((image_h, image_w, L))
-    radius = int(np.ceil(4 * sigma))
-    for l in range(L):
-        if not visibility[l]:
-            continue
-        cx = int(np.rint(joints2d[l, 0]))
-        cy = int(np.rint(joints2d[l, 1]))
-        lo_c, hi_c = max(cx - radius, 0), min(cx + radius, image_w - 1)
-        lo_r, hi_r = max(cy - radius, 0), min(cy + radius, image_h - 1)
-        if lo_c > hi_c or lo_r > hi_r:
-            continue
-        cs = np.arange(lo_c, hi_c + 1)
-        rs = np.arange(lo_r, hi_r + 1)[:, None]
-        maps[lo_r : hi_r + 1, lo_c : hi_c + 1, l] = np.exp(
-            -((cs - cx) ** 2 + (rs - cy) ** 2) / (2.0 * sigma**2)
-        )
-    return maps
+    rows, cols = heatmap_profiles(joints2d, visibility, image_h, image_w, sigma)
+    return np.einsum("lh,lw->hwl", rows, cols)
 
 
 def threshold_detections(joints2d: np.ndarray, confidences: np.ndarray,

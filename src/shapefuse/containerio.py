@@ -12,8 +12,12 @@ one format (distinguished by the header's "kind" field).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
+import os
+import secrets
 
 import numpy as np
 
@@ -43,6 +47,7 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
 
     Arrays are converted to float64/int64/uint8; the header JSON is
     serialized with sorted keys so identical inputs give identical bytes.
+    The file is replaced atomically.
     """
     entries = []
     blobs = []
@@ -67,18 +72,44 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(header_bytes).to_bytes(8, "little"))
-        f.write(header_bytes)
-        f.write(payload)
+    # write a sibling file, then rename it over `path`: readers see the old
+    # file or the complete new one, never a partial write
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            f.write(len(header_bytes).to_bytes(8, "little"))
+            f.write(header_bytes)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _array_entries(path, header) -> list:
+    """The header's array table, checked so that reading the payload can
+    only fail with ContainerError."""
+    entries = header.get("arrays")
+    if not isinstance(entries, list) or not isinstance(header.get("meta"), dict):
+        raise ContainerError(f"{path}: header lacks the array table or the metadata")
+    for e in entries:
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in e["shape"])):
+            raise ContainerError(f"{path}: malformed array entry {e!r}")
+        if not isinstance(e.get("dtype"), str) or e["dtype"] not in _ALLOWED_DTYPES:
+            raise ContainerError(f"{path}: disallowed dtype {e.get('dtype')!r}")
+    return entries
 
 
 def read_container(path, expected_kind: str | None = None):
     """Read a container; returns (arrays dict, meta dict).
 
-    Raises ContainerError on wrong magic, version mismatch, truncation,
-    checksum failure or unexpected kind.
+    Raises ContainerError, and no other error, on wrong magic, version
+    mismatch, a malformed header, truncation, checksum failure or
+    unexpected kind.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -92,8 +123,10 @@ def read_container(path, expected_kind: str | None = None):
         raise ContainerError(f"{path}: truncated header")
     try:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: unreadable header ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ContainerError(f"{path}: unreadable header ({exc!r})") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
 
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerError(
@@ -104,12 +137,10 @@ def read_container(path, expected_kind: str | None = None):
         raise ContainerError(
             f"{path}: container kind {header.get('kind')!r}, expected {expected_kind!r}"
         )
+    entries = _array_entries(path, header)
 
     payload = data[12 + header_len :]
-    expected_size = sum(
-        int(np.prod(e["shape"], dtype=np.int64)) * np.dtype(e["dtype"]).itemsize
-        for e in header["arrays"]
-    )
+    expected_size = sum(math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in entries)
     if len(payload) != expected_size:
         raise ContainerError(
             f"{path}: payload size {len(payload)} != expected {expected_size} (truncated?)"
@@ -120,13 +151,14 @@ def read_container(path, expected_kind: str | None = None):
 
     arrays = {}
     offset = 0
-    for entry in header["arrays"]:
-        if entry["dtype"] not in _ALLOWED_DTYPES:
-            raise ContainerError(f"{path}: disallowed dtype {entry['dtype']!r}")
+    for entry in entries:
         dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"], dtype=np.int64))
+        count = math.prod(entry["shape"])
         raw = payload[offset : offset + count * dt.itemsize]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
+        try:
+            arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
+        except ValueError as exc:  # an empty array with dimensions numpy cannot index
+            raise ContainerError(f"{path}: array {entry['name']!r}: {exc}") from exc
         offset += count * dt.itemsize
 
     return arrays, header["meta"]

@@ -107,12 +107,3 @@ def gaussian_nll(mean, var, target):
     resid = target - mean
     return ad.sum_(ad.log(2.0 * np.pi * var) + ad.square(resid) / var)
 
-
-# thin object-style wrappers over the functional forms
-
-def sample_reparam(dist: GaussianDiag, noise: np.ndarray) -> np.ndarray:
-    return np.asarray(reparam_sample(dist.mean, dist.var, np.asarray(noise, dtype=np.float64)))
-
-
-def nll_terms(dist: GaussianDiag, target: np.ndarray) -> float:
-    return float(gaussian_nll(dist.mean, dist.var, np.asarray(target, dtype=np.float64)))

@@ -14,12 +14,16 @@ where the reprojection term pushes B reparameterized samples from the
 predicted distributions through the body model and weak-perspective
 projection onto the visible target keypoints (normalized image
 coordinates).
+
+Inputs always come from a packed `synth.SynthDataset`: `pooled_from_dataset`
+builds one pooled proxy, `predict_dataset` is the inference entry point and
+`train` the training loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +37,12 @@ from .rng import named_rng
 LOGVAR_CLAMP = 12.0
 LOGSCALE_CLAMP = 6.0
 WEIGHTS_VERSION = "1"
+PREDICT_CHUNK = 256  # samples per inference forward pass; bounds its memory
 
 
 class TrainDivergenceError(RuntimeError):
-    """Loss became non-finite; message carries the batch index and weight norm."""
+    """Loss or gradient became non-finite; message carries the batch index
+    and weight norm."""
 
 
 @dataclass
@@ -106,20 +112,6 @@ def _conv_indices(h, w, c_in, kernel, stride):
 def elu(x):
     xv = ad.value_of(x)
     return ad.where(xv > 0, x, ad.exp(ad.clamp(x, hi=0.0)) - 1.0)
-
-
-def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
-    """(..., H, W, C) -> (..., out, out, C) by block averaging."""
-    h, w = images.shape[-3], images.shape[-2]
-    if h == out_size and w == out_size:
-        return images
-    if h % out_size or w % out_size:
-        raise ValueError(f"image size {h}x{w} not divisible by pooled size {out_size}")
-    f = h // out_size
-    lead = images.shape[:-3]
-    c = images.shape[-1]
-    reshaped = images.reshape(lead + (out_size, f, out_size, f, c))
-    return reshaped.mean(axis=(-4, -2))
 
 
 class PredictorNet:
@@ -234,96 +226,53 @@ class PredictorNet:
         }
 
 
-def pooled_input(net: PredictorNet, stacked: np.ndarray) -> np.ndarray:
-    return average_pool(stacked, net.encoder.pool_to)
-
-
 def pooled_from_dataset(dataset, index: int, pool_to: int) -> np.ndarray:
     """Pooled proxy (pool, pool, L+1) straight from packed dataset arrays.
 
-    Skips materializing the full-resolution heatmap stack: each Gaussian
-    window is block-averaged over an aligned sub-region only. Heatmap
-    channels land at slots 1..L, silhouette at 0, matching
+    Skips materializing the full-resolution heatmap stack: each heatmap is
+    the outer product of a row and a column profile, so its block average
+    is the outer product of the block-averaged profiles. Heatmap channels
+    land at slots 1..L, silhouette at 0, matching
     ProxyRepresentation.stacked().
     """
     size = dataset.image_size
     if size % pool_to:
         raise ValueError(f"image size {size} not divisible by pooled size {pool_to}")
     f = size // pool_to
-    joints2d = dataset.arrays["joints2d"][index]
-    visibility = dataset.arrays["visibility"][index]
-    sigma = dataset.heatmap_sigma
-    L = joints2d.shape[0]
-
-    out = np.zeros((pool_to, pool_to, L + 1))
+    rows, cols = cr.heatmap_profiles(
+        dataset.arrays["joints2d"][index], dataset.arrays["visibility"][index],
+        size, size, sigma=dataset.heatmap_sigma,
+    )
+    L = rows.shape[0]
+    out = np.empty((pool_to, pool_to, L + 1))
     sil = dataset.silhouette(index).astype(np.float64)
     out[:, :, 0] = sil.reshape(pool_to, f, pool_to, f).mean(axis=(1, 3))
-
-    radius = int(np.ceil(4 * sigma))
-    for l in range(L):
-        if not visibility[l]:
-            continue
-        cx = int(np.rint(joints2d[l, 0]))
-        cy = int(np.rint(joints2d[l, 1]))
-        lo_c, hi_c = max(cx - radius, 0), min(cx + radius, size - 1)
-        lo_r, hi_r = max(cy - radius, 0), min(cy + radius, size - 1)
-        if lo_c > hi_c or lo_r > hi_r:
-            continue
-        alo_c, ahi_c = (lo_c // f) * f, ((hi_c // f) + 1) * f - 1
-        alo_r, ahi_r = (lo_r // f) * f, ((hi_r // f) + 1) * f - 1
-        buf = np.zeros((ahi_r - alo_r + 1, ahi_c - alo_c + 1))
-        cs = np.arange(lo_c, hi_c + 1)
-        rs = np.arange(lo_r, hi_r + 1)[:, None]
-        buf[lo_r - alo_r : hi_r - alo_r + 1, lo_c - alo_c : hi_c - alo_c + 1] = np.exp(
-            -((cs - cx) ** 2 + (rs - cy) ** 2) / (2.0 * sigma**2)
-        )
-        pooled = buf.reshape(buf.shape[0] // f, f, buf.shape[1] // f, f).mean(axis=(1, 3))
-        out[alo_r // f : (ahi_r + 1) // f, alo_c // f : (ahi_c + 1) // f, l + 1] = pooled
+    out[:, :, 1:] = np.einsum(
+        "lh,lw->hwl",
+        rows.reshape(L, pool_to, f).mean(axis=2),
+        cols.reshape(L, pool_to, f).mean(axis=2),
+    )
     return out
 
 
-def forward_net(net: PredictorNet, proxy: cr.ProxyRepresentation) -> PredictionSet:
-    """Single proxy input -> PredictionSet (deterministic, variances > 0)."""
-    stacked = proxy.stacked()
-    if stacked.shape[2] != net.in_channels:
-        raise ValueError("proxy channel count does not match the network")
-    heads = net.heads(pooled_input(net, stacked)[None])
-    return PredictionSet(
-        pose=GaussianDiag(heads["pose_mean"][0], heads["pose_var"][0]),
-        shape=GaussianDiag(heads["shape_mean"][0], heads["shape_var"][0]),
-        global_rot=heads["glob"][0],
-        camera=heads["camera"][0],
-    )
-
-
-def _heads_to_predictions(heads: dict, count: int) -> list:
-    return [
-        PredictionSet(
-            pose=GaussianDiag(heads["pose_mean"][i], heads["pose_var"][i]),
-            shape=GaussianDiag(heads["shape_mean"][i], heads["shape_var"][i]),
-            global_rot=heads["glob"][i],
-            camera=heads["camera"][i],
-        )
-        for i in range(count)
-    ]
-
-
-def predict_batch(net: PredictorNet, proxies: list) -> list:
-    stacked = np.stack([p.stacked() for p in proxies])
-    heads = net.heads(average_pool(stacked, net.encoder.pool_to))
-    return _heads_to_predictions(heads, len(proxies))
-
-
-def predict_dataset(net: PredictorNet, dataset, chunk: int = 256) -> list:
-    """One PredictionSet per dataset sample, in index order."""
+def predict_dataset(net: PredictorNet, dataset) -> list:
+    """One PredictionSet per dataset sample, in index order (deterministic,
+    variances > 0)."""
     out = []
-    for start in range(0, len(dataset), chunk):
-        idx = range(start, min(start + chunk, len(dataset)))
-        pooled = np.stack(
-            [pooled_from_dataset(dataset, i, net.encoder.pool_to) for i in idx]
+    for start in range(0, len(dataset), PREDICT_CHUNK):
+        idx = range(start, min(start + PREDICT_CHUNK, len(dataset)))
+        heads = net.heads(
+            np.stack([pooled_from_dataset(dataset, i, net.encoder.pool_to) for i in idx])
         )
-        heads = net.heads(pooled)
-        out.extend(_heads_to_predictions(heads, len(pooled)))
+        out.extend(
+            PredictionSet(
+                pose=GaussianDiag(heads["pose_mean"][k], heads["pose_var"][k]),
+                shape=GaussianDiag(heads["shape_mean"][k], heads["shape_var"][k]),
+                global_rot=heads["glob"][k],
+                camera=heads["camera"][k],
+            )
+            for k in range(len(idx))
+        )
     return out
 
 
@@ -375,8 +324,10 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
     sdim = noise_shape.shape[2]
     L = joints_norm.shape[1]
 
-    pose_s = heads["pose_mean"][:, None, :] + ad.sqrt(heads["pose_var"])[:, None, :] * noise_pose
-    shape_s = heads["shape_mean"][:, None, :] + ad.sqrt(heads["shape_var"])[:, None, :] * noise_shape
+    pose_s = reparam_sample(heads["pose_mean"][:, None, :], heads["pose_var"][:, None, :],
+                            noise_pose)
+    shape_s = reparam_sample(heads["shape_mean"][:, None, :], heads["shape_var"][:, None, :],
+                             noise_shape)
     glob_tiled = heads["glob"][:, None, :] + np.zeros((1, S, 1))
 
     verts = bm.lbs_vertices(
@@ -428,38 +379,6 @@ def loss_total_batch(heads: dict, targets: dict, model_reduced: bm.BodyModel,
     return total, parts
 
 
-# single-sample convenience wrappers used by tests and diagnostics
-
-def loss_reproj(pred: PredictionSet, model: bm.BodyModel, joints_norm: np.ndarray,
-                visibility: np.ndarray, n_draws: int, rng) -> float:
-    noise_pose = rng.standard_normal((1, n_draws, pred.pose.dim))
-    noise_shape = rng.standard_normal((1, n_draws, pred.shape.dim))
-    heads = {
-        "pose_mean": pred.pose.mean[None],
-        "pose_var": pred.pose.var[None],
-        "shape_mean": pred.shape.mean[None],
-        "shape_var": pred.shape.var[None],
-        "glob": pred.global_rot[None],
-        "camera": pred.camera[None],
-    }
-    value = loss_reproj_batch(
-        heads, reduced_for_keypoints(model), joints_norm[None],
-        np.asarray(visibility)[None], noise_pose, noise_shape,
-    )
-    return float(ad.value_of(value))
-
-
-def loss_total(pred: PredictionSet, labels: dict, model: bm.BodyModel,
-               cfg: TrainConfig, rng) -> float:
-    nll = gaussian_nll(pred.pose.mean, pred.pose.var, labels["theta"]) + gaussian_nll(
-        pred.shape.mean, pred.shape.var, labels["beta"]
-    )
-    glob = loss_glob(pred.global_rot, labels["glob"])
-    reproj = loss_reproj(pred, model, labels["joints_norm"], labels["visibility"],
-                         cfg.reproj_samples, rng)
-    return float(ad.value_of(nll)) + cfg.lambda_glob * float(ad.value_of(glob)) + cfg.lambda_2d * reproj
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -483,52 +402,6 @@ class AdamState:
             params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _training_view(dataset, pool_to: int):
-    """Uniform access to a SynthDataset or a plain list of samples:
-    (count, pooled inputs for an index batch, targets for an index batch)."""
-    if hasattr(dataset, "arrays"):  # SynthDataset
-        size = dataset.image_size
-
-        def pooled(idx):
-            return np.stack([pooled_from_dataset(dataset, int(i), pool_to) for i in idx])
-
-        def targets(idx):
-            a = dataset.arrays
-            return {
-                "theta": a["theta"][idx],
-                "beta": a["beta"][idx],
-                "glob": a["glob"][idx],
-                "joints_norm": cr.normalize_pixels(a["joints2d"][idx], size, size),
-                "visibility": a["visibility"][idx].astype(np.int64),
-            }
-
-        return len(dataset), pooled, targets
-
-    samples = list(dataset)
-    if not samples:
-        raise ValueError("training dataset is empty")
-    size = samples[0].proxy.silhouette.shape[0]
-
-    def pooled(idx):
-        return np.stack(
-            [average_pool(samples[int(i)].proxy.stacked(), pool_to) for i in idx]
-        )
-
-    def targets(idx):
-        chosen = [samples[int(i)] for i in idx]
-        return {
-            "theta": np.stack([s.theta for s in chosen]),
-            "beta": np.stack([s.beta for s in chosen]),
-            "glob": np.stack([s.glob for s in chosen]),
-            "joints_norm": np.stack(
-                [cr.normalize_pixels(s.joints2d, size, size) for s in chosen]
-            ),
-            "visibility": np.stack([s.visibility for s in chosen]),
-        }
-
-    return len(samples), pooled, targets
-
-
 def _param_norm(params: dict) -> float:
     return float(np.sqrt(sum(float((v**2).sum()) for v in params.values())))
 
@@ -536,16 +409,19 @@ def _param_norm(params: dict) -> float:
 def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
           start_epoch: int = 0, optimizer: AdamState = None,
           epoch_callback=None) -> list:
-    """Adam training over the dataset; returns per-epoch loss log rows.
+    """Adam training over a `synth.SynthDataset`; returns per-epoch loss
+    log rows.
 
     Deterministic given cfg.seed: shuffling, reparameterization noise and
-    initialization all derive from named substreams. A non-finite loss
-    aborts with the failing batch index and current weight norm.
+    initialization all derive from named substreams. A non-finite loss or
+    gradient aborts with the failing batch index and current weight norm.
     """
     cfg.validate()
-    n, pooled_fn, targets_fn = _training_view(dataset, net.encoder.pool_to)
+    n = len(dataset)
     if n == 0:
         raise ValueError("training dataset is empty")
+    arrays = dataset.arrays
+    size = dataset.image_size
     reduced = reduced_for_keypoints(model)
     optimizer = optimizer or AdamState(net.params)
 
@@ -556,8 +432,16 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
         n_batches = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            pooled = pooled_fn(idx)
-            targets = targets_fn(idx)
+            pooled = np.stack(
+                [pooled_from_dataset(dataset, int(i), net.encoder.pool_to) for i in idx]
+            )
+            targets = {
+                "theta": arrays["theta"][idx],
+                "beta": arrays["beta"][idx],
+                "glob": arrays["glob"][idx],
+                "joints_norm": cr.normalize_pixels(arrays["joints2d"][idx], size, size),
+                "visibility": arrays["visibility"][idx].astype(np.int64),
+            }
 
             noise_rng = named_rng(cfg.seed, "noise", epoch, step)
             noise_pose = noise_rng.standard_normal(
@@ -578,7 +462,15 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
                     f"parameter norm {_param_norm(net.params):.3e}"
                 )
             grads = ad.gradient(total, list(leaves.values()))
+            if not all(np.isfinite(g).all() for g in grads):
+                raise TrainDivergenceError(
+                    f"non-finite gradient at epoch {epoch} batch {step}; "
+                    f"parameter norm {_param_norm(net.params):.3e}"
+                )
             optimizer.step(net.params, dict(zip(leaves.keys(), grads)), cfg.learning_rate)
+            # nodes point at their tape and the tape lists its nodes; breaking
+            # that cycle lets reference counting free the step's tape
+            tape.nodes.clear()
 
             for k in sums:
                 sums[k] += parts[k]
@@ -642,7 +534,9 @@ def load_weights(path):
     if any(k.startswith("adam_m/") for k in arrays):
         optimizer = AdamState(net.params)
         for k in net.params:
-            optimizer.m[k] = arrays[f"adam_m/{k}"]
-            optimizer.v[k] = arrays[f"adam_v/{k}"]
+            for key, moments in ((f"adam_m/{k}", optimizer.m), (f"adam_v/{k}", optimizer.v)):
+                if key not in arrays or arrays[key].shape != net.params[k].shape:
+                    raise ContainerError(f"{path}: optimizer state {key} missing or misshapen")
+                moments[k] = arrays[key]
         optimizer.t = int(meta.get("adam_t", 0))
     return net, optimizer, meta

@@ -112,12 +112,6 @@ class PoseSource:
             gamma = bm.compose_rotations(jitter, gamma)
         return theta.copy(), np.asarray(gamma, dtype=np.float64)
 
-    def get(self, pose_index: int, facing_index: int) -> tuple:
-        return (
-            self.poses[pose_index % len(self.poses)].copy(),
-            self.facings[facing_index % len(self.facings)].copy(),
-        )
-
 
 # the four canonical subject orientations: camera facing front/back/left/right
 # (back rotation is clamped just under pi to respect the axis-angle range)
@@ -360,9 +354,11 @@ def generate_dataset(model: bm.BodyModel, gen_cfg: GenerationConfig,
 # ---------------------------------------------------------------------------
 
 class SynthDataset:
-    """Random-access view over a generated dataset.
+    """Random-access view over a generated dataset; the one dataset form
+    that training, prediction and evaluation take.
 
-    Silhouettes are stored bit-packed; proxies are rebuilt on demand from
+    Samples are packed into per-field arrays with silhouettes stored
+    bit-packed. Heatmaps are not stored: they are rebuilt on demand from
     the stored joints and visibilities (heatmap synthesis is deterministic,
     so the round trip is lossless).
     """
@@ -373,12 +369,29 @@ class SynthDataset:
         self.image_size = int(meta["image_size"])
         self.heatmap_sigma = float(meta["heatmap_sigma"])
 
+    @classmethod
+    def from_samples(cls, samples: list, gen_cfg: GenerationConfig) -> "SynthDataset":
+        """Pack in-memory samples into the arrays `write_dataset` stores."""
+        if not samples:
+            raise ValueError("a dataset needs at least one sample")
+        arrays = {
+            "silhouette_bits": np.stack(
+                [np.packbits(s.proxy.silhouette.astype(np.uint8).ravel()) for s in samples]
+            ),
+            "joints2d": np.stack([s.joints2d for s in samples]),
+            "visibility": np.stack([s.visibility for s in samples]).astype(np.uint8),
+            "theta": np.stack([s.theta for s in samples]),
+            "beta": np.stack([s.beta for s in samples]),
+            "glob": np.stack([s.glob for s in samples]),
+            "cam_translation": np.stack([s.cam_translation for s in samples]),
+            "subject_id": np.array([s.subject_id for s in samples], dtype=np.int64),
+            "corrupted": np.array([s.corrupted for s in samples], dtype=np.uint8),
+        }
+        meta = {"image_size": gen_cfg.image_size, "heatmap_sigma": gen_cfg.heatmap_sigma}
+        return cls(arrays, meta)
+
     def __len__(self) -> int:
         return self.arrays["theta"].shape[0]
-
-    @property
-    def subject_ids(self) -> np.ndarray:
-        return self.arrays["subject_id"]
 
     def silhouette(self, i: int) -> np.ndarray:
         size = self.image_size
@@ -406,38 +419,19 @@ class SynthDataset:
             cam_translation=self.arrays["cam_translation"][i],
         )
 
-    def samples(self):
-        return [self.sample(i) for i in range(len(self))]
-
 
 def write_dataset(path, samples: list, gen_cfg: GenerationConfig,
                   aug_cfg: AugmentationConfig, seed: int, model_fingerprint: str = "") -> None:
-    if not samples:
-        raise ValueError("refusing to write an empty dataset")
-    size = gen_cfg.image_size
-    arrays = {
-        "silhouette_bits": np.stack(
-            [np.packbits(s.proxy.silhouette.astype(np.uint8).ravel()) for s in samples]
-        ),
-        "joints2d": np.stack([s.joints2d for s in samples]),
-        "visibility": np.stack([s.visibility for s in samples]).astype(np.uint8),
-        "theta": np.stack([s.theta for s in samples]),
-        "beta": np.stack([s.beta for s in samples]),
-        "glob": np.stack([s.glob for s in samples]),
-        "cam_translation": np.stack([s.cam_translation for s in samples]),
-        "subject_id": np.array([s.subject_id for s in samples], dtype=np.int64),
-        "corrupted": np.array([s.corrupted for s in samples], dtype=np.uint8),
-    }
-    meta = {
-        "image_size": size,
-        "heatmap_sigma": gen_cfg.heatmap_sigma,
-        "num_samples": len(samples),
-        "seed": int(seed),
-        "generation_config": asdict(gen_cfg),
-        "augmentation_config": asdict(aug_cfg),
-        "model_fingerprint": model_fingerprint,
-    }
-    write_container(path, "dataset", arrays, meta)
+    dataset = SynthDataset.from_samples(samples, gen_cfg)
+    meta = dict(
+        dataset.meta,
+        num_samples=len(samples),
+        seed=int(seed),
+        generation_config=asdict(gen_cfg),
+        augmentation_config=asdict(aug_cfg),
+        model_fingerprint=model_fingerprint,
+    )
+    write_container(path, "dataset", dataset.arrays, meta)
 
 
 def read_dataset(path) -> SynthDataset:

@@ -117,6 +117,19 @@ class TestGradCheck:
         err = ad.grad_check(f, [2.0])
         assert isinstance(err, float)
 
+    def test_zero_gradient_measured_absolutely(self):
+        # d(x^3)/dx is 0 at 0; central differences give step^2, which a
+        # purely relative error would blow up by the denominator floor
+        assert ad.grad_check(lambda xs: xs[0] * xs[0] * xs[0], [0.0], step=1e-5) < 1e-8
+
+    def test_wrong_gradient_reported(self):
+        # value_of takes the second term off the tape: analytic gradient 2,
+        # true derivative 3, so the relative error is 0.5
+        def f(xs):
+            return xs[0] * 2.0 + float(ad.value_of(xs[0]))
+
+        assert ad.grad_check(f, [1.5]) == pytest.approx(0.5, rel=1e-6)
+
 
 class TestDomainErrors:
     def test_log_nonpositive(self):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from shapefuse import bodymodel as bm
 from shapefuse import camera as cr
 from shapefuse import network as net_mod
 from shapefuse import synth
-from shapefuse.containerio import ContainerError
+from shapefuse.containerio import ContainerError, read_container, write_container
 from shapefuse.gaussians import GaussianDiag, PredictionSet
 from shapefuse.rng import named_rng
 
@@ -33,6 +35,30 @@ def tiny_data(tiny_model):
         poses_per_subject=2, seed=3, corrupt=True,
     )
     return cfg, samples
+
+
+def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
+    """(..., H, W, C) -> (..., out, out, C) by block averaging: the pooling
+    oracle for `pooled_from_dataset`."""
+    h, w = images.shape[-3], images.shape[-2]
+    if h % out_size or w % out_size:
+        raise ValueError(f"image size {h}x{w} not divisible by pooled size {out_size}")
+    f = h // out_size
+    lead = images.shape[:-3]
+    c = images.shape[-1]
+    reshaped = images.reshape(lead + (out_size, f, out_size, f, c))
+    return reshaped.mean(axis=(-4, -2))
+
+
+def reproj_loss(pred, reduced, joints_norm, visibility, n_draws, rng) -> float:
+    """`loss_reproj_batch` on one prediction with `n_draws` fresh draws."""
+    heads, _ = heads_from_prediction(pred)
+    value = net_mod.loss_reproj_batch(
+        heads, reduced, joints_norm[None], np.asarray(visibility)[None],
+        rng.standard_normal((1, n_draws, pred.pose.dim)),
+        rng.standard_normal((1, n_draws, pred.shape.dim)),
+    )
+    return float(ad.value_of(value))
 
 
 def heads_from_prediction(pred, tape=None):
@@ -62,23 +88,21 @@ class TestOutputContract:
         assert widths == [69, 69, 10, 10, 3, 3]
 
     def test_zero_input_finite_positive_variances(self, tiny_net, tiny_model):
-        L = tiny_model.num_keypoints
-        proxy = cr.ProxyRepresentation(
-            np.zeros((64, 64), dtype=np.uint8), np.zeros((64, 64, L))
-        )
-        pred = net_mod.forward_net(tiny_net, proxy)
-        assert np.all(np.isfinite(pred.pose.mean))
-        assert np.all(pred.pose.var > 0)
-        assert np.all(pred.shape.var > 0)
-        assert pred.camera[0] > 0
+        heads = tiny_net.heads(np.zeros((1, 16, 16, tiny_model.num_keypoints + 1)))
+        assert np.all(np.isfinite(heads["pose_mean"]))
+        assert np.all(heads["pose_var"] > 0)
+        assert np.all(heads["shape_var"] > 0)
+        assert heads["camera"][0, 0] > 0
 
     def test_deterministic(self, tiny_net, tiny_data):
-        _, samples = tiny_data
-        p1 = net_mod.forward_net(tiny_net, samples[0].proxy)
-        p2 = net_mod.forward_net(tiny_net, samples[0].proxy)
-        np.testing.assert_array_equal(p1.pose.mean, p2.pose.mean)
-        np.testing.assert_array_equal(p1.pose.var, p2.pose.var)
-        np.testing.assert_array_equal(p1.camera, p2.camera)
+        gen_cfg, samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:3], gen_cfg)
+        p1 = net_mod.predict_dataset(tiny_net, ds)
+        p2 = net_mod.predict_dataset(tiny_net, ds)
+        for a, b in zip(p1, p2):
+            np.testing.assert_array_equal(a.pose.mean, b.pose.mean)
+            np.testing.assert_array_equal(a.pose.var, b.pose.var)
+            np.testing.assert_array_equal(a.camera, b.camera)
 
     def test_positive_variances_on_random_inputs(self, tiny_net, tiny_model):
         rng = np.random.default_rng(0)
@@ -90,10 +114,8 @@ class TestOutputContract:
         assert np.all(heads["camera"][:, 0] > 0)
 
     def test_channel_mismatch_rejected(self, tiny_net):
-        proxy = cr.ProxyRepresentation(np.zeros((64, 64), dtype=np.uint8),
-                                       np.zeros((64, 64, 3)))
         with pytest.raises(ValueError):
-            net_mod.forward_net(tiny_net, proxy)
+            tiny_net.heads(np.zeros((1, 16, 16, 4)))
 
 
 class TestEncoderConfig:
@@ -153,8 +175,8 @@ class TestReprojectionLoss:
     def test_all_invisible_gives_zero(self, tiny_model):
         pred = self._make_pred(tiny_model)
         L = tiny_model.num_keypoints
-        loss = net_mod.loss_reproj(pred, tiny_model, np.zeros((L, 2)),
-                                   np.zeros(L, dtype=int), 4, named_rng(0, "r"))
+        loss = reproj_loss(pred, net_mod.reduced_for_keypoints(tiny_model), np.zeros((L, 2)),
+                           np.zeros(L, dtype=int), 4, named_rng(0, "r"))
         assert loss == 0.0
 
     def test_degenerate_distribution_recovers_targets(self, tiny_model):
@@ -163,8 +185,8 @@ class TestReprojectionLoss:
         joints3d = np.asarray(bm.regress_joints(tiny_model, mesh))
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
-        loss = net_mod.loss_reproj(pred, tiny_model, targets, np.ones(L, dtype=int),
-                                   4, named_rng(1, "r"))
+        loss = reproj_loss(pred, net_mod.reduced_for_keypoints(tiny_model), targets,
+                           np.ones(L, dtype=int), 4, named_rng(1, "r"))
         assert loss < 1e-12
 
     def test_gradients_match_fd_with_frozen_noise(self, tiny_model):
@@ -215,12 +237,12 @@ class TestReprojectionLoss:
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
         vis = np.ones(L, dtype=int)
+        reduced = net_mod.reduced_for_keypoints(tiny_model)
 
         def estimate(n_draws, n_rep, key):
             vals = []
             for i in range(n_rep):
-                v = net_mod.loss_reproj(pred, tiny_model, targets, vis, n_draws,
-                                        named_rng(key, "mc", i))
+                v = reproj_loss(pred, reduced, targets, vis, n_draws, named_rng(key, "mc", i))
                 vals.append(v / n_draws)
             return np.array(vals)
 
@@ -243,7 +265,7 @@ class TestTotalLoss:
             "visibility": np.stack([s.visibility for s in samples[:4]]),
         }
         pooled = np.stack(
-            [net_mod.average_pool(s.proxy.stacked(), 16) for s in samples[:4]]
+            [average_pool(s.proxy.stacked(), 16) for s in samples[:4]]
         )
         return pooled, ds_targets
 
@@ -292,40 +314,76 @@ class TestTotalLoss:
 
 class TestTraining:
     def test_smoke_one_epoch(self, tiny_model, tiny_data):
-        _, samples = tiny_data
+        gen_cfg, samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
         )
         cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
-        log = net_mod.train(net, samples[:10], cfg, tiny_model)
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:10], gen_cfg),
+                            cfg, tiny_model)
         assert len(log) == 1
         assert np.isfinite(log[0]["total"])
 
     @pytest.mark.slow
     def test_overfits_small_set(self, tiny_model, tiny_data):
-        _, samples = tiny_data
+        gen_cfg, samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=2
         )
         cfg = net_mod.TrainConfig(epochs=500, batch_size=20, learning_rate=3e-4,
                                   reproj_samples=2, seed=0)
-        log = net_mod.train(net, samples[:20], cfg, tiny_model)
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:20], gen_cfg),
+                            cfg, tiny_model)
         assert log[-1]["nll"] < log[0]["nll"]
 
     def test_same_seed_identical_weights(self, tiny_model, tiny_data):
-        _, samples = tiny_data
+        gen_cfg, samples = tiny_data
+        dataset = synth.SynthDataset.from_samples(samples[:14], gen_cfg)
 
         def run():
             net = net_mod.PredictorNet.for_model(
                 tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=3
             )
             cfg = net_mod.TrainConfig(epochs=2, batch_size=7, reproj_samples=2, seed=5)
-            net_mod.train(net, samples[:14], cfg, tiny_model)
+            net_mod.train(net, dataset, cfg, tiny_model)
             return net.params
 
         p1, p2 = run(), run()
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
+
+    def test_tapes_freed_without_cycle_collection(self, tiny_model, tiny_data):
+        gen_cfg, samples = tiny_data
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=4
+        )
+        cfg = net_mod.TrainConfig(epochs=1, batch_size=3, reproj_samples=2, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:9], gen_cfg),
+                          cfg, tiny_model)
+            tapes = [o for o in gc.get_objects() if isinstance(o, ad.Tape)]
+        finally:
+            gc.enable()
+        assert tapes == []
+
+    def test_non_finite_gradient_aborts(self, tiny_model, tiny_data, monkeypatch):
+        gen_cfg, samples = tiny_data
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=5
+        )
+        before = {k: v.copy() for k, v in net.params.items()}
+        monkeypatch.setattr(
+            net_mod.ad, "gradient",
+            lambda root, inputs: [np.full(node.shape, np.nan) for node in inputs],
+        )
+        cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
+        with pytest.raises(net_mod.TrainDivergenceError, match="gradient"):
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+                          cfg, tiny_model)
+        for k in before:
+            np.testing.assert_array_equal(net.params[k], before[k])
 
 
 class TestWeightsIO:
@@ -349,6 +407,15 @@ class TestWeightsIO:
         with pytest.raises(ContainerError):
             net_mod.load_weights(path)
 
+    def test_partial_optimizer_state_rejected(self, tiny_net, tmp_path):
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net, net_mod.AdamState(tiny_net.params))
+        arrays, meta = read_container(path, expected_kind="weights")
+        del arrays["adam_v/conv0_w"]
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="adam_v/conv0_w"):
+            net_mod.load_weights(path)
+
     def test_shape_mismatch_detected(self, tiny_net, tiny_model, tmp_path):
         path = tmp_path / "w.sfw"
         other = net_mod.PredictorNet.for_model(
@@ -369,9 +436,11 @@ class TestPooling:
         ds = synth.read_dataset(path)
         for i in range(len(ds)):
             fast = net_mod.pooled_from_dataset(ds, i, 16)
-            full = net_mod.average_pool(ds.sample(i).proxy.stacked(), 16)
+            full = average_pool(ds.sample(i).proxy.stacked(), 16)
             np.testing.assert_allclose(fast, full, atol=1e-12)
 
-    def test_average_pool_rejects_indivisible(self):
+    def test_pooled_from_dataset_rejects_indivisible(self, tiny_data):
+        gen_cfg, samples = tiny_data
         with pytest.raises(ValueError):
-            net_mod.average_pool(np.zeros((50, 50, 2)), 16)
+            net_mod.pooled_from_dataset(synth.SynthDataset.from_samples(samples[:1], gen_cfg),
+                                        0, 24)

@@ -202,9 +202,6 @@ class TestDatasetIO:
             np.testing.assert_array_equal(s.theta, samples[i].theta)
             np.testing.assert_array_equal(s.joints2d, samples[i].joints2d)
             assert s.subject_id == samples[i].subject_id
-        # sequential read equals random access
-        seq = ds.samples()
-        np.testing.assert_array_equal(seq[3].joints2d, ds.sample(3).joints2d)
 
     def test_identical_seed_identical_bytes(self, model, small_cfg, tmp_path):
         aug_cfg = synth.AugmentationConfig()

@@ -8,7 +8,12 @@ as per-joint row and column profiles, and both the full-resolution maps
 and the network's pooled input are built from those profiles. The
 rasterizer is plain coverage (a pixel is set when its center lies inside
 any projected triangle, front- or back-facing), which is all a binary
-silhouette channel needs — no z-buffer, no anti-aliasing.
+silhouette channel needs — no z-buffer, no anti-aliasing. It has one
+path: triangles sorted by bounding-box area are tested in batches of at
+most `COVERAGE_CELLS` edge tests (or one triangle whose box alone is
+larger), so its working memory does not grow with the number of
+triangles. Part assignment labels a silhouette the caller already
+rasterized.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .bodymodel import VertexMesh
 
 DEFAULT_CONFIDENCE_THRESHOLD = 0.025
 DEFAULT_HEATMAP_SIGMA = 4.0
+COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
 
 
 @dataclass
@@ -104,51 +110,27 @@ def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def _coverage_loop(tri_px: np.ndarray, mask: np.ndarray) -> None:
-    h, w = mask.shape
-    for tri in tri_px:
-        (x0, y0), (x1, y1), (x2, y2) = tri
-        area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-        if area2 == 0.0:
-            continue
-        if area2 < 0.0:
-            x1, y1, x2, y2 = x2, y2, x1, y1
-        lo_c = max(int(np.floor(min(x0, x1, x2) - 0.5)), 0)
-        hi_c = min(int(np.ceil(max(x0, x1, x2) - 0.5)), w - 1)
-        lo_r = max(int(np.floor(min(y0, y1, y2) - 0.5)), 0)
-        hi_r = min(int(np.ceil(max(y0, y1, y2) - 0.5)), h - 1)
-        if lo_c > hi_c or lo_r > hi_r:
-            continue
-        px = np.arange(lo_c, hi_c + 1) + 0.5
-        py = (np.arange(lo_r, hi_r + 1) + 0.5)[:, None]
-        e0 = (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
-        e1 = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-        e2 = (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2)
-        mask[lo_r : hi_r + 1, lo_c : hi_c + 1] |= (e0 >= 0) & (e1 >= 0) & (e2 >= 0)
-
-
 def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
     """Pixel-center coverage of 2D triangles (n, 3, 2) -> (H, W) bool.
 
     A pixel center (c + .5, r + .5) counts as covered when all three edge
     cross products are >= 0 after orienting the triangle counter-clockwise;
-    triangles with exactly zero signed area are skipped. Small triangles are
-    evaluated in one vectorized batch over a shared bounding-box grid; the
-    elementwise arithmetic is identical to the per-triangle loop.
+    triangles with exactly zero signed area are skipped. Triangles are
+    sorted by the area of their bounding box clipped to the frame and cut
+    into consecutive batches. A batch is tested on one grid of its largest
+    box height by its largest box width, anchored at each triangle's own
+    box corner, so it costs (triangles x grid) edge tests; a batch holds at
+    most `COVERAGE_CELLS` of them, or one triangle whose box alone exceeds
+    that. Grid cells past a triangle's own box are dropped.
     """
     mask = np.zeros((h, w), dtype=bool)
     tri = np.asarray(tri_px, dtype=np.float64)
-    if tri.size == 0:
-        return mask
 
     area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
         tri[:, 1, 1] - tri[:, 0, 1]
     ) * (tri[:, 2, 0] - tri[:, 0, 0])
     tri = tri[area2 != 0.0]
-    area2 = area2[area2 != 0.0]
-    if tri.size == 0:
-        return mask
-    flip = area2 < 0.0
+    flip = area2[area2 != 0.0] < 0.0
     tri[flip] = tri[flip][:, [0, 2, 1], :]
 
     lo_c = np.clip(np.floor(tri[:, :, 0].min(axis=1) - 0.5).astype(np.int64), 0, w - 1)
@@ -157,41 +139,37 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
     hi_r = np.clip(np.ceil(tri[:, :, 1].max(axis=1) - 0.5).astype(np.int64), -1, h - 1)
     bw = hi_c - lo_c + 1
     bh = hi_r - lo_r + 1
-    keep = (bw > 0) & (bh > 0)
-    tri, lo_c, lo_r, bw, bh = tri[keep], lo_c[keep], lo_r[keep], bw[keep], bh[keep]
-    if tri.size == 0:
-        return mask
-
-    # huge bounding boxes would blow up the dense batch; loop those instead
-    big = (bw.astype(np.int64) * bh) > 4096
-    if np.any(big):
-        _coverage_loop(tri[big], mask)
-        tri, lo_c, lo_r, bw, bh = tri[~big], lo_c[~big], lo_r[~big], bw[~big], bh[~big]
-        if tri.size == 0:
-            return mask
-
-    cap_w, cap_h = int(bw.max()), int(bh.max())
-    px = lo_c[:, None] + np.arange(cap_w)[None, :] + 0.5        # (F, cap_w)
-    py = lo_r[:, None] + np.arange(cap_h)[None, :] + 0.5        # (F, cap_h)
-    px3 = px[:, None, :]
-    py3 = py[:, :, None]
-
-    x0, y0 = tri[:, 0, 0, None, None], tri[:, 0, 1, None, None]
-    x1, y1 = tri[:, 1, 0, None, None], tri[:, 1, 1, None, None]
-    x2, y2 = tri[:, 2, 0, None, None], tri[:, 2, 1, None, None]
-    inside = (
-        ((x1 - x0) * (py3 - y0) - (y1 - y0) * (px3 - x0) >= 0)
-        & ((x2 - x1) * (py3 - y1) - (y2 - y1) * (px3 - x1) >= 0)
-        & ((x0 - x2) * (py3 - y2) - (y0 - y2) * (px3 - x2) >= 0)
+    on_screen = np.flatnonzero((bw > 0) & (bh > 0))
+    order = on_screen[np.argsort(bw[on_screen] * bh[on_screen], kind="stable")]
+    tri, lo_c, hi_c, lo_r, hi_r, bw, bh = (
+        a[order] for a in (tri, lo_c, hi_c, lo_r, hi_r, bw, bh)
     )
-    valid = (np.arange(cap_h)[None, :, None] < bh[:, None, None]) & (
-        np.arange(cap_w)[None, None, :] < bw[:, None, None]
-    ) & (px3 < w) & (py3 < h)
-    inside &= valid
 
-    flat = ((lo_r[:, None, None] + np.arange(cap_h)[None, :, None]) * w
-            + lo_c[:, None, None] + np.arange(cap_w)[None, None, :])
-    mask.ravel()[flat[inside]] = True
+    start = 0
+    while start < len(tri):
+        # a batch has at most COVERAGE_CELLS triangles, since each costs >= 1 cell
+        window = slice(start, start + COVERAGE_CELLS)
+        cells = (np.arange(1, len(bh[window]) + 1) * np.maximum.accumulate(bh[window])
+                 * np.maximum.accumulate(bw[window]))
+        stop = start + max(int(np.searchsorted(cells, COVERAGE_CELLS, side="right")), 1)
+        batch = slice(start, stop)
+        start = stop
+
+        rows = lo_r[batch, None, None] + np.arange(bh[batch].max())[None, :, None]
+        cols = lo_c[batch, None, None] + np.arange(bw[batch].max())[None, None, :]
+        py = rows + 0.5                                             # (n, grid_h, 1)
+        px = cols + 0.5                                             # (n, 1, grid_w)
+        x0, y0 = tri[batch, 0, 0, None, None], tri[batch, 0, 1, None, None]
+        x1, y1 = tri[batch, 1, 0, None, None], tri[batch, 1, 1, None, None]
+        x2, y2 = tri[batch, 2, 0, None, None], tri[batch, 2, 1, None, None]
+        inside = (
+            (rows <= hi_r[batch, None, None])
+            & (cols <= hi_c[batch, None, None])
+            & ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0)
+            & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
+            & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
+        )
+        mask.ravel()[(rows * w + cols)[inside]] = True
     return mask
 
 
@@ -207,16 +185,17 @@ def rasterize_silhouette(mesh: VertexMesh, cam: PerspCamera) -> np.ndarray:
 
 
 def rasterize_part_assignment(mesh: VertexMesh, part_labels: np.ndarray,
-                              cam: PerspCamera) -> np.ndarray:
+                              cam: PerspCamera, silhouette: np.ndarray) -> np.ndarray:
     """Silhouette pixels labelled by body part, -1 outside.
 
-    Each covered pixel is assigned the part of its nearest projected vertex,
-    giving a deterministic partition of the silhouette (the per-part masks
-    tile the silhouette exactly, mirroring a part segmentation).
+    `silhouette` is the mesh's coverage mask under `cam`, as returned by
+    `rasterize_silhouette`; it is not rasterized again here. Each covered
+    pixel is assigned the part of its nearest projected vertex, giving a
+    deterministic partition of the silhouette (the per-part masks tile the
+    silhouette exactly, mirroring a part segmentation).
     """
     from scipy.spatial import cKDTree
 
-    silhouette = rasterize_silhouette(mesh, cam)
     assignment = np.full(silhouette.shape, -1, dtype=np.int64)
     rows, cols = np.nonzero(silhouette)
     if rows.size == 0:

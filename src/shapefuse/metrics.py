@@ -216,10 +216,13 @@ def convex_hull_perimeter(points: np.ndarray) -> float:
         return 0.0
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and np.cross(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) >= 2 and cross(out[-1] - out[-2], p - out[-2]) <= 0:
                 out.pop()
             out.append(p)
         return out

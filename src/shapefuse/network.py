@@ -194,11 +194,7 @@ class PredictorNet:
         x = pooled.reshape(B, -1)
         for i in range(len(self.encoder.channels)):
             idx = self._conv_tables[i]
-            if isinstance(x, np.ndarray):
-                cols = np.concatenate([x, np.zeros((B, 1))], axis=1)[:, idx.ravel()]
-            else:
-                padded = ad.concat([x, np.zeros((B, 1))], axis=1)
-                cols = padded[:, idx.ravel()]
+            cols = ad.concat([x, np.zeros((B, 1))], axis=1)[:, idx.ravel()]
             cols = ad.reshape(cols, (B, idx.shape[0], idx.shape[1]))
             out = ad.matmul(cols, params[f"conv{i}_w"]) + params[f"conv{i}_b"]
             out = elu(out)
@@ -513,16 +509,19 @@ def load_weights(path):
     arrays, meta = read_container(path, expected_kind="weights")
     if meta.get("weights_version") != WEIGHTS_VERSION:
         raise ContainerError(f"{path}: unsupported weights version")
-    enc = meta["encoder"]
-    net = PredictorNet(
-        pose_dim=int(meta["pose_dim"]),
-        shape_dim=int(meta["shape_dim"]),
-        in_channels=int(meta["in_channels"]),
-        encoder=EncoderConfig(pool_to=int(enc["pool_to"]),
-                              channels=tuple(enc["channels"]),
-                              kernel=int(enc["kernel"])),
-        hidden=int(meta["hidden"]),
-    )
+    try:
+        enc = meta["encoder"]
+        net = PredictorNet(
+            pose_dim=int(meta["pose_dim"]),
+            shape_dim=int(meta["shape_dim"]),
+            in_channels=int(meta["in_channels"]),
+            encoder=EncoderConfig(pool_to=int(enc["pool_to"]),
+                                  channels=tuple(enc["channels"]),
+                                  kernel=int(enc["kernel"])),
+            hidden=int(meta["hidden"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: malformed network layout ({exc!r})") from exc
     for k in net.params:
         key = f"param/{k}"
         if key not in arrays:

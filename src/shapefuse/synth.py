@@ -242,10 +242,10 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
 
         if rng.random() < aug_cfg.body_part_occlusion_prob:
             assignment = cr.rasterize_part_assignment(
-                bm.VertexMesh(noisy, model.faces), model.part_labels, camera
+                bm.VertexMesh(noisy, model.faces), model.part_labels, camera, silhouette
             )
             part_id = int(rng.integers(len(model.part_names)))
-            cleared = (assignment == part_id) & silhouette.astype(bool)
+            cleared = assignment == part_id
             silhouette = occlude_body_part(silhouette, assignment, part_id)
             erased |= cleared
             events["part_occluded"] = True

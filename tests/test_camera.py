@@ -114,16 +114,29 @@ class TestRasterizer:
         mask = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
         assert not mask.any()
 
-    @pytest.mark.parametrize("trial", range(8))
-    def test_matches_brute_force_oracle(self, trial):
-        rng = np.random.default_rng(100 + trial)
-        verts = rng.uniform(-0.8, 0.8, size=(12, 3))
+    @pytest.mark.parametrize("seed, size, spread, cells", [
+        *(pytest.param(100 + t, 64, 0.8, None, id=str(t)) for t in range(8)),
+        # boxes past 4096 cells (the old loop cutoff), off every frame edge;
+        # seeds whose meshes reach all four edges, as asserted below
+        *(pytest.param(s, 96, 4.0, None, id=f"96px-{s}") for s in (202, 204, 205)),
+        # a 64-cell budget splits batches, and single boxes exceed it
+        *(pytest.param(100 + t, 64, 0.8, 64, id=f"64cells-{t}") for t in range(3)),
+    ])
+    def test_matches_brute_force_oracle(self, seed, size, spread, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        verts = rng.uniform(-0.8, 0.8, size=(12, 3)) * [spread / 0.8, spread / 0.8, 1.0]
         faces = rng.integers(0, 12, size=(20, 3))
-        c = cam.PerspCamera(40.0, 64, 64, np.array([0.0, 0.0, 2.0]))
+        c = cam.PerspCamera(40.0, size, size, np.array([0.0, 0.0, 2.0]))
         mesh = bm.VertexMesh(verts, faces)
         got = cam.rasterize_silhouette(mesh, c)
         tri_px = cam.project_persp(verts, c)[faces]
-        want = brute_force_coverage(tri_px, 64, 64)
+        if size == 96:
+            lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
+            assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
+            assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
+        want = brute_force_coverage(tri_px, size, size)
         np.testing.assert_array_equal(got.astype(bool), want)
 
     def test_winding_invariance(self):
@@ -138,14 +151,9 @@ class TestRasterizer:
     def test_part_assignment_partitions_silhouette(self):
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
         mesh = bm.neutral_pose_mesh(model, np.zeros(10))
-        c = cam.PerspCamera(300.0, 128, 128, np.array([0.0, -0.2, 2.5]))
-        sil = cam.rasterize_silhouette(
-            bm.VertexMesh(mesh.vertices, model.faces), c
-        )
-        # rescale camera for the 128px frame
         c = cam.PerspCamera(150.0, 128, 128, np.array([0.0, -0.2, 2.5]))
         sil = cam.rasterize_silhouette(bm.VertexMesh(mesh.vertices, model.faces), c)
-        assign = cam.rasterize_part_assignment(mesh, model.part_labels, c)
+        assign = cam.rasterize_part_assignment(mesh, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
 
 

@@ -177,6 +177,48 @@ class TestConvexHullPerimeter:
         assert metrics.convex_hull_perimeter(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
 
 
+def closed_prism(n: int, r: float, rings: int = 3):
+    """n-gon prism of radius r along y, rings at y = 0, 1, ..., with
+    triangulated sides and fan caps; (vertices, faces)."""
+    angles = 2 * np.pi * np.arange(n) / n
+    ring = np.stack([r * np.cos(angles), np.zeros(n), r * np.sin(angles)], axis=1)
+    vertices = np.concatenate(
+        [ring + [0.0, y, 0.0] for y in range(rings)]
+        + [[[0.0, 0.0, 0.0], [0.0, rings - 1.0, 0.0]]]
+    )
+    k, k1 = np.arange(n), (np.arange(n) + 1) % n
+    faces = []
+    for level in range(rings - 1):
+        lo, hi = level * n, (level + 1) * n
+        faces += [np.stack([lo + k, lo + k1, hi + k1], axis=1),
+                  np.stack([lo + k, hi + k1, hi + k], axis=1)]
+    bottom, top = rings * n, rings * n + 1
+    faces += [np.stack([np.full(n, bottom), k1, k], axis=1),
+              np.stack([np.full(n, top), (rings - 1) * n + k, (rings - 1) * n + k1], axis=1)]
+    return vertices, np.concatenate(faces)
+
+
+class TestGirths:
+    @pytest.mark.parametrize("n", [3, 8, 24])
+    @pytest.mark.parametrize("plane", [0.37, 1.0], ids=["between-rings", "on-ring"])
+    def test_prism_slice_is_the_ngon_perimeter(self, n, plane):
+        r = 0.3
+        vertices, faces = closed_prism(n, r)
+        girth = metrics._slice_girth(vertices, faces, np.ones(len(faces), bool), 1, plane)
+        assert girth == pytest.approx(2 * n * r * np.sin(np.pi / n), rel=1e-12, abs=0)
+
+    def test_girths_scale_linearly_with_true_height(self):
+        toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
+        beta = np.random.default_rng(4).normal(size=toy.shape_basis.shape[-1])
+        base = metrics.measure_and_normalize(beta, toy, 1.0)
+        assert base.girths_cm
+        for height in (0.5, 1.7, 2.0):
+            scaled = metrics.measure_and_normalize(beta, toy, height)
+            assert scaled.girths_cm.keys() == base.girths_cm.keys()
+            for name, girth in base.girths_cm.items():
+                assert scaled.girths_cm[name] == pytest.approx(height * girth, rel=1e-12)
+
+
 class TestSplitGroups:
     @settings(max_examples=100, deadline=None)
     @given(

@@ -416,6 +416,22 @@ class TestWeightsIO:
         with pytest.raises(ContainerError, match="adam_v/conv0_w"):
             net_mod.load_weights(path)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda meta: meta.pop("encoder"), id="no-encoder"),
+        pytest.param(lambda meta: meta.pop("hidden"), id="no-hidden"),
+        pytest.param(lambda meta: meta["encoder"].update(pool_to="x"), id="pool-to-not-int"),
+        pytest.param(lambda meta: meta.update(encoder=[1]), id="encoder-not-object"),
+        pytest.param(lambda meta: meta["encoder"].update(pool_to=60), id="invalid-encoder"),
+    ])
+    def test_malformed_layout_rejected(self, tiny_net, tmp_path, edit):
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net)
+        arrays, meta = read_container(path, expected_kind="weights")
+        edit(meta)
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="malformed network layout"):
+            net_mod.load_weights(path)
+
     def test_shape_mismatch_detected(self, tiny_net, tiny_model, tmp_path):
         path = tmp_path / "w.sfw"
         other = net_mod.PredictorNet.for_model(

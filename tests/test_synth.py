@@ -126,7 +126,8 @@ class TestPartOcclusion:
             small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
             s.cam_translation,
         )
-        assignment = cr.rasterize_part_assignment(mesh, model.part_labels, camera)
+        assignment = cr.rasterize_part_assignment(mesh, model.part_labels, camera,
+                                                  s.proxy.silhouette)
         return s.proxy.silhouette, assignment
 
     def test_never_adds_pixels(self, model, small_cfg, source):

@@ -278,33 +278,90 @@ def reshape(x, shape):
     return _unary(x, xv.reshape(shape), lambda g: np.asarray(g).reshape(xv.shape))
 
 
-def transpose(x, axes):
-    xv = value_of(x)
-    inverse = np.argsort(axes)
-    return _unary(x, xv.transpose(axes), lambda g: np.asarray(g).transpose(inverse))
-
-
 def getitem(x, key):
-    """Basic or integer-array indexing; adjoints scatter-add back."""
+    """Basic indexing (integers, slices, None, Ellipsis); adjoints add back
+    into the indexed region. Gathers by an index array go through `take`."""
+    keys = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(k, (np.ndarray, list)) for k in keys):
+        raise ValueError("array keys are not supported; gather with take()")
     xv = value_of(x)
-    out = xv[key]
-
-    def _has_array(k):
-        if isinstance(k, tuple):
-            return any(_has_array(e) for e in k)
-        return isinstance(k, (np.ndarray, list))
-
-    fancy = _has_array(key)
 
     def vjp(g):
         grad = np.zeros_like(xv)
-        if fancy:
-            np.add.at(grad, key, g)
-        else:
-            grad[key] += g
+        grad[key] += g
         return grad
 
+    return _unary(x, xv[key], vjp)
+
+
+def take(x, indices, axis):
+    """Gather along `axis` by an integer index array of any shape, as
+    `np.take`: the result is C-ordered, with the index array's shape in place
+    of that axis. Adjoints scatter-add back, so repeated indices sum."""
+    xv = value_of(x)
+    indices = np.asarray(indices)
+    axis = axis % xv.ndim
+    out = np.take(xv, indices, axis=axis)
+
+    def vjp(g):
+        # flat position in x of every adjoint element, summed by bincount in
+        # element order (as np.add.at would, at a fraction of its cost)
+        n = xv.shape[axis]
+        lead = np.arange(int(np.prod(xv.shape[:axis]))).reshape((-1,) + (1,) * (indices.ndim + 1))
+        trail = int(np.prod(xv.shape[axis + 1:]))
+        pos = (lead * n + (indices % n)[..., None]) * trail + np.arange(trail)
+        return np.bincount(pos.ravel(), weights=np.ravel(g), minlength=xv.size).reshape(xv.shape)
+
     return _unary(x, out, vjp)
+
+
+def _einsum_terms(subscripts: str, shapes: list):
+    """Split "ab,bc->ac" into (["ab", "bc"], "ac"), rejecting the forms whose
+    adjoints are not einsums of the output adjoint and the other operands."""
+    if "->" not in subscripts or "." in subscripts:
+        raise ValueError(f"einsum needs explicit output subscripts and no ellipsis: {subscripts!r}")
+    lhs, output = subscripts.replace(" ", "").split("->")
+    inputs = lhs.split(",")
+    if len(inputs) != len(shapes):
+        raise ValueError(f"{subscripts!r} names {len(inputs)} operands, got {len(shapes)}")
+    for term in inputs + [output]:
+        if len(set(term)) != len(term):
+            raise ValueError(f"repeated subscript in {term!r}: diagonals are not supported")
+    sizes = {}
+    for i, (term, shape) in enumerate(zip(inputs, shapes)):
+        others = output + "".join(t for k, t in enumerate(inputs) if k != i)
+        if not set(term) <= set(others):
+            raise ValueError(f"{term!r} sums a subscript within one operand; use sum_")
+        for label, n in zip(term, shape):
+            if sizes.setdefault(label, n) != n:
+                raise ValueError(f"subscript {label!r} has sizes {sizes[label]} and {n}")
+    return inputs, output
+
+
+def einsum(subscripts: str, *operands):
+    """Einstein summation with explicit output subscripts ("bij,bjk->bik").
+
+    Each operand's adjoint is the einsum of the output adjoint with the other
+    operands, written to that operand's subscripts, as in autograd and JAX.
+    Raises ValueError for an ellipsis, a subscript repeated within one term,
+    a subscript summed inside a single operand, or one subscript with two
+    sizes (no broadcasting).
+    """
+    values = [value_of(op) for op in operands]
+    inputs, output = _einsum_terms(subscripts, [v.shape for v in values])
+    # no optimize=: on these small contractions the planned path is slower
+    # and may return a non-contiguous view
+    out = np.einsum(subscripts, *values)
+    tape = _tape_of(*operands)
+    if tape is None:
+        return out
+    parents = []
+    for i, op in enumerate(operands):
+        if isinstance(op, Node):
+            spec = ",".join([output] + inputs[:i] + inputs[i + 1:]) + "->" + inputs[i]
+            rest = values[:i] + values[i + 1:]
+            parents.append((op, lambda g, spec=spec, rest=rest: np.einsum(spec, g, *rest)))
+    return tape._record(out, tuple(parents))
 
 
 def stack(items, axis=0):

@@ -212,11 +212,21 @@ def shaped_template(model: BodyModel, betas):
 def lbs_vertices(model: BodyModel, pose, betas, glob):
     """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3).
 
-    Joint pivots regress from the shaped template; rotations chain down the
-    kinematic tree; vertices blend the per-joint rigid transforms by the
-    skinning weights.
+    Joint pivots regress from the shaped template and rotations chain down
+    the kinematic tree. Skinning then blends the per-joint transforms, not
+    per-joint posed copies of the mesh (the SMPL form, Loper et al. 2015).
+    Joint j moves v to R_j v + u_j, where u_j = pos_j - R_j p_j takes the
+    rest pivot p_j to the posed pivot pos_j. The skinning weights W sum to
+    1 per vertex, so
+
+        v' = sum_j w_j (R_j v + u_j) = v + (W (R - I)) v + W u.
+
+    Each vertex applies one blended 3x3 and one blended offset. R - I and u
+    are exactly 0 at the rest pose, so the rest pose reproduces the shaped
+    template bit for bit.
     """
     J = model.num_joints
+    V = model.num_vertices
     B = ad.value_of(betas).shape[0]
 
     shaped = shaped_template(model, betas)                     # (B, V, 3)
@@ -225,8 +235,8 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
     local_rots = rodrigues(aa_all)                             # (B, J, 3, 3)
 
-    def rotate(R, vec):  # (B,3,3) @ (B,3) -> (B,3)
-        return ad.reshape(ad.matmul(R, ad.reshape(vec, (B, 3, 1))), (B, 3))
+    def rotate(R, vec):  # (B,3,3), (B,3) -> (B,3)
+        return ad.einsum("bkl,bl->bk", R, vec)
 
     # world rotations plus the skinning translation u_j = pos_j - R_j p_j,
     # accumulated directly so identity rotations stay exactly zero
@@ -241,19 +251,14 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
             world_rot[j], pivots[:, j, :]
         )
 
-    # delta-form blend: v' = v + sum_j w_j ((R_j v + u_j) - v); with weight
-    # rows summing to 1 this equals plain LBS but reproduces the rest pose
-    # bit-exactly under identity transforms
-    out = shaped
+    # the (B, V, 3, 3) blend is built C-ordered by matmul and handed straight
+    # to the apply, so it lives only for that call
     weights = model.skinning_weights
-    for j in range(J):
-        w = weights[:, j]
-        if not np.any(w):
-            continue
-        rot_t = ad.transpose(world_rot[j], (0, 2, 1))
-        moved = ad.matmul(shaped, rot_t) + ad.reshape(skin_trans[j], (B, 1, 3))
-        out = out + w[None, :, None] * (moved - shaped)
-    return out
+    rot_delta = ad.reshape(ad.stack(world_rot, axis=1), (B, J, 9)) - np.eye(3).ravel()
+    rot_offset = ad.einsum(
+        "bvkl,bvl->bvk", ad.reshape(ad.matmul(weights, rot_delta), (B, V, 3, 3)), shaped
+    )
+    return shaped + rot_offset + ad.matmul(weights, ad.stack(skin_trans, axis=1))
 
 
 def forward(model: BodyModel, pose, betas, glob) -> VertexMesh:

@@ -193,9 +193,8 @@ class PredictorNet:
             )
         x = pooled.reshape(B, -1)
         for i in range(len(self.encoder.channels)):
-            idx = self._conv_tables[i]
-            cols = ad.concat([x, np.zeros((B, 1))], axis=1)[:, idx.ravel()]
-            cols = ad.reshape(cols, (B, idx.shape[0], idx.shape[1]))
+            # (B, patches, patch size), C-ordered so the product is one GEMM
+            cols = ad.take(ad.concat([x, np.zeros((B, 1))], axis=1), self._conv_tables[i], axis=1)
             out = ad.matmul(cols, params[f"conv{i}_w"]) + params[f"conv{i}_b"]
             out = elu(out)
             x = ad.reshape(out, (B, -1))

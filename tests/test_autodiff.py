@@ -286,33 +286,115 @@ class TestTensorOps:
                 fd[i, j] = (((a0 @ wp) ** 2).sum() - ((a0 @ wm) ** 2).sum()) / (2 * step)
         np.testing.assert_allclose(gw, fd, rtol=1e-6, atol=1e-7)
 
-    def test_getitem_fancy_scatter(self):
+    def test_take_fancy_scatter(self):
         idx = np.array([0, 2, 2, 1])
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 2.0, 3.0]))
-        root = ad.sum_(ad.square(x[idx]))
+        root = ad.sum_(ad.square(ad.take(x, idx, axis=0)))
         (g,) = ad.gradient(root, [x])
         np.testing.assert_allclose(g, [2.0, 4.0, 12.0])
 
-    def test_getitem_axis1_with_slice(self):
+    def test_take_axis1(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(3, 4))
         idx = np.array([1, 1, 3])
         tape = ad.Tape()
         x = tape.variable(x0)
-        root = ad.sum_(ad.square(x[:, idx]))
+        root = ad.sum_(ad.square(ad.take(x, idx, axis=1)))
         (g,) = ad.gradient(root, [x])
         want = np.zeros_like(x0)
         np.add.at(want, (slice(None), idx), 2 * x0[:, idx])
         np.testing.assert_allclose(g, want)
 
-    def test_stack_concat_reshape_transpose(self):
+    @pytest.mark.parametrize("shape,axis", [((2, 5), -1), ((2, 5, 2), 1), ((5, 3), 0)])
+    def test_take_index_table_scatter_adds(self, shape, axis):
+        # a 2-D table with repeats (and -1 for the last element), as the conv
+        # gather uses: each element's adjoint is the sum of the adjoints of
+        # every slot that reads it
+        rng = np.random.default_rng(8)
+        x0 = rng.normal(size=shape)
+        idx = np.array([[0, 4, -1], [2, 0, 4]])
+        tape = ad.Tape()
+        x = tape.variable(x0)
+        out = ad.take(x, idx, axis=axis)
+        want_value = np.take(x0, idx, axis=axis)
+        assert out.value.flags.c_contiguous
+        np.testing.assert_array_equal(out.value, want_value)
+        weights = rng.normal(size=want_value.shape)
+        (g,) = ad.gradient(ad.sum_(out * weights), [x])
+
+        want = np.zeros_like(x0)
+        moved_x = np.moveaxis(want, axis, 0)  # a view: writes land in want
+        moved_w = np.moveaxis(weights, [axis % x0.ndim, axis % x0.ndim + 1], [0, 1])
+        for p in range(2):
+            for k in range(3):
+                moved_x[idx[p, k]] += moved_w[p, k]
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-15)
+        assert ad.take(x0, idx, axis=axis).flags.c_contiguous
+
+    def test_getitem_rejects_array_keys(self):
+        tape = ad.Tape()
+        x = tape.variable(np.ones((3, 4)))
+        for key in (np.array([0, 2]), [0, 2], (slice(None), np.array([1, 1])),
+                    np.array([True, False, True])):
+            with pytest.raises(ValueError):
+                _ = x[key]
+        assert x[1:, 2].shape == (2,)
+
+    EINSUM_CASES = [
+        ("bvkl,bvl->bvk", [(2, 3, 3, 3), (2, 3, 3)], (0, 1)),
+        ("bpk,kc->bpc", [(2, 4, 3), (3, 5)], (0, 1)),
+        ("bkl,bl->bk", [(3, 3, 3), (3, 3)], (1,)),     # first operand constant
+        ("ij->ji", [(2, 3)], (0,)),
+        ("bij,ij->b", [(4, 2, 3), (2, 3)], (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("spec,shapes,taped", EINSUM_CASES, ids=[c[0] for c in EINSUM_CASES])
+    def test_einsum_vjps_match_central_differences(self, spec, shapes, taped):
+        rng = np.random.default_rng(9)
+        values = [rng.normal(size=s) for s in shapes]
+        probe = rng.normal(size=np.einsum(spec, *values).shape)
+
+        tape = ad.Tape()
+        operands = [tape.variable(v) if i in taped else v for i, v in enumerate(values)]
+        out = ad.einsum(spec, *operands)
+        np.testing.assert_array_equal(out.value, np.einsum(spec, *values))
+        grads = ad.gradient(ad.sum_(out * probe), [operands[i] for i in taped])
+
+        for i, got in zip(taped, grads):
+            def f(flat, i=i):
+                args = list(values)
+                args[i] = flat.reshape(shapes[i])
+                return float((np.einsum(spec, *args) * probe).sum())
+
+            fd = central_diff(f, values[i].ravel())
+            np.testing.assert_allclose(got.ravel(), fd, rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("spec,n_operands", [
+        ("ij,jk", 2),              # implicit output
+        ("...ij,jk->...ik", 2),    # ellipsis
+        ("ii->i", 1),              # diagonal
+        ("ij,jk->iik", 2),         # repeated output subscript
+        ("ij->i", 1),              # sum inside one operand
+        ("ij,jk->i", 2),           # k summed inside the second operand
+        ("ij,jk,kl->il", 2),       # operand count
+        ("i1,1->i", 2),            # not a letter (numpy rejects it)
+        ("ij,jk->ik", 2),          # j has sizes 2 and 1: no broadcasting
+    ])
+    def test_einsum_rejects_unsupported_subscripts(self, spec, n_operands):
+        tape = ad.Tape()
+        second = np.ones((1, 2)) if spec == "ij,jk->ik" else np.ones((2, 2))
+        operands = [tape.variable(np.ones((2, 2)))] + [second] * (n_operands - 1)
+        with pytest.raises(ValueError):
+            ad.einsum(spec, *operands)
+
+    def test_stack_concat_reshape_einsum(self):
         tape = ad.Tape()
         x = tape.variable(np.array([1.0, 2.0]))
         y = tape.variable(np.array([3.0, 4.0]))
         s = ad.stack([x, y], axis=0)               # (2, 2)
         c = ad.concat([s, np.ones((1, 2))], axis=0)  # (3, 2)
-        t = ad.transpose(c, (1, 0))                # (2, 3)
+        t = ad.einsum("ij->ji", c)                 # (2, 3)
         r = ad.reshape(t, (6,))
         root = ad.sum_(ad.square(r))
         gx, gy = ad.gradient(root, [x, y])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,32 @@ from shapefuse.containerio import ContainerError
 @pytest.fixture(scope="module")
 def toy():
     return bm.generate_toy_model(seed=11, num_vertices=300, num_joints=16)
+
+
+def lbs_per_joint_loop(model, pose, betas, glob):
+    """Plain-numpy skinning, one joint at a time in the delta form
+    v' = v + sum_j w_j ((R_j v + u_j) - v): the oracle for the blended
+    transforms of `bm.lbs_vertices`."""
+    B, J = betas.shape[0], model.num_joints
+    shaped = model.template_vertices + np.einsum("vcs,bs->bvc", model.shape_basis, betas)
+    pivots = model.skeleton_regressor @ shaped
+    local = np.asarray(bm.rodrigues(np.concatenate([glob[:, None], pose.reshape(B, J - 1, 3)], 1)))
+
+    def rotate(R, vec):
+        return (R @ vec[:, :, None])[:, :, 0]
+
+    world_rot = [local[:, 0]]
+    skin_trans = [pivots[:, 0] - rotate(local[:, 0], pivots[:, 0])]
+    for j in range(1, J):
+        p = model.parents[j]
+        world_rot.append(world_rot[p] @ local[:, j])
+        skin_trans.append(skin_trans[p] + rotate(world_rot[p], pivots[:, j])
+                          - rotate(world_rot[j], pivots[:, j]))
+    out = shaped.copy()
+    for j in range(J):
+        moved = shaped @ world_rot[j].transpose(0, 2, 1) + skin_trans[j][:, None, :]
+        out += model.skinning_weights[None, :, j, None] * (moved - shaped)
+    return out
 
 
 class TestRodrigues:
@@ -125,6 +153,43 @@ class TestForward:
             x0 = np.concatenate([pose, betas, gamma])
             worst = max(worst, ad.grad_check(f, x0, step=1e-5))
         assert worst < 1e-4
+
+
+class TestBatchedLBS:
+    @pytest.mark.parametrize("V,J", [(120, 16), (600, 24)])
+    def test_matches_per_joint_loop(self, V, J):
+        model = bm.generate_toy_model(seed=6, num_vertices=V, num_joints=J)
+        rng = np.random.default_rng(12)
+        B = 5
+        pose = rng.normal(scale=0.5, size=(B, model.pose_dim))
+        betas = rng.normal(size=(B, 10))
+        glob = rng.normal(scale=0.8, size=(B, 3))
+        got = bm.lbs_vertices(model, pose, betas, glob)
+        np.testing.assert_allclose(got, lbs_per_joint_loop(model, pose, betas, glob),
+                                   rtol=0, atol=1e-12)
+
+    def test_zero_pose_is_shaped_template_exact(self, toy):
+        betas = np.random.default_rng(13).normal(size=(5, 10))
+        zero = np.zeros((5, toy.pose_dim))
+        got = bm.lbs_vertices(toy, zero, betas, np.zeros((5, 3)))
+        np.testing.assert_array_equal(got, bm.shaped_template(toy, betas))
+
+    def test_numpy_peak_memory_per_vertex(self):
+        # the per-vertex blend is (B, V, 9) and must not outlive its apply:
+        # the peak stays below 18 float64 per (batch, vertex)
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=24)
+        rng = np.random.default_rng(14)
+        B = 100
+        pose = rng.normal(scale=0.3, size=(B, model.pose_dim))
+        betas = rng.normal(size=(B, 10))
+        glob = rng.normal(scale=0.3, size=(B, 3))
+        tracemalloc.start()
+        try:
+            bm.lbs_vertices(model, pose, betas, glob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * B * model.num_vertices) <= 18.0
 
 
 class TestRegressJoints:

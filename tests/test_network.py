@@ -50,6 +50,31 @@ def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
     return reshaped.mean(axis=(-4, -2))
 
 
+def conv_mlp_oracle(net, params, pooled):
+    """Nested-loop forward of the encoder and MLP: 3x3 stride-2 convolutions
+    with zero padding and ELU, then the dense layers. Conv weights are laid
+    out (kernel row, kernel column, input channel) by output channel."""
+    def elu(a):
+        return np.where(a > 0, a, np.expm1(np.minimum(a, 0.0)))
+
+    x = pooled
+    k = net.encoder.kernel
+    for i in range(len(net.encoder.channels)):
+        B, h, w, c_in = x.shape
+        weight = params[f"conv{i}_w"].reshape(k, k, c_in, -1)
+        out = np.zeros((B, (h + 1) // 2, (w + 1) // 2, weight.shape[-1]))
+        for orow in range(out.shape[1]):
+            for ocol in range(out.shape[2]):
+                for kr in range(k):
+                    for kc in range(k):
+                        ir, ic = 2 * orow - k // 2 + kr, 2 * ocol - k // 2 + kc
+                        if 0 <= ir < h and 0 <= ic < w:
+                            out[:, orow, ocol] += x[:, ir, ic] @ weight[kr, kc]
+        x = elu(out + params[f"conv{i}_b"])
+    hidden = elu(x.reshape(x.shape[0], -1) @ params["dense0_w"] + params["dense0_b"])
+    return hidden @ params["dense1_w"] + params["dense1_b"]
+
+
 def reproj_loss(pred, reduced, joints_norm, visibility, n_draws, rng) -> float:
     """`loss_reproj_batch` on one prediction with `n_draws` fresh draws."""
     heads, _ = heads_from_prediction(pred)
@@ -112,6 +137,18 @@ class TestOutputContract:
         assert np.all(heads["pose_var"] > 0)
         assert np.all(heads["shape_var"] > 0)
         assert np.all(heads["camera"][:, 0] > 0)
+
+    def test_raw_outputs_match_nested_loop_convolution(self, tiny_net, tiny_model):
+        rng = np.random.default_rng(15)
+        params = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in tiny_net.params.items()}
+        pooled = rng.uniform(0, 1, size=(3, 16, 16, tiny_model.num_keypoints + 1))
+        got = tiny_net.raw_outputs(pooled, params)
+        np.testing.assert_allclose(got, conv_mlp_oracle(tiny_net, params, pooled),
+                                   rtol=0, atol=1e-12)
+
+        tape = ad.Tape()
+        taped = tiny_net.raw_outputs(pooled, {k: tape.variable(v) for k, v in params.items()})
+        np.testing.assert_array_equal(taped.value, got)
 
     def test_channel_mismatch_rejected(self, tiny_net):
         with pytest.raises(ValueError):

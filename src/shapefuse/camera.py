@@ -12,8 +12,10 @@ silhouette channel needs — no z-buffer, no anti-aliasing. It has one
 path: triangles sorted by bounding-box area are tested in batches of at
 most `COVERAGE_CELLS` edge tests (or one triangle whose box alone is
 larger), so its working memory does not grow with the number of
-triangles. Part assignment labels a silhouette the caller already
-rasterized.
+triangles. `covers_any_pixel` runs the same batches but stops at the
+first one that covers a pixel, so a visibility test costs a fraction of a
+full render and always agrees with `rasterize_silhouette(...).any()`.
+Part assignment labels a silhouette the caller already rasterized.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Pixel-center coverage of 2D triangles (n, 3, 2) -> (H, W) bool.
+def _covered_cells(tri_px: np.ndarray, h: int, w: int):
+    """Pixel-center coverage of 2D triangles (n, 3, 2), yielded per batch
+    as the flat (row * W + col) indices of the cells the batch covers.
 
     A pixel center (c + .5, r + .5) counts as covered when all three edge
     cross products are >= 0 after orienting the triangle counter-clockwise;
@@ -121,9 +124,10 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
     box height by its largest box width, anchored at each triangle's own
     box corner, so it costs (triangles x grid) edge tests; a batch holds at
     most `COVERAGE_CELLS` of them, or one triangle whose box alone exceeds
-    that. Grid cells past a triangle's own box are dropped.
+    that. Grid cells past a triangle's own box are dropped. A cell may be
+    yielded more than once, and a batch that covers nothing yields an
+    empty array.
     """
-    mask = np.zeros((h, w), dtype=bool)
     tri = np.asarray(tri_px, dtype=np.float64)
 
     area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
@@ -133,10 +137,16 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
     flip = area2[area2 != 0.0] < 0.0
     tri[flip] = tri[flip][:, [0, 2, 1], :]
 
-    lo_c = np.clip(np.floor(tri[:, :, 0].min(axis=1) - 0.5).astype(np.int64), 0, w - 1)
-    hi_c = np.clip(np.ceil(tri[:, :, 0].max(axis=1) - 0.5).astype(np.int64), -1, w - 1)
-    lo_r = np.clip(np.floor(tri[:, :, 1].min(axis=1) - 0.5).astype(np.int64), 0, h - 1)
-    hi_r = np.clip(np.ceil(tri[:, :, 1].max(axis=1) - 0.5).astype(np.int64), -1, h - 1)
+    x = tri[:, :, 0]
+    y = tri[:, :, 1]
+    min_x = np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2])
+    max_x = np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
+    min_y = np.minimum(np.minimum(y[:, 0], y[:, 1]), y[:, 2])
+    max_y = np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2])
+    lo_c = np.clip(np.floor(min_x - 0.5).astype(np.int64), 0, w - 1)
+    hi_c = np.clip(np.ceil(max_x - 0.5).astype(np.int64), -1, w - 1)
+    lo_r = np.clip(np.floor(min_y - 0.5).astype(np.int64), 0, h - 1)
+    hi_r = np.clip(np.ceil(max_y - 0.5).astype(np.int64), -1, h - 1)
     bw = hi_c - lo_c + 1
     bh = hi_r - lo_r + 1
     on_screen = np.flatnonzero((bw > 0) & (bh > 0))
@@ -169,19 +179,40 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
             & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
             & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
         )
-        mask.ravel()[(rows * w + cols)[inside]] = True
+        yield (rows * w + cols)[inside]
+
+
+def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Pixel-center coverage of 2D triangles (n, 3, 2) -> (H, W) bool; see
+    `_covered_cells` for the coverage rule and the batching."""
+    mask = np.zeros((h, w), dtype=bool)
+    for cells in _covered_cells(tri_px, h, w):
+        mask.ravel()[cells] = True
     return mask
+
+
+def _projected_triangles(mesh: VertexMesh, cam: PerspCamera) -> np.ndarray:
+    """The mesh's faces in pixel coordinates, (F, 3, 2); (0, 3, 2) when the
+    mesh has no vertices or no faces."""
+    vertices = np.asarray(ad.value_of(mesh.vertices))
+    faces = np.asarray(mesh.faces)
+    if vertices.size == 0 or faces.size == 0:
+        return np.zeros((0, 3, 2))
+    return project_persp(vertices, cam)[faces]
 
 
 def rasterize_silhouette(mesh: VertexMesh, cam: PerspCamera) -> np.ndarray:
     """Binary coverage mask (H, W) uint8 of the projected mesh."""
-    vertices = np.asarray(ad.value_of(mesh.vertices))
-    faces = np.asarray(mesh.faces)
-    if vertices.size == 0 or faces.size == 0:
-        return np.zeros((cam.image_h, cam.image_w), dtype=np.uint8)
-    projected = project_persp(vertices, cam)
-    tri_px = projected[faces]  # (F, 3, 2)
+    tri_px = _projected_triangles(mesh, cam)
     return _coverage_mask(tri_px, cam.image_h, cam.image_w).astype(np.uint8)
+
+
+def covers_any_pixel(mesh: VertexMesh, cam: PerspCamera) -> bool:
+    """Whether the projected mesh covers any pixel center, i.e. exactly
+    `rasterize_silhouette(mesh, cam).any()`, stopping at the first batch of
+    triangles that covers one."""
+    tri_px = _projected_triangles(mesh, cam)
+    return any(cells.size for cells in _covered_cells(tri_px, cam.image_h, cam.image_w))
 
 
 def rasterize_part_assignment(mesh: VertexMesh, part_labels: np.ndarray,

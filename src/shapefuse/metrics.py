@@ -128,8 +128,9 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     shape = pred.shape.mean + np.sqrt(pred.shape.var) * rng.standard_normal((n, pred.shape.dim))
     glob = np.broadcast_to(pred.global_rot, (n, 3)).copy()
     verts = np.asarray(bm.lbs_vertices(model, pose, shape, glob))  # (n, V, 3)
-    mean_location = verts.mean(axis=0)
-    return np.linalg.norm(verts - mean_location, axis=2).mean(axis=0) * CM
+    d = verts - verts.mean(axis=0)
+    # componentwise: equal to np.linalg.norm(d, axis=2) bit for bit, and faster
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2).mean(axis=0) * CM
 
 
 def pose_dim_keypoint_map(model: bm.BodyModel) -> list:

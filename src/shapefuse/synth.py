@@ -196,29 +196,42 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
                   gen_cfg: GenerationConfig, aug_cfg: AugmentationConfig,
                   rng, corrupt: bool, subject_id: int = -1) -> SyntheticSample:
     """Full single-sample pipeline: pose the body, sample a camera, render
-    the proxy input, optionally corrupt it, and derive joint visibility."""
+    the proxy input, optionally corrupt it, and derive joint visibility.
+
+    Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until one sees
+    the clean mesh; `ValueError` is raised when none does. The accepted
+    view is rasterized in full exactly once: when vertex noise will redraw
+    the silhouette, cameras are tested with the early-exit
+    `covers_any_pixel`, and otherwise the clean render that passes the test
+    is the output.
+    """
     gen_cfg.validate()
     aug_cfg.validate()
     size = gen_cfg.image_size
     mesh = bm.forward(model, theta, beta, glob)
     vertices = np.asarray(mesh.vertices)
+    clean = bm.VertexMesh(vertices, model.faces)
+    noisy_render = corrupt and aug_cfg.vertex_noise_range > 0
 
     cam_mean = np.asarray(gen_cfg.cam_translation_mean)
     cam_std = np.sqrt(np.asarray(gen_cfg.cam_translation_var))
 
     camera = None
-    silhouette = None
     for _ in range(MAX_CAMERA_RETRIES):
         translation = cam_mean + cam_std * rng.standard_normal(3)
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
         candidate = cr.PerspCamera(gen_cfg.focal_length, size, size, translation)
-        sil = cr.rasterize_silhouette(bm.VertexMesh(vertices, model.faces), candidate)
-        if sil.any():
-            camera, silhouette = candidate, sil
+        if noisy_render:
+            seen = cr.covers_any_pixel(clean, candidate)
+        else:
+            silhouette = cr.rasterize_silhouette(clean, candidate)
+            seen = silhouette.any()
+        if seen:
+            camera = candidate
             break
     if camera is None:
-        raise RuntimeError("no valid camera after retries (empty silhouette)")
+        raise ValueError("no valid camera after retries (empty silhouette)")
 
     keypoints3d = np.asarray(bm.regress_joints(model, mesh))
     joints2d = cr.project_persp(keypoints3d, camera)
@@ -230,7 +243,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     if corrupt:
         # fixed order: vertex noise, part occlusion, half-image occlusion,
         # occlusion box, joint L/R swap, joint removal, joint noise
-        if aug_cfg.vertex_noise_range > 0:
+        if noisy_render:
             noisy = vertices + rng.uniform(
                 -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
             )

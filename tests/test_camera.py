@@ -99,13 +99,18 @@ class TestRasterizer:
         c = cam.PerspCamera(10.0, 32, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
         assert mask.all()
+        assert cam.covers_any_pixel(bm.VertexMesh(verts, faces), c) is True
+        # the same mesh moved wholly past the frame's right edge
+        shifted = bm.VertexMesh(verts + [200.0, 0.0, 0.0], faces)
+        assert not cam.rasterize_silhouette(shifted, c).any()
+        assert cam.covers_any_pixel(shifted, c) is False
 
     def test_empty_mesh_gives_zeros(self):
         c = cam.PerspCamera(10.0, 16, 16, np.array([0.0, 0.0, 1.0]))
-        mask = cam.rasterize_silhouette(
-            bm.VertexMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)), c
-        )
+        mesh = bm.VertexMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        mask = cam.rasterize_silhouette(mesh, c)
         assert mask.shape == (16, 16) and not mask.any()
+        assert cam.covers_any_pixel(mesh, c) is False
 
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
@@ -113,6 +118,7 @@ class TestRasterizer:
         c = cam.PerspCamera(50.0, 32, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
         assert not mask.any()
+        assert cam.covers_any_pixel(bm.VertexMesh(verts, faces), c) is False
 
     @pytest.mark.parametrize("seed, size, spread, cells", [
         *(pytest.param(100 + t, 64, 0.8, None, id=str(t)) for t in range(8)),
@@ -138,6 +144,7 @@ class TestRasterizer:
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
         want = brute_force_coverage(tri_px, size, size)
         np.testing.assert_array_equal(got.astype(bool), want)
+        assert cam.covers_any_pixel(mesh, c) == want.any()
 
     def test_winding_invariance(self):
         rng = np.random.default_rng(5)

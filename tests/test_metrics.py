@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shapefuse import bodymodel as bm
 from shapefuse import metrics
+from shapefuse.gaussians import GaussianDiag, PredictionSet
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -146,6 +147,36 @@ class TestPveTSc:
         copy = gt * (1 + scale)
         copy[0], copy[1] = gt[0] * (1 + scale) + scale, shift + gt[1] * (1 + scale)
         assert metrics.pve_t_sc(copy, gt, model) == pytest.approx(0.0, abs=1e-7)
+
+
+class TestPerVertexUncertainty:
+    def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        rng = np.random.default_rng(6)
+        pred = PredictionSet(
+            pose=GaussianDiag(rng.normal(scale=0.2, size=model.pose_dim),
+                              rng.uniform(0.01, 0.1, model.pose_dim)),
+            shape=GaussianDiag(rng.normal(size=model.shape_dim),
+                               rng.uniform(0.1, 1.0, model.shape_dim)),
+            global_rot=[0.1, -0.3, 0.2],
+            camera=[1.0, 0.0, 0.0],
+        )
+        draws = []
+        lbs = bm.lbs_vertices
+
+        def recording(*args):
+            out = lbs(*args)
+            draws.append(np.asarray(out))
+            return out
+
+        monkeypatch.setattr(bm, "lbs_vertices", recording)
+        got = metrics.per_vertex_uncertainty(pred, model, n_samples=30,
+                                             rng=np.random.default_rng(7))
+        (verts,) = draws
+        assert verts.shape == (30, 200, 3)
+        want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
+        assert want.min() > 0
+        np.testing.assert_array_equal(got, want)
 
 
 class TestConvexHullPerimeter:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,28 @@ def small_cfg():
 @pytest.fixture(scope="module")
 def source(model):
     return synth.procedural_pose_source(model, n_poses=32, seed=0)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts `PerspCamera` constructions and full rasterizations made
+    through the `camera` module while the test runs."""
+    counts = {"cameras": 0, "rasterized": 0}
+
+    class CountedCamera(cr.PerspCamera):
+        def __post_init__(self):
+            counts["cameras"] += 1
+            super().__post_init__()
+
+    rasterize = cr.rasterize_silhouette
+
+    def counted_rasterize(*args):
+        counts["rasterized"] += 1
+        return rasterize(*args)
+
+    monkeypatch.setattr(cr, "PerspCamera", CountedCamera)
+    monkeypatch.setattr(cr, "rasterize_silhouette", counted_rasterize)
+    return counts
 
 
 def no_aug():
@@ -90,6 +114,28 @@ class TestCleanGeneration:
         )
         assert not s.visibility.any()
         assert not s.proxy.heatmaps.any()
+
+
+class TestCameraAndRenders:
+    @pytest.mark.parametrize("corrupt, noise", [(True, 0.010), (True, 0.0), (False, 0.010)],
+                             ids=["noisy", "zero-noise", "clean"])
+    def test_one_full_rasterization_per_sample(self, model, small_cfg, corrupt, noise, calls):
+        aug = synth.AugmentationConfig(vertex_noise_range=noise)
+        samples = synth.generate_dataset(model, small_cfg, aug, num_subjects=2,
+                                         poses_per_subject=3, seed=3, corrupt=corrupt)
+        assert calls["cameras"] == len(samples)
+        assert calls["rasterized"] == len(samples)
+
+    def test_no_camera_sees_subject_raises_value_error(self, model, small_cfg, calls):
+        gen_cfg = synth.GenerationConfig(image_size=small_cfg.image_size,
+                                         focal_length=small_cfg.focal_length,
+                                         cam_translation_mean=(50.0, -0.2, 2.5))
+        with pytest.raises(ValueError, match="no valid camera"):
+            synth.render_sample(model, np.zeros(model.pose_dim), np.zeros(bm.SHAPE_DIM),
+                                np.zeros(3), gen_cfg, synth.AugmentationConfig(),
+                                named_rng(0, "miss"), corrupt=True)
+        assert calls["cameras"] == synth.MAX_CAMERA_RETRIES
+        assert calls["rasterized"] == 0
 
 
 class TestVisibilityInvariants:
@@ -235,6 +281,29 @@ class TestDatasetIO:
         original = samples[subj * 3 + k]
         np.testing.assert_array_equal(redo.proxy.silhouette, original.proxy.silhouette)
         np.testing.assert_array_equal(redo.joints2d, original.joints2d)
+
+    # sha256 of write_dataset's bytes for a 600-vertex model at 96 px, 3
+    # subjects x 4 poses, seed 5; the second config's cameras often miss
+    @pytest.mark.parametrize("cam_mean, cam_var, retries, digest", [
+        ((0.0, -0.2, 2.5), (0.05, 0.05, 0.25), False,
+         "97e06e4bab4740f3d472dec2e7453788fdc4eba57fbc0755afbd449a89264b04"),
+        ((1.6, -0.2, 2.5), (0.3, 0.05, 0.25), True,
+         "dc78e8188285b735a7ace30cb3960450b6bad9b85fff7f51a145b678b10b8a18"),
+    ], ids=["default", "retries"])
+    def test_golden_dataset_bytes(self, cam_mean, cam_var, retries, digest, tmp_path, calls):
+        model = bm.generate_toy_model(seed=0, num_vertices=600)
+        gen_cfg = synth.GenerationConfig(image_size=96, focal_length=112.5,
+                                         cam_translation_mean=cam_mean,
+                                         cam_translation_var=cam_var)
+        aug_cfg = synth.AugmentationConfig()
+        samples = synth.generate_dataset(model, gen_cfg, aug_cfg, num_subjects=3,
+                                         poses_per_subject=4, seed=5, corrupt=True)
+        path = tmp_path / "golden.sfd"
+        synth.write_dataset(path, samples, gen_cfg, aug_cfg, seed=5,
+                            model_fingerprint=synth.model_fingerprint(model))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert calls["rasterized"] == len(samples)
+        assert (calls["cameras"] > len(samples)) == retries
 
     def test_empty_dataset_rejected(self, small_cfg, tmp_path):
         with pytest.raises(ValueError):

@@ -198,12 +198,11 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     """Full single-sample pipeline: pose the body, sample a camera, render
     the proxy input, optionally corrupt it, and derive joint visibility.
 
-    Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until one sees
-    the clean mesh; `ValueError` is raised when none does. The accepted
-    view is rasterized in full exactly once: when vertex noise will redraw
-    the silhouette, cameras are tested with the early-exit
-    `covers_any_pixel`, and otherwise the clean render that passes the test
-    is the output.
+    Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until the
+    early-exit `covers_any_pixel` finds one that sees the clean mesh;
+    `ValueError` is raised when none does. The accepted view is then
+    rasterized in full exactly once, from the noisy mesh when vertex noise
+    applies and from the clean mesh otherwise.
     """
     gen_cfg.validate()
     aug_cfg.validate()
@@ -222,16 +221,20 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
         candidate = cr.PerspCamera(gen_cfg.focal_length, size, size, translation)
-        if noisy_render:
-            seen = cr.covers_any_pixel(clean, candidate)
-        else:
-            silhouette = cr.rasterize_silhouette(clean, candidate)
-            seen = silhouette.any()
-        if seen:
+        if cr.covers_any_pixel(clean, candidate):
             camera = candidate
             break
     if camera is None:
         raise ValueError("no valid camera after retries (empty silhouette)")
+
+    # vertex noise is the first corruption; it perturbs only the rendered mesh
+    rendered = clean
+    if noisy_render:
+        noisy = vertices + rng.uniform(
+            -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
+        )
+        rendered = bm.VertexMesh(noisy, model.faces)
+    silhouette = cr.rasterize_silhouette(rendered, camera)
 
     keypoints3d = np.asarray(bm.regress_joints(model, mesh))
     joints2d = cr.project_persp(keypoints3d, camera)
@@ -241,21 +244,13 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
               "pairs_swapped": 0, "joints_removed": 0}
 
     if corrupt:
-        # fixed order: vertex noise, part occlusion, half-image occlusion,
-        # occlusion box, joint L/R swap, joint removal, joint noise
-        if noisy_render:
-            noisy = vertices + rng.uniform(
-                -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
-            )
-            silhouette = cr.rasterize_silhouette(bm.VertexMesh(noisy, model.faces), camera)
-        else:
-            noisy = vertices
-
+        # fixed order after vertex noise: part occlusion, half-image
+        # occlusion, occlusion box, joint L/R swap, joint removal, joint noise
         erased = np.zeros_like(silhouette, dtype=bool)
 
         if rng.random() < aug_cfg.body_part_occlusion_prob:
             assignment = cr.rasterize_part_assignment(
-                bm.VertexMesh(noisy, model.faces), model.part_labels, camera, silhouette
+                rendered, model.part_labels, camera, silhouette
             )
             part_id = int(rng.integers(len(model.part_names)))
             cleared = assignment == part_id

@@ -163,7 +163,7 @@ class BodyModel:
         V, J, L = self.num_vertices, self.num_joints, self.num_keypoints
         if self.template_vertices.shape != (V, 3) or not np.all(np.isfinite(self.template_vertices)):
             raise ValueError("template vertices malformed")
-        if self.shape_basis.shape[:2] != (V, 3):
+        if self.shape_basis.ndim != 3 or self.shape_basis.shape[:2] != (V, 3):
             raise ValueError("shape basis shape mismatch")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("faces must be (F, 3)")
@@ -747,7 +747,7 @@ def load_model(path) -> BodyModel:
             keypoint_names=tuple(meta.pop("keypoint_names")),
             meta=meta,
         )
-    except KeyError as exc:
-        raise ContainerError(f"{path}: missing model field {exc}") from exc
-    model.validate()
+        model.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: malformed body model ({exc!r})") from exc
     return model

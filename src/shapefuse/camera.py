@@ -1,11 +1,12 @@
 """Projection and proxy-input synthesis.
 
-Weak-perspective projection feeds the reprojection loss (differentiable);
-full-perspective projection, binary silhouette rasterization and joint
-heatmap synthesis produce the network's proxy inputs during data
-generation. Heatmaps are separable: `heatmap_profiles` defines them once,
-as per-joint row and column profiles, and both the full-resolution maps
-and the network's pooled input are built from those profiles. The
+Weak-perspective projection (`project_weak`) is the reprojection loss's
+camera model and is differentiable; full-perspective projection, binary
+silhouette rasterization and joint heatmap synthesis produce the
+network's proxy inputs during data generation. Heatmaps are separable:
+`heatmap_profiles` defines them once, as per-joint row and column
+profiles, and both the full-resolution maps and the network's pooled
+input are built from those profiles. The
 rasterizer is plain coverage (a pixel is set when its center lies inside
 any projected triangle, front- or back-facing), which is all a binary
 silhouette channel needs — no z-buffer, no anti-aliasing. It has one
@@ -27,25 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .bodymodel import VertexMesh
 
-DEFAULT_CONFIDENCE_THRESHOLD = 0.025
 DEFAULT_HEATMAP_SIGMA = 4.0
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
-
-
-@dataclass
-class WeakPerspCamera:
-    """Scale plus in-plane translation in normalized image units."""
-
-    scale: float
-    tx: float
-    ty: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("weak-perspective scale must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.scale, self.tx, self.ty])
 
 
 @dataclass
@@ -82,19 +66,21 @@ class ProxyRepresentation:
 def project_weak(points, cam):
     """Orthographic drop of z, then scale and translate: s * xy + t.
 
-    `cam` is [s, tx, ty] (array, node or WeakPerspCamera); differentiable in
-    both points and camera.
+    `points` is (..., 3) and `cam` is [s, tx, ty] with shape lead + (3,),
+    where `lead` equals the points' leading axes: () for one camera, (B,)
+    for one camera per batch item. Each camera applies to every point
+    under its leading index. Differentiable in both points and camera.
     """
-    if isinstance(cam, WeakPerspCamera):
-        cam = cam.as_array()
-    xy = points[..., :2]
-    s = cam[..., 0:1]
-    t = cam[..., 1:3]
-    if ad.value_of(xy).ndim > 2:
-        # batched points: broadcast camera over the joint axis
-        s = ad.reshape(s, ad.value_of(s).shape[:-1] + (1, 1))
-        t = ad.reshape(t, ad.value_of(t).shape[:-1] + (1, 2))
-    return s * xy + t
+    pts_shape = ad.value_of(points).shape
+    cam_shape = ad.value_of(cam).shape
+    lead = cam_shape[:-1]
+    if (cam_shape[-1:] != (3,) or pts_shape[-1:] != (3,) or len(pts_shape) < len(cam_shape)
+            or pts_shape[: len(lead)] != lead):
+        raise ValueError(f"camera {cam_shape} does not lead points {pts_shape}")
+    ones = (1,) * (len(pts_shape) - len(cam_shape))
+    s = ad.reshape(cam[..., 0:1], lead + ones + (1,))
+    t = ad.reshape(cam[..., 1:3], lead + ones + (2,))
+    return s * points[..., :2] + t
 
 
 def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
@@ -270,15 +256,6 @@ def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, image_h: in
     """
     rows, cols = heatmap_profiles(joints2d, visibility, image_h, image_w, sigma)
     return np.einsum("lh,lw->hwl", rows, cols)
-
-
-def threshold_detections(joints2d: np.ndarray, confidences: np.ndarray,
-                         threshold: float = DEFAULT_CONFIDENCE_THRESHOLD) -> np.ndarray:
-    """Visibility vector: 0 where confidence < threshold (strictly), else 1."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if np.any(confidences < 0) or np.any(confidences > 1):
-        raise ValueError("confidences must lie in [0, 1]")
-    return (confidences >= threshold).astype(np.int64)
 
 
 def in_frame_visibility(joints2d: np.ndarray, image_h: int, image_w: int) -> np.ndarray:

@@ -2,23 +2,23 @@
 per-vertex uncertainty, grouped multi-input evaluation and height-normalized
 body measurements.
 
-The three joint metrics nest: plain error after root-centering, after an
-optimal global scale (resolves the subject-size/camera-distance ambiguity),
-and after a full similarity alignment. Shape accuracy is measured between
-neutral-pose meshes after scale correction, isolating identity-dependent
-shape from pose.
+Joint error is measured twice: after root-centering and an optimal global
+scale (MPJPE-SC; the scale resolves the subject-size/camera-distance
+ambiguity), and after a full similarity alignment (MPJPE-PA). Shape
+accuracy is measured between neutral-pose meshes after scale correction,
+isolating identity-dependent shape from pose.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bodymodel as bm
 from . import network as net_mod
-from .gaussians import GaussianDiag, PredictionSet, fuse_shapes
+from .gaussians import PredictionSet, fuse_shapes
 
 MM = 1000.0
 CM = 100.0
@@ -35,20 +35,6 @@ def _root_center(joints: np.ndarray, root) -> np.ndarray:
     else:
         center = joints[int(root)]
     return joints - center
-
-
-def mpjpe(pred_joints: np.ndarray, gt_joints: np.ndarray, root=0) -> float:
-    """Mean per-joint distance in mm after root-centering both skeletons.
-
-    `root` is a joint index or an index pair (centered on their midpoint,
-    e.g. the hips for detector-style keypoints)."""
-    pred_joints = np.asarray(pred_joints)
-    gt_joints = np.asarray(gt_joints)
-    if pred_joints.shape != gt_joints.shape:
-        raise ValueError("skeletons must have matching shapes")
-    p = _root_center(pred_joints, root)
-    g = _root_center(gt_joints, root)
-    return float(np.linalg.norm(p - g, axis=1).mean() * MM)
 
 
 def scale_correct(pred_joints: np.ndarray, gt_joints: np.ndarray) -> np.ndarray:
@@ -297,20 +283,6 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
 # ---------------------------------------------------------------------------
 # grouped evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EvalGroup:
-    """One evaluation unit: predictions for several inputs of one subject."""
-
-    subject_id: int
-    sample_indices: list
-    predictions: list           # PredictionSet per sample
-    gt_beta: np.ndarray
-
-    def __post_init__(self):
-        if not self.predictions:
-            raise ValueError("evaluation group must be non-empty")
-
 
 @dataclass
 class MetricsReport:

@@ -332,12 +332,7 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
         ad.reshape(glob_tiled, (B * S, 3)),
     )
     joints3d = ad.matmul(model.joint_regressor, verts)           # (B*S, L, 3)
-    xy = ad.reshape(joints3d, (B, S, L, 3))[:, :, :, :2]
-
-    cam = heads["camera"]
-    scale = ad.reshape(cam[:, 0:1], (B, 1, 1, 1))
-    trans = ad.reshape(cam[:, 1:3], (B, 1, 1, 2))
-    projected = scale * xy + trans
+    projected = cr.project_weak(ad.reshape(joints3d, (B, S, L, 3)), heads["camera"])
 
     mask = visibility.astype(np.float64)[:, None, :, None]
     diff = (joints_norm[:, None, :, :] - projected) * mask
@@ -402,8 +397,7 @@ def _param_norm(params: dict) -> float:
 
 
 def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
-          start_epoch: int = 0, optimizer: AdamState = None,
-          epoch_callback=None) -> list:
+          start_epoch: int = 0, optimizer: AdamState = None) -> list:
     """Adam training over a `synth.SynthDataset`; returns per-epoch loss
     log rows.
 
@@ -474,8 +468,6 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
         row = {"epoch": epoch}
         row.update({k: sums[k] / n_batches for k in sums})
         log.append(row)
-        if epoch_callback is not None:
-            epoch_callback(epoch, row)
     return log
 
 
@@ -484,7 +476,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
 # ---------------------------------------------------------------------------
 
 def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
-                 epoch: int = 0, extra_meta: dict = None) -> None:
+                 epoch: int = 0) -> None:
     arrays = {f"param/{k}": v for k, v in net.params.items()}
     if optimizer is not None:
         arrays.update({f"adam_m/{k}": v for k, v in optimizer.m.items()})
@@ -499,7 +491,6 @@ def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
         "adam_t": optimizer.t if optimizer is not None else 0,
         "epoch": int(epoch),
     }
-    meta.update(extra_meta or {})
     write_container(path, "weights", arrays, meta)
 
 
@@ -519,6 +510,9 @@ def load_weights(path):
                                   kernel=int(enc["kernel"])),
             hidden=int(meta["hidden"]),
         )
+        adam_t = meta["adam_t"]
+        if type(adam_t) is not int or adam_t < 0:
+            raise ValueError(f"adam_t must be a non-negative int, got {adam_t!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: malformed network layout ({exc!r})") from exc
     for k in net.params:
@@ -536,5 +530,5 @@ def load_weights(path):
                 if key not in arrays or arrays[key].shape != net.params[k].shape:
                     raise ContainerError(f"{path}: optimizer state {key} missing or misshapen")
                 moments[k] = arrays[key]
-        optimizer.t = int(meta.get("adam_t", 0))
+        optimizer.t = adam_t
     return net, optimizer, meta

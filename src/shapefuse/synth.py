@@ -25,6 +25,8 @@ from .containerio import read_container, write_container
 from .rng import named_rng
 
 MAX_CAMERA_RETRIES = 10
+POSE_STD = 0.3            # radians, per-axis std of the procedural pose bank
+GLOBAL_JITTER_STD = 0.15  # radians, per-axis jitter applied to each facing
 
 
 @dataclass
@@ -57,15 +59,13 @@ class AugmentationConfig:
 class GenerationConfig:
     """Rendering and sampling hyperparameters (reference defaults)."""
 
-    shape_mean: float = 0.0
     shape_variance: float = 2.25
     shape_clip: float = 6.0
     cam_translation_mean: tuple = (0.0, -0.2, 2.5)   # meters
     cam_translation_var: tuple = (0.05, 0.05, 0.25)  # meters^2
     focal_length: float = 300.0
     image_size: int = 256
-    confidence_threshold: float = 0.025
-    heatmap_sigma: float = 4.0
+    heatmap_sigma: float = cr.DEFAULT_HEATMAP_SIGMA
 
     def validate(self):
         if any(v <= 0 for v in self.cam_translation_var):
@@ -98,7 +98,6 @@ class PoseSource:
 
     poses: np.ndarray        # (n, P)
     facings: np.ndarray      # (m, 3) canonical global rotations
-    global_jitter_std: float = 0.15
 
     def __post_init__(self):
         if len(self.poses) == 0 or len(self.facings) == 0:
@@ -107,9 +106,8 @@ class PoseSource:
     def sample(self, rng) -> tuple:
         theta = self.poses[rng.integers(len(self.poses))]
         gamma = self.facings[rng.integers(len(self.facings))]
-        if self.global_jitter_std > 0:
-            jitter = rng.normal(scale=self.global_jitter_std, size=3)
-            gamma = bm.compose_rotations(jitter, gamma)
+        jitter = rng.normal(scale=GLOBAL_JITTER_STD, size=3)
+        gamma = bm.compose_rotations(jitter, gamma)
         return theta.copy(), np.asarray(gamma, dtype=np.float64)
 
 
@@ -127,16 +125,15 @@ CANONICAL_FACINGS = np.array(
 _HINGE_EXTRA = {"l_elbow": 0.4, "r_elbow": 0.4, "l_knee": 0.4, "r_knee": 0.4}
 
 
-def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256, seed: int = 0,
-                           pose_std: float = 0.3,
-                           global_jitter_std: float = 0.15) -> PoseSource:
+def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256,
+                           seed: int = 0) -> PoseSource:
     """Plausible random poses: per-joint zero-mean rotations with extra
     flexion on elbows/knees, norms clamped inside the axis-angle range."""
     rng = named_rng(seed, "pose_source")
     J = model.num_joints
     poses = np.empty((n_poses, model.pose_dim))
     for i in range(n_poses):
-        aa = rng.normal(scale=pose_std, size=(J - 1, 3))
+        aa = rng.normal(scale=POSE_STD, size=(J - 1, 3))
         for j in range(1, J):
             name = model.joint_names[j]
             extra = _HINGE_EXTRA.get(name)
@@ -147,20 +144,20 @@ def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256, seed: int = 
             if norm > limit:
                 aa[j - 1] *= limit / norm
         poses[i] = aa.reshape(-1)
-    return PoseSource(poses, CANONICAL_FACINGS.copy(), global_jitter_std)
+    return PoseSource(poses, CANONICAL_FACINGS.copy())
 
 
 def sample_shape(rng, cfg: GenerationConfig = None) -> np.ndarray:
-    """Shape coefficients from the high-variance Gaussian, truncated
-    componentwise (by redraw) at the configured magnitude."""
+    """Shape coefficients from the zero-mean high-variance Gaussian,
+    truncated componentwise (by redraw) at the configured magnitude."""
     cfg = cfg or GenerationConfig()
     std = np.sqrt(cfg.shape_variance)
-    beta = cfg.shape_mean + std * rng.standard_normal(bm.SHAPE_DIM)
+    beta = std * rng.standard_normal(bm.SHAPE_DIM)
     for _ in range(100):
         bad = np.abs(beta) > cfg.shape_clip
         if not bad.any():
             break
-        beta[bad] = cfg.shape_mean + std * rng.standard_normal(int(bad.sum()))
+        beta[bad] = std * rng.standard_normal(int(bad.sum()))
     return np.clip(beta, -cfg.shape_clip, cfg.shape_clip)
 
 
@@ -321,15 +318,6 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     )
 
 
-def generate_sample(model: bm.BodyModel, pose_source: PoseSource,
-                    gen_cfg: GenerationConfig, aug_cfg: AugmentationConfig,
-                    rng, corrupt: bool) -> SyntheticSample:
-    """Sample pose/facing from the bank and shape from the prior, then render."""
-    theta, gamma = pose_source.sample(rng)
-    beta = sample_shape(rng, gen_cfg)
-    return render_sample(model, theta, beta, gamma, gen_cfg, aug_cfg, rng, corrupt)
-
-
 def generate_dataset(model: bm.BodyModel, gen_cfg: GenerationConfig,
                      aug_cfg: AugmentationConfig, num_subjects: int,
                      poses_per_subject: int, seed: int, corrupt: bool,
@@ -366,9 +354,10 @@ class SynthDataset:
     that training, prediction and evaluation take.
 
     Samples are packed into per-field arrays with silhouettes stored
-    bit-packed. Heatmaps are not stored: they are rebuilt on demand from
-    the stored joints and visibilities (heatmap synthesis is deterministic,
-    so the round trip is lossless).
+    bit-packed. Heatmaps are not stored: `network.pooled_from_dataset`
+    builds the pooled heatmap channels from the stored joints and
+    visibilities, through the same `camera.heatmap_profiles` that rendered
+    them.
     """
 
     def __init__(self, arrays: dict, meta: dict):
@@ -405,27 +394,6 @@ class SynthDataset:
         size = self.image_size
         bits = np.unpackbits(self.arrays["silhouette_bits"][i])[: size * size]
         return bits.reshape(size, size)
-
-    def proxy(self, i: int) -> cr.ProxyRepresentation:
-        size = self.image_size
-        heatmaps = cr.joints_to_heatmaps(
-            self.arrays["joints2d"][i], self.arrays["visibility"][i],
-            size, size, sigma=self.heatmap_sigma,
-        )
-        return cr.ProxyRepresentation(self.silhouette(i), heatmaps)
-
-    def sample(self, i: int) -> SyntheticSample:
-        return SyntheticSample(
-            proxy=self.proxy(i),
-            theta=self.arrays["theta"][i],
-            beta=self.arrays["beta"][i],
-            glob=self.arrays["glob"][i],
-            joints2d=self.arrays["joints2d"][i],
-            visibility=self.arrays["visibility"][i].astype(np.int64),
-            corrupted=bool(self.arrays["corrupted"][i]),
-            subject_id=int(self.arrays["subject_id"][i]),
-            cam_translation=self.arrays["cam_translation"][i],
-        )
 
 
 def write_dataset(path, samples: list, gen_cfg: GenerationConfig,

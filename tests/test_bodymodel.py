@@ -5,7 +5,7 @@ import pytest
 
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
-from shapefuse.containerio import ContainerError
+from shapefuse.containerio import ContainerError, read_container, write_container
 
 
 @pytest.fixture(scope="module")
@@ -303,4 +303,19 @@ class TestModelIO:
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerError):
+            bm.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda arrays, meta: meta.update(part_names=5), id="part-names-not-list"),
+        pytest.param(lambda arrays, meta: meta.pop("joint_names"), id="no-joint-names"),
+        pytest.param(lambda arrays, meta: arrays.update(shape_basis=arrays["shape_basis"][:, :, 0]),
+                     id="shape-basis-2d"),
+    ])
+    def test_malformed_metadata_rejected(self, toy, tmp_path, edit):
+        path = tmp_path / "model.sfc"
+        bm.save_model(path, toy)
+        arrays, meta = read_container(path, expected_kind="body_model")
+        edit(arrays, meta)
+        write_container(path, "body_model", arrays, meta)
+        with pytest.raises(ContainerError, match="malformed body model"):
             bm.load_model(path)

@@ -35,9 +35,7 @@ class TestWeakPerspective:
         np.testing.assert_array_equal(out, pts[:, :2])
 
     def test_scale_translate_arithmetic(self):
-        out = cam.project_weak(
-            np.array([[0.5, 0.25, 3.0]]), cam.WeakPerspCamera(2.0, 0.1, -0.1)
-        )
+        out = cam.project_weak(np.array([[0.5, 0.25, 3.0]]), np.array([2.0, 0.1, -0.1]))
         np.testing.assert_allclose(out, [[1.1, 0.4]])
 
     def test_gradients_match_fd(self):
@@ -59,9 +57,23 @@ class TestWeakPerspective:
         rhs = cam.project_weak(pts, c) + c[0] * d[:2]
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_scale_must_be_positive(self):
+    def test_one_camera_per_leading_index(self):
+        # (B, S, L, 3) points with a (B, 3) camera, as in the reprojection loss
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(2, 3, 4, 3))
+        c = np.array([[1.5, 0.1, -0.2], [0.7, -0.3, 0.4]])
+        out = cam.project_weak(pts, c)
+        assert out.shape == (2, 3, 4, 2)
+        for b in range(2):
+            for s in range(3):
+                np.testing.assert_array_equal(out[b, s], cam.project_weak(pts[b, s], c[b]))
+
+    @pytest.mark.parametrize("pts_shape, cam_shape", [
+        ((4, 3), (2, 3)), ((2, 4, 3), (3, 3)), ((4, 2), (3,)), ((4, 3), (2,)), ((3,), (3, 3)),
+    ], ids=["lead-differs", "batch-differs", "points-2d", "camera-2", "camera-outranks"])
+    def test_mismatched_shapes_rejected(self, pts_shape, cam_shape):
         with pytest.raises(ValueError):
-            cam.WeakPerspCamera(0.0, 0.0, 0.0)
+            cam.project_weak(np.zeros(pts_shape), np.ones(cam_shape))
 
 
 class TestPerspective:
@@ -185,17 +197,3 @@ class TestHeatmaps:
         maps = cam.joints_to_heatmaps(np.array([[100.4, 99.6]]), np.array([1]), 256, 256)
         r, c = np.unravel_index(np.argmax(maps[:, :, 0]), (256, 256))
         assert (r, c) == (100, 100)
-
-
-class TestThreshold:
-    def test_below_threshold_invisible(self):
-        om = cam.threshold_detections(np.zeros((1, 2)), np.array([0.024]), 0.025)
-        assert om[0] == 0
-
-    def test_exactly_threshold_visible(self):
-        om = cam.threshold_detections(np.zeros((1, 2)), np.array([0.025]), 0.025)
-        assert om[0] == 1
-
-    def test_full_confidence_all_visible(self):
-        om = cam.threshold_detections(np.zeros((3, 2)), np.ones(3), 0.025)
-        np.testing.assert_array_equal(om, [1, 1, 1])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ class TestPerVertexUncertainty:
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
+
+
+class TestPoseVisibility:
+    # root 0 -> 1 -> 2 and root 0 -> 3 -> 4. Keypoints: k0 on the root, k1
+    # and k2 on joint 2, k3 on joint 1, k4 on joint 3; nothing hangs on 4.
+    TREE = types.SimpleNamespace(num_joints=5, parents=np.array([-1, 0, 1, 0, 3]),
+                                 keypoint_attach=np.array([0, 2, 2, 1, 3]))
+    # pose dims [3i, 3i+3) belong to joint i+1; joint 4's keypoint-free
+    # dims carry a variance that would show if they were counted
+    POSE_VAR = np.array([1.0, 1, 1, 2, 2, 2, 3, 3, 3, 1000, 1000, 1000])
+
+    def test_keypoints_of_each_subtree(self):
+        groups = metrics.pose_dim_keypoint_map(self.TREE)
+        assert [g.tolist() for g in groups] == [[1, 2, 3], [1, 2], [4], []]
+
+    @pytest.mark.parametrize("visibility, want", [
+        # joint 1 mixed, joint 2 hidden, joint 3 seen; the root keypoint is ignored
+        ([1, 0, 0, 1, 1], (2.0, 3.0)),
+        ([0, 0, 0, 1, 1], (2.0, 3.0)),
+        # joints 1 and 2 seen, joint 3 hidden
+        ([0, 1, 1, 1, 0], (3.0, 1.5)),
+        # nothing hidden, then nothing seen
+        ([1, 1, 1, 1, 1], None),
+        ([1, 0, 0, 0, 0], None),
+    ])
+    def test_variance_split(self, visibility, want):
+        got = metrics.pose_variance_by_joint_visibility(self.POSE_VAR, np.array(visibility),
+                                                        self.TREE)
+        assert got == want
 
 
 class TestConvexHullPerimeter:

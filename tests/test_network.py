@@ -459,10 +459,14 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta["encoder"].update(pool_to="x"), id="pool-to-not-int"),
         pytest.param(lambda meta: meta.update(encoder=[1]), id="encoder-not-object"),
         pytest.param(lambda meta: meta["encoder"].update(pool_to=60), id="invalid-encoder"),
+        pytest.param(lambda meta: meta.update(adam_t=[1]), id="adam-t-list"),
+        pytest.param(lambda meta: meta.update(adam_t=None), id="adam-t-null"),
+        pytest.param(lambda meta: meta.update(adam_t="x"), id="adam-t-string"),
+        pytest.param(lambda meta: meta.update(adam_t=-1), id="adam-t-negative"),
     ])
     def test_malformed_layout_rejected(self, tiny_net, tmp_path, edit):
         path = tmp_path / "w.sfw"
-        net_mod.save_weights(path, tiny_net)
+        net_mod.save_weights(path, tiny_net, net_mod.AdamState(tiny_net.params))
         arrays, meta = read_container(path, expected_kind="weights")
         edit(meta)
         write_container(path, "weights", arrays, meta)
@@ -489,7 +493,7 @@ class TestPooling:
         ds = synth.read_dataset(path)
         for i in range(len(ds)):
             fast = net_mod.pooled_from_dataset(ds, i, 16)
-            full = average_pool(ds.sample(i).proxy.stacked(), 16)
+            full = average_pool(samples[i].proxy.stacked(), 16)
             np.testing.assert_allclose(fast, full, atol=1e-12)
 
     def test_pooled_from_dataset_rejects_indivisible(self, tiny_data):

@@ -1,0 +1,43 @@
+"""The benchmark in `perfbench/` wraps and calls `shapefuse` names from
+outside the package; these checks fail in the test suite when a change
+removes or renames one of them, instead of only in a benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("workloads")
+
+
+def test_every_span_target_resolves(spans):
+    # `instrument` looks each target up in its owner's own namespace
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _name, _on_result in spans.TARGETS
+               if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_reference_sample_passes_checks(workloads, tmp_path):
+    generate = workloads.WORKLOADS["generate"]
+    state = generate.setup(workloads.REF_SEED, tmp_path)
+    sample = generate.op(state, 0)
+    assert generate.check(state, sample) == []

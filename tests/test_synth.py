@@ -46,6 +46,14 @@ def calls(monkeypatch):
     return counts
 
 
+def sample_and_render(model, source, gen_cfg, aug_cfg, rng, corrupt):
+    """One sample with every draw from `rng`: pose and facing from the bank,
+    then shape from the prior, then the render's own draws."""
+    theta, gamma = source.sample(rng)
+    beta = synth.sample_shape(rng, gen_cfg)
+    return synth.render_sample(model, theta, beta, gamma, gen_cfg, aug_cfg, rng, corrupt)
+
+
 def no_aug():
     return synth.AugmentationConfig(
         body_part_occlusion_prob=0.0,
@@ -81,7 +89,7 @@ class TestShapeSampling:
 class TestCleanGeneration:
     def test_clean_silhouette_matches_rasterizer(self, model, small_cfg, source):
         rng = named_rng(0, "clean")
-        s = synth.generate_sample(model, source, small_cfg, no_aug(), rng, corrupt=False)
+        s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
         mesh = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
             small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
@@ -96,10 +104,10 @@ class TestCleanGeneration:
 
     def test_degenerate_augmentation_equals_clean(self, model, small_cfg, source):
         key = (3, "degenerate")
-        clean = synth.generate_sample(
+        clean = sample_and_render(
             model, source, small_cfg, no_aug(), named_rng(*key), corrupt=False
         )
-        corrupted = synth.generate_sample(
+        corrupted = sample_and_render(
             model, source, small_cfg, no_aug(), named_rng(*key), corrupt=True
         )
         np.testing.assert_array_equal(clean.proxy.silhouette, corrupted.proxy.silhouette)
@@ -109,7 +117,7 @@ class TestCleanGeneration:
     def test_removal_prob_one_blanks_everything(self, model, small_cfg, source):
         aug = no_aug()
         aug.joint_removal_prob = 1.0
-        s = synth.generate_sample(
+        s = sample_and_render(
             model, source, small_cfg, aug, named_rng(4, "removed"), corrupt=True
         )
         assert not s.visibility.any()
@@ -141,7 +149,7 @@ class TestCameraAndRenders:
 class TestVisibilityInvariants:
     @pytest.mark.parametrize("trial", range(6))
     def test_zeroed_channels_iff_invisible(self, model, small_cfg, source, trial):
-        s = synth.generate_sample(
+        s = sample_and_render(
             model, source, small_cfg, synth.AugmentationConfig(),
             named_rng(trial, "viz"), corrupt=True,
         )
@@ -153,7 +161,7 @@ class TestVisibilityInvariants:
     def test_visible_joints_are_in_frame(self, model, small_cfg, source, trial):
         aug = no_aug()
         aug.joint_noise_range = 40.0  # aggressive noise pushes joints out
-        s = synth.generate_sample(
+        s = sample_and_render(
             model, source, small_cfg, aug, named_rng(trial, "noise"), corrupt=True
         )
         size = small_cfg.image_size
@@ -166,7 +174,7 @@ class TestVisibilityInvariants:
 class TestPartOcclusion:
     def _assignment(self, model, small_cfg, source):
         rng = named_rng(5, "occ")
-        s = synth.generate_sample(model, source, small_cfg, no_aug(), rng, corrupt=False)
+        s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
         mesh = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
             small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
@@ -242,13 +250,16 @@ class TestDatasetIO:
         ds = synth.read_dataset(path)
         assert len(ds) == 6
         assert ds.meta["seed"] == 42
+        size = gen_cfg.image_size
         for i in [0, 3, 5]:
-            s = ds.sample(i)
-            np.testing.assert_array_equal(s.proxy.silhouette, samples[i].proxy.silhouette)
-            np.testing.assert_array_equal(s.proxy.heatmaps, samples[i].proxy.heatmaps)
-            np.testing.assert_array_equal(s.theta, samples[i].theta)
-            np.testing.assert_array_equal(s.joints2d, samples[i].joints2d)
-            assert s.subject_id == samples[i].subject_id
+            s = samples[i]
+            np.testing.assert_array_equal(ds.silhouette(i), s.proxy.silhouette)
+            heatmaps = cr.joints_to_heatmaps(ds.arrays["joints2d"][i], ds.arrays["visibility"][i],
+                                             size, size, sigma=ds.heatmap_sigma)
+            np.testing.assert_array_equal(heatmaps, s.proxy.heatmaps)
+            np.testing.assert_array_equal(ds.arrays["theta"][i], s.theta)
+            np.testing.assert_array_equal(ds.arrays["joints2d"][i], s.joints2d)
+            assert ds.arrays["subject_id"][i] == s.subject_id
 
     def test_identical_seed_identical_bytes(self, model, small_cfg, tmp_path):
         aug_cfg = synth.AugmentationConfig()
@@ -354,7 +365,7 @@ class TestAugmentationFrequencies:
         swapped_total = 0
         removed_total = 0
         for i in range(n):
-            s = synth.generate_sample(
+            s = sample_and_render(
                 model, source, gen_cfg, aug_cfg, named_rng(123, "freq", i), corrupt=True
             )
             for key in counts:

@@ -29,80 +29,32 @@ SHAPE_DIM = 10
 # rotations
 # ---------------------------------------------------------------------------
 
+# flattened cross-product matrix [a]_x as a linear map of a: a @ _CROSS
+_CROSS = np.zeros((3, 9))
+_CROSS[0, [7, 5]] = 1.0, -1.0
+_CROSS[1, [2, 6]] = 1.0, -1.0
+_CROSS[2, [3, 1]] = 1.0, -1.0
+
+
 def rodrigues(aa):
     """Axis-angle vectors (..., 3) to rotation matrices (..., 3, 3).
 
-    Uses the series expansion of sin(a)/a and (1-cos(a))/a^2 below a^2 = 1e-8
-    so values and gradients stay exact through zero rotation.
+    R = I + f1 K + f2 (a a^T - |a|^2 I) with K = [a]_x, f1 = sin(|a|)/|a| and
+    f2 = (1 - cos|a|)/|a|^2. Uses the series expansion of f1 and f2 below
+    |a|^2 = 1e-8 so values and gradients stay exact through zero rotation.
     """
-    x = aa[..., 0]
-    y = aa[..., 1]
-    z = aa[..., 2]
-    s2 = ad.square(x) + ad.square(y) + ad.square(z)
+    lead = ad.value_of(aa).shape[:-1]
+    flat = ad.reshape(aa, (-1, 3))
+    cross = ad.reshape(ad.matmul(flat, _CROSS), (-1, 3, 3))
+    s2 = ad.reshape(ad.einsum("ni,ni->n", flat, flat), (-1, 1, 1))
     small = ad.value_of(s2) < 1e-8
     s2_safe = ad.where(small, np.ones_like(ad.value_of(s2)), s2)
     angle = ad.sqrt(s2_safe)
     f1 = ad.where(small, 1.0 - s2 / 6.0, ad.sin(angle) / angle)
     f2 = ad.where(small, 0.5 - s2 / 24.0, (1.0 - ad.cos(angle)) / s2_safe)
-
-    xx, yy, zz = ad.square(x), ad.square(y), ad.square(z)
-    xy, xz, yz = x * y, x * z, y * z
-    r00 = 1.0 - f2 * (yy + zz)
-    r01 = -f1 * z + f2 * xy
-    r02 = f1 * y + f2 * xz
-    r10 = f1 * z + f2 * xy
-    r11 = 1.0 - f2 * (xx + zz)
-    r12 = -f1 * x + f2 * yz
-    r20 = -f1 * y + f2 * xz
-    r21 = f1 * x + f2 * yz
-    r22 = 1.0 - f2 * (xx + yy)
-
-    row0 = ad.stack([r00, r01, r02], axis=-1)
-    row1 = ad.stack([r10, r11, r12], axis=-1)
-    row2 = ad.stack([r20, r21, r22], axis=-1)
-    return ad.stack([row0, row1, row2], axis=-2)
-
-
-def rotation_to_axis_angle(R: np.ndarray) -> np.ndarray:
-    """Inverse of `rodrigues` for a single 3x3 rotation matrix (numpy only)."""
-    R = np.asarray(R, dtype=np.float64)
-    trace = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(trace))
-    if angle < 1e-10:
-        return np.zeros(3)
-    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle < np.pi - 1e-5:
-        return angle * skew / (2.0 * np.sin(angle))
-    # near pi the skew part vanishes; recover the axis from R + I
-    B = (R + np.eye(3)) / 2.0
-    axis = np.sqrt(np.clip(np.diag(B), 0.0, None))
-    # fix signs using the largest component as reference
-    k = int(np.argmax(axis))
-    if axis[k] > 0:
-        if k == 0:
-            axis[1] = B[0, 1] / axis[0]
-            axis[2] = B[0, 2] / axis[0]
-        elif k == 1:
-            axis[0] = B[0, 1] / axis[1]
-            axis[2] = B[1, 2] / axis[1]
-        else:
-            axis[0] = B[0, 2] / axis[2]
-            axis[1] = B[1, 2] / axis[2]
-    norm = np.linalg.norm(axis)
-    if norm == 0:
-        return np.zeros(3)
-    axis = axis / norm
-    if np.sum(skew * axis) < 0:
-        axis = -axis
-    return angle * axis
-
-
-def compose_rotations(outer_aa: np.ndarray, inner_aa: np.ndarray) -> np.ndarray:
-    """Axis-angle of R(outer) @ R(inner)."""
-    return rotation_to_axis_angle(
-        np.asarray(rodrigues(np.asarray(outer_aa, float)))
-        @ np.asarray(rodrigues(np.asarray(inner_aa, float)))
-    )
+    outer = ad.einsum("ni,nj->nij", flat, flat) - s2 * np.eye(3)
+    R = np.eye(3) + f1 * cross + f2 * outer
+    return ad.reshape(R, lead + (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +141,13 @@ class BodyModel:
             raise ValueError("parents must precede children (topological order)")
         if self.part_labels.shape != (V,):
             raise ValueError("part labels shape mismatch")
+        if np.any(self.part_labels < 0) or np.any(self.part_labels >= len(self.part_names)):
+            raise ValueError("part labels out of range of the part names")
+        if len(self.joint_names) != J or len(self.keypoint_names) != L:
+            raise ValueError("joint or keypoint name count mismatch")
+        for pair in self.meta.get("lr_swap_pairs", []):
+            if len(pair) != 2 or not all(isinstance(k, int) and 0 <= k < L for k in pair):
+                raise ValueError(f"left/right swap pair {pair!r} is not two keypoint indices")
         if len(set(self.part_labels.tolist())) < 6:
             raise ValueError("need at least 6 body parts")
         if self.keypoint_attach.shape != (L,) or np.any(self.keypoint_attach < 0) or np.any(
@@ -235,21 +194,15 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
     local_rots = rodrigues(aa_all)                             # (B, J, 3, 3)
 
-    def rotate(R, vec):  # (B,3,3), (B,3) -> (B,3)
-        return ad.einsum("bkl,bl->bk", R, vec)
-
-    # world rotations plus the skinning translation u_j = pos_j - R_j p_j,
-    # accumulated directly so identity rotations stay exactly zero
-    world_rot = [None] * J
-    skin_trans = [None] * J
-    world_rot[0] = local_rots[:, 0]
-    skin_trans[0] = pivots[:, 0, :] - rotate(world_rot[0], pivots[:, 0, :])
+    # u_j = u_parent + R_parent o_j with o_j = p_j - L_j p_j for the local
+    # rotation L_j; o_j is exactly 0 at the rest pose
+    offsets = pivots - ad.einsum("bjkl,bjl->bjk", local_rots, pivots)  # (B, J, 3)
+    world_rot = [local_rots[:, 0]]
+    skin_trans = [offsets[:, 0]]
     for j in range(1, J):
         p = int(model.parents[j])
-        world_rot[j] = ad.matmul(world_rot[p], local_rots[:, j])
-        skin_trans[j] = skin_trans[p] + rotate(world_rot[p], pivots[:, j, :]) - rotate(
-            world_rot[j], pivots[:, j, :]
-        )
+        world_rot.append(ad.matmul(world_rot[p], local_rots[:, j]))
+        skin_trans.append(skin_trans[p] + ad.einsum("bkl,bl->bk", world_rot[p], offsets[:, j]))
 
     # the (B, V, 3, 3) blend is built C-ordered by matmul and handed straight
     # to the apply, so it lives only for that call
@@ -489,8 +442,7 @@ def _capsule_mesh(segs, rings, a, b, radius, scales, rng):
             np.array(radials), length)
 
 
-def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16,
-                       num_keypoints: int = 17) -> BodyModel:
+def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16) -> BodyModel:
     """Deterministic humanoid capsule-limb model.
 
     Joint budget selects from a canonical 24-joint skeleton by priority;
@@ -501,8 +453,6 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16,
         raise ValueError("need at least 50 vertices")
     if not 8 <= num_joints <= 24:
         raise ValueError("joint count must be between 8 and 24")
-    if num_keypoints != len(_KEYPOINTS):
-        raise ValueError(f"toy model defines exactly {len(_KEYPOINTS)} keypoints")
 
     rng = np.random.default_rng(seed)
 

@@ -337,17 +337,6 @@ class MetricsReport:
             ).tolist()
         return json.dumps(payload, sort_keys=True, indent=1)
 
-    def to_table(self) -> str:
-        lines = ["subject\tgroup_size\tpve_t_sc_mm"]
-        for s, n, v in zip(self.group_subject, self.group_sizes, self.group_pve_t_sc):
-            lines.append(f"{s}\t{n}\t{v:.4f}")
-        lines.append("")
-        lines.append("aggregate\tvalue")
-        lines.append(f"mean_mpjpe_sc_mm\t{self.mean_mpjpe_sc:.4f}")
-        lines.append(f"mean_mpjpe_pa_mm\t{self.mean_mpjpe_pa:.4f}")
-        lines.append(f"mean_pve_t_sc_mm\t{self.mean_pve_t_sc:.4f}")
-        return "\n".join(lines) + "\n"
-
 
 def hip_root(model: bm.BodyModel):
     names = list(model.keypoint_names)

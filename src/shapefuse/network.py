@@ -373,23 +373,27 @@ def loss_total_batch(heads: dict, targets: dict, model_reduced: bm.BodyModel,
 # training
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def step(self, params: dict, grads: dict, lr: float,
-             beta1=0.9, beta2=0.999, eps=1e-8):
+    def step(self, params: dict, grads: dict, lr: float):
         self.t += 1
-        correction1 = 1.0 - beta1**self.t
-        correction2 = 1.0 - beta2**self.t
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = beta1 * self.m[k] + (1 - beta1) * g
-            self.v[k] = beta2 * self.v[k] + (1 - beta2) * g * g
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[k] / correction1
             v_hat = self.v[k] / correction2
-            params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _param_norm(params: dict) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from . import bodymodel as bm
 from . import camera as cr
@@ -107,8 +108,8 @@ class PoseSource:
         theta = self.poses[rng.integers(len(self.poses))]
         gamma = self.facings[rng.integers(len(self.facings))]
         jitter = rng.normal(scale=GLOBAL_JITTER_STD, size=3)
-        gamma = bm.compose_rotations(jitter, gamma)
-        return theta.copy(), np.asarray(gamma, dtype=np.float64)
+        gamma = (Rotation.from_rotvec(jitter) * Rotation.from_rotvec(gamma)).as_rotvec()
+        return theta.copy(), gamma
 
 
 # the four canonical subject orientations: camera facing front/back/left/right

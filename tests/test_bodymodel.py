@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
@@ -55,14 +56,17 @@ class TestRodrigues:
             np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-9)
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
 
-    def test_round_trip_via_inverse_map(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            aa = axis * rng.uniform(1e-4, np.pi - 1e-3)
-            back = bm.rotation_to_axis_angle(np.asarray(bm.rodrigues(aa)))
-            np.testing.assert_allclose(back, aa, atol=1e-9)
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-5, 1e-4, 0.5, 1.7, np.pi - 1e-6, np.pi])
+    def test_matches_scipy(self, angle):
+        axes = np.random.default_rng(1).normal(size=(20, 3))
+        aa = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        np.testing.assert_allclose(bm.rodrigues(aa), Rotation.from_rotvec(aa).as_matrix(),
+                                   rtol=0, atol=1e-12)
+
+    def test_batched_matches_scipy(self):
+        aa = np.random.default_rng(2).uniform(-2.0, 2.0, (4, 5, 3))
+        want = Rotation.from_rotvec(aa.reshape(-1, 3)).as_matrix().reshape(4, 5, 3, 3)
+        np.testing.assert_allclose(bm.rodrigues(aa), want, rtol=0, atol=1e-12)
 
     def test_gradient_matches_fd_incl_origin(self):
         def f(xs):
@@ -115,7 +119,7 @@ class TestForward:
         betas = rng.normal(size=10)
         gamma = rng.normal(scale=0.4, size=3)
         rho = rng.normal(scale=0.4, size=3)
-        composed = bm.compose_rotations(rho, gamma)
+        composed = (Rotation.from_rotvec(rho) * Rotation.from_rotvec(gamma)).as_rotvec()
 
         v1 = bm.forward(toy, pose, betas, composed).vertices
         v0 = bm.forward(toy, pose, betas, gamma).vertices
@@ -310,6 +314,14 @@ class TestModelIO:
         pytest.param(lambda arrays, meta: meta.pop("joint_names"), id="no-joint-names"),
         pytest.param(lambda arrays, meta: arrays.update(shape_basis=arrays["shape_basis"][:, :, 0]),
                      id="shape-basis-2d"),
+        pytest.param(lambda arrays, meta: meta.update(joint_names=meta["joint_names"][:3]),
+                     id="joint-names-short"),
+        pytest.param(lambda arrays, meta: meta.update(keypoint_names=meta["keypoint_names"][:2]),
+                     id="keypoint-names-short"),
+        pytest.param(lambda arrays, meta: meta.update(part_names=meta["part_names"][:2]),
+                     id="part-label-beyond-part-names"),
+        pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[[0, 99]]),
+                     id="swap-pair-out-of-range"),
     ])
     def test_malformed_metadata_rejected(self, toy, tmp_path, edit):
         path = tmp_path / "model.sfc"

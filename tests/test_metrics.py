@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapefuse import bodymodel as bm
-from shapefuse import metrics
-from shapefuse.gaussians import GaussianDiag, PredictionSet
+from shapefuse import metrics, network, synth
+from shapefuse.gaussians import GaussianDiag, PredictionSet, fuse_shapes
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -335,3 +335,77 @@ class TestMetricsReportJson:
                                        report.uncertainty_cm, atol=5e-7)
         else:
             assert "mean_per_vertex_uncertainty_cm" not in got
+
+
+class TestEvaluate:
+    """`evaluate` on 2 subjects x 4 exact facings, with the tiny model and
+    untrained network of test_network.py, rebuilt from the parts it uses."""
+
+    GROUP_SIZE = 3  # splits each subject's 4 samples, so the shuffle matters
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        model = bm.generate_toy_model(seed=5, num_vertices=120, num_joints=16)
+        net = network.PredictorNet.for_model(
+            model, network.EncoderConfig(pool_to=16, channels=(2, 4, 8)), hidden=16, seed=0
+        )
+        cfg = synth.GenerationConfig(image_size=64, focal_length=75.0)
+        samples = synth.generate_dataset(model, cfg, synth.AugmentationConfig(), num_subjects=2,
+                                         poses_per_subject=4, seed=3, corrupt=True,
+                                         exact_facings=True)
+        dataset = synth.SynthDataset.from_samples(samples, cfg)
+        return model, net, dataset, network.predict_dataset(net, dataset)
+
+    def evaluate(self, setup, combination, draws=0):
+        model, net, dataset, _ = setup
+        return metrics.evaluate(dataset, net, model, self.GROUP_SIZE, combination,
+                                np.random.default_rng(9), draws)
+
+    @pytest.mark.parametrize("combination,combine", [
+        ("pc", lambda shapes: fuse_shapes(shapes).mean),
+        ("mean", lambda shapes: np.mean([s.mean for s in shapes], axis=0)),
+    ], ids=["pc", "mean"])
+    def test_groups_combine_their_shapes(self, setup, combination, combine):
+        model, _, dataset, predictions = setup
+        subjects, betas = dataset.arrays["subject_id"], dataset.arrays["beta"]
+        rng = np.random.default_rng(9)
+        groups = [(int(subj), g) for subj in np.unique(subjects)
+                  for g in metrics.split_groups(np.flatnonzero(subjects == subj).tolist(),
+                                                self.GROUP_SIZE, rng)]
+        report = self.evaluate(setup, combination)
+        assert report.group_size == self.GROUP_SIZE
+        assert report.group_subject == [subj for subj, _ in groups]
+        assert report.group_sizes == [len(g) for _, g in groups] == [3, 1, 3, 1]
+        assert report.group_pve_t_sc == [
+            metrics.pve_t_sc(combine([predictions[i].shape for i in g]), betas[g[0]], model)
+            for _, g in groups
+        ]
+
+    def test_single_gives_one_group_per_sample(self, setup):
+        model, _, dataset, predictions = setup
+        report = self.evaluate(setup, "single")
+        assert report.group_size == 1
+        assert report.group_sizes == [1] * len(dataset)
+        assert report.group_subject == dataset.arrays["subject_id"].tolist()
+        assert report.group_pve_t_sc == [
+            metrics.pve_t_sc(p.shape.mean, beta, model)
+            for p, beta in zip(predictions, dataset.arrays["beta"])
+        ]
+
+    def test_joint_errors_do_not_depend_on_the_combination(self, setup):
+        reports = [self.evaluate(setup, c) for c in ("pc", "mean", "single")]
+        for report in reports[1:]:
+            np.testing.assert_array_equal(report.sample_mpjpe_sc, reports[0].sample_mpjpe_sc)
+            np.testing.assert_array_equal(report.sample_mpjpe_pa, reports[0].sample_mpjpe_pa)
+        assert reports[0].sample_mpjpe_sc.shape == (8,)
+
+    def test_uncertainty_only_with_draws(self, setup):
+        model = setup[0]
+        assert self.evaluate(setup, "pc", draws=0).uncertainty_cm is None
+        uncertainty = self.evaluate(setup, "pc", draws=3).uncertainty_cm
+        assert uncertainty.shape == (model.num_vertices,)
+        assert np.all(uncertainty > 0)
+
+    def test_unknown_combination_rejected(self, setup):
+        with pytest.raises(ValueError, match="unknown combination"):
+            self.evaluate(setup, "median")

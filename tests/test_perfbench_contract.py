@@ -3,6 +3,7 @@ outside the package; these checks fail in the test suite when a change
 removes or renames one of them, instead of only in a benchmark run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -41,3 +42,11 @@ def test_reference_sample_passes_checks(workloads, tmp_path):
     state = generate.setup(workloads.REF_SEED, tmp_path)
     sample = generate.op(state, 0)
     assert generate.check(state, sample) == []
+
+
+@pytest.mark.parametrize("name", ["generate", "train", "evaluate_mc"])
+def test_reference_case_matches_recording(workloads, name, tmp_path):
+    # the benchmark's own output check, against perfbench/reference.json
+    want = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][name]
+    got = workloads.WORKLOADS[name].reference(tmp_path)
+    assert workloads.compare_reference(name, got, want) == []

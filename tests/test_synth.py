@@ -86,6 +86,21 @@ class TestShapeSampling:
         assert np.abs(draws).max() <= cfg.shape_clip
 
 
+class TestPoseSource:
+    def test_jitter_is_applied_after_the_facing(self, source):
+        # replays the draws of one `sample`: pose index, facing index, jitter
+        for i in range(20):
+            theta, gamma = source.sample(named_rng(4, "pose", i))
+            rng = named_rng(4, "pose", i)
+            pose = source.poses[rng.integers(len(source.poses))]
+            facing = source.facings[rng.integers(len(source.facings))]
+            jitter = rng.normal(scale=synth.GLOBAL_JITTER_STD, size=3)
+            np.testing.assert_array_equal(theta, pose)
+            np.testing.assert_allclose(bm.rodrigues(gamma),
+                                       bm.rodrigues(jitter) @ bm.rodrigues(facing),
+                                       rtol=0, atol=1e-12)
+
+
 class TestCleanGeneration:
     def test_clean_silhouette_matches_rasterizer(self, model, small_cfg, source):
         rng = named_rng(0, "clean")

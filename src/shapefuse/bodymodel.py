@@ -62,18 +62,6 @@ def rodrigues(aa):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class VertexMesh:
-    """Posed vertices plus the model's triangle list.
-
-    `vertices` may be a numpy array or an autodiff node when the mesh was
-    produced under a tape.
-    """
-
-    vertices: object
-    faces: np.ndarray
-
-
-@dataclass
 class BodyModel:
     """Immutable parametric body; safe for concurrent read."""
 
@@ -161,11 +149,14 @@ class BodyModel:
 # ---------------------------------------------------------------------------
 
 def shaped_template(model: BodyModel, betas):
-    """Template plus shape blendshape offsets, batched: (B, S) -> (B, V, 3)."""
-    V = model.num_vertices
-    basis_flat = model.shape_basis.reshape(V * 3, model.shape_dim).T  # (S, 3V)
-    offsets = ad.reshape(ad.matmul(betas, basis_flat), (-1, V, 3))
-    return model.template_vertices[None, :, :] + offsets
+    """Template plus shape blendshape offsets, the neutral (T-pose) body:
+    (..., S) -> (..., V, 3). The coefficients are rows of one (n, S) matrix
+    product, so one body gets the same bits as `forward` at zero pose."""
+    V, S = model.num_vertices, model.shape_dim
+    lead = ad.value_of(betas).shape[:-1]
+    basis_flat = model.shape_basis.reshape(V * 3, S).T  # (S, 3V)
+    offsets = ad.matmul(ad.reshape(betas, (-1, S)), basis_flat)
+    return model.template_vertices + ad.reshape(offsets, lead + (V, 3))
 
 
 def lbs_vertices(model: BodyModel, pose, betas, glob):
@@ -214,8 +205,8 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     return shaped + rot_offset + ad.matmul(weights, ad.stack(skin_trans, axis=1))
 
 
-def forward(model: BodyModel, pose, betas, glob) -> VertexMesh:
-    """Single-sample model evaluation -> VertexMesh.
+def forward(model: BodyModel, pose, betas, glob):
+    """Single-sample model evaluation -> posed vertices (V, 3).
 
     Deterministic; differentiable w.r.t. pose, shape and global rotation
     when inputs are tape nodes.
@@ -233,21 +224,14 @@ def forward(model: BodyModel, pose, betas, glob) -> VertexMesh:
         ad.reshape(betas, (1, S)),
         ad.reshape(glob, (1, 3)),
     )
-    return VertexMesh(ad.reshape(verts, (model.num_vertices, 3)), model.faces)
+    return ad.reshape(verts, (model.num_vertices, 3))
 
 
-def regress_joints(model: BodyModel, mesh):
-    """Keypoints of interest from a posed mesh: exact matrix product (L, 3)."""
-    vertices = mesh.vertices if isinstance(mesh, VertexMesh) else mesh
-    V = ad.value_of(vertices).shape[-2]
-    if V != model.num_vertices:
+def regress_joints(model: BodyModel, vertices):
+    """Keypoints of interest, (..., V, 3) -> (..., L, 3): a matrix product."""
+    if ad.value_of(vertices).shape[-2] != model.num_vertices:
         raise ValueError("mesh vertex count does not match regressor")
     return ad.matmul(model.joint_regressor, vertices)
-
-
-def neutral_pose_mesh(model: BodyModel, betas) -> VertexMesh:
-    """Zero pose, zero global rotation: the basis for T-pose metrics."""
-    return forward(model, np.zeros(model.pose_dim), betas, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

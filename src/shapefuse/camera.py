@@ -16,7 +16,9 @@ larger), so its working memory does not grow with the number of
 triangles. `covers_any_pixel` runs the same batches but stops at the
 first one that covers a pixel, so a visibility test costs a fraction of a
 full render and always agrees with `rasterize_silhouette(...).any()`.
-Part assignment labels a silhouette the caller already rasterized.
+A body is its posed `(V, 3)` vertex array: the rasterizers take
+`(vertices, faces, cam)`, and part assignment labels a silhouette the caller
+already rasterized by nearest projected vertex, so it takes no faces.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bodymodel import VertexMesh
 
 DEFAULT_HEATMAP_SIGMA = 4.0
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
@@ -177,35 +178,34 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
     return mask
 
 
-def _projected_triangles(mesh: VertexMesh, cam: PerspCamera) -> np.ndarray:
-    """The mesh's faces in pixel coordinates, (F, 3, 2); (0, 3, 2) when the
-    mesh has no vertices or no faces."""
-    vertices = np.asarray(ad.value_of(mesh.vertices))
-    faces = np.asarray(mesh.faces)
+def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
+    """The faces in pixel coordinates, (F, 3, 2); (0, 3, 2) when there are
+    no vertices or no faces."""
+    vertices = ad.value_of(vertices)
     if vertices.size == 0 or faces.size == 0:
         return np.zeros((0, 3, 2))
     return project_persp(vertices, cam)[faces]
 
 
-def rasterize_silhouette(mesh: VertexMesh, cam: PerspCamera) -> np.ndarray:
+def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
     """Binary coverage mask (H, W) uint8 of the projected mesh."""
-    tri_px = _projected_triangles(mesh, cam)
+    tri_px = _projected_triangles(vertices, faces, cam)
     return _coverage_mask(tri_px, cam.image_h, cam.image_w).astype(np.uint8)
 
 
-def covers_any_pixel(mesh: VertexMesh, cam: PerspCamera) -> bool:
+def covers_any_pixel(vertices, faces: np.ndarray, cam: PerspCamera) -> bool:
     """Whether the projected mesh covers any pixel center, i.e. exactly
-    `rasterize_silhouette(mesh, cam).any()`, stopping at the first batch of
-    triangles that covers one."""
-    tri_px = _projected_triangles(mesh, cam)
+    `rasterize_silhouette(vertices, faces, cam).any()`, stopping at the
+    first batch of triangles that covers one."""
+    tri_px = _projected_triangles(vertices, faces, cam)
     return any(cells.size for cells in _covered_cells(tri_px, cam.image_h, cam.image_w))
 
 
-def rasterize_part_assignment(mesh: VertexMesh, part_labels: np.ndarray,
+def rasterize_part_assignment(vertices, part_labels: np.ndarray,
                               cam: PerspCamera, silhouette: np.ndarray) -> np.ndarray:
     """Silhouette pixels labelled by body part, -1 outside.
 
-    `silhouette` is the mesh's coverage mask under `cam`, as returned by
+    `silhouette` is the body's coverage mask under `cam`, as returned by
     `rasterize_silhouette`; it is not rasterized again here. Each covered
     pixel is assigned the part of its nearest projected vertex, giving a
     deterministic partition of the silhouette (the per-part masks tile the
@@ -217,7 +217,7 @@ def rasterize_part_assignment(mesh: VertexMesh, part_labels: np.ndarray,
     rows, cols = np.nonzero(silhouette)
     if rows.size == 0:
         return assignment
-    projected = project_persp(np.asarray(ad.value_of(mesh.vertices)), cam)
+    projected = project_persp(ad.value_of(vertices), cam)
     tree = cKDTree(projected)
     centers = np.stack([cols + 0.5, rows + 0.5], axis=1)
     _, nearest = tree.query(centers)

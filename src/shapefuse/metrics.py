@@ -92,8 +92,8 @@ def mpjpe_pa(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
 def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) -> float:
     """Scale-corrected mean per-vertex distance (mm) between neutral-pose
     meshes built from the two shape vectors."""
-    pred = np.asarray(bm.neutral_pose_mesh(model, pred_beta).vertices)
-    gt = np.asarray(bm.neutral_pose_mesh(model, gt_beta).vertices)
+    pred = bm.shaped_template(model, pred_beta)
+    gt = bm.shaped_template(model, gt_beta)
     pred = pred - pred.mean(axis=0)
     gt = gt - gt.mean(axis=0)
     scaled = scale_correct(pred, gt)
@@ -254,8 +254,7 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
     spec = model.meta.get("measurements")
     if not spec:
         raise ValueError("model defines no measurement planes")
-    mesh = bm.neutral_pose_mesh(model, pred_beta)
-    verts = np.asarray(mesh.vertices)
+    verts = bm.shaped_template(model, pred_beta)
     predicted_height = float(verts[:, 1].max() - verts[:, 1].min())
     if predicted_height <= 0:
         raise ValueError("non-positive predicted height")
@@ -371,19 +370,20 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
 
     sc = np.empty(n)
     pa = np.empty(n)
-    for i in range(n):
-        p = predictions[i]
-        gt_mesh = bm.forward(model, a["theta"][i], a["beta"][i], a["glob"][i])
-        gt_joints = np.asarray(bm.regress_joints(model, gt_mesh))
-        pred_mesh = bm.forward(model, p.pose.mean, p.shape.mean, p.global_rot)
-        pred_joints = np.asarray(bm.regress_joints(model, pred_mesh))
-        sc[i] = mpjpe_sc(pred_joints, gt_joints, root=root)
-        pa[i] = mpjpe_pa(pred_joints, gt_joints)
-
     subjects = a["subject_id"]
     group_subject, group_sizes, group_pve = [], [], []
     for subj in np.unique(subjects):
         idx = np.flatnonzero(subjects == subj)
+        gt_joints = bm.regress_joints(
+            model, bm.lbs_vertices(model, a["theta"][idx], a["beta"][idx], a["glob"][idx]))
+        pred = [predictions[i] for i in idx]
+        pred_joints = bm.regress_joints(model, bm.lbs_vertices(
+            model, np.stack([p.pose.mean for p in pred]),
+            np.stack([p.shape.mean for p in pred]), np.stack([p.global_rot for p in pred])))
+        for i, pj, gj in zip(idx, pred_joints, gt_joints):
+            sc[i] = mpjpe_sc(pj, gj, root=root)
+            pa[i] = mpjpe_pa(pj, gj)
+
         if combination == "single":
             groups = [[int(i)] for i in idx]
         else:

@@ -59,6 +59,11 @@ class EncoderConfig:
         return side * side * self.channels[-1]
 
     def validate(self):
+        if not (isinstance(self.kernel, int) and self.kernel > 0 and self.kernel % 2 == 1
+                and isinstance(self.channels, tuple) and self.channels
+                and all(isinstance(c, int) and c > 0 for c in self.channels)):
+            raise ValueError("need a positive odd int kernel and a non-empty tuple of "
+                             "positive int channels")
         if self.pool_to % (2 ** len(self.channels)) != 0:
             raise ValueError("pooled size must survive the stride-2 stages")
         if self.feature_dim < 32:
@@ -87,26 +92,14 @@ class TrainConfig:
 def _conv_indices(h, w, c_in, kernel, stride):
     """Patch-gather indices into a flattened (H*W*C + 1) layout; index
     H*W*C is the zero-padding sentinel."""
-    pad = kernel // 2
-    out_h = (h + 2 * pad - kernel) // stride + 1
-    out_w = (w + 2 * pad - kernel) // stride + 1
-    sentinel = h * w * c_in
-    idx = np.empty((out_h * out_w, kernel * kernel * c_in), dtype=np.int64)
-    pos = 0
-    for orow in range(out_h):
-        for ocol in range(out_w):
-            k = 0
-            for kr in range(kernel):
-                for kc in range(kernel):
-                    ir = orow * stride - pad + kr
-                    ic = ocol * stride - pad + kc
-                    inside = 0 <= ir < h and 0 <= ic < w
-                    base = (ir * w + ic) * c_in if inside else sentinel
-                    for ch in range(c_in):
-                        idx[pos, k] = base + ch if inside else sentinel
-                        k += 1
-            pos += 1
-    return idx, out_h, out_w
+    # the odd kernel is centred on every stride-th input pixel
+    rows = np.arange(0, h, stride)[:, None] + np.arange(kernel) - kernel // 2  # (out_h, kernel)
+    cols = np.arange(0, w, stride)[:, None] + np.arange(kernel) - kernel // 2  # (out_w, kernel)
+    # axes (output row, output column, kernel row, kernel column, channel)
+    ir, ic = rows[:, None, :, None, None], cols[None, :, None, :, None]
+    inside = (ir >= 0) & (ir < h) & (ic >= 0) & (ic < w)
+    idx = np.where(inside, (ir * w + ic) * c_in + np.arange(c_in), h * w * c_in)
+    return idx.reshape(len(rows) * len(cols), -1).astype(np.int64), len(rows), len(cols)
 
 
 def elu(x):
@@ -121,6 +114,8 @@ class PredictorNet:
                  encoder: EncoderConfig = None, hidden: int = 512, seed: int = 0):
         encoder = encoder or EncoderConfig()
         encoder.validate()
+        if min(pose_dim, shape_dim, in_channels, hidden) <= 0:
+            raise ValueError("pose, shape, input channel and hidden sizes must be positive")
         self.pose_dim = pose_dim
         self.shape_dim = shape_dim
         self.in_channels = in_channels
@@ -331,7 +326,7 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
         ad.reshape(shape_s, (B * S, sdim)),
         ad.reshape(glob_tiled, (B * S, 3)),
     )
-    joints3d = ad.matmul(model.joint_regressor, verts)           # (B*S, L, 3)
+    joints3d = bm.regress_joints(model, verts)                   # (B*S, L, 3)
     projected = cr.project_weak(ad.reshape(joints3d, (B, S, L, 3)), heads["camera"])
 
     mask = visibility.astype(np.float64)[:, None, :, None]

@@ -205,10 +205,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     gen_cfg.validate()
     aug_cfg.validate()
     size = gen_cfg.image_size
-    mesh = bm.forward(model, theta, beta, glob)
-    vertices = np.asarray(mesh.vertices)
-    clean = bm.VertexMesh(vertices, model.faces)
-    noisy_render = corrupt and aug_cfg.vertex_noise_range > 0
+    vertices = bm.forward(model, theta, beta, glob)
 
     cam_mean = np.asarray(gen_cfg.cam_translation_mean)
     cam_std = np.sqrt(np.asarray(gen_cfg.cam_translation_var))
@@ -219,22 +216,21 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
         candidate = cr.PerspCamera(gen_cfg.focal_length, size, size, translation)
-        if cr.covers_any_pixel(clean, candidate):
+        if cr.covers_any_pixel(vertices, model.faces, candidate):
             camera = candidate
             break
     if camera is None:
         raise ValueError("no valid camera after retries (empty silhouette)")
 
     # vertex noise is the first corruption; it perturbs only the rendered mesh
-    rendered = clean
-    if noisy_render:
-        noisy = vertices + rng.uniform(
+    rendered = vertices
+    if corrupt and aug_cfg.vertex_noise_range > 0:
+        rendered = vertices + rng.uniform(
             -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
         )
-        rendered = bm.VertexMesh(noisy, model.faces)
-    silhouette = cr.rasterize_silhouette(rendered, camera)
+    silhouette = cr.rasterize_silhouette(rendered, model.faces, camera)
 
-    keypoints3d = np.asarray(bm.regress_joints(model, mesh))
+    keypoints3d = bm.regress_joints(model, vertices)
     joints2d = cr.project_persp(keypoints3d, camera)
     visibility = cr.in_frame_visibility(joints2d, size, size)
 
@@ -281,7 +277,6 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
             events["box_occluded"] = True
 
         # visibility: inside the frame and not erased at the joint's pixel
-        visibility = cr.in_frame_visibility(joints2d, size, size)
         cols = np.clip(np.rint(joints2d[:, 0]).astype(int), 0, size - 1)
         rows = np.clip(np.rint(joints2d[:, 1]).astype(int), 0, size - 1)
         visibility = visibility * (~erased[rows, cols]).astype(np.int64)

@@ -83,32 +83,32 @@ class TestRodrigues:
 
 class TestForward:
     def test_neutral_pose_is_template_exact(self, toy):
-        mesh = bm.forward(toy, np.zeros(toy.pose_dim), np.zeros(10), np.zeros(3))
-        np.testing.assert_array_equal(mesh.vertices, toy.template_vertices)
+        verts = bm.forward(toy, np.zeros(toy.pose_dim), np.zeros(10), np.zeros(3))
+        np.testing.assert_array_equal(verts, toy.template_vertices)
 
     def test_shape_basis_is_linear(self, toy):
         e1 = np.zeros(10)
         e1[0] = 1.0
-        mesh = bm.forward(toy, np.zeros(toy.pose_dim), e1, np.zeros(3))
+        verts = bm.forward(toy, np.zeros(toy.pose_dim), e1, np.zeros(3))
         np.testing.assert_allclose(
-            mesh.vertices, toy.template_vertices + toy.shape_basis[:, :, 0], atol=1e-12
+            verts, toy.template_vertices + toy.shape_basis[:, :, 0], atol=1e-12
         )
 
     def test_global_rotation_is_rigid_transform(self, toy):
         # rigid-transform oracle: rotate the neutral mesh about the root pivot
         gamma = np.array([0.0, np.pi, 0.0])
-        mesh = bm.forward(toy, np.zeros(toy.pose_dim), np.zeros(10), gamma)
+        verts = bm.forward(toy, np.zeros(toy.pose_dim), np.zeros(10), gamma)
         R = np.asarray(bm.rodrigues(gamma))
         root = toy.skeleton_regressor[0] @ toy.template_vertices
         expected = (toy.template_vertices - root) @ R.T + root
-        np.testing.assert_allclose(mesh.vertices, expected, atol=1e-9)
+        np.testing.assert_allclose(verts, expected, atol=1e-9)
 
     def test_additivity_in_shape_at_zero_pose(self, toy):
         rng = np.random.default_rng(2)
         b1, b2 = rng.normal(size=10), rng.normal(size=10)
         zero = np.zeros(toy.pose_dim)
         g = np.zeros(3)
-        f = lambda b: bm.forward(toy, zero, b, g).vertices
+        f = lambda b: bm.forward(toy, zero, b, g)
         lhs = f(b1 + b2) - f(b1)
         rhs = f(b2) - f(np.zeros(10))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -121,8 +121,8 @@ class TestForward:
         rho = rng.normal(scale=0.4, size=3)
         composed = (Rotation.from_rotvec(rho) * Rotation.from_rotvec(gamma)).as_rotvec()
 
-        v1 = bm.forward(toy, pose, betas, composed).vertices
-        v0 = bm.forward(toy, pose, betas, gamma).vertices
+        v1 = bm.forward(toy, pose, betas, composed)
+        v0 = bm.forward(toy, pose, betas, gamma)
         root = toy.skeleton_regressor[0] @ (
             toy.template_vertices + toy.shape_basis @ betas
         )
@@ -151,7 +151,7 @@ class TestForward:
                 p = ad.stack(xs[:P])
                 b = ad.stack(xs[P : P + 10])
                 g = ad.stack(xs[P + 10 :])
-                verts = bm.forward(model, p, b, g).vertices
+                verts = bm.forward(model, p, b, g)
                 return ad.sum_(verts * probe)
 
             x0 = np.concatenate([pose, betas, gamma])
@@ -198,28 +198,38 @@ class TestBatchedLBS:
 
 class TestRegressJoints:
     def test_one_hot_row_selects_vertex(self, toy):
-        mesh = bm.neutral_pose_mesh(toy, np.zeros(10))
+        verts = bm.shaped_template(toy, np.zeros(10))
         model2 = bm.BodyModel(**{**toy.__dict__})
         row = np.zeros(toy.num_vertices)
         row[7] = 1.0
         model2.joint_regressor = np.vstack([row, toy.joint_regressor[1:]])
-        joints = bm.regress_joints(model2, mesh)
-        np.testing.assert_allclose(joints[0], mesh.vertices[7])
+        joints = bm.regress_joints(model2, verts)
+        np.testing.assert_allclose(joints[0], verts[7])
 
     def test_uniform_row_gives_centroid(self, toy):
-        mesh = bm.neutral_pose_mesh(toy, np.zeros(10))
+        verts = bm.shaped_template(toy, np.zeros(10))
         model2 = bm.BodyModel(**{**toy.__dict__})
         model2.joint_regressor = np.full(
             (1, toy.num_vertices), 1.0 / toy.num_vertices
         )
-        joints = bm.regress_joints(model2, mesh)
-        np.testing.assert_allclose(joints[0], mesh.vertices.mean(axis=0), atol=1e-12)
+        joints = bm.regress_joints(model2, verts)
+        np.testing.assert_allclose(joints[0], verts.mean(axis=0), atol=1e-12)
 
     def test_neutral_joints_inside_bounding_box(self, toy):
-        mesh = bm.neutral_pose_mesh(toy, np.zeros(10))
-        joints = bm.regress_joints(toy, mesh)
-        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        verts = bm.shaped_template(toy, np.zeros(10))
+        joints = bm.regress_joints(toy, verts)
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
         assert np.all(joints >= lo - 1e-9) and np.all(joints <= hi + 1e-9)
+
+    def test_batch_matches_per_body(self, toy):
+        rng = np.random.default_rng(15)
+        n = 4
+        verts = bm.lbs_vertices(toy, rng.normal(scale=0.3, size=(n, toy.pose_dim)),
+                                rng.normal(size=(n, 10)), rng.normal(scale=0.3, size=(n, 3)))
+        got = bm.regress_joints(toy, verts)
+        assert got.shape == (n, toy.num_keypoints, 3)
+        for k in range(n):
+            np.testing.assert_array_equal(got[k], bm.regress_joints(toy, verts[k]))
 
     def test_vertex_count_mismatch(self, toy):
         with pytest.raises(ValueError):
@@ -227,23 +237,36 @@ class TestRegressJoints:
 
 
 class TestNeutralPose:
+    """The neutral (T-pose) body of one shape vector: `shaped_template` on (S,)."""
+
     def test_matches_forward_zero(self, toy):
         betas = np.full(10, 0.5)
-        a = bm.neutral_pose_mesh(toy, betas).vertices
-        b = bm.forward(toy, np.zeros(toy.pose_dim), betas, np.zeros(3)).vertices
+        a = bm.shaped_template(toy, betas)
+        b = bm.forward(toy, np.zeros(toy.pose_dim), betas, np.zeros(3))
         np.testing.assert_array_equal(a, b)
+
+    def test_matches_batched_form(self, toy):
+        # a one-row and a six-row product may take different BLAS kernels,
+        # so the two forms agree to the last bit of a coordinate, not exactly
+        betas = np.random.default_rng(16).normal(size=(2, 3, 10))
+        batched = bm.shaped_template(toy, betas)
+        assert batched.shape == (2, 3, toy.num_vertices, 3)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(bm.shaped_template(toy, betas[i, j]), batched[i, j],
+                                           rtol=0, atol=1e-15)
 
     def test_second_basis_direction(self, toy):
         e2 = np.zeros(10)
         e2[1] = 1.0
-        mesh = bm.neutral_pose_mesh(toy, e2)
+        verts = bm.shaped_template(toy, e2)
         np.testing.assert_allclose(
-            mesh.vertices, toy.template_vertices + toy.shape_basis[:, :, 1], atol=1e-12
+            verts, toy.template_vertices + toy.shape_basis[:, :, 1], atol=1e-12
         )
 
     def test_height_positive(self, toy):
-        mesh = bm.neutral_pose_mesh(toy, np.zeros(10))
-        assert mesh.vertices[:, 1].max() - mesh.vertices[:, 1].min() > 0
+        verts = bm.shaped_template(toy, np.zeros(10))
+        assert verts[:, 1].max() - verts[:, 1].min() > 0
 
 
 class TestToyGenerator:

@@ -93,9 +93,9 @@ class TestPerspective:
     def test_toy_neutral_mesh_fits_default_frame(self):
         # default generation camera: translation (0, -0.2, 2.5) m, focal 300
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
-        mesh = bm.neutral_pose_mesh(model, np.zeros(10))
+        verts = bm.shaped_template(model, np.zeros(10))
         c = cam.PerspCamera(300.0, 256, 256, np.array([0.0, -0.2, 2.5]))
-        px = cam.project_persp(mesh.vertices, c)
+        px = cam.project_persp(verts, c)
         assert px.min() >= 0.0 and px.max() <= 256.0
 
     def test_point_behind_camera_rejected(self):
@@ -109,28 +109,28 @@ class TestRasterizer:
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [0.0, 80.0, 0.0]])
         faces = np.array([[0, 1, 2]])
         c = cam.PerspCamera(10.0, 32, 32, np.array([0.0, 0.0, 1.0]))
-        mask = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
+        mask = cam.rasterize_silhouette(verts, faces, c)
         assert mask.all()
-        assert cam.covers_any_pixel(bm.VertexMesh(verts, faces), c) is True
+        assert cam.covers_any_pixel(verts, faces, c) is True
         # the same mesh moved wholly past the frame's right edge
-        shifted = bm.VertexMesh(verts + [200.0, 0.0, 0.0], faces)
-        assert not cam.rasterize_silhouette(shifted, c).any()
-        assert cam.covers_any_pixel(shifted, c) is False
+        shifted = verts + [200.0, 0.0, 0.0]
+        assert not cam.rasterize_silhouette(shifted, faces, c).any()
+        assert cam.covers_any_pixel(shifted, faces, c) is False
 
     def test_empty_mesh_gives_zeros(self):
         c = cam.PerspCamera(10.0, 16, 16, np.array([0.0, 0.0, 1.0]))
-        mesh = bm.VertexMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-        mask = cam.rasterize_silhouette(mesh, c)
+        verts, faces = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+        mask = cam.rasterize_silhouette(verts, faces, c)
         assert mask.shape == (16, 16) and not mask.any()
-        assert cam.covers_any_pixel(mesh, c) is False
+        assert cam.covers_any_pixel(verts, faces, c) is False
 
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
         faces = np.array([[0, 1, 2]])
         c = cam.PerspCamera(50.0, 32, 32, np.array([0.0, 0.0, 1.0]))
-        mask = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
+        mask = cam.rasterize_silhouette(verts, faces, c)
         assert not mask.any()
-        assert cam.covers_any_pixel(bm.VertexMesh(verts, faces), c) is False
+        assert cam.covers_any_pixel(verts, faces, c) is False
 
     @pytest.mark.parametrize("seed, size, spread, cells", [
         *(pytest.param(100 + t, 64, 0.8, None, id=str(t)) for t in range(8)),
@@ -147,8 +147,7 @@ class TestRasterizer:
         verts = rng.uniform(-0.8, 0.8, size=(12, 3)) * [spread / 0.8, spread / 0.8, 1.0]
         faces = rng.integers(0, 12, size=(20, 3))
         c = cam.PerspCamera(40.0, size, size, np.array([0.0, 0.0, 2.0]))
-        mesh = bm.VertexMesh(verts, faces)
-        got = cam.rasterize_silhouette(mesh, c)
+        got = cam.rasterize_silhouette(verts, faces, c)
         tri_px = cam.project_persp(verts, c)[faces]
         if size == 96:
             lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
@@ -156,23 +155,23 @@ class TestRasterizer:
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
         want = brute_force_coverage(tri_px, size, size)
         np.testing.assert_array_equal(got.astype(bool), want)
-        assert cam.covers_any_pixel(mesh, c) == want.any()
+        assert cam.covers_any_pixel(verts, faces, c) == want.any()
 
     def test_winding_invariance(self):
         rng = np.random.default_rng(5)
         verts = rng.uniform(-0.5, 0.5, size=(9, 3))
         faces = rng.integers(0, 9, size=(6, 3))
         c = cam.PerspCamera(40.0, 48, 48, np.array([0.0, 0.0, 2.0]))
-        m1 = cam.rasterize_silhouette(bm.VertexMesh(verts, faces), c)
-        m2 = cam.rasterize_silhouette(bm.VertexMesh(verts, faces[:, ::-1]), c)
+        m1 = cam.rasterize_silhouette(verts, faces, c)
+        m2 = cam.rasterize_silhouette(verts, faces[:, ::-1], c)
         np.testing.assert_array_equal(m1, m2)
 
     def test_part_assignment_partitions_silhouette(self):
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
-        mesh = bm.neutral_pose_mesh(model, np.zeros(10))
+        verts = bm.shaped_template(model, np.zeros(10))
         c = cam.PerspCamera(150.0, 128, 128, np.array([0.0, -0.2, 2.5]))
-        sil = cam.rasterize_silhouette(bm.VertexMesh(mesh.vertices, model.faces), c)
-        assign = cam.rasterize_part_assignment(mesh, model.part_labels, c, sil)
+        sil = cam.rasterize_silhouette(verts, model.faces, c)
+        assign = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
 
 

@@ -399,6 +399,24 @@ class TestEvaluate:
             np.testing.assert_array_equal(report.sample_mpjpe_pa, reports[0].sample_mpjpe_pa)
         assert reports[0].sample_mpjpe_sc.shape == (8,)
 
+    def test_joint_errors_match_per_sample_forward(self, setup):
+        # oracle: one single-body `forward` per ground-truth and predicted body
+        model, _, dataset, predictions = setup
+        a = dataset.arrays
+        root = metrics.hip_root(model)
+        want_sc, want_pa = [], []
+        for i, p in enumerate(predictions):
+            gt = bm.regress_joints(model, bm.forward(model, a["theta"][i], a["beta"][i],
+                                                     a["glob"][i]))
+            pred = bm.regress_joints(model, bm.forward(model, p.pose.mean, p.shape.mean,
+                                                       p.global_rot))
+            want_sc.append(metrics.mpjpe_sc(pred, gt, root=root))
+            want_pa.append(metrics.mpjpe_pa(pred, gt))
+        assert len(set(want_sc)) == len(set(want_pa)) == len(dataset)
+        report = self.evaluate(setup, "pc")
+        np.testing.assert_allclose(report.sample_mpjpe_sc, want_sc, rtol=1e-9)
+        np.testing.assert_allclose(report.sample_mpjpe_pa, want_pa, rtol=1e-9)
+
     def test_uncertainty_only_with_draws(self, setup):
         model = setup[0]
         assert self.evaluate(setup, "pc", draws=0).uncertainty_cm is None

@@ -160,6 +160,16 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             net_mod.EncoderConfig(pool_to=8, channels=(2, 2, 2)).validate()
 
+    @pytest.mark.parametrize("layout", [
+        pytest.param(dict(kernel=2), id="even-kernel"),
+        pytest.param(dict(kernel=0), id="zero-kernel"),
+        pytest.param(dict(channels=()), id="no-channels"),
+        pytest.param(dict(channels=(8, 0, 32)), id="zero-channels"),
+    ])
+    def test_malformed_layout_rejected(self, layout):
+        with pytest.raises(ValueError):
+            net_mod.EncoderConfig(**layout).validate()
+
     def test_default_is_valid(self):
         cfg = net_mod.EncoderConfig()
         cfg.validate()
@@ -218,8 +228,8 @@ class TestReprojectionLoss:
 
     def test_degenerate_distribution_recovers_targets(self, tiny_model):
         pred = self._make_pred(tiny_model, var=1e-18)
-        mesh = bm.forward(tiny_model, pred.pose.mean, pred.shape.mean, pred.global_rot)
-        joints3d = np.asarray(bm.regress_joints(tiny_model, mesh))
+        verts = bm.forward(tiny_model, pred.pose.mean, pred.shape.mean, pred.global_rot)
+        joints3d = np.asarray(bm.regress_joints(tiny_model, verts))
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
         loss = reproj_loss(pred, net_mod.reduced_for_keypoints(tiny_model), targets,
@@ -269,8 +279,8 @@ class TestReprojectionLoss:
     def test_estimator_mean_independent_of_draw_count(self, tiny_model):
         # per-draw average has the same expectation for any B (3 SE check)
         pred = self._make_pred(tiny_model, var=0.05)
-        mesh = bm.forward(tiny_model, pred.pose.mean, pred.shape.mean, pred.global_rot)
-        joints3d = np.asarray(bm.regress_joints(tiny_model, mesh))
+        verts = bm.forward(tiny_model, pred.pose.mean, pred.shape.mean, pred.global_rot)
+        joints3d = np.asarray(bm.regress_joints(tiny_model, verts))
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
         vis = np.ones(L, dtype=int)
@@ -463,6 +473,10 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta.update(adam_t=None), id="adam-t-null"),
         pytest.param(lambda meta: meta.update(adam_t="x"), id="adam-t-string"),
         pytest.param(lambda meta: meta.update(adam_t=-1), id="adam-t-negative"),
+        pytest.param(lambda meta: meta["encoder"].update(kernel=0), id="kernel-zero"),
+        pytest.param(lambda meta: meta["encoder"].update(kernel=-3), id="kernel-negative"),
+        pytest.param(lambda meta: meta["encoder"].update(channels=[]), id="no-channels"),
+        pytest.param(lambda meta: meta.update(in_channels=0), id="in-channels-zero"),
     ])
     def test_malformed_layout_rejected(self, tiny_net, tmp_path, edit):
         path = tmp_path / "w.sfw"

@@ -105,12 +105,12 @@ class TestCleanGeneration:
     def test_clean_silhouette_matches_rasterizer(self, model, small_cfg, source):
         rng = named_rng(0, "clean")
         s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
-        mesh = bm.forward(model, s.theta, s.beta, s.glob)
+        verts = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
             small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
             s.cam_translation,
         )
-        expected = cr.rasterize_silhouette(bm.VertexMesh(mesh.vertices, model.faces), camera)
+        expected = cr.rasterize_silhouette(verts, model.faces, camera)
         np.testing.assert_array_equal(s.proxy.silhouette, expected)
         # visibility is exactly the in-frame indicator for clean samples
         expected_vis = cr.in_frame_visibility(s.joints2d, small_cfg.image_size,
@@ -190,12 +190,12 @@ class TestPartOcclusion:
     def _assignment(self, model, small_cfg, source):
         rng = named_rng(5, "occ")
         s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
-        mesh = bm.forward(model, s.theta, s.beta, s.glob)
+        verts = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
             small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
             s.cam_translation,
         )
-        assignment = cr.rasterize_part_assignment(mesh, model.part_labels, camera,
+        assignment = cr.rasterize_part_assignment(verts, model.part_labels, camera,
                                                   s.proxy.silhouette)
         return s.proxy.silhouette, assignment
 

@@ -227,8 +227,9 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
 
 def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
                      image_w: int, sigma: float = DEFAULT_HEATMAP_SIGMA) -> tuple:
-    """Separable factors of the joint heatmaps: (L, H) row and (L, W)
-    column profiles.
+    """Separable factors of the joint heatmaps: `(..., L, H)` row and
+    `(..., L, W)` column profiles of `(..., L, 2)` joints and `(..., L)`
+    visibilities.
 
     Heatmap channel l is the outer product of row profile l and column
     profile l: a unit-peak Gaussian of the distance to the joint's rounded
@@ -236,15 +237,15 @@ def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
     profiles of an invisible joint are zero.
     """
     centers = np.rint(np.asarray(joints2d, dtype=np.float64))
-    visible = np.asarray(visibility).astype(bool)[:, None]
+    visible = np.asarray(visibility).astype(bool)[..., None]
     radius = int(np.ceil(4 * sigma))
 
     def profile(center, n):
-        offset = np.arange(n)[None, :] - center[:, None]
+        offset = np.arange(n) - center[..., None]
         window = visible & (np.abs(offset) <= radius)
         return np.where(window, np.exp(-(offset**2) / (2.0 * sigma**2)), 0.0)
 
-    return profile(centers[:, 1], image_h), profile(centers[:, 0], image_w)
+    return profile(centers[..., 1], image_h), profile(centers[..., 0], image_w)
 
 
 def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,

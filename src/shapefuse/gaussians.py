@@ -23,7 +23,7 @@ PRECISION_FLOOR = 1e-12
 
 @dataclass
 class GaussianDiag:
-    """Mean vector plus per-dimension variance; the unit of all probabilistic outputs."""
+    """Mean and per-dimension variance, `(..., D)` each; `[]` indexes the leading axes."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -31,8 +31,8 @@ class GaussianDiag:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.var = np.asarray(self.var, dtype=np.float64)
-        if self.mean.shape != self.var.shape or self.mean.ndim != 1:
-            raise ValueError("mean and variance must be 1-D with matching shape")
+        if self.mean.shape != self.var.shape or self.mean.ndim < 1:
+            raise ValueError("mean and variance must be (..., D) with matching shape")
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.var)):
             raise ValueError("mean and variance must be finite")
         if np.any(self.var <= 0):
@@ -40,48 +40,59 @@ class GaussianDiag:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    def __getitem__(self, key) -> "GaussianDiag":
+        return GaussianDiag(self.mean[key], self.var[key])
 
 
 @dataclass
 class PredictionSet:
-    """Per-input network output: pose and shape distributions plus the
-    deterministic global rotation and weak-perspective camera heads."""
+    """Network output for one input or `(N,)` inputs: pose and shape distributions
+    plus the deterministic global rotation and weak-perspective camera heads,
+    with one leading sample axis shared by all; `[]` and `len` act on it."""
 
     pose: GaussianDiag
     shape: GaussianDiag
-    global_rot: np.ndarray  # (3,) axis-angle
-    camera: np.ndarray      # (3,) [scale, tx, ty]
+    global_rot: np.ndarray  # (..., 3) axis-angle
+    camera: np.ndarray      # (..., 3) [scale, tx, ty]
 
     def __post_init__(self):
         self.global_rot = np.asarray(self.global_rot, dtype=np.float64)
         self.camera = np.asarray(self.camera, dtype=np.float64)
-        if self.global_rot.shape != (3,) or self.camera.shape != (3,):
-            raise ValueError("global rotation and camera must be 3-vectors")
-        if not self.camera[0] > 0:
+        lead = self.pose.mean.shape[:-1]
+        if self.global_rot.shape != lead + (3,) or self.camera.shape != lead + (3,):
+            raise ValueError("global rotation and camera must be 3-vectors per sample")
+        if self.shape.mean.shape[:-1] != lead:
+            raise ValueError("pose and shape must cover the same samples")
+        if not np.all(self.camera[..., 0] > 0):
             raise ValueError("camera scale must be positive")
 
+    def __len__(self) -> int:
+        if self.camera.ndim < 2:
+            raise TypeError("a single prediction has no sample axis")
+        return self.camera.shape[0]
 
-def fuse_shapes(dists: list) -> GaussianDiag:
-    """Product-of-Gaussians combination of shape distributions.
+    def __getitem__(self, key) -> "PredictionSet":
+        return PredictionSet(self.pose[key], self.shape[key], self.global_rot[key],
+                             self.camera[key])
+
+
+def fuse_shapes(dists: GaussianDiag) -> GaussianDiag:
+    """Product-of-Gaussians combination of `(n, D)` shape distributions
+    into one `(D,)` distribution.
 
     The fused variance never exceeds any input variance per dimension; a
     single input is returned unchanged.
     """
-    if not dists:
-        raise ValueError("need at least one distribution to fuse")
-    dim = dists[0].dim
-    for d in dists:
-        if d.dim != dim:
-            raise ValueError("all distributions must share one dimension")
-    if len(dists) == 1:
-        return GaussianDiag(dists[0].mean.copy(), dists[0].var.copy())
+    if dists.mean.ndim != 2 or len(dists.mean) == 0:
+        raise ValueError("need an (n, D) stack of at least one distribution to fuse")
+    if len(dists.mean) == 1:
+        return dists[0]
 
-    precisions = np.stack([1.0 / d.var for d in dists])
-    precisions = np.maximum(precisions, PRECISION_FLOOR)
-    total_precision = precisions.sum(axis=0)
-    fused_var = 1.0 / total_precision
-    fused_mean = fused_var * (precisions * np.stack([d.mean for d in dists])).sum(axis=0)
+    precisions = np.maximum(1.0 / dists.var, PRECISION_FLOOR)
+    fused_var = 1.0 / precisions.sum(axis=0)
+    fused_mean = fused_var * (precisions * dists.mean).sum(axis=0)
     return GaussianDiag(fused_mean, fused_var)
 
 

@@ -4,7 +4,9 @@ body measurements.
 
 Joint error is measured twice: after root-centering and an optimal global
 scale (MPJPE-SC; the scale resolves the subject-size/camera-distance
-ambiguity), and after a full similarity alignment (MPJPE-PA). Shape
+ambiguity), and after a full similarity alignment (MPJPE-PA). Both map
+`(..., L, 3)` skeletons to `(...)` errors in mm (a float for one skeleton),
+so `evaluate` scores a subject's samples with one call per metric. Shape
 accuracy is measured between neutral-pose meshes after scale correction,
 isolating identity-dependent shape from pose.
 """
@@ -30,63 +32,58 @@ CM = 100.0
 
 def _root_center(joints: np.ndarray, root) -> np.ndarray:
     joints = np.asarray(joints, dtype=np.float64)
-    if isinstance(root, (tuple, list, np.ndarray)):
-        center = joints[list(root)].mean(axis=0)
-    else:
-        center = joints[int(root)]
-    return joints - center
+    return joints - joints[..., np.atleast_1d(root), :].mean(axis=-2, keepdims=True)
 
 
 def scale_correct(pred_joints: np.ndarray, gt_joints: np.ndarray) -> np.ndarray:
-    """Multiply (root-centered) predictions by the least-squares optimal
-    scalar s* = <pred, gt> / <pred, pred>."""
+    """Multiply each (root-centered) `(..., L, 3)` prediction by its
+    least-squares optimal scalar s* = <pred, gt> / <pred, pred>."""
     pred_joints = np.asarray(pred_joints, dtype=np.float64)
     gt_joints = np.asarray(gt_joints, dtype=np.float64)
-    denom = float((pred_joints * pred_joints).sum())
-    if denom == 0.0:
+    denom = (pred_joints * pred_joints).sum(axis=(-2, -1))
+    if np.any(denom == 0.0):
         raise ValueError("cannot scale-correct an all-zero prediction")
-    s = float((pred_joints * gt_joints).sum()) / denom
-    return s * pred_joints
+    s = (pred_joints * gt_joints).sum(axis=(-2, -1)) / denom
+    return s[..., None, None] * pred_joints
 
 
-def mpjpe_sc(pred_joints: np.ndarray, gt_joints: np.ndarray, root=0) -> float:
+def mpjpe_sc(pred_joints: np.ndarray, gt_joints: np.ndarray, root=0):
     p = _root_center(pred_joints, root)
     g = _root_center(gt_joints, root)
-    return float(np.linalg.norm(scale_correct(p, g) - g, axis=1).mean() * MM)
+    return np.linalg.norm(scale_correct(p, g) - g, axis=-1).mean(axis=-1) * MM
 
 
 def procrustes_align(pred_joints: np.ndarray, gt_joints: np.ndarray) -> np.ndarray:
     """Optimal similarity transform (rotation with det +1, scale,
-    translation) of the predictions onto the targets; reflections are never
-    returned."""
+    translation) of each `(..., L, 3)` prediction onto its target;
+    reflections are never returned. Any degenerate skeleton in a batch
+    raises."""
     P = np.asarray(pred_joints, dtype=np.float64)
     G = np.asarray(gt_joints, dtype=np.float64)
     if P.shape != G.shape:
         raise ValueError("skeletons must have matching shapes")
-    n = P.shape[0]
+    n = P.shape[-2]
     if n < 3:
         raise ValueError("need at least 3 points")
-    mu_p, mu_g = P.mean(axis=0), G.mean(axis=0)
+    mu_p, mu_g = P.mean(axis=-2, keepdims=True), G.mean(axis=-2, keepdims=True)
     Pc, Gc = P - mu_p, G - mu_g
-    var_p = float((Pc**2).sum()) / n
-    if var_p == 0.0:
+    var_p = (Pc**2).sum(axis=(-2, -1)) / n
+    if np.any(var_p == 0.0):
         raise ValueError("degenerate configuration: zero spread")
-    C = Gc.T @ Pc / n
+    C = np.swapaxes(Gc, -1, -2) @ Pc / n
     U, d, Vt = np.linalg.svd(C)
-    if d[1] <= 1e-12 * max(d[0], 1e-300):
+    if np.any(d[..., 1] <= 1e-12 * np.maximum(d[..., 0], 1e-300)):
         raise ValueError("degenerate configuration: collinear points")
-    sign = np.ones(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        sign[-1] = -1.0
-    R = U @ np.diag(sign) @ Vt
-    s = float((d * sign).sum()) / var_p
-    t = mu_g - s * R @ mu_p
-    return s * P @ R.T + t
+    sign = np.ones(d.shape)
+    sign[..., -1] = np.where(np.linalg.det(U) * np.linalg.det(Vt) < 0, -1.0, 1.0)
+    Rt = np.swapaxes((U * sign[..., None, :]) @ Vt, -1, -2)  # R transposed
+    s = ((d * sign).sum(axis=-1) / var_p)[..., None, None]
+    return s * P @ Rt + (mu_g - s * mu_p @ Rt)
 
 
-def mpjpe_pa(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
+def mpjpe_pa(pred_joints: np.ndarray, gt_joints: np.ndarray):
     aligned = procrustes_align(pred_joints, gt_joints)
-    return float(np.linalg.norm(aligned - np.asarray(gt_joints), axis=1).mean() * MM)
+    return np.linalg.norm(aligned - np.asarray(gt_joints), axis=-1).mean(axis=-1) * MM
 
 
 def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) -> float:
@@ -107,7 +104,10 @@ def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) ->
 def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
                            n_samples: int = 100, rng=None) -> np.ndarray:
     """Average per-vertex Euclidean distance from the mean vertex location
-    over parameter samples drawn from the predicted distributions, in cm."""
+    over parameter samples drawn from one sample's predicted distributions,
+    in cm."""
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError(f"need a positive int number of draws, got {n_samples!r}")
     rng = rng or np.random.default_rng(0)
     n = int(n_samples)
     pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
@@ -170,12 +170,10 @@ def pose_variance_by_joint_visibility(pose_var: np.ndarray, visibility: np.ndarr
 
 def split_groups(indices, max_group_size: int, rng) -> list:
     """Shuffle then chunk into groups of size <= N; partitions the input."""
-    if max_group_size < 1:
-        raise ValueError("group size must be at least 1")
-    indices = list(indices)
-    order = list(rng.permutation(len(indices)))
-    shuffled = [indices[i] for i in order]
-    return [shuffled[i : i + max_group_size]
+    if not (isinstance(max_group_size, (int, np.integer)) and max_group_size >= 1):
+        raise ValueError(f"group size must be an int of at least 1, got {max_group_size!r}")
+    shuffled = np.asarray(indices, dtype=np.int64)[rng.permutation(len(indices))]
+    return [shuffled[i : i + max_group_size].tolist()
             for i in range(0, len(shuffled), max_group_size)]
 
 
@@ -344,16 +342,17 @@ def hip_root(model: bm.BodyModel):
     return 0
 
 
-def combine_shape(predictions: list, combination: str) -> np.ndarray:
-    """Point estimate of the group's shape under the chosen combination."""
+def combine_shape(predictions: PredictionSet, combination: str) -> np.ndarray:
+    """Point estimate of the group's shape from its `(n,)` predictions under
+    the chosen combination."""
     if combination == "pc":
-        return fuse_shapes([p.shape for p in predictions]).mean
+        return fuse_shapes(predictions.shape).mean
     if combination == "mean":
-        return np.mean([p.shape.mean for p in predictions], axis=0)
+        return predictions.shape.mean.mean(axis=0)
     if combination == "single":
         if len(predictions) != 1:
             raise ValueError("'single' combination expects one prediction per group")
-        return predictions[0].shape.mean
+        return predictions.shape.mean[0]
     raise ValueError(f"unknown combination {combination!r}")
 
 
@@ -376,33 +375,27 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
         idx = np.flatnonzero(subjects == subj)
         gt_joints = bm.regress_joints(
             model, bm.lbs_vertices(model, a["theta"][idx], a["beta"][idx], a["glob"][idx]))
-        pred = [predictions[i] for i in idx]
-        pred_joints = bm.regress_joints(model, bm.lbs_vertices(
-            model, np.stack([p.pose.mean for p in pred]),
-            np.stack([p.shape.mean for p in pred]), np.stack([p.global_rot for p in pred])))
-        for i, pj, gj in zip(idx, pred_joints, gt_joints):
-            sc[i] = mpjpe_sc(pj, gj, root=root)
-            pa[i] = mpjpe_pa(pj, gj)
+        pred = predictions[idx]
+        pred_joints = bm.regress_joints(
+            model, bm.lbs_vertices(model, pred.pose.mean, pred.shape.mean, pred.global_rot))
+        sc[idx] = mpjpe_sc(pred_joints, gt_joints, root=root)
+        pa[idx] = mpjpe_pa(pred_joints, gt_joints)
 
-        if combination == "single":
-            groups = [[int(i)] for i in idx]
-        else:
-            groups = split_groups([int(i) for i in idx], group_size, rng)
+        groups = (idx[:, None].tolist() if combination == "single"
+                  else split_groups(idx, group_size, rng))
         for g in groups:
-            beta_hat = combine_shape([predictions[i] for i in g], combination)
+            beta_hat = combine_shape(predictions[g], combination)
             group_subject.append(int(subj))
             group_sizes.append(len(g))
             group_pve.append(pve_t_sc(beta_hat, a["beta"][g[0]], model))
 
     uncertainty = None
     if uncertainty_samples > 0:
-        acc = np.zeros(model.num_vertices)
-        for i in range(n):
-            acc += per_vertex_uncertainty(
-                predictions[i], model, uncertainty_samples,
-                np.random.default_rng(uncertainty_samples + i),
-            )
-        uncertainty = acc / n
+        uncertainty = sum(
+            per_vertex_uncertainty(predictions[i], model, uncertainty_samples,
+                                   np.random.default_rng(uncertainty_samples + i))
+            for i in range(n)
+        ) / n
 
     return MetricsReport(
         combination=combination,

@@ -16,8 +16,9 @@ projection onto the visible target keypoints (normalized image
 coordinates).
 
 Inputs always come from a packed `synth.SynthDataset`: `pooled_from_dataset`
-builds one pooled proxy, `predict_dataset` is the inference entry point and
-`train` the training loop.
+builds the pooled proxies of an index array, `train` pools each batch with
+one call, and `predict_dataset`, the inference entry point, returns one
+`PredictionSet` whose fields carry a leading sample axis.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ class EncoderConfig:
         return side * side * self.channels[-1]
 
     def validate(self):
-        if not (isinstance(self.kernel, int) and self.kernel > 0 and self.kernel % 2 == 1
+        if not (isinstance(self.pool_to, int) and self.pool_to > 0
+                and isinstance(self.kernel, int) and self.kernel > 0 and self.kernel % 2 == 1
                 and isinstance(self.channels, tuple) and self.channels
                 and all(isinstance(c, int) and c > 0 for c in self.channels)):
-            raise ValueError("need a positive odd int kernel and a non-empty tuple of "
-                             "positive int channels")
+            raise ValueError("need a positive int pooled size, a positive odd int kernel and "
+                             "a non-empty tuple of positive int channels")
         if self.pool_to % (2 ** len(self.channels)) != 0:
             raise ValueError("pooled size must survive the stride-2 stages")
         if self.feature_dim < 32:
@@ -83,10 +85,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("learning rate, batch size and epochs must be positive")
-        if self.reproj_samples < 1:
-            raise ValueError("need at least one reprojection sample")
+        if not (isinstance(self.learning_rate, (int, float)) and self.learning_rate > 0):
+            raise ValueError("learning rate must be a positive number")
+        for name in ("batch_size", "epochs", "reproj_samples"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value > 0):
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 def _conv_indices(h, w, c_in, kernel, stride):
@@ -216,8 +220,9 @@ class PredictorNet:
         }
 
 
-def pooled_from_dataset(dataset, index: int, pool_to: int) -> np.ndarray:
-    """Pooled proxy (pool, pool, L+1) straight from packed dataset arrays.
+def pooled_from_dataset(dataset, indices, pool_to: int) -> np.ndarray:
+    """Pooled proxies `(..., pool, pool, L+1)` of an int or an index array,
+    straight from packed dataset arrays.
 
     Skips materializing the full-resolution heatmap stack: each heatmap is
     the outer product of a row and a column profile, so its block average
@@ -230,40 +235,37 @@ def pooled_from_dataset(dataset, index: int, pool_to: int) -> np.ndarray:
         raise ValueError(f"image size {size} not divisible by pooled size {pool_to}")
     f = size // pool_to
     rows, cols = cr.heatmap_profiles(
-        dataset.arrays["joints2d"][index], dataset.arrays["visibility"][index],
+        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices],
         size, size, sigma=dataset.heatmap_sigma,
     )
-    L = rows.shape[0]
-    out = np.empty((pool_to, pool_to, L + 1))
-    sil = dataset.silhouette(index).astype(np.float64)
-    out[:, :, 0] = sil.reshape(pool_to, f, pool_to, f).mean(axis=(1, 3))
-    out[:, :, 1:] = np.einsum(
-        "lh,lw->hwl",
-        rows.reshape(L, pool_to, f).mean(axis=2),
-        cols.reshape(L, pool_to, f).mean(axis=2),
+    lead, L = rows.shape[:-2], rows.shape[-2]
+    out = np.empty(lead + (pool_to, pool_to, L + 1))
+    # block sums of the 0/1 silhouette are exact integers, so summing rows and
+    # then columns gives the block mean's bits at a third of its cost
+    sil = dataset.silhouette(indices).reshape(lead + (pool_to, f, size))
+    row_sums = sil.sum(axis=-2, dtype=np.int64).reshape(lead + (pool_to, pool_to, f))
+    out[..., 0] = row_sums.sum(axis=-1) / (f * f)
+    out[..., 1:] = np.einsum(
+        "...lh,...lw->...hwl",
+        rows.reshape(lead + (L, pool_to, f)).mean(axis=-1),
+        cols.reshape(lead + (L, pool_to, f)).mean(axis=-1),
     )
     return out
 
 
-def predict_dataset(net: PredictorNet, dataset) -> list:
-    """One PredictionSet per dataset sample, in index order (deterministic,
-    variances > 0)."""
-    out = []
-    for start in range(0, len(dataset), PREDICT_CHUNK):
-        idx = range(start, min(start + PREDICT_CHUNK, len(dataset)))
-        heads = net.heads(
-            np.stack([pooled_from_dataset(dataset, i, net.encoder.pool_to) for i in idx])
-        )
-        out.extend(
-            PredictionSet(
-                pose=GaussianDiag(heads["pose_mean"][k], heads["pose_var"][k]),
-                shape=GaussianDiag(heads["shape_mean"][k], heads["shape_var"][k]),
-                global_rot=heads["glob"][k],
-                camera=heads["camera"][k],
-            )
-            for k in range(len(idx))
-        )
-    return out
+def predict_dataset(net: PredictorNet, dataset) -> PredictionSet:
+    """Predictions for every dataset sample, in index order, as one
+    `PredictionSet` with a leading sample axis (deterministic, variances > 0)."""
+    n = len(dataset)
+    chunks = [
+        net.heads(pooled_from_dataset(dataset, np.arange(start, min(start + PREDICT_CHUNK, n)),
+                                      net.encoder.pool_to))
+        for start in range(0, n, PREDICT_CHUNK)
+    ]
+    heads = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    return PredictionSet(GaussianDiag(heads["pose_mean"], heads["pose_var"]),
+                         GaussianDiag(heads["shape_mean"], heads["shape_var"]),
+                         heads["glob"], heads["camera"])
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +422,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
         n_batches = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            pooled = np.stack(
-                [pooled_from_dataset(dataset, int(i), net.encoder.pool_to) for i in idx]
-            )
+            pooled = pooled_from_dataset(dataset, idx, net.encoder.pool_to)
             targets = {
                 "theta": arrays["theta"][idx],
                 "beta": arrays["beta"][idx],

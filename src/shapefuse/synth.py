@@ -349,11 +349,11 @@ class SynthDataset:
     """Random-access view over a generated dataset; the one dataset form
     that training, prediction and evaluation take.
 
-    Samples are packed into per-field arrays with silhouettes stored
-    bit-packed. Heatmaps are not stored: `network.pooled_from_dataset`
-    builds the pooled heatmap channels from the stored joints and
-    visibilities, through the same `camera.heatmap_profiles` that rendered
-    them.
+    Samples are packed into per-field arrays with a leading sample axis,
+    silhouettes bit-packed. Heatmaps are not stored:
+    `network.pooled_from_dataset` builds the pooled heatmap channels of an
+    index array from the stored joints and visibilities, through the same
+    `camera.heatmap_profiles` that rendered them.
     """
 
     def __init__(self, arrays: dict, meta: dict):
@@ -386,10 +386,11 @@ class SynthDataset:
     def __len__(self) -> int:
         return self.arrays["theta"].shape[0]
 
-    def silhouette(self, i: int) -> np.ndarray:
+    def silhouette(self, index) -> np.ndarray:
+        """Silhouettes `(..., H, W)` of an int or an index array."""
         size = self.image_size
-        bits = np.unpackbits(self.arrays["silhouette_bits"][i])[: size * size]
-        return bits.reshape(size, size)
+        bits = np.unpackbits(self.arrays["silhouette_bits"][index], axis=-1)
+        return bits[..., : size * size].reshape(bits.shape[:-1] + (size, size))
 
 
 def write_dataset(path, samples: list, gen_cfg: GenerationConfig,

@@ -32,6 +32,7 @@ def grid_product_moments(means, variances, spacing=1e-3, half_width_sigmas=10.0)
 
 
 def gaussians(dim):
+    """(n, dim) stacks of 1 to 6 isotropic Gaussians."""
     return st.lists(
         st.tuples(
             st.floats(-5, 5, allow_nan=False),
@@ -40,29 +41,34 @@ def gaussians(dim):
         min_size=1,
         max_size=6,
     ).map(
-        lambda items: [
-            GaussianDiag(np.full(dim, m), np.full(dim, v)) for m, v in items
-        ]
+        lambda items: GaussianDiag(
+            np.array([np.full(dim, m) for m, _ in items]),
+            np.array([np.full(dim, v) for _, v in items]),
+        )
     )
+
+
+def stack(*dists: GaussianDiag) -> GaussianDiag:
+    return GaussianDiag(np.stack([d.mean for d in dists]), np.stack([d.var for d in dists]))
 
 
 class TestFusion:
     def test_single_input_unchanged(self):
         d = GaussianDiag(np.array([1.0, -2.0]), np.array([0.5, 3.0]))
-        out = fuse_shapes([d])
+        out = fuse_shapes(stack(d))
         np.testing.assert_array_equal(out.mean, d.mean)
         np.testing.assert_array_equal(out.var, d.var)
 
     def test_two_identical_double_precision(self):
         d = GaussianDiag(np.array([1.0]), np.array([4.0]))
-        out = fuse_shapes([d, d])
+        out = fuse_shapes(stack(d, d))
         assert out.mean[0] == pytest.approx(1.0)
         assert out.var[0] == pytest.approx(2.0)
 
     def test_hand_case_and_grid_oracle(self):
         a = GaussianDiag(np.array([1.0]), np.array([0.25]))
         b = GaussianDiag(np.array([3.0]), np.array([1.0]))
-        out = fuse_shapes([a, b])
+        out = fuse_shapes(stack(a, b))
         assert out.mean[0] == pytest.approx(1.4)
         assert out.var[0] == pytest.approx(0.2)
         grid_mean, grid_var = grid_product_moments([1.0, 3.0], [0.25, 1.0])
@@ -71,27 +77,21 @@ class TestFusion:
 
     def test_grid_oracle_2d(self):
         # diagonal 2-D product: each dimension checked against the 1-D grid
-        a = GaussianDiag(np.array([0.5, -1.0]), np.array([0.3, 2.0]))
-        b = GaussianDiag(np.array([2.0, 1.5]), np.array([1.2, 0.4]))
-        c = GaussianDiag(np.array([-0.5, 0.0]), np.array([0.8, 0.9]))
-        out = fuse_shapes([a, b, c])
+        dists = GaussianDiag(np.array([[0.5, -1.0], [2.0, 1.5], [-0.5, 0.0]]),
+                             np.array([[0.3, 2.0], [1.2, 0.4], [0.8, 0.9]]))
+        out = fuse_shapes(dists)
         for k in range(2):
-            gm, gv = grid_product_moments(
-                [a.mean[k], b.mean[k], c.mean[k]], [a.var[k], b.var[k], c.var[k]]
-            )
+            gm, gv = grid_product_moments(dists.mean[:, k], dists.var[:, k])
             assert abs(out.mean[k] - gm) < 1e-3
             assert abs(out.var[k] - gv) < 1e-3
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            fuse_shapes([])
+            fuse_shapes(GaussianDiag(np.zeros((0, 2)), np.ones((0, 2))))
         with pytest.raises(ValueError):
-            fuse_shapes(
-                [
-                    GaussianDiag(np.zeros(2), np.ones(2)),
-                    GaussianDiag(np.zeros(3), np.ones(3)),
-                ]
-            )
+            stack(GaussianDiag(np.zeros(2), np.ones(2)), GaussianDiag(np.zeros(3), np.ones(3)))
+        with pytest.raises(ValueError):
+            fuse_shapes(GaussianDiag(np.zeros(2), np.ones(2)))
         with pytest.raises(ValueError):
             GaussianDiag(np.zeros(2), np.array([1.0, 0.0]))
 
@@ -99,20 +99,21 @@ class TestFusion:
     @given(gaussians(dim=3), st.randoms(use_true_random=False))
     def test_order_invariant_and_associative(self, dists, pyrandom):
         fused = fuse_shapes(dists)
-        shuffled = list(dists)
-        pyrandom.shuffle(shuffled)
-        fused_shuffled = fuse_shapes(shuffled)
+        order = list(range(len(dists.mean)))
+        pyrandom.shuffle(order)
+        fused_shuffled = fuse_shapes(dists[order])
         np.testing.assert_allclose(fused.mean, fused_shuffled.mean, atol=1e-12)
         np.testing.assert_allclose(fused.var, fused_shuffled.var, atol=1e-12)
-        if len(dists) >= 3:
-            nested = fuse_shapes([fuse_shapes(dists[:2])] + dists[2:])
+        if len(dists.mean) >= 3:
+            rest = [dists[i] for i in range(2, len(dists.mean))]
+            nested = fuse_shapes(stack(fuse_shapes(dists[:2]), *rest))
             np.testing.assert_allclose(fused.mean, nested.mean, atol=1e-12)
             np.testing.assert_allclose(fused.var, nested.var, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_n_copies_divides_variance_exactly(self, n):
         d = GaussianDiag(np.array([0.7, -1.3]), np.array([2.0, 0.5]))
-        out = fuse_shapes([d] * n)
+        out = fuse_shapes(stack(*[d] * n))
         np.testing.assert_allclose(out.mean, d.mean, atol=1e-12)
         np.testing.assert_allclose(out.var, d.var / n, rtol=1e-12)
 
@@ -120,16 +121,14 @@ class TestFusion:
     @given(gaussians(dim=2))
     def test_fused_mean_in_componentwise_hull_and_var_bounded(self, dists):
         out = fuse_shapes(dists)
-        means = np.stack([d.mean for d in dists])
-        variances = np.stack([d.var for d in dists])
-        assert np.all(out.mean >= means.min(axis=0) - 1e-9)
-        assert np.all(out.mean <= means.max(axis=0) + 1e-9)
-        assert np.all(out.var <= variances.min(axis=0) + 1e-12)
+        assert np.all(out.mean >= dists.mean.min(axis=0) - 1e-9)
+        assert np.all(out.mean <= dists.mean.max(axis=0) + 1e-9)
+        assert np.all(out.var <= dists.var.min(axis=0) + 1e-12)
 
     def test_huge_variance_input_gets_no_weight(self):
         sharp = GaussianDiag(np.array([1.0]), np.array([1.0]))
         vague = GaussianDiag(np.array([100.0]), np.array([1e12]))
-        out = fuse_shapes([sharp, vague])
+        out = fuse_shapes(stack(sharp, vague))
         assert abs(out.mean[0] - 1.0) < 1e-6
         assert out.var[0] == pytest.approx(1.0, rel=1e-6)
 
@@ -230,3 +229,35 @@ class TestPredictionSet:
         shape = GaussianDiag(np.zeros(2), np.ones(2))
         ps = PredictionSet(pose, shape, np.zeros(3), np.array([0.9, 0.1, -0.1]))
         assert ps.camera[0] == 0.9
+
+    def test_leading_sample_axis(self):
+        rng = np.random.default_rng(0)
+        ps = PredictionSet(GaussianDiag(rng.normal(size=(5, 4)), rng.uniform(1, 2, (5, 4))),
+                           GaussianDiag(rng.normal(size=(5, 2)), rng.uniform(1, 2, (5, 2))),
+                           rng.normal(size=(5, 3)), np.tile([0.9, 0.1, -0.1], (5, 1)))
+        assert len(ps) == 5
+        row = ps[3]
+        np.testing.assert_array_equal(row.pose.var, ps.pose.var[3])
+        np.testing.assert_array_equal(row.global_rot, ps.global_rot[3])
+        picked = ps[[4, 0]]
+        assert len(picked) == 2
+        np.testing.assert_array_equal(picked.shape.mean, ps.shape.mean[[4, 0]])
+        with pytest.raises(TypeError):
+            len(row)
+
+    @pytest.mark.parametrize("field", ["shape", "global_rot", "camera"])
+    def test_mismatched_sample_axes_rejected(self, field):
+        fields = dict(pose=GaussianDiag(np.zeros((3, 4)), np.ones((3, 4))),
+                      shape=GaussianDiag(np.zeros((3, 2)), np.ones((3, 2))),
+                      global_rot=np.zeros((3, 3)), camera=np.ones((3, 3)))
+        fields[field] = fields[field][:2]
+        with pytest.raises(ValueError):
+            PredictionSet(**fields)
+
+    def test_any_non_positive_camera_scale_rejected(self):
+        camera = np.ones((3, 3))
+        camera[1, 0] = 0.0
+        with pytest.raises(ValueError, match="camera scale"):
+            PredictionSet(GaussianDiag(np.zeros((3, 4)), np.ones((3, 4))),
+                          GaussianDiag(np.zeros((3, 2)), np.ones((3, 2))),
+                          np.zeros((3, 3)), camera)

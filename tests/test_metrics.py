@@ -100,6 +100,58 @@ class TestProcrustes:
             metrics.procrustes_align(points, np.random.default_rng(0).normal(size=points.shape))
 
 
+class TestBatchedJointMetrics:
+    """`(..., L, 3)` skeletons against one call per skeleton."""
+
+    @staticmethod
+    def skeletons(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        gt = rng.normal(size=shape + (14, 3))
+        rot = np.stack([random_rotation(rng) for _ in range(int(np.prod(shape)))])
+        pred = 0.8 * gt @ np.swapaxes(rot.reshape(shape + (3, 3)), -1, -2)
+        return pred + 0.1 * rng.normal(size=pred.shape), gt
+
+    @pytest.mark.parametrize("root", [0, (3, 5)], ids=["joint-root", "hip-root"])
+    def test_mpjpe_sc_equals_per_skeleton_exactly(self, root):
+        pred, gt = self.skeletons((64,))
+        got = metrics.mpjpe_sc(pred, gt, root=root)
+        assert got.shape == (64,)
+        want = [metrics.mpjpe_sc(p, g, root=root) for p, g in zip(pred, gt)]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_mpjpe_pa_equals_per_skeleton(self):
+        pred, gt = self.skeletons((64,), seed=1)
+        got = metrics.mpjpe_pa(pred, gt)
+        want = [metrics.mpjpe_pa(p, g) for p, g in zip(pred, gt)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_leading_axes_and_alignment(self):
+        pred, gt = self.skeletons((2, 3), seed=2)
+        aligned = metrics.procrustes_align(pred, gt)
+        assert aligned.shape == pred.shape
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(aligned[i, j],
+                                           metrics.procrustes_align(pred[i, j], gt[i, j]),
+                                           rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(metrics.scale_correct(pred, gt)[1, 2],
+                                      metrics.scale_correct(pred[1, 2], gt[1, 2]))
+
+    @pytest.mark.parametrize("fn", [metrics.procrustes_align, metrics.mpjpe_pa])
+    def test_one_collinear_skeleton_in_a_batch_rejected(self, fn):
+        pred, gt = self.skeletons((5,), seed=3)
+        pred[2] = np.outer(np.arange(14.0), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="collinear"):
+            fn(pred, gt)
+
+    def test_one_all_zero_prediction_in_a_batch_rejected(self):
+        pred, gt = self.skeletons((4,), seed=4)
+        pred[1] = 0.0
+        with pytest.raises(ValueError):
+            metrics.scale_correct(pred, gt)
+
+
 class TestScaleCorrect:
     def test_least_squares_optimum(self):
         rng = np.random.default_rng(1)
@@ -178,6 +230,18 @@ class TestPerVertexUncertainty:
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.0])
+    def test_non_positive_or_non_int_draws_rejected(self, n_samples):
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        pred = PredictionSet(
+            pose=GaussianDiag(np.zeros(model.pose_dim), np.ones(model.pose_dim)),
+            shape=GaussianDiag(np.zeros(model.shape_dim), np.ones(model.shape_dim)),
+            global_rot=np.zeros(3),
+            camera=[1.0, 0.0, 0.0],
+        )
+        with pytest.raises(ValueError, match="draws"):
+            metrics.per_vertex_uncertainty(pred, model, n_samples=n_samples)
 
 
 class TestPoseVisibility:
@@ -297,6 +361,11 @@ class TestSplitGroups:
         with pytest.raises(ValueError):
             metrics.split_groups([1, 2], 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [2.0, "2"])
+    def test_non_int_group_size_rejected(self, size):
+        with pytest.raises(ValueError, match="group size"):
+            metrics.split_groups([1, 2], size, np.random.default_rng(0))
+
 
 class TestMetricsReportJson:
     @pytest.mark.parametrize("with_uncertainty", [False, True])
@@ -363,7 +432,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("combination,combine", [
         ("pc", lambda shapes: fuse_shapes(shapes).mean),
-        ("mean", lambda shapes: np.mean([s.mean for s in shapes], axis=0)),
+        ("mean", lambda shapes: np.mean(shapes.mean, axis=0)),
     ], ids=["pc", "mean"])
     def test_groups_combine_their_shapes(self, setup, combination, combine):
         model, _, dataset, predictions = setup
@@ -377,7 +446,7 @@ class TestEvaluate:
         assert report.group_subject == [subj for subj, _ in groups]
         assert report.group_sizes == [len(g) for _, g in groups] == [3, 1, 3, 1]
         assert report.group_pve_t_sc == [
-            metrics.pve_t_sc(combine([predictions[i].shape for i in g]), betas[g[0]], model)
+            metrics.pve_t_sc(combine(predictions[g].shape), betas[g[0]], model)
             for _, g in groups
         ]
 
@@ -427,3 +496,8 @@ class TestEvaluate:
     def test_unknown_combination_rejected(self, setup):
         with pytest.raises(ValueError, match="unknown combination"):
             self.evaluate(setup, "median")
+
+    def test_float_group_size_rejected(self, setup):
+        model, net, dataset, _ = setup
+        with pytest.raises(ValueError, match="group size"):
+            metrics.evaluate(dataset, net, model, 2.0, "pc", np.random.default_rng(9))

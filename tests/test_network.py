@@ -154,6 +154,23 @@ class TestOutputContract:
         with pytest.raises(ValueError):
             tiny_net.heads(np.zeros((1, 16, 16, 4)))
 
+    def test_prediction_rows_equal_heads_of_each_sample(self, tiny_net, tiny_data):
+        gen_cfg, samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:5], gen_cfg)
+        predictions = net_mod.predict_dataset(tiny_net, ds)
+        assert len(predictions) == 5
+        assert predictions.pose.mean.shape == (5, tiny_net.pose_dim)
+        batch = tiny_net.heads(net_mod.pooled_from_dataset(ds, np.arange(5), 16))
+        for i in range(5):
+            # alone, the sample goes through a one-row GEMM: same values up to rounding
+            alone = tiny_net.heads(net_mod.pooled_from_dataset(ds, np.array([i]), 16))
+            row = predictions[i]
+            for got, key in ((row.pose.mean, "pose_mean"), (row.pose.var, "pose_var"),
+                             (row.shape.mean, "shape_mean"), (row.shape.var, "shape_var"),
+                             (row.global_rot, "glob"), (row.camera, "camera")):
+                np.testing.assert_array_equal(got, batch[key][i])
+                np.testing.assert_allclose(got, alone[key][0], rtol=1e-12, atol=1e-15)
+
 
 class TestEncoderConfig:
     def test_feature_dim_floor(self):
@@ -165,6 +182,7 @@ class TestEncoderConfig:
         pytest.param(dict(kernel=0), id="zero-kernel"),
         pytest.param(dict(channels=()), id="no-channels"),
         pytest.param(dict(channels=(8, 0, 32)), id="zero-channels"),
+        pytest.param(dict(pool_to=-16), id="negative-pool-to"),
     ])
     def test_malformed_layout_rejected(self, layout):
         with pytest.raises(ValueError):
@@ -174,6 +192,23 @@ class TestEncoderConfig:
         cfg = net_mod.EncoderConfig()
         cfg.validate()
         assert cfg.feature_dim == 8 * 8 * 32
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", [
+        dict(batch_size=2.5), dict(reproj_samples=1.5), dict(epochs=1.5),
+        dict(batch_size=0), dict(reproj_samples=0), dict(learning_rate=-1e-3),
+        dict(learning_rate="1e-3"),
+    ], ids=["float-batch", "float-draws", "float-epochs", "zero-batch", "zero-draws",
+            "negative-rate", "string-rate"])
+    def test_malformed_config_rejected(self, field, tiny_model, tiny_net, tiny_data):
+        cfg = net_mod.TrainConfig(**field)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        gen_cfg, samples = tiny_data
+        with pytest.raises(ValueError):
+            net_mod.train(tiny_net, synth.SynthDataset.from_samples(samples[:4], gen_cfg),
+                          cfg, tiny_model)
 
 
 class TestGlobalRotationLoss:
@@ -477,6 +512,7 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta["encoder"].update(kernel=-3), id="kernel-negative"),
         pytest.param(lambda meta: meta["encoder"].update(channels=[]), id="no-channels"),
         pytest.param(lambda meta: meta.update(in_channels=0), id="in-channels-zero"),
+        pytest.param(lambda meta: meta["encoder"].update(pool_to=-16), id="pool-to-negative"),
     ])
     def test_malformed_layout_rejected(self, tiny_net, tmp_path, edit):
         path = tmp_path / "w.sfw"
@@ -509,6 +545,16 @@ class TestPooling:
             fast = net_mod.pooled_from_dataset(ds, i, 16)
             full = average_pool(samples[i].proxy.stacked(), 16)
             np.testing.assert_allclose(fast, full, atol=1e-12)
+
+    @pytest.mark.parametrize("indices", [[7, 2, 9, 0, 4, 1], [3, 3, 5, 3], [6]],
+                             ids=["shuffled", "repeated", "single"])
+    def test_batch_equals_per_index_bit_for_bit(self, tiny_data, indices):
+        gen_cfg, samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples, gen_cfg)
+        batch = net_mod.pooled_from_dataset(ds, np.array(indices), 16)
+        assert batch.shape == (len(indices), 16, 16, len(samples[0].visibility) + 1)
+        for row, i in zip(batch, indices):
+            np.testing.assert_array_equal(row, net_mod.pooled_from_dataset(ds, i, 16))
 
     def test_pooled_from_dataset_rejects_indivisible(self, tiny_data):
         gen_cfg, samples = tiny_data

@@ -275,6 +275,8 @@ class TestDatasetIO:
             np.testing.assert_array_equal(ds.arrays["theta"][i], s.theta)
             np.testing.assert_array_equal(ds.arrays["joints2d"][i], s.joints2d)
             assert ds.arrays["subject_id"][i] == s.subject_id
+        np.testing.assert_array_equal(ds.silhouette(np.array([5, 0, 5])),
+                                      [samples[i].proxy.silhouette for i in (5, 0, 5)])
 
     def test_identical_seed_identical_bytes(self, model, small_cfg, tmp_path):
         aug_cfg = synth.AugmentationConfig()

@@ -6,7 +6,8 @@ silhouette rasterization and joint heatmap synthesis produce the
 network's proxy inputs during data generation. Heatmaps are separable:
 `heatmap_profiles` defines them once, as per-joint row and column
 profiles, and both the full-resolution maps and the network's pooled
-input are built from those profiles. The
+input are built from those profiles. A rendered sample keeps only its
+keypoints; its full-resolution heatmaps are drawn on demand. The
 rasterizer is plain coverage (a pixel is set when its center lies inside
 any projected triangle, front- or back-facing), which is all a binary
 silhouette channel needs — no z-buffer, no anti-aliasing. It has one
@@ -52,10 +53,22 @@ class PerspCamera:
 
 @dataclass
 class ProxyRepresentation:
-    """Network input: binary silhouette + per-joint heatmaps, H x W x (L+1)."""
+    """Network input: binary silhouette + per-joint heatmaps, H x W x (L+1).
+
+    Only the silhouette and the keypoints are held; the heatmaps are a
+    fixed function of the keypoints and are drawn on each access.
+    """
 
     silhouette: np.ndarray  # (H, W) uint8
-    heatmaps: np.ndarray    # (H, W, L) float64 in [0, 1]
+    joints2d: np.ndarray    # (L, 2) pixels
+    visibility: np.ndarray  # (L,) in {0, 1}
+    sigma: float            # heatmap Gaussian std, pixels
+
+    @property
+    def heatmaps(self) -> np.ndarray:
+        """(H, W, L) float64 in [0, 1], from `joints_to_heatmaps`; not cached."""
+        h, w = self.silhouette.shape
+        return joints_to_heatmaps(self.joints2d, self.visibility, h, w, self.sigma)
 
     def stacked(self) -> np.ndarray:
         """Silhouette as channel 0, then the L heatmap channels."""

@@ -185,8 +185,8 @@ class MeasurementSet:
     height_m: float
 
     def __post_init__(self):
-        if self.height_m <= 0:
-            raise ValueError("height must be positive")
+        if not (np.isfinite(self.height_m) and self.height_m > 0):
+            raise ValueError(f"height must be finite and positive, got {self.height_m!r}")
         for name, v in self.girths_cm.items():
             if v <= 0:
                 raise ValueError(f"measurement {name} must be positive")
@@ -247,8 +247,8 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
     """Girths from planar slices of the neutral-pose mesh, scaled by
     true_height / predicted_height (the predicted height is the y-extent of
     the neutral mesh)."""
-    if true_height_m <= 0:
-        raise ValueError("height must be positive")
+    if not (np.isfinite(true_height_m) and true_height_m > 0):
+        raise ValueError(f"height must be finite and positive, got {true_height_m!r}")
     spec = model.meta.get("measurements")
     if not spec:
         raise ValueError("model defines no measurement planes")
@@ -359,9 +359,13 @@ def combine_shape(predictions: PredictionSet, combination: str) -> np.ndarray:
 def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
              combination: str, rng, uncertainty_samples: int = 0) -> MetricsReport:
     """Predict every sample, group per subject, combine shapes and report
-    pose/shape metrics. combination 'single' ignores grouping."""
+    pose/shape metrics. combination 'single' ignores grouping.
+    `uncertainty_samples` MC draws per sample give the mean per-vertex
+    uncertainty; 0 turns it off."""
     if combination not in ("pc", "mean", "single"):
         raise ValueError(f"unknown combination {combination!r}")
+    if not (isinstance(uncertainty_samples, (int, np.integer)) and uncertainty_samples >= 0):
+        raise ValueError(f"need a non-negative int number of draws, got {uncertainty_samples!r}")
     predictions = net_mod.predict_dataset(net, dataset)
     n = len(dataset)
     a = dataset.arrays

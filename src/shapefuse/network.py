@@ -407,6 +407,8 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
     gradient aborts with the failing batch index and current weight norm.
     """
     cfg.validate()
+    if not (isinstance(start_epoch, (int, np.integer)) and start_epoch >= 0):
+        raise ValueError(f"start_epoch must be an int >= 0, got {start_epoch!r}")
     n = len(dataset)
     if n == 0:
         raise ValueError("training dataset is empty")

@@ -1,12 +1,12 @@
 """Synthetic training/evaluation data generation.
 
 Bodies with randomly sampled shape are posed from a pose bank, rendered
-through a randomly sampled perspective camera into silhouette + joint
-heatmap proxy inputs, and optionally corrupted to mimic detector failure
-modes: occluded silhouettes, missing/swapped/noisy keypoints. Joint
-visibility is recomputed after the silhouette corruptions and the heatmaps
-of invisible joints are zeroed, so the network can learn to be uncertain
-about unobserved body parts.
+through a randomly sampled perspective camera into silhouette + keypoint
+proxy inputs, and optionally corrupted to mimic detector failure modes:
+occluded silhouettes, missing/swapped/noisy keypoints. Joint visibility is
+recomputed after the silhouette corruptions, and the heatmaps drawn from
+the keypoints are zero for invisible joints, so the network can learn to be
+uncertain about unobserved body parts.
 
 Generation is a pure function of (seed, configs, model): every sample draws
 from its own named rng substream, making parallel and serial generation
@@ -162,19 +162,6 @@ def sample_shape(rng, cfg: GenerationConfig = None) -> np.ndarray:
     return np.clip(beta, -cfg.shape_clip, cfg.shape_clip)
 
 
-def occlude_body_part(silhouette: np.ndarray, part_assignment: np.ndarray,
-                      part_id: int) -> np.ndarray:
-    """Clear the silhouette pixels assigned to one body part.
-
-    The per-pixel part assignment partitions the silhouette, so occluding
-    every part in turn empties it; occluding a part with no visible pixels
-    is a no-op.
-    """
-    out = silhouette.copy()
-    out[part_assignment == part_id] = 0
-    return out
-
-
 def swap_lr_joints(joints2d: np.ndarray, visibility: np.ndarray, rng,
                    swap_prob: float, pairs) -> tuple:
     """Exchange left/right coordinates and visibilities per pair with the
@@ -239,42 +226,32 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
 
     if corrupt:
         # fixed order after vertex noise: part occlusion, half-image
-        # occlusion, occlusion box, joint L/R swap, joint removal, joint noise
+        # occlusion, occlusion box, joint L/R swap, joint removal, joint noise;
+        # the three silhouette corruptions mark one mask, applied once
         erased = np.zeros_like(silhouette, dtype=bool)
 
         if rng.random() < aug_cfg.body_part_occlusion_prob:
             assignment = cr.rasterize_part_assignment(
                 rendered, model.part_labels, camera, silhouette
             )
-            part_id = int(rng.integers(len(model.part_names)))
-            cleared = assignment == part_id
-            silhouette = occlude_body_part(silhouette, assignment, part_id)
-            erased |= cleared
+            erased |= assignment == int(rng.integers(len(model.part_names)))
             events["part_occluded"] = True
 
         if rng.random() < aug_cfg.half_image_occlusion_prob:
-            side = int(rng.integers(4))
-            half = np.zeros_like(erased)
-            if side == 0:
-                half[:, : size // 2] = True
-            elif side == 1:
-                half[:, size // 2 :] = True
-            elif side == 2:
-                half[: size // 2, :] = True
-            else:
-                half[size // 2 :, :] = True
-            silhouette = silhouette * (~half)
-            erased |= half
+            # sides in draw order: left, right, top, bottom
+            mid = size // 2
+            halves = (np.s_[:, :mid], np.s_[:, mid:], np.s_[:mid], np.s_[mid:])
+            erased[halves[int(rng.integers(4))]] = True
             events["half_occluded"] = True
 
         if rng.random() < aug_cfg.occlusion_box_prob and aug_cfg.occlusion_box_size > 0:
             box = min(aug_cfg.occlusion_box_size, size)
             r0 = int(rng.integers(0, size - box + 1))
             c0 = int(rng.integers(0, size - box + 1))
-            silhouette = silhouette.copy()
-            silhouette[r0 : r0 + box, c0 : c0 + box] = 0
             erased[r0 : r0 + box, c0 : c0 + box] = True
             events["box_occluded"] = True
+
+        silhouette[erased] = 0
 
         # visibility: inside the frame and not erased at the joint's pixel
         cols = np.clip(np.rint(joints2d[:, 0]).astype(int), 0, size - 1)
@@ -297,16 +274,13 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
             )
             visibility = visibility * cr.in_frame_visibility(joints2d, size, size)
 
-    heatmaps = cr.joints_to_heatmaps(joints2d, visibility, size, size,
-                                     sigma=gen_cfg.heatmap_sigma)
-    proxy = cr.ProxyRepresentation(silhouette.astype(np.uint8), heatmaps)
     return SyntheticSample(
-        proxy=proxy,
+        proxy=cr.ProxyRepresentation(silhouette, joints2d, visibility, gen_cfg.heatmap_sigma),
         theta=np.asarray(theta, dtype=np.float64),
         beta=np.asarray(beta, dtype=np.float64),
         glob=np.asarray(glob, dtype=np.float64),
-        joints2d=np.asarray(joints2d, dtype=np.float64),
-        visibility=visibility.astype(np.int64),
+        joints2d=joints2d,
+        visibility=visibility,
         corrupted=bool(corrupt),
         subject_id=int(subject_id),
         cam_translation=camera.translation,

@@ -344,6 +344,16 @@ class TestGirths:
                 assert scaled.girths_cm[name] == pytest.approx(height * girth, rel=1e-12)
 
 
+    @pytest.mark.parametrize("height", [float("nan"), float("inf"), -float("inf"), 0.0, -1.7])
+    def test_height_must_be_finite_and_positive(self, height):
+        toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
+        beta = np.zeros(toy.shape_basis.shape[-1])
+        with pytest.raises(ValueError, match="finite and positive"):
+            metrics.measure_and_normalize(beta, toy, height)
+        with pytest.raises(ValueError, match="finite and positive"):
+            metrics.MeasurementSet({"waist": 80.0}, height)
+
+
 class TestSplitGroups:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -492,6 +502,15 @@ class TestEvaluate:
         uncertainty = self.evaluate(setup, "pc", draws=3).uncertainty_cm
         assert uncertainty.shape == (model.num_vertices,)
         assert np.all(uncertainty > 0)
+
+    @pytest.mark.parametrize("draws", ["3", -2, 1.5, None])
+    def test_bad_draw_count_rejected_before_predicting(self, setup, draws, monkeypatch):
+        def predict(*args):
+            raise AssertionError("predicted before checking the draw count")
+
+        monkeypatch.setattr(metrics.net_mod, "predict_dataset", predict)
+        with pytest.raises(ValueError, match="number of draws"):
+            self.evaluate(setup, "pc", draws=draws)
 
     def test_unknown_combination_rejected(self, setup):
         with pytest.raises(ValueError, match="unknown combination"):

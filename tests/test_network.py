@@ -406,6 +406,30 @@ class TestTraining:
         assert len(log) == 1
         assert np.isfinite(log[0]["total"])
 
+    def test_start_epoch_resumes_the_epoch_count(self, tiny_model, tiny_data):
+        gen_cfg, samples = tiny_data
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
+        )
+        cfg = net_mod.TrainConfig(epochs=3, batch_size=5, reproj_samples=2, seed=0)
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+                            cfg, tiny_model, start_epoch=2)
+        assert [row["epoch"] for row in log] == [2]
+
+    @pytest.mark.parametrize("start_epoch", [0.5, -1, "1", None])
+    def test_bad_start_epoch_rejected(self, tiny_model, tiny_data, start_epoch):
+        gen_cfg, samples = tiny_data
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
+        )
+        before = {k: v.copy() for k, v in net.params.items()}
+        cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
+        with pytest.raises(ValueError, match="start_epoch"):
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+                          cfg, tiny_model, start_epoch=start_epoch)
+        for k in before:
+            np.testing.assert_array_equal(net.params[k], before[k])
+
     @pytest.mark.slow
     def test_overfits_small_set(self, tiny_model, tiny_data):
         gen_cfg, samples = tiny_data

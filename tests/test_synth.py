@@ -26,9 +26,9 @@ def source(model):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts `PerspCamera` constructions and full rasterizations made
-    through the `camera` module while the test runs."""
-    counts = {"cameras": 0, "rasterized": 0}
+    """Counts `PerspCamera` constructions, full rasterizations and heatmap
+    stacks made through the `camera` module while the test runs."""
+    counts = {"cameras": 0, "rasterized": 0, "heatmaps": 0}
 
     class CountedCamera(cr.PerspCamera):
         def __post_init__(self):
@@ -41,8 +41,15 @@ def calls(monkeypatch):
         counts["rasterized"] += 1
         return rasterize(*args)
 
+    heatmaps = cr.joints_to_heatmaps
+
+    def counted_heatmaps(*args, **kwargs):
+        counts["heatmaps"] += 1
+        return heatmaps(*args, **kwargs)
+
     monkeypatch.setattr(cr, "PerspCamera", CountedCamera)
     monkeypatch.setattr(cr, "rasterize_silhouette", counted_rasterize)
+    monkeypatch.setattr(cr, "joints_to_heatmaps", counted_heatmaps)
     return counts
 
 
@@ -149,6 +156,19 @@ class TestCameraAndRenders:
         assert calls["cameras"] == len(samples)
         assert calls["rasterized"] == len(samples)
 
+    def test_generation_draws_no_heatmaps(self, model, small_cfg, calls):
+        samples = synth.generate_dataset(model, small_cfg, synth.AugmentationConfig(),
+                                         num_subjects=2, poses_per_subject=3, seed=3,
+                                         corrupt=True)
+        assert calls["heatmaps"] == 0
+        s = samples[-1]
+        assert s.proxy.joints2d is s.joints2d and s.proxy.visibility is s.visibility
+        size = small_cfg.image_size
+        want = cr.joints_to_heatmaps(s.joints2d, s.visibility, size, size,
+                                     small_cfg.heatmap_sigma)
+        np.testing.assert_array_equal(s.proxy.heatmaps, want)
+        assert calls["heatmaps"] == 2  # drawn on each access, not cached
+
     def test_no_camera_sees_subject_raises_value_error(self, model, small_cfg, calls):
         gen_cfg = synth.GenerationConfig(image_size=small_cfg.image_size,
                                          focal_length=small_cfg.focal_length,
@@ -168,8 +188,9 @@ class TestVisibilityInvariants:
             model, source, small_cfg, synth.AugmentationConfig(),
             named_rng(trial, "viz"), corrupt=True,
         )
+        heatmaps = s.proxy.heatmaps
         for l in range(len(s.visibility)):
-            channel_zero = not s.proxy.heatmaps[:, :, l].any()
+            channel_zero = not heatmaps[:, :, l].any()
             assert channel_zero == (s.visibility[l] == 0)
 
     @pytest.mark.parametrize("trial", range(6))
@@ -199,28 +220,59 @@ class TestPartOcclusion:
                                                   s.proxy.silhouette)
         return s.proxy.silhouette, assignment
 
-    def test_never_adds_pixels(self, model, small_cfg, source):
+    def test_assignment_partitions_silhouette(self, model, small_cfg, source):
+        # the per-part masks tile the silhouette: occluding every part in turn
+        # empties it, and occluding a part with no pixels changes nothing
         sil, assignment = self._assignment(model, small_cfg, source)
-        for part_id in range(len(model.part_names)):
-            out = synth.occlude_body_part(sil, assignment, part_id)
-            assert not np.any(out > sil)
+        np.testing.assert_array_equal(assignment >= 0, sil.astype(bool))
+        assert assignment.max() < len(model.part_names)
 
-    def test_invisible_part_is_noop(self, model, small_cfg, source):
+    def test_part_occlusion_erases_one_part(self, model, small_cfg, source):
         sil, assignment = self._assignment(model, small_cfg, source)
-        covered = set(np.unique(assignment[assignment >= 0]).tolist())
-        hidden = [p for p in range(len(model.part_names)) if p not in covered]
-        if not hidden:
-            pytest.skip("every part visible in this view")
-        out = synth.occlude_body_part(sil, assignment, hidden[0])
-        np.testing.assert_array_equal(out, sil)
+        aug = no_aug()
+        aug.body_part_occlusion_prob = 1.0
+        s = sample_and_render(model, source, small_cfg, aug, named_rng(5, "occ"), corrupt=True)
+        out = s.proxy.silhouette
+        assert s.events["part_occluded"]
+        assert not np.any(out > sil)
+        cleared = np.unique(assignment[(sil == 1) & (out == 0)])
+        assert len(cleared) <= 1
+        np.testing.assert_array_equal(out, sil * ~np.isin(assignment, cleared))
 
-    def test_union_of_all_part_occlusions_empties_silhouette(self, model, small_cfg, source):
-        # set-cover oracle: the part assignment partitions the silhouette
-        sil, assignment = self._assignment(model, small_cfg, source)
-        out = sil
-        for part_id in range(len(model.part_names)):
-            out = synth.occlude_body_part(out, assignment, part_id)
-        assert not out.any()
+
+class TestHalfImageOcclusion:
+    class ForcedSide:
+        """An rng whose `integers` draws return `side`; with only half-image
+        occlusion on, the side is the render's one `integers` draw."""
+
+        def __init__(self, rng, side):
+            self.rng, self.side = rng, side
+
+        def integers(self, *args, **kwargs):
+            return self.side
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    @pytest.mark.parametrize("side, half", [  # halves of the 64 px small_cfg frame
+        (0, np.s_[:, :32]), (1, np.s_[:, 32:]), (2, np.s_[:32]), (3, np.s_[32:]),
+    ], ids=["left", "right", "top", "bottom"])
+    def test_zeroes_the_named_half(self, model, small_cfg, source, side, half):
+        aug = no_aug()
+        aug.half_image_occlusion_prob = 1.0
+        theta, gamma = source.sample(named_rng(6, "pose"))
+        beta = synth.sample_shape(named_rng(6, "shape"), small_cfg)
+
+        def render(rng, corrupt):
+            return synth.render_sample(model, theta, beta, gamma, small_cfg, aug, rng, corrupt)
+
+        clean = render(named_rng(6, "half"), corrupt=False).proxy.silhouette
+        s = render(self.ForcedSide(named_rng(6, "half"), side), corrupt=True)
+        want = clean.copy()
+        want[half] = 0
+        assert s.events["half_occluded"]
+        assert clean[half].any() and want.any()
+        np.testing.assert_array_equal(s.proxy.silhouette, want)
 
 
 class TestLRSwap:

@@ -207,6 +207,21 @@ class TestVisibilityInvariants:
         assert np.all((cols >= 0) & (cols < size) & (rows >= 0) & (rows < size))
 
 
+class ForcedIntegers:
+    """An rng whose `integers` draws return `value`; with only one of the
+    part or half-image occlusions on, the part or side is the render's one
+    `integers` draw."""
+
+    def __init__(self, rng, value):
+        self.rng, self.value = rng, value
+
+    def integers(self, *args, **kwargs):
+        return self.value
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 class TestPartOcclusion:
     def _assignment(self, model, small_cfg, source):
         rng = named_rng(5, "occ")
@@ -227,6 +242,35 @@ class TestPartOcclusion:
         np.testing.assert_array_equal(assignment >= 0, sil.astype(bool))
         assert assignment.max() < len(model.part_names)
 
+    def _occlude(self, model, small_cfg, source, part_id):
+        # the view of `_assignment` with part `part_id` occluded
+        rng = named_rng(5, "occ")
+        theta, gamma = source.sample(rng)
+        beta = synth.sample_shape(rng, small_cfg)
+        aug = no_aug()
+        aug.body_part_occlusion_prob = 1.0
+        s = synth.render_sample(model, theta, beta, gamma, small_cfg, aug,
+                                ForcedIntegers(rng, part_id), corrupt=True)
+        assert s.events["part_occluded"]
+        return s.proxy.silhouette
+
+    def test_invisible_part_is_noop(self, model, small_cfg, source):
+        sil, assignment = self._assignment(model, small_cfg, source)
+        covered = set(np.unique(assignment[assignment >= 0]).tolist())
+        hidden = [p for p in range(len(model.part_names)) if p not in covered]
+        if not hidden:
+            pytest.skip("every part visible in this view")
+        out = self._occlude(model, small_cfg, source, hidden[0])
+        np.testing.assert_array_equal(out, sil)
+
+    def test_union_of_all_part_occlusions_empties_silhouette(self, model, small_cfg, source):
+        # set-cover oracle: the part assignment partitions the silhouette
+        sil, _ = self._assignment(model, small_cfg, source)
+        out = sil.copy()
+        for part_id in range(len(model.part_names)):
+            out &= self._occlude(model, small_cfg, source, part_id)
+        assert sil.any() and not out.any()
+
     def test_part_occlusion_erases_one_part(self, model, small_cfg, source):
         sil, assignment = self._assignment(model, small_cfg, source)
         aug = no_aug()
@@ -241,19 +285,6 @@ class TestPartOcclusion:
 
 
 class TestHalfImageOcclusion:
-    class ForcedSide:
-        """An rng whose `integers` draws return `side`; with only half-image
-        occlusion on, the side is the render's one `integers` draw."""
-
-        def __init__(self, rng, side):
-            self.rng, self.side = rng, side
-
-        def integers(self, *args, **kwargs):
-            return self.side
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
     @pytest.mark.parametrize("side, half", [  # halves of the 64 px small_cfg frame
         (0, np.s_[:, :32]), (1, np.s_[:, 32:]), (2, np.s_[:32]), (3, np.s_[32:]),
     ], ids=["left", "right", "top", "bottom"])
@@ -267,7 +298,7 @@ class TestHalfImageOcclusion:
             return synth.render_sample(model, theta, beta, gamma, small_cfg, aug, rng, corrupt)
 
         clean = render(named_rng(6, "half"), corrupt=False).proxy.silhouette
-        s = render(self.ForcedSide(named_rng(6, "half"), side), corrupt=True)
+        s = render(ForcedIntegers(named_rng(6, "half"), side), corrupt=True)
         want = clean.copy()
         want[half] = 0
         assert s.events["half_occluded"]

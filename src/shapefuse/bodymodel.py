@@ -109,6 +109,8 @@ class BodyModel:
             raise ValueError("faces must be (F, 3)")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= V):
             raise ValueError("face indices out of range")
+        if not _is_closed_oriented(self.faces, V):
+            raise ValueError("faces must form a closed, consistently oriented surface")
         if self.joint_regressor.shape != (L, V):
             raise ValueError("joint regressor shape mismatch")
         if np.any(self.joint_regressor < 0):
@@ -142,6 +144,17 @@ class BodyModel:
             self.keypoint_attach >= J
         ):
             raise ValueError("keypoint attachment joints out of range")
+
+
+def _is_closed_oriented(faces: np.ndarray, num_vertices: int) -> bool:
+    """Whether each directed edge of the faces occurs once and its reverse
+    occurs once; true for no faces. The rasterizer relies on this (see
+    `camera._projected_triangles`)."""
+    faces = faces.astype(np.int64)
+    tails, heads = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    edges = np.sort(tails * num_vertices + heads)
+    reverse = np.sort(heads * num_vertices + tails)
+    return not np.any(edges[1:] == edges[:-1]) and np.array_equal(edges, reverse)
 
 
 # ---------------------------------------------------------------------------

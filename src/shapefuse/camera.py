@@ -9,14 +9,18 @@ profiles, and both the full-resolution maps and the network's pooled
 input are built from those profiles. A rendered sample keeps only its
 keypoints; its full-resolution heatmaps are drawn on demand. The
 rasterizer is plain coverage (a pixel is set when its center lies inside
-any projected triangle, front- or back-facing), which is all a binary
-silhouette channel needs — no z-buffer, no anti-aliasing. It has one
-path: triangles sorted by bounding-box area are tested in batches of at
-most `COVERAGE_CELLS` edge tests (or one triangle whose box alone is
-larger), so its working memory does not grow with the number of
-triangles. `covers_any_pixel` runs the same batches but stops at the
-first one that covers a pixel, so a visibility test costs a fraction of a
-full render and always agrees with `rasterize_silhouette(...).any()`.
+a projected triangle), which is all a binary silhouette channel needs —
+no z-buffer, no anti-aliasing. A mesh must be a closed, consistently
+oriented surface in front of the camera, as `BodyModel.validate` requires
+of a body's faces; the rasterizer then tests only the triangles of one
+facing, those with positive signed pixel area, which cover exactly the
+pixels the whole mesh covers. It has one path: triangles sorted by
+bounding-box area are tested in batches of at most `COVERAGE_CELLS` edge
+tests (or one triangle whose box alone is larger), so its working memory
+does not grow with the number of triangles. `covers_any_pixel` runs the
+same batches but stops at the first one that covers a pixel, so a
+visibility test costs a fraction of a full render and always agrees with
+`rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, cam)`, and part assignment labels a silhouette the caller
 already rasterized by nearest projected vertex, so it takes no faces.
@@ -192,16 +196,41 @@ def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
-    """The faces in pixel coordinates, (F, 3, 2); (0, 3, 2) when there are
-    no vertices or no faces."""
+    """The faces with positive signed pixel area, in pixel coordinates,
+    (n, 3, 2); (0, 3, 2) when there are no vertices or no faces.
+
+    These triangles cover the same pixel centers as all the faces when the
+    faces form a closed, consistently oriented surface (each directed edge
+    occurs once and its reverse once) whose vertices all lie in front of
+    the camera. Count each triangle that covers a point +1 when its pixel
+    area is positive and -1 when negative. Crossing a projected edge
+    changes the terms of the two triangles sharing it by opposite
+    amounts, since they run along it in opposite directions; so the count
+    is constant between edges, and it is 0 far outside the image of the
+    surface. A covered point off the projected edges is therefore covered
+    by as many positive triangles as negative ones, hence by at least one
+    positive triangle. Under the toy model's outward winding,
+    positive pixel area marks the faces turned away from the camera,
+    because image v grows with y. They are already counter-clockwise, so
+    `_covered_cells` does not reorder them.
+    """
     vertices = ad.value_of(vertices)
     if vertices.size == 0 or faces.size == 0:
         return np.zeros((0, 3, 2))
-    return project_persp(vertices, cam)[faces]
+    tri = project_persp(vertices, cam)[faces]
+    area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
+        tri[:, 1, 1] - tri[:, 0, 1]
+    ) * (tri[:, 2, 0] - tri[:, 0, 0])
+    return tri[area2 > 0.0]
 
 
 def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
-    """Binary coverage mask (H, W) uint8 of the projected mesh."""
+    """Binary coverage mask (H, W) uint8 of the projected mesh.
+
+    The faces must form a closed, consistently oriented surface in front
+    of the camera; only the triangles of one facing are tested, which
+    cover the same pixels (see `_projected_triangles`).
+    """
     tri_px = _projected_triangles(vertices, faces, cam)
     return _coverage_mask(tri_px, cam.image_h, cam.image_w).astype(np.uint8)
 
@@ -209,7 +238,9 @@ def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.nd
 def covers_any_pixel(vertices, faces: np.ndarray, cam: PerspCamera) -> bool:
     """Whether the projected mesh covers any pixel center, i.e. exactly
     `rasterize_silhouette(vertices, faces, cam).any()`, stopping at the
-    first batch of triangles that covers one."""
+    first batch of triangles that covers one. Like `rasterize_silhouette`,
+    it requires a closed, consistently oriented surface and tests only the
+    triangles of one facing."""
     tri_px = _projected_triangles(vertices, faces, cam)
     return any(cells.size for cells in _covered_cells(tri_px, cam.image_h, cam.image_w))
 

@@ -188,8 +188,8 @@ class MeasurementSet:
         if not (np.isfinite(self.height_m) and self.height_m > 0):
             raise ValueError(f"height must be finite and positive, got {self.height_m!r}")
         for name, v in self.girths_cm.items():
-            if v <= 0:
-                raise ValueError(f"measurement {name} must be positive")
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"measurement {name} must be finite and positive, got {v!r}")
 
 
 def convex_hull_perimeter(points: np.ndarray) -> float:
@@ -252,10 +252,12 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
     spec = model.meta.get("measurements")
     if not spec:
         raise ValueError("model defines no measurement planes")
+    if not np.all(np.isfinite(pred_beta)):
+        raise ValueError("predicted shape coefficients must be finite")
     verts = bm.shaped_template(model, pred_beta)
     predicted_height = float(verts[:, 1].max() - verts[:, 1].min())
-    if predicted_height <= 0:
-        raise ValueError("non-positive predicted height")
+    if not (np.isfinite(predicted_height) and predicted_height > 0):
+        raise ValueError(f"predicted height must be finite and positive, got {predicted_height!r}")
     scale = true_height_m / predicted_height
 
     pivots = model.skeleton_regressor @ verts

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.spatial.transform import Rotation
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
 from shapefuse.containerio import ContainerError, read_container, write_container
+
+from gradcheck import grad_check
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +76,8 @@ class TestRodrigues:
             R = bm.rodrigues(ad.stack(xs, axis=-1))
             return ad.sum_(R * np.arange(9.0).reshape(3, 3))
 
-        assert ad.grad_check(f, [0.3, -0.2, 0.9]) < 1e-6
-        assert ad.grad_check(f, [0.0, 0.0, 0.0]) < 1e-6
+        assert grad_check(f, [0.3, -0.2, 0.9]) < 1e-6
+        assert grad_check(f, [0.0, 0.0, 0.0]) < 1e-6
 
     def test_batched_shape(self):
         aa = np.zeros((4, 5, 3))
@@ -155,7 +158,7 @@ class TestForward:
                 return ad.sum_(verts * probe)
 
             x0 = np.concatenate([pose, betas, gamma])
-            worst = max(worst, ad.grad_check(f, x0, step=1e-5))
+            worst = max(worst, grad_check(f, x0, step=1e-5))
         assert worst < 1e-4
 
 
@@ -300,6 +303,35 @@ class TestToyGenerator:
             bm.generate_toy_model(seed=0, num_vertices=10)
         with pytest.raises(ValueError):
             bm.generate_toy_model(seed=0, num_vertices=100, num_joints=4)
+
+
+def mis_wound_faces(faces):
+    faces = faces.copy()
+    faces[0] = faces[0, ::-1]
+    return faces
+
+
+class TestClosedSurface:
+    def test_reoriented_surface_validates(self, toy):
+        dataclasses.replace(toy, faces=toy.faces[:, [1, 2, 0]]).validate()
+        dataclasses.replace(toy, faces=toy.faces[:, ::-1]).validate()
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda faces: faces[1:], id="open"),
+        pytest.param(mis_wound_faces, id="mis-wound"),
+        pytest.param(lambda faces: np.concatenate([faces, faces[:1]]), id="duplicated-face"),
+    ])
+    def test_rejected_by_validate_and_load(self, toy, tmp_path, damage):
+        damaged = dataclasses.replace(toy, faces=damage(toy.faces))
+        with pytest.raises(ValueError, match="closed, consistently oriented"):
+            damaged.validate()
+        path = tmp_path / "model.sfc"
+        bm.save_model(path, damaged)
+        with pytest.raises(ContainerError, match="closed, consistently oriented"):
+            bm.load_model(path)
+
+    def test_empty_face_set_validates(self, toy):
+        dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64)).validate()
 
 
 class TestModelIO:

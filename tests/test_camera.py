@@ -4,6 +4,9 @@ import pytest
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
 from shapefuse import camera as cam
+from shapefuse import synth
+
+from gradcheck import grad_check
 
 
 def brute_force_coverage(tri_px, h, w):
@@ -46,7 +49,7 @@ class TestWeakPerspective:
             proj = cam.project_weak(pts, c)
             return ad.sum_(proj * np.array([[1.0, 2.0], [3.0, -1.0]]))
 
-        assert ad.grad_check(f, [1.3, 0.2, -0.4], step=1e-6) < 1e-6
+        assert grad_check(f, [1.3, 0.2, -0.4], step=1e-6) < 1e-6
 
     def test_commutes_with_in_plane_translation(self):
         rng = np.random.default_rng(0)
@@ -104,10 +107,14 @@ class TestPerspective:
             cam.project_persp(np.array([[0.0, 0.0, -1.0]]), c)
 
 
+# one triangle and its reverse: the smallest closed, consistently oriented surface
+TWO_SIDED = np.array([[0, 1, 2], [0, 2, 1]])
+
+
 class TestRasterizer:
     def test_covering_triangle_fills_frame(self):
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [0.0, 80.0, 0.0]])
-        faces = np.array([[0, 1, 2]])
+        faces = TWO_SIDED
         c = cam.PerspCamera(10.0, 32, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(verts, faces, c)
         assert mask.all()
@@ -126,7 +133,7 @@ class TestRasterizer:
 
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
-        faces = np.array([[0, 1, 2]])
+        faces = TWO_SIDED
         c = cam.PerspCamera(50.0, 32, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(verts, faces, c)
         assert not mask.any()
@@ -141,29 +148,30 @@ class TestRasterizer:
         *(pytest.param(100 + t, 64, 0.8, 64, id=f"64cells-{t}") for t in range(3)),
     ])
     def test_matches_brute_force_oracle(self, seed, size, spread, cells, monkeypatch):
+        # a triangle soup, so it goes to the any-orientation coverage directly
         if cells is not None:
             monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
         rng = np.random.default_rng(seed)
         verts = rng.uniform(-0.8, 0.8, size=(12, 3)) * [spread / 0.8, spread / 0.8, 1.0]
         faces = rng.integers(0, 12, size=(20, 3))
         c = cam.PerspCamera(40.0, size, size, np.array([0.0, 0.0, 2.0]))
-        got = cam.rasterize_silhouette(verts, faces, c)
         tri_px = cam.project_persp(verts, c)[faces]
+        got = cam._coverage_mask(tri_px, size, size)
         if size == 96:
             lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
             assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
-        want = brute_force_coverage(tri_px, size, size)
-        np.testing.assert_array_equal(got.astype(bool), want)
-        assert cam.covers_any_pixel(verts, faces, c) == want.any()
+        want = brute_force_coverage(tri_px.tolist(), size, size)
+        np.testing.assert_array_equal(got, want)
+        assert any(cells.size for cells in cam._covered_cells(tri_px, size, size)) == want.any()
 
     def test_winding_invariance(self):
         rng = np.random.default_rng(5)
         verts = rng.uniform(-0.5, 0.5, size=(9, 3))
         faces = rng.integers(0, 9, size=(6, 3))
         c = cam.PerspCamera(40.0, 48, 48, np.array([0.0, 0.0, 2.0]))
-        m1 = cam.rasterize_silhouette(verts, faces, c)
-        m2 = cam.rasterize_silhouette(verts, faces[:, ::-1], c)
+        m1 = cam._coverage_mask(cam.project_persp(verts, c)[faces], 48, 48)
+        m2 = cam._coverage_mask(cam.project_persp(verts, c)[faces[:, ::-1]], 48, 48)
         np.testing.assert_array_equal(m1, m2)
 
     def test_part_assignment_partitions_silhouette(self):
@@ -173,6 +181,51 @@ class TestRasterizer:
         sil = cam.rasterize_silhouette(verts, model.faces, c)
         assign = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
+
+
+def posed_noisy_bodies(model, seed, facings):
+    """Posed, shaped bodies (n, V, 3), one per index into the canonical
+    facings, jittered, under the generator's default uniform vertex noise."""
+    rng = np.random.default_rng(seed)
+    n = len(facings)
+    glob = synth.CANONICAL_FACINGS[facings] + rng.normal(scale=0.15, size=(n, 3))
+    verts = bm.lbs_vertices(model, rng.normal(scale=0.3, size=(n, model.pose_dim)),
+                            rng.normal(size=(n, model.shape_dim)), glob)
+    noise = synth.AugmentationConfig().vertex_noise_range
+    return verts + rng.uniform(-noise, noise, verts.shape)
+
+
+class TestClosedMeshRasterizer:
+    """On a closed body mesh, the rasterizers test one facing of the faces;
+    these oracles test all of them."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_brute_force_on_posed_bodies(self, seed):
+        model = bm.generate_toy_model(seed=seed, num_vertices=150, num_joints=16)
+        c = cam.PerspCamera(75.0, 48, 48, np.array([0.0, -0.2, 2.5]))
+        for verts in posed_noisy_bodies(model, seed, [2 * seed, 2 * seed + 1]):
+            # Python floats: the same arithmetic as numpy scalars, several times faster
+            want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 48, 48)
+            assert want.any() and not want.all()
+            np.testing.assert_array_equal(cam.rasterize_silhouette(verts, model.faces, c), want)
+            np.testing.assert_array_equal(
+                cam.rasterize_silhouette(verts, model.faces[:, ::-1], c), want)
+            assert cam.covers_any_pixel(verts, model.faces, c) is True
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0, 3.0], ids=["centred", "past-edge", "off-frame"])
+    def test_matches_all_faces_at_benchmark_size(self, shift):
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        c = cam.PerspCamera(300.0, 256, 256, np.array([shift, -0.2, 2.5]))
+        for verts in posed_noisy_bodies(model, 7, [0, 1, 2, 3]):
+            want = cam._coverage_mask(cam.project_persp(verts, c)[model.faces], 256, 256)
+            assert want.any() == (shift < 3.0) and not want.all()
+            for faces in (model.faces, model.faces[:, ::-1]):
+                kept = len(cam._projected_triangles(verts, faces, c))
+                assert 0 < kept < len(faces)
+                np.testing.assert_array_equal(cam.rasterize_silhouette(verts, faces, c), want)
+                assert cam.covers_any_pixel(verts, faces, c) == want.any()
+            if shift == 1.0:
+                assert want[:, -1].any()
 
 
 class TestHeatmaps:

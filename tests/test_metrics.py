@@ -353,6 +353,21 @@ class TestGirths:
         with pytest.raises(ValueError, match="finite and positive"):
             metrics.MeasurementSet({"waist": 80.0}, height)
 
+    @pytest.mark.parametrize("bad, where", [
+        (float("nan"), 0), (float("nan"), slice(None)), (float("inf"), 3), (-float("inf"), 9),
+    ], ids=["one-nan", "all-nan", "inf", "minus-inf"])
+    def test_non_finite_shape_rejected(self, bad, where):
+        toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
+        beta = np.zeros(toy.shape_basis.shape[-1])
+        beta[where] = bad
+        with pytest.raises(ValueError, match="shape coefficients must be finite"):
+            metrics.measure_and_normalize(beta, toy, 1.7)
+
+    @pytest.mark.parametrize("girth", [float("nan"), float("inf"), -float("inf"), 0.0, -80.0])
+    def test_girths_must_be_finite_and_positive(self, girth):
+        with pytest.raises(ValueError, match="measurement waist must be finite and positive"):
+            metrics.MeasurementSet({"hip": 90.0, "waist": girth}, 1.7)
+
 
 class TestSplitGroups:
     @settings(max_examples=100, deadline=None)

@@ -12,6 +12,9 @@ from shapefuse.containerio import ContainerError, read_container, write_containe
 from shapefuse.gaussians import GaussianDiag, PredictionSet
 from shapefuse.rng import named_rng
 
+from gradcheck import grad_check
+
+
 TINY_ENCODER = dict(pool_to=16, channels=(2, 4, 8))
 
 
@@ -240,7 +243,7 @@ class TestGlobalRotationLoss:
 
         rng = np.random.default_rng(2)
         for _ in range(5):
-            assert ad.grad_check(f, rng.normal(scale=0.6, size=3)) < 1e-4
+            assert grad_check(f, rng.normal(scale=0.6, size=3)) < 1e-4
 
 
 class TestReprojectionLoss:
@@ -309,7 +312,7 @@ class TestReprojectionLoss:
             return net_mod.loss_reproj_batch(heads, reduced, joints_norm, vis,
                                              noise_pose, noise_shape)
 
-        assert ad.grad_check(f, x0, step=1e-5) < 1e-4
+        assert grad_check(f, x0, step=1e-5) < 1e-4
 
     def test_estimator_mean_independent_of_draw_count(self, tiny_model):
         # per-draw average has the same expectation for any B (3 SE check)

@@ -1,10 +1,11 @@
 """Tape-based reverse-mode automatic differentiation over numpy arrays.
 
 A `Tape` records every operation applied to `Node` values during a forward
-pass; `backward` replays the tape in reverse creation order (which is a
-topological order by construction) and accumulates adjoints. Losses here
-are always scalar while parameter counts are large, so reverse mode gives
-the whole gradient in one backward sweep.
+pass; `gradient`, the one reverse-mode entry point, replays the tape in
+reverse creation order (which is a topological order by construction),
+accumulates adjoints and frees each interior adjoint as soon as its VJPs
+have run. Losses here are always scalar while parameter counts are large,
+so reverse mode gives the whole gradient in one backward sweep.
 
 All module-level math functions (`exp`, `matmul`, `where`, ...) dispatch on
 their argument type: `Node` inputs are recorded on the tape, plain arrays
@@ -47,14 +48,14 @@ class Tape:
 
 
 class Node:
-    """One recorded value: result, links to parents and a gradient slot.
+    """One recorded value: result and links to parents.
 
     `parents` holds (parent node, vjp) pairs where vjp maps this node's
     adjoint to the parent's adjoint contribution — the local partial
     derivative in operator form.
     """
 
-    __slots__ = ("tape", "index", "value", "parents", "adjoint")
+    __slots__ = ("tape", "index", "value", "parents")
     __array_ufunc__ = None  # keep numpy from absorbing Node operands
 
     def __init__(self, tape, index, value, parents):
@@ -62,7 +63,6 @@ class Node:
         self.index = index
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
-        self.adjoint = None
 
     @property
     def shape(self):
@@ -396,45 +396,38 @@ def concat(items, axis=0):
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# reverse sweep
 # ---------------------------------------------------------------------------
 
-def backward(root: Node) -> None:
-    """Accumulate adjoints of every node reachable from the scalar `root`.
+def gradient(root: Node, inputs) -> list[np.ndarray]:
+    """d(root)/d(input) for each of `inputs`, from one reverse sweep of the
+    scalar `root`'s tape; an input the root does not reach gets zeros.
 
-    The tape's creation order is a topological order, so one reverse sweep
-    visits each node exactly once. Unreachable nodes keep adjoint None
-    (semantically zero).
+    The tape's creation order is a topological order, so the sweep visits
+    each node once, after every node that uses it. A node's adjoint is
+    dropped once its VJPs have run, unless the node is one of `inputs`, so
+    the sweep holds only the adjoints still waiting for their VJPs.
+    Accumulation is out of place, so VJP results are never written into;
+    each returned array is a copy the caller owns.
     """
     if not isinstance(root, Node):
-        raise TypeError("backward root must be a Node")
+        raise TypeError("gradient root must be a Node")
     if root.value.size != 1:
-        raise ValueError("backward root must be scalar")
-
-    tape = root.tape
-    for node in tape.nodes:
-        node.adjoint = None
-    root.adjoint = np.ones_like(root.value)
-
-    for node in reversed(tape.nodes[: root.index + 1]):
-        if node.adjoint is None:
+        raise ValueError("gradient root must be scalar")
+    inputs = list(inputs)
+    _tape_of(root, *inputs)  # an input from another tape would alias an index
+    keep = {node.index for node in inputs}
+    adjoints = [None] * (root.index + 1)
+    adjoints[root.index] = np.ones_like(root.value)
+    for node in reversed(root.tape.nodes[: root.index + 1]):
+        adjoint = adjoints[node.index]
+        if adjoint is None:
             continue
+        if node.index not in keep:
+            adjoints[node.index] = None
         for parent, vjp in node.parents:
-            contribution = vjp(node.adjoint)
-            if parent.adjoint is None:
-                parent.adjoint = np.array(contribution, dtype=np.float64, copy=True)
-            else:
-                parent.adjoint = parent.adjoint + contribution
-
-
-def gradient(root: Node, inputs) -> list[np.ndarray]:
-    """Backward pass returning d(root)/d(input) for each declared input."""
-    backward(root)
-    grads = []
-    for node in inputs:
-        if node.adjoint is None:
-            grads.append(np.zeros_like(node.value))
-        else:
-            grads.append(np.asarray(node.adjoint, dtype=np.float64).reshape(node.value.shape))
-    return grads
-
+            i = parent.index  # no local keeps a replaced adjoint alive
+            adjoints[i] = vjp(adjoint) if adjoints[i] is None else adjoints[i] + vjp(adjoint)
+    return [np.zeros_like(node.value) if adjoints[node.index] is None
+            else np.array(adjoints[node.index], dtype=np.float64).reshape(node.value.shape)
+            for node in inputs]

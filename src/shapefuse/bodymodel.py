@@ -101,6 +101,9 @@ class BodyModel:
 
     def validate(self) -> None:
         V, J, L = self.num_vertices, self.num_joints, self.num_keypoints
+        for name in ("faces", "parents", "part_labels", "keypoint_attach"):
+            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name).dtype}")
         if self.template_vertices.shape != (V, 3) or not np.all(np.isfinite(self.template_vertices)):
             raise ValueError("template vertices malformed")
         if self.shape_basis.ndim != 3 or self.shape_basis.shape[:2] != (V, 3):

@@ -245,10 +245,11 @@ def pooled_from_dataset(dataset, indices, pool_to: int) -> np.ndarray:
     sil = dataset.silhouette(indices).reshape(lead + (pool_to, f, size))
     row_sums = sil.sum(axis=-2, dtype=np.int64).reshape(lead + (pool_to, pool_to, f))
     out[..., 0] = row_sums.sum(axis=-1) / (f * f)
-    out[..., 1:] = np.einsum(
-        "...lh,...lw->...hwl",
-        rows.reshape(lead + (L, pool_to, f)).mean(axis=-1),
-        cols.reshape(lead + (L, pool_to, f)).mean(axis=-1),
+    # out[..., h, w, l] = rows[..., l, h] * cols[..., l, w], written in place
+    np.multiply(
+        np.swapaxes(rows.reshape(lead + (L, pool_to, f)).mean(axis=-1), -1, -2)[..., :, None, :],
+        np.swapaxes(cols.reshape(lead + (L, pool_to, f)).mean(axis=-1), -1, -2)[..., None, :, :],
+        out=out[..., 1:],
     )
     return out
 
@@ -386,11 +387,25 @@ class AdamState:
         correction1 = 1.0 - ADAM_BETA1**self.t
         correction2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[k] / correction1
-            v_hat = self.v[k] / correction2
-            params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # p - lr (m / c1) / (sqrt(v / c2) + eps), operation for operation,
+            # so the bits match the out-of-place formula; the moments change
+            # in place, the gradient is only read, the parameter is a new array
+            m, v = self.m[k], self.v[k]
+            scratch = np.multiply(1 - ADAM_BETA1, g)
+            m *= ADAM_BETA1
+            m += scratch
+            np.multiply(1 - ADAM_BETA2, g, out=scratch)
+            scratch *= g
+            v *= ADAM_BETA2
+            v += scratch
+            denominator = np.divide(v, correction2, out=scratch)
+            np.sqrt(denominator, out=denominator)
+            denominator += ADAM_EPS
+            step = np.divide(m, correction1)
+            step *= lr
+            step /= denominator
+            params[k] = np.subtract(params[k], step, out=step)
 
 
 def _param_norm(params: dict) -> float:

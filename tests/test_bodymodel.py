@@ -334,6 +334,21 @@ class TestClosedSurface:
         dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64)).validate()
 
 
+class TestIndexDtypes:
+    @pytest.mark.parametrize("name", ["faces", "parents", "part_labels", "keypoint_attach"])
+    def test_float_indices_rejected_by_validate_and_load(self, tmp_path, name):
+        # these arrays index others; float64 faces would load and then make
+        # the rasterizer raise IndexError
+        model = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=16)
+        damaged = dataclasses.replace(model, **{name: getattr(model, name).astype(np.float64)})
+        with pytest.raises(ValueError, match=f"{name} must hold integers"):
+            damaged.validate()
+        path = tmp_path / "model.sfc"
+        bm.save_model(path, damaged)
+        with pytest.raises(ContainerError, match=f"{name} must hold integers"):
+            bm.load_model(path)
+
+
 class TestModelIO:
     def test_round_trip_bit_exact(self, toy, tmp_path):
         path = tmp_path / "model.sfc"

@@ -495,6 +495,64 @@ class TestTraining:
             np.testing.assert_array_equal(net.params[k], before[k])
 
 
+class TestAdam:
+    def test_matches_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+        expected = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v2 = {k: np.zeros_like(v) for k, v in params.items()}
+        opt = net_mod.AdamState(params)
+        lr = 3e-3
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=v.shape) * 10.0**-t for k, v in params.items()}
+            unchanged = {k: g.copy() for k, g in grads.items()}
+            opt.step(params, grads, lr)
+            b1, b2, eps = net_mod.ADAM_BETA1, net_mod.ADAM_BETA2, net_mod.ADAM_EPS
+            for k, g in unchanged.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v2[k] = b2 * v2[k] + (1 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v2[k] / (1.0 - b2**t)
+                expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(grads[k], g)
+                np.testing.assert_array_equal(opt.m[k], m[k])
+                np.testing.assert_array_equal(opt.v[k], v2[k])
+                np.testing.assert_array_equal(params[k], expected[k])
+        assert opt.t == 3
+
+    def test_resume_from_saved_weights_is_bit_identical(self, tiny_model, tiny_data, tmp_path):
+        gen_cfg, samples = tiny_data
+        dataset = synth.SynthDataset.from_samples(samples[:10], gen_cfg)
+
+        def fresh():
+            net = net_mod.PredictorNet.for_model(
+                tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=6
+            )
+            return net, net_mod.AdamState(net.params)
+
+        def config(epochs):
+            return net_mod.TrainConfig(epochs=epochs, batch_size=4, reproj_samples=2, seed=2)
+
+        straight, straight_opt = fresh()
+        net_mod.train(straight, dataset, config(2), tiny_model, optimizer=straight_opt)
+
+        first, first_opt = fresh()
+        net_mod.train(first, dataset, config(1), tiny_model, optimizer=first_opt)
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, first, first_opt, epoch=1)
+        resumed, resumed_opt, meta = net_mod.load_weights(path)
+        log = net_mod.train(resumed, dataset, config(2), tiny_model,
+                            start_epoch=meta["epoch"], optimizer=resumed_opt)
+
+        assert [row["epoch"] for row in log] == [1]
+        assert resumed_opt.t == straight_opt.t == 6
+        for k in straight.params:
+            np.testing.assert_array_equal(resumed.params[k], straight.params[k])
+            np.testing.assert_array_equal(resumed_opt.m[k], straight_opt.m[k])
+            np.testing.assert_array_equal(resumed_opt.v[k], straight_opt.v[k])
+
+
 class TestWeightsIO:
     def test_round_trip_bit_exact(self, tiny_net, tmp_path):
         path = tmp_path / "w.sfw"

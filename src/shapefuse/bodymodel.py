@@ -175,6 +175,38 @@ def shaped_template(model: BodyModel, betas):
     return model.template_vertices + ad.reshape(offsets, lead + (V, 3))
 
 
+_HOMOGENEOUS_ROW = np.array([[0.0, 0.0, 0.0, 1.0]])
+
+
+def _world_blocks(parents: np.ndarray, local_rots, pivots):
+    """World transforms [R_j | u_j] (B, J, 3, 4) of local rotations L_j
+    (B, J, 3, 3) about rest pivots p_j (B, J, 3), chained down the tree.
+
+    u_j = u_parent + R_parent o_j with o_j = p_j - L_j p_j, so
+    [R_j | u_j] = [R_parent | u_parent] [[L_j, o_j], [0, 1]]; o_j is exactly
+    0 at the rest pose. The chain runs one tree level at a time, since the
+    parents of a level are the level before it: one gather of the parents
+    and one batched product per level.
+    """
+    B, J = ad.value_of(pivots).shape[:2]
+    depth = np.zeros(J, dtype=np.int64)
+    for j in range(1, J):
+        depth[j] = depth[parents[j]] + 1
+    levels = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
+    slot = np.zeros(J, dtype=np.int64)  # each joint's position within its level
+    for joints in levels:
+        slot[joints] = np.arange(len(joints))
+
+    offsets = pivots - ad.einsum("bjkl,bjl->bjk", local_rots, pivots)
+    blocks = ad.concat([local_rots, ad.reshape(offsets, (B, J, 3, 1))], axis=3)
+    square = ad.concat([blocks, np.broadcast_to(_HOMOGENEOUS_ROW, (B, J, 1, 4))], axis=2)
+    world = [ad.take(blocks, levels[0], axis=1)]
+    for joints in levels[1:]:
+        parent_blocks = ad.take(world[-1], slot[parents[joints]], axis=1)
+        world.append(ad.matmul(parent_blocks, ad.take(square, joints, axis=1)))
+    return ad.take(ad.concat(world, axis=1), np.argsort(np.concatenate(levels)), axis=1)
+
+
 def lbs_vertices(model: BodyModel, pose, betas, glob):
     """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3).
 
@@ -199,26 +231,16 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     pivots = ad.matmul(model.skeleton_regressor, shaped)       # (B, J, 3)
 
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
-    local_rots = rodrigues(aa_all)                             # (B, J, 3, 3)
-
-    # u_j = u_parent + R_parent o_j with o_j = p_j - L_j p_j for the local
-    # rotation L_j; o_j is exactly 0 at the rest pose
-    offsets = pivots - ad.einsum("bjkl,bjl->bjk", local_rots, pivots)  # (B, J, 3)
-    world_rot = [local_rots[:, 0]]
-    skin_trans = [offsets[:, 0]]
-    for j in range(1, J):
-        p = int(model.parents[j])
-        world_rot.append(ad.matmul(world_rot[p], local_rots[:, j]))
-        skin_trans.append(skin_trans[p] + ad.einsum("bkl,bl->bk", world_rot[p], offsets[:, j]))
+    world = _world_blocks(model.parents, rodrigues(aa_all), pivots)  # (B, J, 3, 4)
 
     # the (B, V, 3, 3) blend is built C-ordered by matmul and handed straight
     # to the apply, so it lives only for that call
     weights = model.skinning_weights
-    rot_delta = ad.reshape(ad.stack(world_rot, axis=1), (B, J, 9)) - np.eye(3).ravel()
+    rot_delta = ad.reshape(world[..., :3], (B, J, 9)) - np.eye(3).ravel()
     rot_offset = ad.einsum(
         "bvkl,bvl->bvk", ad.reshape(ad.matmul(weights, rot_delta), (B, V, 3, 3)), shaped
     )
-    return shaped + rot_offset + ad.matmul(weights, ad.stack(skin_trans, axis=1))
+    return shaped + rot_offset + ad.matmul(weights, world[..., 3])
 
 
 def forward(model: BodyModel, pose, betas, glob):

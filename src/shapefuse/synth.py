@@ -15,6 +15,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -22,12 +23,14 @@ from scipy.spatial.transform import Rotation
 
 from . import bodymodel as bm
 from . import camera as cr
-from .containerio import read_container, write_container
+from .containerio import ContainerError, read_container, write_container
 from .rng import named_rng
 
 MAX_CAMERA_RETRIES = 10
 POSE_STD = 0.3            # radians, per-axis std of the procedural pose bank
 GLOBAL_JITTER_STD = 0.15  # radians, per-axis jitter applied to each facing
+DATASET_ARRAYS = ("silhouette_bits", "joints2d", "visibility", "theta", "beta", "glob",
+                  "cam_translation", "subject_id", "corrupted")
 
 
 @dataclass
@@ -324,17 +327,40 @@ class SynthDataset:
     that training, prediction and evaluation take.
 
     Samples are packed into per-field arrays with a leading sample axis,
-    silhouettes bit-packed. Heatmaps are not stored:
-    `network.pooled_from_dataset` builds the pooled heatmap channels of an
-    index array from the stored joints and visibilities, through the same
-    `camera.heatmap_profiles` that rendered them.
+    silhouettes bit-packed. Heatmaps are not stored, dense or pooled:
+    `network.pooled_from_dataset` block-averages the row and column
+    profiles that `camera.heatmap_profiles` draws from the stored joints
+    and visibilities, and the encoder reads those separable parts.
+
+    Raises ValueError unless every stored array is present with one common
+    leading length of at least 1, `joints2d` is (n, L, 2), `visibility` is
+    (n, L), the uint8 silhouette bits fit `image_size`, a positive int, and
+    `heatmap_sigma` is finite and positive.
     """
 
     def __init__(self, arrays: dict, meta: dict):
+        size, sigma = meta.get("image_size"), meta.get("heatmap_sigma")
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size <= 0:
+            raise ValueError(f"image_size must be a positive int, got {size!r}")
+        if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+                or not (math.isfinite(sigma) and sigma > 0)):
+            raise ValueError(f"heatmap_sigma must be finite and positive, got {sigma!r}")
+        missing = sorted(set(DATASET_ARRAYS) - set(arrays))
+        if missing:
+            raise ValueError(f"missing arrays {missing}")
+        lengths = {arrays[k].shape[0] if arrays[k].ndim else 0 for k in DATASET_ARRAYS}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError(f"arrays need one common leading length >= 1, got {sorted(lengths)}")
+        n, vis = lengths.pop(), arrays["visibility"]
+        if vis.ndim != 2 or arrays["joints2d"].shape != (n, vis.shape[1], 2):
+            raise ValueError("joints2d must be (n, L, 2) and visibility (n, L)")
+        bits = arrays["silhouette_bits"]
+        if bits.dtype != np.uint8 or bits.shape != (n, -(-size * size // 8)):
+            raise ValueError(f"silhouette bits must be uint8 (n, ceil({size}^2 / 8))")
         self.arrays = arrays
         self.meta = meta
-        self.image_size = int(meta["image_size"])
-        self.heatmap_sigma = float(meta["heatmap_sigma"])
+        self.image_size = int(size)
+        self.heatmap_sigma = float(sigma)
 
     @classmethod
     def from_samples(cls, samples: list, gen_cfg: GenerationConfig) -> "SynthDataset":
@@ -382,8 +408,12 @@ def write_dataset(path, samples: list, gen_cfg: GenerationConfig,
 
 
 def read_dataset(path) -> SynthDataset:
+    """The dataset a container holds; ContainerError if it is malformed."""
     arrays, meta = read_container(path, expected_kind="dataset")
-    return SynthDataset(arrays, meta)
+    try:
+        return SynthDataset(arrays, meta)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: malformed dataset ({exc})") from exc
 
 
 def model_fingerprint(model: bm.BodyModel) -> str:

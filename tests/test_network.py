@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
     c = images.shape[-1]
     reshaped = images.reshape(lead + (out_size, f, out_size, f, c))
     return reshaped.mean(axis=(-4, -2))
+
+
+def dense_stack(pooled) -> np.ndarray:
+    """The dense (..., P, P, L+1) stack of a `PooledProxy`: the silhouette at
+    channel 0 and heatmap l at 1 + l, the outer product of its profiles."""
+    heatmaps = np.einsum("...lh,...lw->...hwl", pooled.rows, pooled.cols)
+    return np.concatenate([pooled.silhouette[..., None], heatmaps], axis=-1)
+
+
+def random_pooled(rng, batch, pool, num_joints) -> net_mod.PooledProxy:
+    return net_mod.PooledProxy(rng.uniform(0, 1, size=(batch, pool, pool)),
+                               rng.uniform(0, 1, size=(batch, num_joints, pool)),
+                               rng.uniform(0, 1, size=(batch, num_joints, pool)))
 
 
 def conv_mlp_oracle(net, params, pooled):
@@ -116,7 +130,9 @@ class TestOutputContract:
         assert widths == [69, 69, 10, 10, 3, 3]
 
     def test_zero_input_finite_positive_variances(self, tiny_net, tiny_model):
-        heads = tiny_net.heads(np.zeros((1, 16, 16, tiny_model.num_keypoints + 1)))
+        L = tiny_model.num_keypoints
+        heads = tiny_net.heads(net_mod.PooledProxy(np.zeros((1, 16, 16)), np.zeros((1, L, 16)),
+                                                   np.zeros((1, L, 16))))
         assert np.all(np.isfinite(heads["pose_mean"]))
         assert np.all(heads["pose_var"] > 0)
         assert np.all(heads["shape_var"] > 0)
@@ -134,28 +150,52 @@ class TestOutputContract:
 
     def test_positive_variances_on_random_inputs(self, tiny_net, tiny_model):
         rng = np.random.default_rng(0)
-        L = tiny_model.num_keypoints
-        pooled = rng.uniform(0, 1, size=(64, 16, 16, L + 1))
-        heads = tiny_net.heads(pooled)
+        heads = tiny_net.heads(random_pooled(rng, 64, 16, tiny_model.num_keypoints))
         assert np.all(heads["pose_var"] > 0)
         assert np.all(heads["shape_var"] > 0)
         assert np.all(heads["camera"][:, 0] > 0)
 
-    def test_raw_outputs_match_nested_loop_convolution(self, tiny_net, tiny_model):
+    def test_raw_outputs_match_nested_loop_convolution(self, tiny_model):
         rng = np.random.default_rng(15)
-        params = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in tiny_net.params.items()}
-        pooled = rng.uniform(0, 1, size=(3, 16, 16, tiny_model.num_keypoints + 1))
-        got = tiny_net.raw_outputs(pooled, params)
-        np.testing.assert_allclose(got, conv_mlp_oracle(tiny_net, params, pooled),
-                                   rtol=0, atol=1e-12)
+        for kernel, pool in [(3, 16), (5, 16), (3, 32), (5, 32)]:
+            net = net_mod.PredictorNet.for_model(
+                tiny_model, net_mod.EncoderConfig(pool_to=pool, channels=(2, 4, 8), kernel=kernel),
+                hidden=16, seed=0,
+            )
+            params = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in net.params.items()}
+            pooled = random_pooled(rng, 3, pool, tiny_model.num_keypoints)
+            pooled.rows[:, 2] = pooled.cols[:, 2] = 0.0  # an invisible joint
+            got = net.raw_outputs(pooled, params)
+            np.testing.assert_allclose(got, conv_mlp_oracle(net, params, dense_stack(pooled)),
+                                       rtol=0, atol=1e-12)
 
-        tape = ad.Tape()
-        taped = tiny_net.raw_outputs(pooled, {k: tape.variable(v) for k, v in params.items()})
-        np.testing.assert_array_equal(taped.value, got)
+            tape = ad.Tape()
+            taped = net.raw_outputs(pooled, {k: tape.variable(v) for k, v in params.items()})
+            np.testing.assert_array_equal(taped.value, got)
+
+    def test_first_stage_gradients_match_fd(self, tiny_model):
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
+        )
+        rng = np.random.default_rng(16)
+        pooled = random_pooled(rng, 2, 16, tiny_model.num_keypoints)
+        pooled.rows[:, 3] = pooled.cols[:, 3] = 0.0
+        probe = rng.normal(size=(2, net.output_dim))
+        w_shape = net.params["conv0_w"].shape
+        n_w = int(np.prod(w_shape))
+
+        def f(xs):
+            params = dict(net.params, conv0_w=ad.reshape(ad.stack(xs[:n_w]), w_shape),
+                          conv0_b=ad.stack(xs[n_w:]))
+            return ad.sum_(net.raw_outputs(pooled, params) * probe)
+
+        x0 = np.concatenate([net.params["conv0_w"].ravel(), rng.normal(scale=0.1, size=2)])
+        assert grad_check(f, x0) < 1e-6
 
     def test_channel_mismatch_rejected(self, tiny_net):
         with pytest.raises(ValueError):
-            tiny_net.heads(np.zeros((1, 16, 16, 4)))
+            tiny_net.heads(net_mod.PooledProxy(np.zeros((1, 16, 16)), np.zeros((1, 3, 16)),
+                                               np.zeros((1, 3, 16))))
 
     def test_prediction_rows_equal_heads_of_each_sample(self, tiny_net, tiny_data):
         gen_cfg, samples = tiny_data
@@ -340,6 +380,7 @@ class TestReprojectionLoss:
 class TestTotalLoss:
     def _setup(self, tiny_model, tiny_net, tiny_data):
         gen_cfg, samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:4], gen_cfg)
         ds_targets = {
             "theta": np.stack([s.theta for s in samples[:4]]),
             "beta": np.stack([s.beta for s in samples[:4]]),
@@ -349,10 +390,7 @@ class TestTotalLoss:
             ),
             "visibility": np.stack([s.visibility for s in samples[:4]]),
         }
-        pooled = np.stack(
-            [average_pool(s.proxy.stacked(), 16) for s in samples[:4]]
-        )
-        return pooled, ds_targets
+        return net_mod.pooled_from_dataset(ds, np.arange(4), 16), ds_targets
 
     def test_zero_lambdas_equals_nll(self, tiny_model, tiny_net, tiny_data):
         pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
@@ -626,10 +664,15 @@ class TestPooling:
         path = tmp_path / "d.sfd"
         synth.write_dataset(path, samples, gen_cfg, aug, seed=9)
         ds = synth.read_dataset(path)
-        for i in range(len(ds)):
-            fast = net_mod.pooled_from_dataset(ds, i, 16)
-            full = average_pool(samples[i].proxy.stacked(), 16)
-            np.testing.assert_allclose(fast, full, atol=1e-12)
+        invisible = 0
+        for i, pool in itertools.product(range(len(ds)), (16, 32)):
+            parts = net_mod.pooled_from_dataset(ds, i, pool)
+            full = average_pool(samples[i].proxy.stacked(), pool)
+            np.testing.assert_allclose(dense_stack(parts), full, atol=1e-12)
+            hidden = samples[i].visibility == 0
+            assert not parts.rows[hidden].any() and not parts.cols[hidden].any()
+            invisible += hidden.sum()
+        assert invisible > 0
 
     @pytest.mark.parametrize("indices", [[7, 2, 9, 0, 4, 1], [3, 3, 5, 3], [6]],
                              ids=["shuffled", "repeated", "single"])
@@ -637,9 +680,12 @@ class TestPooling:
         gen_cfg, samples = tiny_data
         ds = synth.SynthDataset.from_samples(samples, gen_cfg)
         batch = net_mod.pooled_from_dataset(ds, np.array(indices), 16)
-        assert batch.shape == (len(indices), 16, 16, len(samples[0].visibility) + 1)
-        for row, i in zip(batch, indices):
-            np.testing.assert_array_equal(row, net_mod.pooled_from_dataset(ds, i, 16))
+        L = len(samples[0].visibility)
+        assert [part.shape for part in batch] == [(len(indices), 16, 16), (len(indices), L, 16),
+                                                  (len(indices), L, 16)]
+        for k, i in enumerate(indices):
+            for part, alone in zip(batch, net_mod.pooled_from_dataset(ds, i, 16)):
+                np.testing.assert_array_equal(part[k], alone)
 
     def test_pooled_from_dataset_rejects_indivisible(self, tiny_data):
         gen_cfg, samples = tiny_data

@@ -6,6 +6,7 @@ import pytest
 from shapefuse import bodymodel as bm
 from shapefuse import camera as cr
 from shapefuse import synth
+from shapefuse.containerio import ContainerError, read_container, write_container
 from shapefuse.rng import named_rng
 
 
@@ -451,6 +452,44 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             synth.write_dataset(tmp_path / "e.sfd", [], small_cfg,
                                 synth.AugmentationConfig(), seed=0)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda a, m: m.pop("image_size"), id="no-image-size"),
+        pytest.param(lambda a, m: m.update(image_size="64"), id="image-size-string"),
+        pytest.param(lambda a, m: m.update(image_size=64.0), id="image-size-float"),
+        pytest.param(lambda a, m: m.update(image_size=True), id="image-size-bool"),
+        pytest.param(lambda a, m: m.update(image_size=0), id="image-size-zero"),
+        pytest.param(lambda a, m: m.update(image_size=-64), id="image-size-negative"),
+        pytest.param(lambda a, m: m.update(image_size=32), id="bits-wider-than-image"),
+        pytest.param(lambda a, m: m.pop("heatmap_sigma"), id="no-sigma"),
+        pytest.param(lambda a, m: m.update(heatmap_sigma="2"), id="sigma-string"),
+        pytest.param(lambda a, m: m.update(heatmap_sigma=0.0), id="sigma-zero"),
+        pytest.param(lambda a, m: m.update(heatmap_sigma=-1.5), id="sigma-negative"),
+        pytest.param(lambda a, m: m.update(heatmap_sigma=float("nan")), id="sigma-nan"),
+        pytest.param(lambda a, m: m.update(heatmap_sigma=float("inf")), id="sigma-inf"),
+        *[pytest.param(lambda a, m, k=k: a.pop(k), id=f"no-{k}") for k in synth.DATASET_ARRAYS],
+        pytest.param(lambda a, m: a.update({k: v[:0] for k, v in a.items()}), id="no-rows"),
+        pytest.param(lambda a, m: a.update(beta=a["beta"][:-1]), id="ragged-beta"),
+        pytest.param(lambda a, m: a.update(subject_id=a["subject_id"][0]), id="scalar-array"),
+        pytest.param(lambda a, m: a.update(joints2d=a["joints2d"][:, :-1]), id="joint-count"),
+        pytest.param(lambda a, m: a.update(joints2d=a["joints2d"][..., :1]), id="joints-not-2d"),
+        pytest.param(lambda a, m: a.update(visibility=a["visibility"][:, 0]), id="visibility-1d"),
+        pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"][:, :-1]),
+                     id="bits-narrow"),
+        pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"].astype(np.int64)),
+                     id="bits-not-uint8"),
+    ])
+    def test_malformed_container_rejected(self, model, small_cfg, tmp_path, edit):
+        aug_cfg = synth.AugmentationConfig()
+        samples = synth.generate_dataset(model, small_cfg, aug_cfg, num_subjects=1,
+                                         poses_per_subject=2, seed=4, corrupt=False)
+        path = tmp_path / "d.sfd"
+        synth.write_dataset(path, samples, small_cfg, aug_cfg, seed=4)
+        arrays, meta = read_container(path, expected_kind="dataset")
+        edit(arrays, meta)
+        write_container(path, "dataset", arrays, meta)
+        with pytest.raises(ContainerError, match="malformed dataset"):
+            synth.read_dataset(path)
 
 
 @pytest.mark.slow

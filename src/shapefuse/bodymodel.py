@@ -471,6 +471,9 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
     capsules bind to the nearest kept joints so any budget from 8 up stays
     well-formed.
     """
+    for name, count in (("num_vertices", num_vertices), ("num_joints", num_joints)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {count!r}")
     if num_vertices < 50:
         raise ValueError("need at least 50 vertices")
     if not 8 <= num_joints <= 24:

@@ -5,21 +5,23 @@ camera model and is differentiable; full-perspective projection, binary
 silhouette rasterization and joint heatmap synthesis produce the
 network's proxy inputs during data generation. Heatmaps are separable:
 `heatmap_profiles` defines them once, as per-joint row and column
-profiles, and both the full-resolution maps and the network's pooled
-input are built from those profiles. A rendered sample keeps only its
-keypoints; its full-resolution heatmaps are drawn on demand. The
-rasterizer is plain coverage (a pixel is set when its center lies inside
-a projected triangle), which is all a binary silhouette channel needs —
-no z-buffer, no anti-aliasing. A mesh must be a closed, consistently
-oriented surface in front of the camera, as `BodyModel.validate` requires
-of a body's faces; the rasterizer then tests only the triangles of one
-facing, those with positive signed pixel area, which cover exactly the
-pixels the whole mesh covers. It has one path: triangles sorted by
-bounding-box area are tested in batches of at most `COVERAGE_CELLS` edge
-tests (or one triangle whose box alone is larger), so its working memory
-does not grow with the number of triangles. `covers_any_pixel` runs the
-same batches but stops at the first one that covers a pixel, so a
-visibility test costs a fraction of a full render and always agrees with
+profiles of a Gaussian of the fixed width `HEATMAP_SIGMA` (4 px), and both
+the full-resolution maps and the network's pooled input are built from
+those profiles. A rendered sample keeps only its keypoints; its
+full-resolution heatmaps are drawn on demand. The rasterizer is plain
+coverage (a pixel is set when its center lies inside a projected
+triangle), which is all a binary silhouette channel needs — no z-buffer,
+no anti-aliasing. A mesh must be a closed, consistently oriented surface
+in front of the camera, as `BodyModel.validate` requires of a body's
+faces; the rasterizer then tests only the triangles of one facing, those
+with positive signed pixel area, which cover exactly the pixels the whole
+mesh covers and are the counter-clockwise triangles the coverage test
+requires. It has one path: triangles sorted by bounding-box area are
+tested in batches of at most `COVERAGE_CELLS` edge tests (or one triangle
+whose box alone is larger), so its working memory does not grow with the
+number of triangles. `covers_any_pixel` runs the same batches but stops
+at the first one that covers a pixel, so a visibility test costs a
+fraction of a full render and always agrees with
 `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, cam)`, and part assignment labels a silhouette the caller
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-DEFAULT_HEATMAP_SIGMA = 4.0
+HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
 
 
@@ -66,13 +68,12 @@ class ProxyRepresentation:
     silhouette: np.ndarray  # (H, W) uint8
     joints2d: np.ndarray    # (L, 2) pixels
     visibility: np.ndarray  # (L,) in {0, 1}
-    sigma: float            # heatmap Gaussian std, pixels
 
     @property
     def heatmaps(self) -> np.ndarray:
         """(H, W, L) float64 in [0, 1], from `joints_to_heatmaps`; not cached."""
         h, w = self.silhouette.shape
-        return joints_to_heatmaps(self.joints2d, self.visibility, h, w, self.sigma)
+        return joints_to_heatmaps(self.joints2d, self.visibility, h, w)
 
     def stacked(self) -> np.ndarray:
         """Silhouette as channel 0, then the L heatmap channels."""
@@ -120,9 +121,10 @@ def _covered_cells(tri_px: np.ndarray, h: int, w: int):
     """Pixel-center coverage of 2D triangles (n, 3, 2), yielded per batch
     as the flat (row * W + col) indices of the cells the batch covers.
 
-    A pixel center (c + .5, r + .5) counts as covered when all three edge
-    cross products are >= 0 after orienting the triangle counter-clockwise;
-    triangles with exactly zero signed area are skipped. Triangles are
+    Every triangle must be counter-clockwise and non-degenerate: positive
+    signed area (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as
+    `_projected_triangles` keeps. A pixel center (c + .5, r + .5) counts as
+    covered when all three edge cross products are >= 0. Triangles are
     sorted by the area of their bounding box clipped to the frame and cut
     into consecutive batches. A batch is tested on one grid of its largest
     box height by its largest box width, anchored at each triangle's own
@@ -133,14 +135,6 @@ def _covered_cells(tri_px: np.ndarray, h: int, w: int):
     empty array.
     """
     tri = np.asarray(tri_px, dtype=np.float64)
-
-    area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
-        tri[:, 1, 1] - tri[:, 0, 1]
-    ) * (tri[:, 2, 0] - tri[:, 0, 0])
-    tri = tri[area2 != 0.0]
-    flip = area2[area2 != 0.0] < 0.0
-    tri[flip] = tri[flip][:, [0, 2, 1], :]
-
     x = tri[:, :, 0]
     y = tri[:, :, 1]
     min_x = np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2])
@@ -211,8 +205,8 @@ def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.nd
     by as many positive triangles as negative ones, hence by at least one
     positive triangle. Under the toy model's outward winding,
     positive pixel area marks the faces turned away from the camera,
-    because image v grows with y. They are already counter-clockwise, so
-    `_covered_cells` does not reorder them.
+    because image v grows with y. Positive area makes them the
+    counter-clockwise, non-degenerate triangles `_covered_cells` requires.
     """
     vertices = ad.value_of(vertices)
     if vertices.size == 0 or faces.size == 0:
@@ -270,36 +264,36 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
 
 
 def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
-                     image_w: int, sigma: float = DEFAULT_HEATMAP_SIGMA) -> tuple:
+                     image_w: int) -> tuple:
     """Separable factors of the joint heatmaps: `(..., L, H)` row and
     `(..., L, W)` column profiles of `(..., L, 2)` joints and `(..., L)`
     visibilities.
 
     Heatmap channel l is the outer product of row profile l and column
-    profile l: a unit-peak Gaussian of the distance to the joint's rounded
-    pixel, cut to the +-ceil(4 sigma) window around that pixel. Both
-    profiles of an invisible joint are zero.
+    profile l: a unit-peak Gaussian of std `HEATMAP_SIGMA` in the distance
+    to the joint's rounded pixel, cut to the +-ceil(4 sigma) window around
+    that pixel. Both profiles of an invisible joint are zero.
     """
     centers = np.rint(np.asarray(joints2d, dtype=np.float64))
     visible = np.asarray(visibility).astype(bool)[..., None]
-    radius = int(np.ceil(4 * sigma))
+    radius = int(np.ceil(4 * HEATMAP_SIGMA))
 
     def profile(center, n):
         offset = np.arange(n) - center[..., None]
         window = visible & (np.abs(offset) <= radius)
-        return np.where(window, np.exp(-(offset**2) / (2.0 * sigma**2)), 0.0)
+        return np.where(window, np.exp(-(offset**2) / (2.0 * HEATMAP_SIGMA**2)), 0.0)
 
     return profile(centers[..., 1], image_h), profile(centers[..., 0], image_w)
 
 
 def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
-                       image_w: int, sigma: float = DEFAULT_HEATMAP_SIGMA) -> np.ndarray:
+                       image_w: int) -> np.ndarray:
     """Unit-peak Gaussian heatmaps (H, W, L), zeroed for invisible joints.
 
     Each visible channel is centered on the joint's rounded pixel so its
     maximum is exactly 1 there; see `heatmap_profiles`.
     """
-    rows, cols = heatmap_profiles(joints2d, visibility, image_h, image_w, sigma)
+    rows, cols = heatmap_profiles(joints2d, visibility, image_h, image_w)
     return np.einsum("lh,lw->hwl", rows, cols)
 
 

@@ -1,6 +1,6 @@
 """Distribution-prediction network and its training losses.
 
-A small convolutional encoder (average-pooled proxy input, three stride-2
+A small convolutional encoder (average-pooled proxy input, three 3x3 stride-2
 stages) feeds an MLP with one 512-unit hidden layer and a single output
 layer whose width is 2*pose_dim + 2*shape_dim + 6 — 164 for a 24-joint
 body. Variance heads pass through a clamped exponential so they are always
@@ -42,6 +42,7 @@ LOGVAR_CLAMP = 12.0
 LOGSCALE_CLAMP = 6.0
 WEIGHTS_VERSION = "1"
 PREDICT_CHUNK = 256  # samples per inference forward pass; bounds its memory
+KERNEL = 3  # side of every conv stage's square kernel; the stride is always 2
 
 
 class TrainDivergenceError(RuntimeError):
@@ -51,11 +52,11 @@ class TrainDivergenceError(RuntimeError):
 
 @dataclass
 class EncoderConfig:
-    """Convolutional feature extractor layout."""
+    """Convolutional feature extractor layout; every stage is a `KERNEL` x
+    `KERNEL` (3x3) convolution of stride 2."""
 
     pool_to: int = 64            # proxy is average-pooled to this square size
     channels: tuple = (8, 16, 32)
-    kernel: int = 3
 
     @property
     def feature_dim(self) -> int:
@@ -64,10 +65,9 @@ class EncoderConfig:
 
     def validate(self):
         if not (isinstance(self.pool_to, int) and self.pool_to > 0
-                and isinstance(self.kernel, int) and self.kernel > 0 and self.kernel % 2 == 1
                 and isinstance(self.channels, tuple) and self.channels
                 and all(isinstance(c, int) and c > 0 for c in self.channels)):
-            raise ValueError("need a positive int pooled size, a positive odd int kernel and "
+            raise ValueError("need a positive int pooled size and "
                              "a non-empty tuple of positive int channels")
         if self.pool_to % (2 ** len(self.channels)) != 0:
             raise ValueError("pooled size must survive the stride-2 stages")
@@ -88,20 +88,23 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if not (isinstance(self.learning_rate, (int, float)) and self.learning_rate > 0):
-            raise ValueError("learning rate must be a positive number")
+        rate = self.learning_rate
+        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
+                and np.isfinite(rate) and rate > 0):
+            raise ValueError(f"learning rate must be a finite positive number, got {rate!r}")
         for name in ("batch_size", "epochs", "reproj_samples"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value > 0):
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value > 0):
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
-def _conv_indices(h, w, c_in, kernel, stride):
-    """Patch-gather indices into a flattened (H*W*C + 1) layout; index
-    H*W*C is the zero-padding sentinel."""
-    # the odd kernel is centred on every stride-th input pixel
-    rows = np.arange(0, h, stride)[:, None] + np.arange(kernel) - kernel // 2  # (out_h, kernel)
-    cols = np.arange(0, w, stride)[:, None] + np.arange(kernel) - kernel // 2  # (out_w, kernel)
+def _conv_indices(h, w, c_in):
+    """Stride-2 patch-gather indices into a flattened (H*W*C + 1) layout;
+    index H*W*C is the zero-padding sentinel."""
+    # the kernel is centred on every second input pixel
+    rows = np.arange(0, h, 2)[:, None] + np.arange(KERNEL) - KERNEL // 2  # (out_h, KERNEL)
+    cols = np.arange(0, w, 2)[:, None] + np.arange(KERNEL) - KERNEL // 2  # (out_w, KERNEL)
     # axes (output row, output column, kernel row, kernel column, channel)
     ir, ic = rows[:, None, :, None, None], cols[None, :, None, :, None]
     inside = (ir >= 0) & (ir < h) & (ic >= 0) & (ic < w)
@@ -109,12 +112,12 @@ def _conv_indices(h, w, c_in, kernel, stride):
     return idx.reshape(len(rows) * len(cols), -1).astype(np.int64), len(rows), len(cols)
 
 
-def _profile_taps(profiles: np.ndarray, kernel: int) -> np.ndarray:
-    """(B, L, P) profiles -> (B, L, P/2, kernel) taps of the stride-2
-    kernel: entry (i, a) is the profile at 2i + a - kernel//2, zero outside."""
-    pad = kernel // 2
+def _profile_taps(profiles: np.ndarray) -> np.ndarray:
+    """(B, L, P) profiles -> (B, L, P/2, KERNEL) taps of the stride-2
+    kernel: entry (i, a) is the profile at 2i + a - KERNEL//2, zero outside."""
+    pad = KERNEL // 2
     padded = np.pad(profiles, ((0, 0), (0, 0), (pad, pad)))
-    return padded[..., np.arange(0, profiles.shape[-1], 2)[:, None] + np.arange(kernel)]
+    return padded[..., np.arange(0, profiles.shape[-1], 2)[:, None] + np.arange(KERNEL)]
 
 
 def elu(x):
@@ -141,13 +144,13 @@ class PredictorNet:
         # 0 gathers the silhouette alone, since the heatmaps stay separable
         self.params: dict[str, np.ndarray] = {}
         self._conv_tables = []
-        c_prev, k, side = in_channels, encoder.kernel, encoder.pool_to
+        c_prev, side = in_channels, encoder.pool_to
         for i, c_out in enumerate(encoder.channels):
-            fan_in = k * k * c_prev
+            fan_in = KERNEL * KERNEL * c_prev
             rng = named_rng(seed, "init", f"conv{i}")
             self.params[f"conv{i}_w"] = rng.normal(0, np.sqrt(2.0 / fan_in), (fan_in, c_out))
             self.params[f"conv{i}_b"] = np.zeros(c_out)
-            idx, side, _ = _conv_indices(side, side, c_prev if i else 1, k, stride=2)
+            idx, side, _ = _conv_indices(side, side, c_prev if i else 1)
             self._conv_tables.append(idx)
             c_prev = c_out
         rng = named_rng(seed, "init", "dense0")
@@ -198,16 +201,16 @@ class PredictorNet:
         if params is None:
             params = self.params
         sil, rows, cols = pooled
-        B, P, L, k = sil.shape[0], self.encoder.pool_to, self.in_channels - 1, self.encoder.kernel
+        B, P, L, k = sil.shape[0], self.encoder.pool_to, self.in_channels - 1, KERNEL
         if sil.shape != (B, P, P) or rows.shape != (B, L, P) or cols.shape != (B, L, P):
             raise ValueError(f"expected a pooled silhouette (B, {P}, {P}) and "
                              f"row and column profiles (B, {L}, {P})")
         n, c0 = P // 2, self.encoder.channels[0]
         w0 = ad.reshape(params["conv0_w"], (k, k, L + 1, c0))
         # (B, L, 1, n, k) @ (L, k, k, c0) -> (B, L, k, n, c0): 14x an einsum's speed
-        t = ad.matmul(_profile_taps(cols, k)[:, :, None],
+        t = ad.matmul(_profile_taps(cols)[:, :, None],
                       ad.einsum("aclo->laco", w0[:, :, 1:, :]))
-        r3 = _profile_taps(rows, k).transpose(0, 2, 1, 3).reshape(B, n, L * k)
+        r3 = _profile_taps(rows).transpose(0, 2, 1, 3).reshape(B, n, L * k)
         heat = ad.reshape(ad.matmul(r3, ad.reshape(t, (B, L * k, n * c0))), (B, n * n, c0))
         weights = [ad.reshape(w0[:, :, 0, :], (k * k, c0))]
         weights += [params[f"conv{i}_w"] for i in range(1, len(self.encoder.channels))]
@@ -259,8 +262,7 @@ def pooled_from_dataset(dataset, indices, pool_to: int) -> PooledProxy:
         raise ValueError(f"image size {size} not divisible by pooled size {pool_to}")
     f = size // pool_to
     rows, cols = cr.heatmap_profiles(
-        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices],
-        size, size, sigma=dataset.heatmap_sigma,
+        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices], size, size
     )
     lead, L = rows.shape[:-2], rows.shape[-2]
     # block sums of the 0/1 silhouette are exact integers, so summing rows and
@@ -511,7 +513,8 @@ def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
 
 
 def load_weights(path):
-    """Returns (net, optimizer or None, meta); validates version and shapes."""
+    """Returns (net, optimizer or None, meta); validates version and shapes.
+    An old encoder `kernel` key is ignored; another kernel fails the shape check."""
     arrays, meta = read_container(path, expected_kind="weights")
     if meta.get("weights_version") != WEIGHTS_VERSION:
         raise ContainerError(f"{path}: unsupported weights version")
@@ -521,9 +524,7 @@ def load_weights(path):
             pose_dim=int(meta["pose_dim"]),
             shape_dim=int(meta["shape_dim"]),
             in_channels=int(meta["in_channels"]),
-            encoder=EncoderConfig(pool_to=int(enc["pool_to"]),
-                                  channels=tuple(enc["channels"]),
-                                  kernel=int(enc["kernel"])),
+            encoder=EncoderConfig(pool_to=int(enc["pool_to"]), channels=tuple(enc["channels"])),
             hidden=int(meta["hidden"]),
         )
         adam_t = meta["adam_t"]

@@ -15,8 +15,10 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -31,6 +33,16 @@ POSE_STD = 0.3            # radians, per-axis std of the procedural pose bank
 GLOBAL_JITTER_STD = 0.15  # radians, per-axis jitter applied to each facing
 DATASET_ARRAYS = ("silhouette_bits", "joints2d", "visibility", "theta", "beta", "glob",
                   "cam_translation", "subject_id", "corrupted")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
 
 
 @dataclass
@@ -51,12 +63,15 @@ class AugmentationConfig:
                      "half_image_occlusion_prob", "joint_removal_prob",
                      "occlusion_box_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if not (_is_finite(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.joint_noise_range < 0 or self.vertex_noise_range < 0:
-            raise ValueError("noise ranges must be non-negative")
-        if self.occlusion_box_size < 0:
-            raise ValueError("occlusion box size must be non-negative")
+        for name in ("joint_noise_range", "vertex_noise_range"):
+            r = getattr(self, name)
+            if not (_is_finite(r) and r >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {r!r}")
+        if not (_is_int(self.occlusion_box_size) and self.occlusion_box_size >= 0):
+            raise ValueError("occlusion box size must be a non-negative int, "
+                             f"got {self.occlusion_box_size!r}")
 
 
 @dataclass
@@ -69,15 +84,19 @@ class GenerationConfig:
     cam_translation_var: tuple = (0.05, 0.05, 0.25)  # meters^2
     focal_length: float = 300.0
     image_size: int = 256
-    heatmap_sigma: float = cr.DEFAULT_HEATMAP_SIGMA
 
     def validate(self):
-        if any(v <= 0 for v in self.cam_translation_var):
-            raise ValueError("camera translation variances must be positive")
-        if self.shape_variance <= 0:
-            raise ValueError("shape variance must be positive")
-        if self.focal_length <= 0 or self.image_size <= 0:
-            raise ValueError("focal length and image size must be positive")
+        mean, var = self.cam_translation_mean, self.cam_translation_var
+        if not (np.shape(mean) == np.shape(var) == (3,) and all(map(_is_finite, mean))
+                and all(_is_finite(v) and v > 0 for v in var)):
+            raise ValueError("camera translation needs 3 finite means and 3 finite positive "
+                             f"variances, got {mean!r} and {var!r}")
+        for name in ("shape_variance", "shape_clip", "focal_length"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (_is_int(self.image_size) and self.image_size > 0):
+            raise ValueError(f"image size must be a positive int, got {self.image_size!r}")
 
 
 @dataclass
@@ -133,6 +152,8 @@ def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256,
                            seed: int = 0) -> PoseSource:
     """Plausible random poses: per-joint zero-mean rotations with extra
     flexion on elbows/knees, norms clamped inside the axis-angle range."""
+    if not (_is_int(n_poses) and n_poses >= 1):
+        raise ValueError(f"n_poses must be an int >= 1, got {n_poses!r}")
     rng = named_rng(seed, "pose_source")
     J = model.num_joints
     poses = np.empty((n_poses, model.pose_dim))
@@ -278,7 +299,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
             visibility = visibility * cr.in_frame_visibility(joints2d, size, size)
 
     return SyntheticSample(
-        proxy=cr.ProxyRepresentation(silhouette, joints2d, visibility, gen_cfg.heatmap_sigma),
+        proxy=cr.ProxyRepresentation(silhouette, joints2d, visibility),
         theta=np.asarray(theta, dtype=np.float64),
         beta=np.asarray(beta, dtype=np.float64),
         glob=np.asarray(glob, dtype=np.float64),
@@ -299,6 +320,9 @@ def generate_dataset(model: bm.BodyModel, gen_cfg: GenerationConfig,
     """Subject-structured dataset: one shape per subject, one pose+view per
     sample. With `exact_facings` the four canonical orientations cycle in
     order (front/back/left/right), as in grouped evaluation sets."""
+    for name, count in (("num_subjects", num_subjects), ("poses_per_subject", poses_per_subject)):
+        if not (_is_int(count) and count >= 1):
+            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
     if pose_source is None:
         pose_source = procedural_pose_source(model, seed=seed)
     samples = []
@@ -329,22 +353,21 @@ class SynthDataset:
     Samples are packed into per-field arrays with a leading sample axis,
     silhouettes bit-packed. Heatmaps are not stored, dense or pooled:
     `network.pooled_from_dataset` block-averages the row and column
-    profiles that `camera.heatmap_profiles` draws from the stored joints
-    and visibilities, and the encoder reads those separable parts.
+    profiles that `camera.heatmap_profiles` draws, at the fixed width
+    `camera.HEATMAP_SIGMA`, from the stored joints and visibilities, and
+    the encoder reads those separable parts. `from_samples(samples)` packs
+    in-memory samples and takes the image size from their silhouettes.
 
     Raises ValueError unless every stored array is present with one common
     leading length of at least 1, `joints2d` is (n, L, 2), `visibility` is
-    (n, L), the uint8 silhouette bits fit `image_size`, a positive int, and
-    `heatmap_sigma` is finite and positive.
+    (n, L), and the uint8 silhouette bits fit `image_size`, a positive int.
+    A `heatmap_sigma` key, which older containers carry, is ignored.
     """
 
     def __init__(self, arrays: dict, meta: dict):
-        size, sigma = meta.get("image_size"), meta.get("heatmap_sigma")
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size <= 0:
+        size = meta.get("image_size")
+        if not (_is_int(size) and size > 0):
             raise ValueError(f"image_size must be a positive int, got {size!r}")
-        if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
-                or not (math.isfinite(sigma) and sigma > 0)):
-            raise ValueError(f"heatmap_sigma must be finite and positive, got {sigma!r}")
         missing = sorted(set(DATASET_ARRAYS) - set(arrays))
         if missing:
             raise ValueError(f"missing arrays {missing}")
@@ -360,13 +383,18 @@ class SynthDataset:
         self.arrays = arrays
         self.meta = meta
         self.image_size = int(size)
-        self.heatmap_sigma = float(sigma)
 
     @classmethod
-    def from_samples(cls, samples: list, gen_cfg: GenerationConfig) -> "SynthDataset":
-        """Pack in-memory samples into the arrays `write_dataset` stores."""
+    def from_samples(cls, samples: list) -> "SynthDataset":
+        """Pack in-memory samples into the arrays `write_dataset` stores;
+        ValueError unless there is at least one sample and all silhouettes
+        share one square shape."""
         if not samples:
             raise ValueError("a dataset needs at least one sample")
+        size = samples[0].proxy.silhouette.shape[0]
+        shapes = {s.proxy.silhouette.shape for s in samples}
+        if shapes != {(size, size)}:
+            raise ValueError(f"samples need one square silhouette shape, got {sorted(shapes)}")
         arrays = {
             "silhouette_bits": np.stack(
                 [np.packbits(s.proxy.silhouette.astype(np.uint8).ravel()) for s in samples]
@@ -380,8 +408,7 @@ class SynthDataset:
             "subject_id": np.array([s.subject_id for s in samples], dtype=np.int64),
             "corrupted": np.array([s.corrupted for s in samples], dtype=np.uint8),
         }
-        meta = {"image_size": gen_cfg.image_size, "heatmap_sigma": gen_cfg.heatmap_sigma}
-        return cls(arrays, meta)
+        return cls(arrays, {"image_size": size})
 
     def __len__(self) -> int:
         return self.arrays["theta"].shape[0]
@@ -395,7 +422,7 @@ class SynthDataset:
 
 def write_dataset(path, samples: list, gen_cfg: GenerationConfig,
                   aug_cfg: AugmentationConfig, seed: int, model_fingerprint: str = "") -> None:
-    dataset = SynthDataset.from_samples(samples, gen_cfg)
+    dataset = SynthDataset.from_samples(samples)
     meta = dict(
         dataset.meta,
         num_samples=len(samples),
@@ -417,9 +444,15 @@ def read_dataset(path) -> SynthDataset:
 
 
 def model_fingerprint(model: bm.BodyModel) -> str:
-    import hashlib
-
+    """16 hex digits of a sha256 over every field of the model, in field
+    order: each array's name, dtype, shape and bytes; the name tuples and
+    the metadata as sorted-key JSON. Unchanged by `save_model`/`load_model`."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(model.template_vertices).tobytes())
-    h.update(np.ascontiguousarray(model.skinning_weights).tobytes())
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{f.name} {value.dtype.str} {value.shape}\n".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(f"{f.name} {json.dumps(value, sort_keys=True)}\n".encode())
     return h.hexdigest()[:16]

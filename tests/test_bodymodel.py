@@ -303,6 +303,12 @@ class TestToyGenerator:
             bm.generate_toy_model(seed=0, num_vertices=10)
         with pytest.raises(ValueError):
             bm.generate_toy_model(seed=0, num_vertices=100, num_joints=4)
+        with pytest.raises(ValueError, match="num_vertices"):
+            bm.generate_toy_model(seed=0, num_vertices=600.5)
+        with pytest.raises(ValueError, match="num_joints"):
+            bm.generate_toy_model(seed=0, num_joints=16.0)
+        with pytest.raises(ValueError, match="num_joints"):
+            bm.generate_toy_model(seed=0, num_joints=True)
 
 
 def mis_wound_faces(faces):

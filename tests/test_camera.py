@@ -31,6 +31,16 @@ def brute_force_coverage(tri_px, h, w):
     return mask
 
 
+def counter_clockwise(tri_px):
+    """The non-degenerate triangles of a soup (n, 3, 2), each reordered to
+    positive signed area, as `_covered_cells` requires."""
+    tri = np.array(tri_px, dtype=np.float64)
+    (x0, y0), (x1, y1), (x2, y2) = tri[:, 0].T, tri[:, 1].T, tri[:, 2].T
+    area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    tri[area2 < 0.0] = tri[area2 < 0.0][:, [0, 2, 1]]
+    return tri[area2 != 0.0]
+
+
 class TestWeakPerspective:
     def test_identity_drops_z(self):
         pts = np.array([[0.1, 0.2, 5.0], [-0.3, 0.4, -2.0]])
@@ -148,7 +158,7 @@ class TestRasterizer:
         *(pytest.param(100 + t, 64, 0.8, 64, id=f"64cells-{t}") for t in range(3)),
     ])
     def test_matches_brute_force_oracle(self, seed, size, spread, cells, monkeypatch):
-        # a triangle soup, so it goes to the any-orientation coverage directly
+        # a triangle soup, oriented here; the oracle takes either winding
         if cells is not None:
             monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
         rng = np.random.default_rng(seed)
@@ -156,23 +166,15 @@ class TestRasterizer:
         faces = rng.integers(0, 12, size=(20, 3))
         c = cam.PerspCamera(40.0, size, size, np.array([0.0, 0.0, 2.0]))
         tri_px = cam.project_persp(verts, c)[faces]
-        got = cam._coverage_mask(tri_px, size, size)
+        got = cam._coverage_mask(counter_clockwise(tri_px), size, size)
         if size == 96:
             lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
             assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
         want = brute_force_coverage(tri_px.tolist(), size, size)
         np.testing.assert_array_equal(got, want)
-        assert any(cells.size for cells in cam._covered_cells(tri_px, size, size)) == want.any()
-
-    def test_winding_invariance(self):
-        rng = np.random.default_rng(5)
-        verts = rng.uniform(-0.5, 0.5, size=(9, 3))
-        faces = rng.integers(0, 9, size=(6, 3))
-        c = cam.PerspCamera(40.0, 48, 48, np.array([0.0, 0.0, 2.0]))
-        m1 = cam._coverage_mask(cam.project_persp(verts, c)[faces], 48, 48)
-        m2 = cam._coverage_mask(cam.project_persp(verts, c)[faces[:, ::-1]], 48, 48)
-        np.testing.assert_array_equal(m1, m2)
+        assert any(cells.size for cells in
+                   cam._covered_cells(counter_clockwise(tri_px), size, size)) == want.any()
 
     def test_part_assignment_partitions_silhouette(self):
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
@@ -217,7 +219,8 @@ class TestClosedMeshRasterizer:
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
         c = cam.PerspCamera(300.0, 256, 256, np.array([shift, -0.2, 2.5]))
         for verts in posed_noisy_bodies(model, 7, [0, 1, 2, 3]):
-            want = cam._coverage_mask(cam.project_persp(verts, c)[model.faces], 256, 256)
+            want = cam._coverage_mask(
+                counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256, 256)
             assert want.any() == (shift < 3.0) and not want.all()
             for faces in (model.faces, model.faces[:, ::-1]):
                 kept = len(cam._projected_triangles(verts, faces, c))
@@ -239,10 +242,8 @@ class TestHeatmaps:
         assert not maps.any()
 
     def test_value_at_sigma_distance(self):
-        sigma = 4.0
-        maps = cam.joints_to_heatmaps(
-            np.array([[100.0, 100.0]]), np.array([1]), 256, 256, sigma=sigma
-        )
+        assert cam.HEATMAP_SIGMA == 4.0
+        maps = cam.joints_to_heatmaps(np.array([[100.0, 100.0]]), np.array([1]), 256, 256)
         assert maps[100, 104, 0] == pytest.approx(np.exp(-0.5))
 
     def test_peak_at_rounded_pixel(self):

@@ -447,7 +447,7 @@ class TestEvaluate:
         samples = synth.generate_dataset(model, cfg, synth.AugmentationConfig(), num_subjects=2,
                                          poses_per_subject=4, seed=3, corrupt=True,
                                          exact_facings=True)
-        dataset = synth.SynthDataset.from_samples(samples, cfg)
+        dataset = synth.SynthDataset.from_samples(samples)
         return model, net, dataset, network.predict_dataset(net, dataset)
 
     def evaluate(self, setup, combination, draws=0):

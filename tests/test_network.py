@@ -33,12 +33,10 @@ def tiny_net(tiny_model):
 
 @pytest.fixture(scope="module")
 def tiny_data(tiny_model):
-    cfg = synth.GenerationConfig(image_size=64, focal_length=75.0)
-    samples = synth.generate_dataset(
-        tiny_model, cfg, synth.AugmentationConfig(), num_subjects=10,
-        poses_per_subject=2, seed=3, corrupt=True,
+    return synth.generate_dataset(
+        tiny_model, synth.GenerationConfig(image_size=64, focal_length=75.0),
+        synth.AugmentationConfig(), num_subjects=10, poses_per_subject=2, seed=3, corrupt=True,
     )
-    return cfg, samples
 
 
 def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
@@ -75,7 +73,7 @@ def conv_mlp_oracle(net, params, pooled):
         return np.where(a > 0, a, np.expm1(np.minimum(a, 0.0)))
 
     x = pooled
-    k = net.encoder.kernel
+    k = 3
     for i in range(len(net.encoder.channels)):
         B, h, w, c_in = x.shape
         weight = params[f"conv{i}_w"].reshape(k, k, c_in, -1)
@@ -139,8 +137,8 @@ class TestOutputContract:
         assert heads["camera"][0, 0] > 0
 
     def test_deterministic(self, tiny_net, tiny_data):
-        gen_cfg, samples = tiny_data
-        ds = synth.SynthDataset.from_samples(samples[:3], gen_cfg)
+        samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:3])
         p1 = net_mod.predict_dataset(tiny_net, ds)
         p2 = net_mod.predict_dataset(tiny_net, ds)
         for a, b in zip(p1, p2):
@@ -157,9 +155,9 @@ class TestOutputContract:
 
     def test_raw_outputs_match_nested_loop_convolution(self, tiny_model):
         rng = np.random.default_rng(15)
-        for kernel, pool in [(3, 16), (5, 16), (3, 32), (5, 32)]:
+        for pool in (16, 32):
             net = net_mod.PredictorNet.for_model(
-                tiny_model, net_mod.EncoderConfig(pool_to=pool, channels=(2, 4, 8), kernel=kernel),
+                tiny_model, net_mod.EncoderConfig(pool_to=pool, channels=(2, 4, 8)),
                 hidden=16, seed=0,
             )
             params = {k: v + rng.normal(scale=0.1, size=v.shape) for k, v in net.params.items()}
@@ -198,8 +196,8 @@ class TestOutputContract:
                                                np.zeros((1, 3, 16))))
 
     def test_prediction_rows_equal_heads_of_each_sample(self, tiny_net, tiny_data):
-        gen_cfg, samples = tiny_data
-        ds = synth.SynthDataset.from_samples(samples[:5], gen_cfg)
+        samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:5])
         predictions = net_mod.predict_dataset(tiny_net, ds)
         assert len(predictions) == 5
         assert predictions.pose.mean.shape == (5, tiny_net.pose_dim)
@@ -221,8 +219,6 @@ class TestEncoderConfig:
             net_mod.EncoderConfig(pool_to=8, channels=(2, 2, 2)).validate()
 
     @pytest.mark.parametrize("layout", [
-        pytest.param(dict(kernel=2), id="even-kernel"),
-        pytest.param(dict(kernel=0), id="zero-kernel"),
         pytest.param(dict(channels=()), id="no-channels"),
         pytest.param(dict(channels=(8, 0, 32)), id="zero-channels"),
         pytest.param(dict(pool_to=-16), id="negative-pool-to"),
@@ -241,16 +237,17 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field", [
         dict(batch_size=2.5), dict(reproj_samples=1.5), dict(epochs=1.5),
         dict(batch_size=0), dict(reproj_samples=0), dict(learning_rate=-1e-3),
-        dict(learning_rate="1e-3"),
+        dict(learning_rate="1e-3"), dict(learning_rate=float("inf")),
+        dict(learning_rate=float("nan")), dict(batch_size=True),
     ], ids=["float-batch", "float-draws", "float-epochs", "zero-batch", "zero-draws",
-            "negative-rate", "string-rate"])
+            "negative-rate", "string-rate", "inf-rate", "nan-rate", "bool-batch"])
     def test_malformed_config_rejected(self, field, tiny_model, tiny_net, tiny_data):
         cfg = net_mod.TrainConfig(**field)
         with pytest.raises(ValueError):
             cfg.validate()
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         with pytest.raises(ValueError):
-            net_mod.train(tiny_net, synth.SynthDataset.from_samples(samples[:4], gen_cfg),
+            net_mod.train(tiny_net, synth.SynthDataset.from_samples(samples[:4]),
                           cfg, tiny_model)
 
 
@@ -379,8 +376,8 @@ class TestReprojectionLoss:
 
 class TestTotalLoss:
     def _setup(self, tiny_model, tiny_net, tiny_data):
-        gen_cfg, samples = tiny_data
-        ds = synth.SynthDataset.from_samples(samples[:4], gen_cfg)
+        samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples[:4])
         ds_targets = {
             "theta": np.stack([s.theta for s in samples[:4]]),
             "beta": np.stack([s.beta for s in samples[:4]]),
@@ -437,55 +434,55 @@ class TestTotalLoss:
 
 class TestTraining:
     def test_smoke_one_epoch(self, tiny_model, tiny_data):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
         )
         cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
-        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:10], gen_cfg),
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:10]),
                             cfg, tiny_model)
         assert len(log) == 1
         assert np.isfinite(log[0]["total"])
 
     def test_start_epoch_resumes_the_epoch_count(self, tiny_model, tiny_data):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
         )
         cfg = net_mod.TrainConfig(epochs=3, batch_size=5, reproj_samples=2, seed=0)
-        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:5]),
                             cfg, tiny_model, start_epoch=2)
         assert [row["epoch"] for row in log] == [2]
 
     @pytest.mark.parametrize("start_epoch", [0.5, -1, "1", None])
     def test_bad_start_epoch_rejected(self, tiny_model, tiny_data, start_epoch):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=1
         )
         before = {k: v.copy() for k, v in net.params.items()}
         cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
         with pytest.raises(ValueError, match="start_epoch"):
-            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5]),
                           cfg, tiny_model, start_epoch=start_epoch)
         for k in before:
             np.testing.assert_array_equal(net.params[k], before[k])
 
     @pytest.mark.slow
     def test_overfits_small_set(self, tiny_model, tiny_data):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=2
         )
         cfg = net_mod.TrainConfig(epochs=500, batch_size=20, learning_rate=3e-4,
                                   reproj_samples=2, seed=0)
-        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:20], gen_cfg),
+        log = net_mod.train(net, synth.SynthDataset.from_samples(samples[:20]),
                             cfg, tiny_model)
         assert log[-1]["nll"] < log[0]["nll"]
 
     def test_same_seed_identical_weights(self, tiny_model, tiny_data):
-        gen_cfg, samples = tiny_data
-        dataset = synth.SynthDataset.from_samples(samples[:14], gen_cfg)
+        samples = tiny_data
+        dataset = synth.SynthDataset.from_samples(samples[:14])
 
         def run():
             net = net_mod.PredictorNet.for_model(
@@ -500,7 +497,7 @@ class TestTraining:
             np.testing.assert_array_equal(p1[k], p2[k])
 
     def test_tapes_freed_without_cycle_collection(self, tiny_model, tiny_data):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=4
         )
@@ -508,7 +505,7 @@ class TestTraining:
         gc.collect()
         gc.disable()
         try:
-            net_mod.train(net, synth.SynthDataset.from_samples(samples[:9], gen_cfg),
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:9]),
                           cfg, tiny_model)
             tapes = [o for o in gc.get_objects() if isinstance(o, ad.Tape)]
         finally:
@@ -516,7 +513,7 @@ class TestTraining:
         assert tapes == []
 
     def test_non_finite_gradient_aborts(self, tiny_model, tiny_data, monkeypatch):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         net = net_mod.PredictorNet.for_model(
             tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=5
         )
@@ -527,7 +524,7 @@ class TestTraining:
         )
         cfg = net_mod.TrainConfig(epochs=1, batch_size=5, reproj_samples=2, seed=0)
         with pytest.raises(net_mod.TrainDivergenceError, match="gradient"):
-            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5], gen_cfg),
+            net_mod.train(net, synth.SynthDataset.from_samples(samples[:5]),
                           cfg, tiny_model)
         for k in before:
             np.testing.assert_array_equal(net.params[k], before[k])
@@ -560,8 +557,8 @@ class TestAdam:
         assert opt.t == 3
 
     def test_resume_from_saved_weights_is_bit_identical(self, tiny_model, tiny_data, tmp_path):
-        gen_cfg, samples = tiny_data
-        dataset = synth.SynthDataset.from_samples(samples[:10], gen_cfg)
+        samples = tiny_data
+        dataset = synth.SynthDataset.from_samples(samples[:10])
 
         def fresh():
             net = net_mod.PredictorNet.for_model(
@@ -631,8 +628,6 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta.update(adam_t=None), id="adam-t-null"),
         pytest.param(lambda meta: meta.update(adam_t="x"), id="adam-t-string"),
         pytest.param(lambda meta: meta.update(adam_t=-1), id="adam-t-negative"),
-        pytest.param(lambda meta: meta["encoder"].update(kernel=0), id="kernel-zero"),
-        pytest.param(lambda meta: meta["encoder"].update(kernel=-3), id="kernel-negative"),
         pytest.param(lambda meta: meta["encoder"].update(channels=[]), id="no-channels"),
         pytest.param(lambda meta: meta.update(in_channels=0), id="in-channels-zero"),
         pytest.param(lambda meta: meta["encoder"].update(pool_to=-16), id="pool-to-negative"),
@@ -644,6 +639,32 @@ class TestWeightsIO:
         edit(meta)
         write_container(path, "weights", arrays, meta)
         with pytest.raises(ContainerError, match="malformed network layout"):
+            net_mod.load_weights(path)
+
+    @pytest.mark.parametrize("kernel", [3, 0, -3], ids=["kernel-3", "kernel-zero",
+                                                          "kernel-negative"])
+    def test_legacy_kernel_key_ignored(self, tiny_net, tmp_path, kernel):
+        # older files record the encoder kernel; it is now fixed and the key unread
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net)
+        arrays, meta = read_container(path, expected_kind="weights")
+        assert "kernel" not in meta["encoder"]
+        meta["encoder"]["kernel"] = kernel
+        write_container(path, "weights", arrays, meta)
+        loaded, _, _ = net_mod.load_weights(path)
+        for k in tiny_net.params:
+            np.testing.assert_array_equal(loaded.params[k], tiny_net.params[k])
+
+    def test_other_kernel_fails_shape_check(self, tiny_net, tmp_path):
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net)
+        arrays, meta = read_container(path, expected_kind="weights")
+        meta["encoder"]["kernel"] = 5
+        for i in range(len(tiny_net.encoder.channels)):
+            w = arrays[f"param/conv{i}_w"]
+            arrays[f"param/conv{i}_w"] = np.zeros((w.shape[0] // 9 * 25, w.shape[1]))
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="conv0_w missing or misshapen"):
             net_mod.load_weights(path)
 
     def test_shape_mismatch_detected(self, tiny_net, tiny_model, tmp_path):
@@ -677,8 +698,8 @@ class TestPooling:
     @pytest.mark.parametrize("indices", [[7, 2, 9, 0, 4, 1], [3, 3, 5, 3], [6]],
                              ids=["shuffled", "repeated", "single"])
     def test_batch_equals_per_index_bit_for_bit(self, tiny_data, indices):
-        gen_cfg, samples = tiny_data
-        ds = synth.SynthDataset.from_samples(samples, gen_cfg)
+        samples = tiny_data
+        ds = synth.SynthDataset.from_samples(samples)
         batch = net_mod.pooled_from_dataset(ds, np.array(indices), 16)
         L = len(samples[0].visibility)
         assert [part.shape for part in batch] == [(len(indices), 16, 16), (len(indices), L, 16),
@@ -688,7 +709,7 @@ class TestPooling:
                 np.testing.assert_array_equal(part[k], alone)
 
     def test_pooled_from_dataset_rejects_indivisible(self, tiny_data):
-        gen_cfg, samples = tiny_data
+        samples = tiny_data
         with pytest.raises(ValueError):
-            net_mod.pooled_from_dataset(synth.SynthDataset.from_samples(samples[:1], gen_cfg),
+            net_mod.pooled_from_dataset(synth.SynthDataset.from_samples(samples[:1]),
                                         0, 24)

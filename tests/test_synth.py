@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -73,6 +74,66 @@ def no_aug():
         occlusion_box_prob=0.0,
         occlusion_box_size=0,
     )
+
+
+class TestConfigValidation:
+    """Each rule of `GenerationConfig.validate` and `AugmentationConfig.validate`
+    raises ValueError, from the config and from generation."""
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(dict(image_size=64.0), id="image-size-float"),
+        pytest.param(dict(image_size=True), id="image-size-bool"),
+        pytest.param(dict(focal_length=float("inf")), id="focal-inf"),
+        pytest.param(dict(focal_length=0.0), id="focal-zero"),
+        pytest.param(dict(shape_variance=float("nan")), id="shape-variance-nan"),
+        pytest.param(dict(shape_clip=-1.0), id="shape-clip-negative"),
+        pytest.param(dict(shape_clip=0), id="shape-clip-zero"),
+        pytest.param(dict(cam_translation_mean=(0.0, float("nan"), 2.5)), id="cam-mean-nan"),
+        pytest.param(dict(cam_translation_var=(0.05, float("inf"), 0.25)), id="cam-var-inf"),
+        pytest.param(dict(cam_translation_var=(0.05, 0.0, 0.25)), id="cam-var-zero"),
+    ])
+    def test_generation_config_rejected(self, model, small_cfg, field):
+        cfg = dataclasses.replace(small_cfg, **field)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            synth.generate_dataset(model, cfg, synth.AugmentationConfig(), 1, 1, seed=0,
+                                   corrupt=True)
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(dict(occlusion_box_size=12.5), id="box-size-float"),
+        pytest.param(dict(occlusion_box_size=True), id="box-size-bool"),
+        pytest.param(dict(occlusion_box_size=-1), id="box-size-negative"),
+        pytest.param(dict(vertex_noise_range=float("inf")), id="vertex-noise-inf"),
+        pytest.param(dict(joint_noise_range=float("nan")), id="joint-noise-nan"),
+        pytest.param(dict(joint_noise_range=-1.0), id="joint-noise-negative"),
+        pytest.param(dict(occlusion_box_prob=float("nan")), id="prob-nan"),
+    ])
+    def test_augmentation_config_rejected(self, model, small_cfg, field):
+        cfg = synth.AugmentationConfig(**field)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            synth.generate_dataset(model, small_cfg, cfg, 1, 1, seed=0, corrupt=True)
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param(dict(num_subjects=2.0), id="subjects-float"),
+        pytest.param(dict(num_subjects=-1), id="subjects-negative"),
+        pytest.param(dict(num_subjects=0), id="subjects-zero"),
+        pytest.param(dict(num_subjects=True), id="subjects-bool"),
+        pytest.param(dict(poses_per_subject=0), id="poses-zero"),
+        pytest.param(dict(poses_per_subject=1.5), id="poses-float"),
+    ])
+    def test_dataset_counts_rejected(self, model, small_cfg, source, counts):
+        args = dict(dict(num_subjects=1, poses_per_subject=1), **counts)
+        with pytest.raises(ValueError):
+            synth.generate_dataset(model, small_cfg, synth.AugmentationConfig(), seed=0,
+                                   corrupt=True, pose_source=source, **args)
+
+    @pytest.mark.parametrize("n_poses", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_pose_count_rejected(self, model, n_poses):
+        with pytest.raises(ValueError):
+            synth.procedural_pose_source(model, n_poses=n_poses)
 
 
 class TestShapeSampling:
@@ -165,8 +226,7 @@ class TestCameraAndRenders:
         s = samples[-1]
         assert s.proxy.joints2d is s.joints2d and s.proxy.visibility is s.visibility
         size = small_cfg.image_size
-        want = cr.joints_to_heatmaps(s.joints2d, s.visibility, size, size,
-                                     small_cfg.heatmap_sigma)
+        want = cr.joints_to_heatmaps(s.joints2d, s.visibility, size, size)
         np.testing.assert_array_equal(s.proxy.heatmaps, want)
         assert calls["heatmaps"] == 2  # drawn on each access, not cached
 
@@ -354,7 +414,7 @@ class TestDatasetIO:
             s = samples[i]
             np.testing.assert_array_equal(ds.silhouette(i), s.proxy.silhouette)
             heatmaps = cr.joints_to_heatmaps(ds.arrays["joints2d"][i], ds.arrays["visibility"][i],
-                                             size, size, sigma=ds.heatmap_sigma)
+                                             size, size)
             np.testing.assert_array_equal(heatmaps, s.proxy.heatmaps)
             np.testing.assert_array_equal(ds.arrays["theta"][i], s.theta)
             np.testing.assert_array_equal(ds.arrays["joints2d"][i], s.joints2d)
@@ -461,12 +521,6 @@ class TestDatasetIO:
         pytest.param(lambda a, m: m.update(image_size=0), id="image-size-zero"),
         pytest.param(lambda a, m: m.update(image_size=-64), id="image-size-negative"),
         pytest.param(lambda a, m: m.update(image_size=32), id="bits-wider-than-image"),
-        pytest.param(lambda a, m: m.pop("heatmap_sigma"), id="no-sigma"),
-        pytest.param(lambda a, m: m.update(heatmap_sigma="2"), id="sigma-string"),
-        pytest.param(lambda a, m: m.update(heatmap_sigma=0.0), id="sigma-zero"),
-        pytest.param(lambda a, m: m.update(heatmap_sigma=-1.5), id="sigma-negative"),
-        pytest.param(lambda a, m: m.update(heatmap_sigma=float("nan")), id="sigma-nan"),
-        pytest.param(lambda a, m: m.update(heatmap_sigma=float("inf")), id="sigma-inf"),
         *[pytest.param(lambda a, m, k=k: a.pop(k), id=f"no-{k}") for k in synth.DATASET_ARRAYS],
         pytest.param(lambda a, m: a.update({k: v[:0] for k, v in a.items()}), id="no-rows"),
         pytest.param(lambda a, m: a.update(beta=a["beta"][:-1]), id="ragged-beta"),
@@ -490,6 +544,65 @@ class TestDatasetIO:
         write_container(path, "dataset", arrays, meta)
         with pytest.raises(ContainerError, match="malformed dataset"):
             synth.read_dataset(path)
+
+    @pytest.mark.parametrize("sigma", [4.0, "2", 0.0, -1.5, float("nan"), float("inf")],
+                             ids=["sigma-4", "sigma-string", "sigma-zero", "sigma-negative",
+                                  "sigma-nan", "sigma-inf"])
+    def test_legacy_heatmap_sigma_ignored(self, model, small_cfg, tmp_path, sigma):
+        # older containers record the heatmap width at the top level and in
+        # the generation config; the width is now fixed and the key unread
+        aug_cfg = synth.AugmentationConfig()
+        samples = synth.generate_dataset(model, small_cfg, aug_cfg, num_subjects=1,
+                                         poses_per_subject=2, seed=4, corrupt=False)
+        path = tmp_path / "d.sfd"
+        synth.write_dataset(path, samples, small_cfg, aug_cfg, seed=4)
+        arrays, meta = read_container(path, expected_kind="dataset")
+        assert "heatmap_sigma" not in meta and "heatmap_sigma" not in meta["generation_config"]
+        meta["heatmap_sigma"] = meta["generation_config"]["heatmap_sigma"] = sigma
+        write_container(path, "dataset", arrays, meta)
+        ds = synth.read_dataset(path)
+        assert ds.image_size == small_cfg.image_size and ds.arrays.keys() == arrays.keys()
+        for key in arrays:
+            np.testing.assert_array_equal(ds.arrays[key], arrays[key])
+
+    def test_from_samples_takes_image_size_from_silhouettes(self, model, small_cfg, source):
+        samples = [sample_and_render(model, source, small_cfg, synth.AugmentationConfig(),
+                                     named_rng(6, "size", i), corrupt=False) for i in range(2)]
+        assert synth.SynthDataset.from_samples(samples).image_size == small_cfg.image_size
+        other = synth.GenerationConfig(image_size=32, focal_length=37.5)
+        samples.append(sample_and_render(model, source, other, synth.AugmentationConfig(),
+                                         named_rng(6, "size", 2), corrupt=False))
+        with pytest.raises(ValueError, match="silhouette shape"):
+            synth.SynthDataset.from_samples(samples)
+
+
+class TestModelFingerprint:
+    def test_every_field_changes_it(self, model):
+        base = synth.model_fingerprint(model)
+        seen = {base}
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            if isinstance(value, np.ndarray):
+                changed = value.copy()
+                changed.flat[-1] += 1
+            elif isinstance(value, tuple):
+                changed = value[:-1] + (value[-1] + "_x",)
+            else:
+                changed = dict(value, extra=1)
+            seen.add(synth.model_fingerprint(dataclasses.replace(model, **{f.name: changed})))
+        assert len(seen) == 1 + len(dataclasses.fields(model))
+
+    def test_shape_and_dtype_change_it(self, model):
+        base = synth.model_fingerprint(model)
+        flat = model.shape_basis.reshape(model.num_vertices, -1, 1)  # same bytes
+        assert synth.model_fingerprint(dataclasses.replace(model, shape_basis=flat)) != base
+        as_uint = model.faces.view(np.uint64)
+        assert synth.model_fingerprint(dataclasses.replace(model, faces=as_uint)) != base
+
+    def test_survives_save_and_load(self, model, tmp_path):
+        bm.save_model(tmp_path / "m.sfm", model)
+        loaded = bm.load_model(tmp_path / "m.sfm")
+        assert synth.model_fingerprint(loaded) == synth.model_fingerprint(model)
 
 
 @pytest.mark.slow

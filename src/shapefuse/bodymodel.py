@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .containerio import ContainerError, read_container, write_container
+from .scalars import check_int, is_int
 
 SHAPE_DIM = 10
 
@@ -139,7 +140,7 @@ class BodyModel:
         if len(self.joint_names) != J or len(self.keypoint_names) != L:
             raise ValueError("joint or keypoint name count mismatch")
         for pair in self.meta.get("lr_swap_pairs", []):
-            if len(pair) != 2 or not all(isinstance(k, int) and 0 <= k < L for k in pair):
+            if len(pair) != 2 or not all(is_int(k) and 0 <= k < L for k in pair):
                 raise ValueError(f"left/right swap pair {pair!r} is not two keypoint indices")
         if len(set(self.part_labels.tolist())) < 6:
             raise ValueError("need at least 6 body parts")
@@ -471,9 +472,8 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
     capsules bind to the nearest kept joints so any budget from 8 up stays
     well-formed.
     """
-    for name, count in (("num_vertices", num_vertices), ("num_joints", num_joints)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an int, got {count!r}")
+    for name, value in (("seed", seed), ("num_vertices", num_vertices), ("num_joints", num_joints)):
+        check_int(name, value)
     if num_vertices < 50:
         raise ValueError("need at least 50 vertices")
     if not 8 <= num_joints <= 24:

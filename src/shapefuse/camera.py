@@ -26,6 +26,7 @@ fraction of a full render and always agrees with
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, cam)`, and part assignment labels a silhouette the caller
 already rasterized by nearest projected vertex, so it takes no faces.
+Images are square: every function takes one side `size` (S), in pixels.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .scalars import check_positive
 
 HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
@@ -42,38 +44,35 @@ COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working 
 
 @dataclass
 class PerspCamera:
-    """Pinhole camera: focal length in pixels, image size, world translation."""
+    """Pinhole camera: focal length and square image side in pixels, translation."""
 
     focal: float
-    image_h: int
-    image_w: int
+    size: int
     translation: np.ndarray  # (3,) meters, added to points before projection
 
     def __post_init__(self):
         self.translation = np.asarray(self.translation, dtype=np.float64)
-        if not self.focal > 0:
-            raise ValueError("focal length must be positive")
+        check_positive("focal length", self.focal)
         if not self.translation[2] > 0:
             raise ValueError("camera translation must place the subject in front")
 
 
 @dataclass
 class ProxyRepresentation:
-    """Network input: binary silhouette + per-joint heatmaps, H x W x (L+1).
+    """Network input: binary silhouette + per-joint heatmaps, S x S x (L+1).
 
     Only the silhouette and the keypoints are held; the heatmaps are a
     fixed function of the keypoints and are drawn on each access.
     """
 
-    silhouette: np.ndarray  # (H, W) uint8
+    silhouette: np.ndarray  # (S, S) uint8
     joints2d: np.ndarray    # (L, 2) pixels
     visibility: np.ndarray  # (L,) in {0, 1}
 
     @property
     def heatmaps(self) -> np.ndarray:
-        """(H, W, L) float64 in [0, 1], from `joints_to_heatmaps`; not cached."""
-        h, w = self.silhouette.shape
-        return joints_to_heatmaps(self.joints2d, self.visibility, h, w)
+        """(S, S, L) float64 in [0, 1], from `joints_to_heatmaps`; not cached."""
+        return joints_to_heatmaps(self.joints2d, self.visibility, len(self.silhouette))
 
     def stacked(self) -> np.ndarray:
         """Silhouette as channel 0, then the L heatmap channels."""
@@ -105,21 +104,21 @@ def project_weak(points, cam):
 def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     """Pinhole projection to pixel coordinates.
 
-    u = focal * (x + tx) / (z + tz) + W/2, v analogously with H/2.
+    u = focal * (x + tx) / (z + tz) + S/2, v analogously, for image side S.
     """
     points = np.asarray(points, dtype=np.float64)
     shifted = points + cam.translation
     z = shifted[..., 2]
     if np.any(z <= 1e-9):
         raise ValueError("point at or behind the camera plane")
-    u = cam.focal * shifted[..., 0] / z + cam.image_w / 2.0
-    v = cam.focal * shifted[..., 1] / z + cam.image_h / 2.0
+    u = cam.focal * shifted[..., 0] / z + cam.size / 2.0
+    v = cam.focal * shifted[..., 1] / z + cam.size / 2.0
     return np.stack([u, v], axis=-1)
 
 
-def _covered_cells(tri_px: np.ndarray, h: int, w: int):
-    """Pixel-center coverage of 2D triangles (n, 3, 2), yielded per batch
-    as the flat (row * W + col) indices of the cells the batch covers.
+def _covered_cells(tri_px: np.ndarray, size: int):
+    """Pixel-center coverage of 2D triangles (n, 3, 2) in an S x S image, yielded
+    per batch as the flat (row * S + col) indices of the cells the batch covers.
 
     Every triangle must be counter-clockwise and non-degenerate: positive
     signed area (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as
@@ -141,10 +140,10 @@ def _covered_cells(tri_px: np.ndarray, h: int, w: int):
     max_x = np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
     min_y = np.minimum(np.minimum(y[:, 0], y[:, 1]), y[:, 2])
     max_y = np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2])
-    lo_c = np.clip(np.floor(min_x - 0.5).astype(np.int64), 0, w - 1)
-    hi_c = np.clip(np.ceil(max_x - 0.5).astype(np.int64), -1, w - 1)
-    lo_r = np.clip(np.floor(min_y - 0.5).astype(np.int64), 0, h - 1)
-    hi_r = np.clip(np.ceil(max_y - 0.5).astype(np.int64), -1, h - 1)
+    lo_c = np.clip(np.floor(min_x - 0.5).astype(np.int64), 0, size - 1)
+    hi_c = np.clip(np.ceil(max_x - 0.5).astype(np.int64), -1, size - 1)
+    lo_r = np.clip(np.floor(min_y - 0.5).astype(np.int64), 0, size - 1)
+    hi_r = np.clip(np.ceil(max_y - 0.5).astype(np.int64), -1, size - 1)
     bw = hi_c - lo_c + 1
     bh = hi_r - lo_r + 1
     on_screen = np.flatnonzero((bw > 0) & (bh > 0))
@@ -177,14 +176,14 @@ def _covered_cells(tri_px: np.ndarray, h: int, w: int):
             & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
             & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
         )
-        yield (rows * w + cols)[inside]
+        yield (rows * size + cols)[inside]
 
 
-def _coverage_mask(tri_px: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Pixel-center coverage of 2D triangles (n, 3, 2) -> (H, W) bool; see
+def _coverage_mask(tri_px: np.ndarray, size: int) -> np.ndarray:
+    """Pixel-center coverage of 2D triangles (n, 3, 2) -> (S, S) bool; see
     `_covered_cells` for the coverage rule and the batching."""
-    mask = np.zeros((h, w), dtype=bool)
-    for cells in _covered_cells(tri_px, h, w):
+    mask = np.zeros((size, size), dtype=bool)
+    for cells in _covered_cells(tri_px, size):
         mask.ravel()[cells] = True
     return mask
 
@@ -219,14 +218,14 @@ def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.nd
 
 
 def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
-    """Binary coverage mask (H, W) uint8 of the projected mesh.
+    """Binary coverage mask (S, S) uint8 of the projected mesh.
 
     The faces must form a closed, consistently oriented surface in front
     of the camera; only the triangles of one facing are tested, which
     cover the same pixels (see `_projected_triangles`).
     """
     tri_px = _projected_triangles(vertices, faces, cam)
-    return _coverage_mask(tri_px, cam.image_h, cam.image_w).astype(np.uint8)
+    return _coverage_mask(tri_px, cam.size).astype(np.uint8)
 
 
 def covers_any_pixel(vertices, faces: np.ndarray, cam: PerspCamera) -> bool:
@@ -236,7 +235,7 @@ def covers_any_pixel(vertices, faces: np.ndarray, cam: PerspCamera) -> bool:
     it requires a closed, consistently oriented surface and tests only the
     triangles of one facing."""
     tri_px = _projected_triangles(vertices, faces, cam)
-    return any(cells.size for cells in _covered_cells(tri_px, cam.image_h, cam.image_w))
+    return any(cells.size for cells in _covered_cells(tri_px, cam.size))
 
 
 def rasterize_part_assignment(vertices, part_labels: np.ndarray,
@@ -263,11 +262,9 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
     return assignment
 
 
-def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
-                     image_w: int) -> tuple:
-    """Separable factors of the joint heatmaps: `(..., L, H)` row and
-    `(..., L, W)` column profiles of `(..., L, 2)` joints and `(..., L)`
-    visibilities.
+def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> tuple:
+    """Separable factors of the S x S joint heatmaps: `(..., L, S)` row and
+    column profiles of `(..., L, 2)` joints and `(..., L)` visibilities.
 
     Heatmap channel l is the outer product of row profile l and column
     profile l: a unit-peak Gaussian of std `HEATMAP_SIGMA` in the distance
@@ -283,30 +280,28 @@ def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
         window = visible & (np.abs(offset) <= radius)
         return np.where(window, np.exp(-(offset**2) / (2.0 * HEATMAP_SIGMA**2)), 0.0)
 
-    return profile(centers[..., 1], image_h), profile(centers[..., 0], image_w)
+    return profile(centers[..., 1], size), profile(centers[..., 0], size)
 
 
-def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, image_h: int,
-                       image_w: int) -> np.ndarray:
-    """Unit-peak Gaussian heatmaps (H, W, L), zeroed for invisible joints.
+def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> np.ndarray:
+    """Unit-peak Gaussian heatmaps (S, S, L), zeroed for invisible joints.
 
     Each visible channel is centered on the joint's rounded pixel so its
     maximum is exactly 1 there; see `heatmap_profiles`.
     """
-    rows, cols = heatmap_profiles(joints2d, visibility, image_h, image_w)
+    rows, cols = heatmap_profiles(joints2d, visibility, size)
     return np.einsum("lh,lw->hwl", rows, cols)
 
 
-def in_frame_visibility(joints2d: np.ndarray, image_h: int, image_w: int) -> np.ndarray:
-    """1 where the joint's rounded pixel lies inside the frame."""
+def in_frame_visibility(joints2d: np.ndarray, size: int) -> np.ndarray:
+    """1 where the joint's rounded pixel lies inside the S x S frame."""
     joints2d = np.asarray(joints2d, dtype=np.float64)
     c = np.rint(joints2d[:, 0])
     r = np.rint(joints2d[:, 1])
-    ok = (c >= 0) & (c < image_w) & (r >= 0) & (r < image_h)
+    ok = (c >= 0) & (c < size) & (r >= 0) & (r < size)
     return ok.astype(np.int64)
 
 
-def normalize_pixels(points_px, image_h: int, image_w: int):
-    """Pixel coordinates -> [-1, 1] normalized image coordinates."""
-    size = np.array([image_w, image_h], dtype=np.float64)
+def normalize_pixels(points_px, size: int):
+    """Pixel coordinates in an S x S image -> [-1, 1] normalized coordinates."""
     return (2.0 * points_px - size) / size

@@ -21,6 +21,7 @@ import numpy as np
 from . import bodymodel as bm
 from . import network as net_mod
 from .gaussians import PredictionSet, fuse_shapes
+from .scalars import check_int, check_positive
 
 MM = 1000.0
 CM = 100.0
@@ -106,8 +107,7 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     """Average per-vertex Euclidean distance from the mean vertex location
     over parameter samples drawn from one sample's predicted distributions,
     in cm."""
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise ValueError(f"need a positive int number of draws, got {n_samples!r}")
+    check_int("number of draws", n_samples, 1)
     rng = rng or np.random.default_rng(0)
     n = int(n_samples)
     pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
@@ -170,8 +170,7 @@ def pose_variance_by_joint_visibility(pose_var: np.ndarray, visibility: np.ndarr
 
 def split_groups(indices, max_group_size: int, rng) -> list:
     """Shuffle then chunk into groups of size <= N; partitions the input."""
-    if not (isinstance(max_group_size, (int, np.integer)) and max_group_size >= 1):
-        raise ValueError(f"group size must be an int of at least 1, got {max_group_size!r}")
+    check_int("group size", max_group_size, 1)
     shuffled = np.asarray(indices, dtype=np.int64)[rng.permutation(len(indices))]
     return [shuffled[i : i + max_group_size].tolist()
             for i in range(0, len(shuffled), max_group_size)]
@@ -185,11 +184,9 @@ class MeasurementSet:
     height_m: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.height_m) and self.height_m > 0):
-            raise ValueError(f"height must be finite and positive, got {self.height_m!r}")
+        check_positive("height", self.height_m)
         for name, v in self.girths_cm.items():
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"measurement {name} must be finite and positive, got {v!r}")
+            check_positive(f"measurement {name}", v)
 
 
 def convex_hull_perimeter(points: np.ndarray) -> float:
@@ -247,8 +244,7 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
     """Girths from planar slices of the neutral-pose mesh, scaled by
     true_height / predicted_height (the predicted height is the y-extent of
     the neutral mesh)."""
-    if not (np.isfinite(true_height_m) and true_height_m > 0):
-        raise ValueError(f"height must be finite and positive, got {true_height_m!r}")
+    check_positive("height", true_height_m)
     spec = model.meta.get("measurements")
     if not spec:
         raise ValueError("model defines no measurement planes")
@@ -256,8 +252,7 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
         raise ValueError("predicted shape coefficients must be finite")
     verts = bm.shaped_template(model, pred_beta)
     predicted_height = float(verts[:, 1].max() - verts[:, 1].min())
-    if not (np.isfinite(predicted_height) and predicted_height > 0):
-        raise ValueError(f"predicted height must be finite and positive, got {predicted_height!r}")
+    check_positive("predicted height", predicted_height)
     scale = true_height_m / predicted_height
 
     pivots = model.skeleton_regressor @ verts
@@ -351,23 +346,20 @@ def combine_shape(predictions: PredictionSet, combination: str) -> np.ndarray:
         return fuse_shapes(predictions.shape).mean
     if combination == "mean":
         return predictions.shape.mean.mean(axis=0)
-    if combination == "single":
-        if len(predictions) != 1:
-            raise ValueError("'single' combination expects one prediction per group")
-        return predictions.shape.mean[0]
     raise ValueError(f"unknown combination {combination!r}")
 
 
 def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
              combination: str, rng, uncertainty_samples: int = 0) -> MetricsReport:
     """Predict every sample, group per subject, combine shapes and report
-    pose/shape metrics. combination 'single' ignores grouping.
+    pose/shape metrics. Single-image evaluation is `group_size=1`, under
+    which both combinations return each prediction's own shape mean.
     `uncertainty_samples` MC draws per sample give the mean per-vertex
     uncertainty; 0 turns it off."""
-    if combination not in ("pc", "mean", "single"):
+    if combination not in ("pc", "mean"):
         raise ValueError(f"unknown combination {combination!r}")
-    if not (isinstance(uncertainty_samples, (int, np.integer)) and uncertainty_samples >= 0):
-        raise ValueError(f"need a non-negative int number of draws, got {uncertainty_samples!r}")
+    check_int("group size", group_size, 1)
+    check_int("number of draws", uncertainty_samples, 0)
     predictions = net_mod.predict_dataset(net, dataset)
     n = len(dataset)
     a = dataset.arrays
@@ -387,9 +379,7 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
         sc[idx] = mpjpe_sc(pred_joints, gt_joints, root=root)
         pa[idx] = mpjpe_pa(pred_joints, gt_joints)
 
-        groups = (idx[:, None].tolist() if combination == "single"
-                  else split_groups(idx, group_size, rng))
-        for g in groups:
+        for g in split_groups(idx, group_size, rng):
             beta_hat = combine_shape(predictions[g], combination)
             group_subject.append(int(subj))
             group_sizes.append(len(g))
@@ -405,7 +395,7 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
 
     return MetricsReport(
         combination=combination,
-        group_size=group_size if combination != "single" else 1,
+        group_size=group_size,
         sample_index=np.arange(n),
         sample_subject=subjects.copy(),
         sample_mpjpe_sc=sc,

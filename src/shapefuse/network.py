@@ -37,6 +37,7 @@ from . import camera as cr
 from .containerio import ContainerError, read_container, write_container
 from .gaussians import GaussianDiag, PredictionSet, gaussian_nll, reparam_sample
 from .rng import named_rng
+from .scalars import check_int, check_positive, is_int
 
 LOGVAR_CLAMP = 12.0
 LOGSCALE_CLAMP = 6.0
@@ -50,10 +51,10 @@ class TrainDivergenceError(RuntimeError):
     and weight norm."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Convolutional feature extractor layout; every stage is a `KERNEL` x
-    `KERNEL` (3x3) convolution of stride 2."""
+    `KERNEL` (3x3) convolution of stride 2; frozen, checked when built."""
 
     pool_to: int = 64            # proxy is average-pooled to this square size
     channels: tuple = (8, 16, 32)
@@ -63,10 +64,10 @@ class EncoderConfig:
         side = self.pool_to // (2 ** len(self.channels))
         return side * side * self.channels[-1]
 
-    def validate(self):
-        if not (isinstance(self.pool_to, int) and self.pool_to > 0
+    def __post_init__(self):
+        if not (is_int(self.pool_to) and self.pool_to > 0
                 and isinstance(self.channels, tuple) and self.channels
-                and all(isinstance(c, int) and c > 0 for c in self.channels)):
+                and all(is_int(c) and c > 0 for c in self.channels)):
             raise ValueError("need a positive int pooled size and "
                              "a non-empty tuple of positive int channels")
         if self.pool_to % (2 ** len(self.channels)) != 0:
@@ -75,9 +76,9 @@ class EncoderConfig:
             raise ValueError("encoder feature dimension must be at least 32")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Adam training hyperparameters (desk-scale defaults)."""
+    """Adam training hyperparameters (desk-scale defaults); frozen, checked when built."""
 
     learning_rate: float = 1e-4
     batch_size: int = 32
@@ -87,29 +88,23 @@ class TrainConfig:
     reproj_samples: int = 8    # reparameterized draws per example
     seed: int = 0
 
-    def validate(self):
-        rate = self.learning_rate
-        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
-                and np.isfinite(rate) and rate > 0):
-            raise ValueError(f"learning rate must be a finite positive number, got {rate!r}")
+    def __post_init__(self):
+        check_positive("learning rate", self.learning_rate)
         for name in ("batch_size", "epochs", "reproj_samples"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                    and value > 0):
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed)
 
 
-def _conv_indices(h, w, c_in):
-    """Stride-2 patch-gather indices into a flattened (H*W*C + 1) layout;
-    index H*W*C is the zero-padding sentinel."""
+def _conv_indices(side, c_in):
+    """Stride-2 patch-gather indices into a flattened (S*S*C + 1) layout, and
+    the output side; index S*S*C is the zero-padding sentinel."""
     # the kernel is centred on every second input pixel
-    rows = np.arange(0, h, 2)[:, None] + np.arange(KERNEL) - KERNEL // 2  # (out_h, KERNEL)
-    cols = np.arange(0, w, 2)[:, None] + np.arange(KERNEL) - KERNEL // 2  # (out_w, KERNEL)
+    taps = np.arange(0, side, 2)[:, None] + np.arange(KERNEL) - KERNEL // 2  # (out, KERNEL)
     # axes (output row, output column, kernel row, kernel column, channel)
-    ir, ic = rows[:, None, :, None, None], cols[None, :, None, :, None]
-    inside = (ir >= 0) & (ir < h) & (ic >= 0) & (ic < w)
-    idx = np.where(inside, (ir * w + ic) * c_in + np.arange(c_in), h * w * c_in)
-    return idx.reshape(len(rows) * len(cols), -1).astype(np.int64), len(rows), len(cols)
+    ir, ic = taps[:, None, :, None, None], taps[None, :, None, :, None]
+    inside = (ir >= 0) & (ir < side) & (ic >= 0) & (ic < side)
+    idx = np.where(inside, (ir * side + ic) * c_in + np.arange(c_in), side * side * c_in)
+    return idx.reshape(len(taps) ** 2, -1).astype(np.int64), len(taps)
 
 
 def _profile_taps(profiles: np.ndarray) -> np.ndarray:
@@ -131,9 +126,8 @@ class PredictorNet:
     def __init__(self, pose_dim: int, shape_dim: int, in_channels: int,
                  encoder: EncoderConfig = None, hidden: int = 512, seed: int = 0):
         encoder = encoder or EncoderConfig()
-        encoder.validate()
-        if min(pose_dim, shape_dim, in_channels, hidden) <= 0:
-            raise ValueError("pose, shape, input channel and hidden sizes must be positive")
+        if not all(is_int(d) and d > 0 for d in (pose_dim, shape_dim, in_channels, hidden)):
+            raise ValueError("pose, shape, input channel and hidden sizes must be positive ints")
         self.pose_dim = pose_dim
         self.shape_dim = shape_dim
         self.in_channels = in_channels
@@ -150,7 +144,7 @@ class PredictorNet:
             rng = named_rng(seed, "init", f"conv{i}")
             self.params[f"conv{i}_w"] = rng.normal(0, np.sqrt(2.0 / fan_in), (fan_in, c_out))
             self.params[f"conv{i}_b"] = np.zeros(c_out)
-            idx, side, _ = _conv_indices(side, side, c_prev if i else 1)
+            idx, side = _conv_indices(side, c_prev if i else 1)
             self._conv_tables.append(idx)
             c_prev = c_out
         rng = named_rng(seed, "init", "dense0")
@@ -262,7 +256,7 @@ def pooled_from_dataset(dataset, indices, pool_to: int) -> PooledProxy:
         raise ValueError(f"image size {size} not divisible by pooled size {pool_to}")
     f = size // pool_to
     rows, cols = cr.heatmap_profiles(
-        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices], size, size
+        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices], size
     )
     lead, L = rows.shape[:-2], rows.shape[-2]
     # block sums of the 0/1 silhouette are exact integers, so summing rows and
@@ -440,9 +434,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
     initialization all derive from named substreams. A non-finite loss or
     gradient aborts with the failing batch index and current weight norm.
     """
-    cfg.validate()
-    if not (isinstance(start_epoch, (int, np.integer)) and start_epoch >= 0):
-        raise ValueError(f"start_epoch must be an int >= 0, got {start_epoch!r}")
+    check_int("start_epoch", start_epoch, 0)
     n = len(dataset)
     n_batches = len(range(0, n, cfg.batch_size))
     arrays = dataset.arrays
@@ -461,7 +453,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
                 "theta": arrays["theta"][idx],
                 "beta": arrays["beta"][idx],
                 "glob": arrays["glob"][idx],
-                "joints_norm": cr.normalize_pixels(arrays["joints2d"][idx], size, size),
+                "joints_norm": cr.normalize_pixels(arrays["joints2d"][idx], size),
                 "visibility": arrays["visibility"][idx].astype(np.int64),
             }
 
@@ -514,22 +506,17 @@ def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
 
 def load_weights(path):
     """Returns (net, optimizer or None, meta); validates version and shapes.
+    Layout values reach the constructors unconverted: a float size fails.
     An old encoder `kernel` key is ignored; another kernel fails the shape check."""
     arrays, meta = read_container(path, expected_kind="weights")
     if meta.get("weights_version") != WEIGHTS_VERSION:
         raise ContainerError(f"{path}: unsupported weights version")
     try:
         enc = meta["encoder"]
-        net = PredictorNet(
-            pose_dim=int(meta["pose_dim"]),
-            shape_dim=int(meta["shape_dim"]),
-            in_channels=int(meta["in_channels"]),
-            encoder=EncoderConfig(pool_to=int(enc["pool_to"]), channels=tuple(enc["channels"])),
-            hidden=int(meta["hidden"]),
-        )
+        net = PredictorNet(meta["pose_dim"], meta["shape_dim"], meta["in_channels"],
+                           EncoderConfig(enc["pool_to"], tuple(enc["channels"])), meta["hidden"])
         adam_t = meta["adam_t"]
-        if type(adam_t) is not int or adam_t < 0:
-            raise ValueError(f"adam_t must be a non-negative int, got {adam_t!r}")
+        check_int("adam_t", adam_t, 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: malformed network layout ({exc!r})") from exc
     for k in net.params:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -27,6 +26,7 @@ from . import bodymodel as bm
 from . import camera as cr
 from .containerio import ContainerError, read_container, write_container
 from .rng import named_rng
+from .scalars import check_int, check_positive, is_real
 
 MAX_CAMERA_RETRIES = 10
 POSE_STD = 0.3            # radians, per-axis std of the procedural pose bank
@@ -35,19 +35,9 @@ DATASET_ARRAYS = ("silhouette_bits", "joints2d", "visibility", "theta", "beta", 
                   "cam_translation", "subject_id", "corrupted")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite real number that is not a bool."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
-@dataclass
+@dataclass(frozen=True)
 class AugmentationConfig:
-    """Corruption suite; defaults follow the reference augmentation table."""
+    """Corruption suite (reference defaults); frozen, checked when built."""
 
     body_part_occlusion_prob: float = 0.1
     joint_lr_swap_prob: float = 0.1
@@ -58,25 +48,24 @@ class AugmentationConfig:
     occlusion_box_prob: float = 0.5
     occlusion_box_size: int = 48        # pixels
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("body_part_occlusion_prob", "joint_lr_swap_prob",
                      "half_image_occlusion_prob", "joint_removal_prob",
                      "occlusion_box_prob"):
             p = getattr(self, name)
-            if not (_is_finite(p) and 0.0 <= p <= 1.0):
+            if not (is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
         for name in ("joint_noise_range", "vertex_noise_range"):
             r = getattr(self, name)
-            if not (_is_finite(r) and r >= 0):
+            if not (is_real(r) and r >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {r!r}")
-        if not (_is_int(self.occlusion_box_size) and self.occlusion_box_size >= 0):
-            raise ValueError("occlusion box size must be a non-negative int, "
-                             f"got {self.occlusion_box_size!r}")
+        check_int("occlusion_box_size", self.occlusion_box_size, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationConfig:
-    """Rendering and sampling hyperparameters (reference defaults)."""
+    """Rendering and sampling settings (reference defaults); frozen, checked
+    when built. Images are square, of side `image_size`."""
 
     shape_variance: float = 2.25
     shape_clip: float = 6.0
@@ -85,18 +74,15 @@ class GenerationConfig:
     focal_length: float = 300.0
     image_size: int = 256
 
-    def validate(self):
+    def __post_init__(self):
         mean, var = self.cam_translation_mean, self.cam_translation_var
-        if not (np.shape(mean) == np.shape(var) == (3,) and all(map(_is_finite, mean))
-                and all(_is_finite(v) and v > 0 for v in var)):
+        if not (np.shape(mean) == np.shape(var) == (3,) and all(map(is_real, mean))
+                and all(is_real(v) and v > 0 for v in var)):
             raise ValueError("camera translation needs 3 finite means and 3 finite positive "
                              f"variances, got {mean!r} and {var!r}")
         for name in ("shape_variance", "shape_clip", "focal_length"):
-            value = getattr(self, name)
-            if not (_is_finite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (_is_int(self.image_size) and self.image_size > 0):
-            raise ValueError(f"image size must be a positive int, got {self.image_size!r}")
+            check_positive(name, getattr(self, name))
+        check_int("image_size", self.image_size, 1)
 
 
 @dataclass
@@ -152,8 +138,7 @@ def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256,
                            seed: int = 0) -> PoseSource:
     """Plausible random poses: per-joint zero-mean rotations with extra
     flexion on elbows/knees, norms clamped inside the axis-angle range."""
-    if not (_is_int(n_poses) and n_poses >= 1):
-        raise ValueError(f"n_poses must be an int >= 1, got {n_poses!r}")
+    check_int("n_poses", n_poses, 1)
     rng = named_rng(seed, "pose_source")
     J = model.num_joints
     poses = np.empty((n_poses, model.pose_dim))
@@ -213,8 +198,6 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     rasterized in full exactly once, from the noisy mesh when vertex noise
     applies and from the clean mesh otherwise.
     """
-    gen_cfg.validate()
-    aug_cfg.validate()
     size = gen_cfg.image_size
     vertices = bm.forward(model, theta, beta, glob)
 
@@ -226,7 +209,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         translation = cam_mean + cam_std * rng.standard_normal(3)
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
-        candidate = cr.PerspCamera(gen_cfg.focal_length, size, size, translation)
+        candidate = cr.PerspCamera(gen_cfg.focal_length, size, translation)
         if cr.covers_any_pixel(vertices, model.faces, candidate):
             camera = candidate
             break
@@ -243,7 +226,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
 
     keypoints3d = bm.regress_joints(model, vertices)
     joints2d = cr.project_persp(keypoints3d, camera)
-    visibility = cr.in_frame_visibility(joints2d, size, size)
+    visibility = cr.in_frame_visibility(joints2d, size)
 
     events = {"part_occluded": False, "half_occluded": False, "box_occluded": False,
               "pairs_swapped": 0, "joints_removed": 0}
@@ -296,7 +279,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
             joints2d = joints2d + rng.uniform(
                 -aug_cfg.joint_noise_range, aug_cfg.joint_noise_range, joints2d.shape
             )
-            visibility = visibility * cr.in_frame_visibility(joints2d, size, size)
+            visibility = visibility * cr.in_frame_visibility(joints2d, size)
 
     return SyntheticSample(
         proxy=cr.ProxyRepresentation(silhouette, joints2d, visibility),
@@ -321,8 +304,7 @@ def generate_dataset(model: bm.BodyModel, gen_cfg: GenerationConfig,
     sample. With `exact_facings` the four canonical orientations cycle in
     order (front/back/left/right), as in grouped evaluation sets."""
     for name, count in (("num_subjects", num_subjects), ("poses_per_subject", poses_per_subject)):
-        if not (_is_int(count) and count >= 1):
-            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+        check_int(name, count, 1)
     if pose_source is None:
         pose_source = procedural_pose_source(model, seed=seed)
     samples = []
@@ -366,8 +348,7 @@ class SynthDataset:
 
     def __init__(self, arrays: dict, meta: dict):
         size = meta.get("image_size")
-        if not (_is_int(size) and size > 0):
-            raise ValueError(f"image_size must be a positive int, got {size!r}")
+        check_int("image_size", size, 1)
         missing = sorted(set(DATASET_ARRAYS) - set(arrays))
         if missing:
             raise ValueError(f"missing arrays {missing}")
@@ -422,6 +403,7 @@ class SynthDataset:
 
 def write_dataset(path, samples: list, gen_cfg: GenerationConfig,
                   aug_cfg: AugmentationConfig, seed: int, model_fingerprint: str = "") -> None:
+    check_int("seed", seed)
     dataset = SynthDataset.from_samples(samples)
     meta = dict(
         dataset.meta,

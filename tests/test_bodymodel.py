@@ -310,6 +310,11 @@ class TestToyGenerator:
         with pytest.raises(ValueError, match="num_joints"):
             bm.generate_toy_model(seed=0, num_joints=True)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "0"])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            bm.generate_toy_model(seed=seed, num_vertices=120)
+
 
 def mis_wound_faces(faces):
     faces = faces.copy()
@@ -398,6 +403,8 @@ class TestModelIO:
                      id="part-label-beyond-part-names"),
         pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[[0, 99]]),
                      id="swap-pair-out-of-range"),
+        pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[[True, 2]]),
+                     id="swap-pair-bool"),
     ])
     def test_malformed_metadata_rejected(self, toy, tmp_path, edit):
         path = tmp_path / "model.sfc"

@@ -91,14 +91,14 @@ class TestWeakPerspective:
 
 class TestPerspective:
     def test_optical_axis_maps_to_center(self):
-        c = cam.PerspCamera(300.0, 256, 256, np.array([0.0, 0.0, 2.5]))
+        c = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 2.5]))
         out = cam.project_persp(np.zeros((1, 3)), c)
         np.testing.assert_allclose(out, [[128.0, 128.0]])
 
     def test_doubling_focal_doubles_offset(self):
         p = np.array([[0.3, -0.2, 0.0]])
-        c1 = cam.PerspCamera(300.0, 256, 256, np.array([0.0, 0.0, 2.5]))
-        c2 = cam.PerspCamera(600.0, 256, 256, np.array([0.0, 0.0, 2.5]))
+        c1 = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 2.5]))
+        c2 = cam.PerspCamera(600.0, 256, np.array([0.0, 0.0, 2.5]))
         off1 = cam.project_persp(p, c1)[0] - 128.0
         off2 = cam.project_persp(p, c2)[0] - 128.0
         np.testing.assert_allclose(off2, 2 * off1)
@@ -107,12 +107,17 @@ class TestPerspective:
         # default generation camera: translation (0, -0.2, 2.5) m, focal 300
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
         verts = bm.shaped_template(model, np.zeros(10))
-        c = cam.PerspCamera(300.0, 256, 256, np.array([0.0, -0.2, 2.5]))
+        c = cam.PerspCamera(300.0, 256, np.array([0.0, -0.2, 2.5]))
         px = cam.project_persp(verts, c)
         assert px.min() >= 0.0 and px.max() <= 256.0
 
+    @pytest.mark.parametrize("focal", [0.0, -1.0, float("inf"), float("nan"), True])
+    def test_focal_must_be_finite_and_positive(self, focal):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cam.PerspCamera(focal, 256, np.array([0.0, 0.0, 2.5]))
+
     def test_point_behind_camera_rejected(self):
-        c = cam.PerspCamera(300.0, 256, 256, np.array([0.0, 0.0, 1.0]))
+        c = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             cam.project_persp(np.array([[0.0, 0.0, -1.0]]), c)
 
@@ -125,7 +130,7 @@ class TestRasterizer:
     def test_covering_triangle_fills_frame(self):
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [0.0, 80.0, 0.0]])
         faces = TWO_SIDED
-        c = cam.PerspCamera(10.0, 32, 32, np.array([0.0, 0.0, 1.0]))
+        c = cam.PerspCamera(10.0, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(verts, faces, c)
         assert mask.all()
         assert cam.covers_any_pixel(verts, faces, c) is True
@@ -135,7 +140,7 @@ class TestRasterizer:
         assert cam.covers_any_pixel(shifted, faces, c) is False
 
     def test_empty_mesh_gives_zeros(self):
-        c = cam.PerspCamera(10.0, 16, 16, np.array([0.0, 0.0, 1.0]))
+        c = cam.PerspCamera(10.0, 16, np.array([0.0, 0.0, 1.0]))
         verts, faces = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
         mask = cam.rasterize_silhouette(verts, faces, c)
         assert mask.shape == (16, 16) and not mask.any()
@@ -144,7 +149,7 @@ class TestRasterizer:
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
         faces = TWO_SIDED
-        c = cam.PerspCamera(50.0, 32, 32, np.array([0.0, 0.0, 1.0]))
+        c = cam.PerspCamera(50.0, 32, np.array([0.0, 0.0, 1.0]))
         mask = cam.rasterize_silhouette(verts, faces, c)
         assert not mask.any()
         assert cam.covers_any_pixel(verts, faces, c) is False
@@ -164,9 +169,9 @@ class TestRasterizer:
         rng = np.random.default_rng(seed)
         verts = rng.uniform(-0.8, 0.8, size=(12, 3)) * [spread / 0.8, spread / 0.8, 1.0]
         faces = rng.integers(0, 12, size=(20, 3))
-        c = cam.PerspCamera(40.0, size, size, np.array([0.0, 0.0, 2.0]))
+        c = cam.PerspCamera(40.0, size, np.array([0.0, 0.0, 2.0]))
         tri_px = cam.project_persp(verts, c)[faces]
-        got = cam._coverage_mask(counter_clockwise(tri_px), size, size)
+        got = cam._coverage_mask(counter_clockwise(tri_px), size)
         if size == 96:
             lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
             assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
@@ -174,12 +179,12 @@ class TestRasterizer:
         want = brute_force_coverage(tri_px.tolist(), size, size)
         np.testing.assert_array_equal(got, want)
         assert any(cells.size for cells in
-                   cam._covered_cells(counter_clockwise(tri_px), size, size)) == want.any()
+                   cam._covered_cells(counter_clockwise(tri_px), size)) == want.any()
 
     def test_part_assignment_partitions_silhouette(self):
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
         verts = bm.shaped_template(model, np.zeros(10))
-        c = cam.PerspCamera(150.0, 128, 128, np.array([0.0, -0.2, 2.5]))
+        c = cam.PerspCamera(150.0, 128, np.array([0.0, -0.2, 2.5]))
         sil = cam.rasterize_silhouette(verts, model.faces, c)
         assign = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
@@ -204,7 +209,7 @@ class TestClosedMeshRasterizer:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_brute_force_on_posed_bodies(self, seed):
         model = bm.generate_toy_model(seed=seed, num_vertices=150, num_joints=16)
-        c = cam.PerspCamera(75.0, 48, 48, np.array([0.0, -0.2, 2.5]))
+        c = cam.PerspCamera(75.0, 48, np.array([0.0, -0.2, 2.5]))
         for verts in posed_noisy_bodies(model, seed, [2 * seed, 2 * seed + 1]):
             # Python floats: the same arithmetic as numpy scalars, several times faster
             want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 48, 48)
@@ -217,10 +222,10 @@ class TestClosedMeshRasterizer:
     @pytest.mark.parametrize("shift", [0.0, 1.0, 3.0], ids=["centred", "past-edge", "off-frame"])
     def test_matches_all_faces_at_benchmark_size(self, shift):
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
-        c = cam.PerspCamera(300.0, 256, 256, np.array([shift, -0.2, 2.5]))
+        c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
         for verts in posed_noisy_bodies(model, 7, [0, 1, 2, 3]):
             want = cam._coverage_mask(
-                counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256, 256)
+                counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256)
             assert want.any() == (shift < 3.0) and not want.all()
             for faces in (model.faces, model.faces[:, ::-1]):
                 kept = len(cam._projected_triangles(verts, faces, c))
@@ -233,20 +238,20 @@ class TestClosedMeshRasterizer:
 
 class TestHeatmaps:
     def test_peak_one_at_joint_pixel(self):
-        maps = cam.joints_to_heatmaps(np.array([[128.0, 128.0]]), np.array([1]), 256, 256)
+        maps = cam.joints_to_heatmaps(np.array([[128.0, 128.0]]), np.array([1]), 256)
         assert maps[128, 128, 0] == 1.0
         assert maps[:, :, 0].max() == 1.0
 
     def test_invisible_channel_all_zero(self):
-        maps = cam.joints_to_heatmaps(np.array([[128.0, 128.0]]), np.array([0]), 256, 256)
+        maps = cam.joints_to_heatmaps(np.array([[128.0, 128.0]]), np.array([0]), 256)
         assert not maps.any()
 
     def test_value_at_sigma_distance(self):
         assert cam.HEATMAP_SIGMA == 4.0
-        maps = cam.joints_to_heatmaps(np.array([[100.0, 100.0]]), np.array([1]), 256, 256)
+        maps = cam.joints_to_heatmaps(np.array([[100.0, 100.0]]), np.array([1]), 256)
         assert maps[100, 104, 0] == pytest.approx(np.exp(-0.5))
 
     def test_peak_at_rounded_pixel(self):
-        maps = cam.joints_to_heatmaps(np.array([[100.4, 99.6]]), np.array([1]), 256, 256)
+        maps = cam.joints_to_heatmaps(np.array([[100.4, 99.6]]), np.array([1]), 256)
         r, c = np.unravel_index(np.argmax(maps[:, :, 0]), (256, 256))
         assert (r, c) == (100, 100)

@@ -231,7 +231,7 @@ class TestPerVertexUncertainty:
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("n_samples", [0, -3, 2.0])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.0, True])
     def test_non_positive_or_non_int_draws_rejected(self, n_samples):
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
         pred = PredictionSet(
@@ -344,7 +344,8 @@ class TestGirths:
                 assert scaled.girths_cm[name] == pytest.approx(height * girth, rel=1e-12)
 
 
-    @pytest.mark.parametrize("height", [float("nan"), float("inf"), -float("inf"), 0.0, -1.7])
+    @pytest.mark.parametrize("height", [float("nan"), float("inf"), -float("inf"), 0.0, -1.7,
+                                        True, "1.7"])
     def test_height_must_be_finite_and_positive(self, height):
         toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
         beta = np.zeros(toy.shape_basis.shape[-1])
@@ -363,7 +364,8 @@ class TestGirths:
         with pytest.raises(ValueError, match="shape coefficients must be finite"):
             metrics.measure_and_normalize(beta, toy, 1.7)
 
-    @pytest.mark.parametrize("girth", [float("nan"), float("inf"), -float("inf"), 0.0, -80.0])
+    @pytest.mark.parametrize("girth", [float("nan"), float("inf"), -float("inf"), 0.0, -80.0,
+                                       True, "80"])
     def test_girths_must_be_finite_and_positive(self, girth):
         with pytest.raises(ValueError, match="measurement waist must be finite and positive"):
             metrics.MeasurementSet({"hip": 90.0, "waist": girth}, 1.7)
@@ -386,7 +388,7 @@ class TestSplitGroups:
         with pytest.raises(ValueError):
             metrics.split_groups([1, 2], 0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("size", [2.0, "2"])
+    @pytest.mark.parametrize("size", [2.0, "2", True])
     def test_non_int_group_size_rejected(self, size):
         with pytest.raises(ValueError, match="group size"):
             metrics.split_groups([1, 2], size, np.random.default_rng(0))
@@ -450,9 +452,9 @@ class TestEvaluate:
         dataset = synth.SynthDataset.from_samples(samples)
         return model, net, dataset, network.predict_dataset(net, dataset)
 
-    def evaluate(self, setup, combination, draws=0):
+    def evaluate(self, setup, combination, draws=0, group_size=GROUP_SIZE):
         model, net, dataset, _ = setup
-        return metrics.evaluate(dataset, net, model, self.GROUP_SIZE, combination,
+        return metrics.evaluate(dataset, net, model, group_size, combination,
                                 np.random.default_rng(9), draws)
 
     @pytest.mark.parametrize("combination,combine", [
@@ -476,18 +478,25 @@ class TestEvaluate:
         ]
 
     def test_single_gives_one_group_per_sample(self, setup):
+        # single-image evaluation is group size 1 under either rule; the shuffle
+        # orders a subject's groups, whose values are each sample's own
         model, _, dataset, predictions = setup
-        report = self.evaluate(setup, "single")
-        assert report.group_size == 1
-        assert report.group_sizes == [1] * len(dataset)
-        assert report.group_subject == dataset.arrays["subject_id"].tolist()
-        assert report.group_pve_t_sc == [
-            metrics.pve_t_sc(p.shape.mean, beta, model)
-            for p, beta in zip(predictions, dataset.arrays["beta"])
-        ]
+        subjects = dataset.arrays["subject_id"]
+        for combination in ("pc", "mean"):
+            report = self.evaluate(setup, combination, group_size=1)
+            assert report.group_size == 1
+            assert report.group_sizes == [1] * len(dataset)
+            assert report.group_subject == sorted(subjects.tolist())
+            for subj in np.unique(subjects):
+                got = [v for s, v in zip(report.group_subject, report.group_pve_t_sc)
+                       if s == subj]
+                want = [metrics.pve_t_sc(predictions[i].shape.mean, dataset.arrays["beta"][i],
+                                         model)
+                        for i in np.flatnonzero(subjects == subj)]
+                assert sorted(got) == sorted(want)
 
     def test_joint_errors_do_not_depend_on_the_combination(self, setup):
-        reports = [self.evaluate(setup, c) for c in ("pc", "mean", "single")]
+        reports = [self.evaluate(setup, c) for c in ("pc", "mean")]
         for report in reports[1:]:
             np.testing.assert_array_equal(report.sample_mpjpe_sc, reports[0].sample_mpjpe_sc)
             np.testing.assert_array_equal(report.sample_mpjpe_pa, reports[0].sample_mpjpe_pa)
@@ -518,7 +527,7 @@ class TestEvaluate:
         assert uncertainty.shape == (model.num_vertices,)
         assert np.all(uncertainty > 0)
 
-    @pytest.mark.parametrize("draws", ["3", -2, 1.5, None])
+    @pytest.mark.parametrize("draws", ["3", -2, 1.5, None, True])
     def test_bad_draw_count_rejected_before_predicting(self, setup, draws, monkeypatch):
         def predict(*args):
             raise AssertionError("predicted before checking the draw count")
@@ -527,9 +536,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="number of draws"):
             self.evaluate(setup, "pc", draws=draws)
 
+    @pytest.mark.parametrize("group_size", [True, 0, None])
+    def test_bad_group_size_rejected_before_predicting(self, setup, group_size, monkeypatch):
+        def predict(*args):
+            raise AssertionError("predicted before checking the group size")
+
+        monkeypatch.setattr(metrics.net_mod, "predict_dataset", predict)
+        with pytest.raises(ValueError, match="group size"):
+            self.evaluate(setup, "pc", group_size=group_size)
+
     def test_unknown_combination_rejected(self, setup):
-        with pytest.raises(ValueError, match="unknown combination"):
-            self.evaluate(setup, "median")
+        for combination in ("median", "single"):
+            with pytest.raises(ValueError, match="unknown combination"):
+                self.evaluate(setup, combination)
 
     def test_float_group_size_rejected(self, setup):
         model, net, dataset, _ = setup

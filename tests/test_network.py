@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 
@@ -216,7 +217,7 @@ class TestOutputContract:
 class TestEncoderConfig:
     def test_feature_dim_floor(self):
         with pytest.raises(ValueError):
-            net_mod.EncoderConfig(pool_to=8, channels=(2, 2, 2)).validate()
+            net_mod.EncoderConfig(pool_to=8, channels=(2, 2, 2))
 
     @pytest.mark.parametrize("layout", [
         pytest.param(dict(channels=()), id="no-channels"),
@@ -225,12 +226,28 @@ class TestEncoderConfig:
     ])
     def test_malformed_layout_rejected(self, layout):
         with pytest.raises(ValueError):
-            net_mod.EncoderConfig(**layout).validate()
+            net_mod.EncoderConfig(**layout)
 
     def test_default_is_valid(self):
-        cfg = net_mod.EncoderConfig()
-        cfg.validate()
-        assert cfg.feature_dim == 8 * 8 * 32
+        assert net_mod.EncoderConfig().feature_dim == 8 * 8 * 32
+
+    def test_numpy_int_layout_equals_int_layout(self, tiny_model, tiny_net):
+        cfg = net_mod.EncoderConfig(pool_to=np.int64(16), channels=(2, np.int32(4), 8))
+        assert cfg == net_mod.EncoderConfig(**TINY_ENCODER)
+        net = net_mod.PredictorNet.for_model(tiny_model, cfg, hidden=16, seed=0)
+        assert net.params.keys() == tiny_net.params.keys()
+        for k in net.params:
+            np.testing.assert_array_equal(net.params[k], tiny_net.params[k])
+        for got, want in zip(net._conv_tables, tiny_net._conv_tables):
+            np.testing.assert_array_equal(got, want)
+
+    def test_frozen_and_replace_checks(self):
+        cfg = net_mod.EncoderConfig(**TINY_ENCODER)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pool_to = 32
+        assert dataclasses.replace(cfg, pool_to=32).feature_dim == 4 * 4 * 8
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, pool_to=12)
 
 
 class TestTrainConfig:
@@ -238,17 +255,30 @@ class TestTrainConfig:
         dict(batch_size=2.5), dict(reproj_samples=1.5), dict(epochs=1.5),
         dict(batch_size=0), dict(reproj_samples=0), dict(learning_rate=-1e-3),
         dict(learning_rate="1e-3"), dict(learning_rate=float("inf")),
-        dict(learning_rate=float("nan")), dict(batch_size=True),
+        dict(learning_rate=float("nan")), dict(batch_size=True), dict(seed=1.5),
+        dict(seed=True), dict(learning_rate=True),
     ], ids=["float-batch", "float-draws", "float-epochs", "zero-batch", "zero-draws",
-            "negative-rate", "string-rate", "inf-rate", "nan-rate", "bool-batch"])
-    def test_malformed_config_rejected(self, field, tiny_model, tiny_net, tiny_data):
-        cfg = net_mod.TrainConfig(**field)
+            "negative-rate", "string-rate", "inf-rate", "nan-rate", "bool-batch",
+            "float-seed", "bool-seed", "bool-rate"])
+    def test_malformed_config_rejected(self, field):
         with pytest.raises(ValueError):
-            cfg.validate()
-        samples = tiny_data
+            net_mod.TrainConfig(**field)
         with pytest.raises(ValueError):
-            net_mod.train(tiny_net, synth.SynthDataset.from_samples(samples[:4]),
-                          cfg, tiny_model)
+            dataclasses.replace(net_mod.TrainConfig(), **field)
+
+    def test_numpy_scalars_accepted(self, tiny_model, tiny_data):
+        cfg = net_mod.TrainConfig(learning_rate=np.float32(1e-3), batch_size=np.int64(2),
+                                  epochs=1, reproj_samples=np.int32(2), seed=np.uint8(3))
+        net = net_mod.PredictorNet.for_model(tiny_model, net_mod.EncoderConfig(**TINY_ENCODER),
+                                             hidden=16, seed=0)
+        log = net_mod.train(net, synth.SynthDataset.from_samples(tiny_data[:4]), cfg,
+                            tiny_model)
+        assert len(log) == 1 and np.isfinite(log[0]["total"])
+
+    def test_frozen(self):
+        cfg = net_mod.TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.learning_rate = 1.0
 
 
 class TestGlobalRotationLoss:
@@ -383,7 +413,7 @@ class TestTotalLoss:
             "beta": np.stack([s.beta for s in samples[:4]]),
             "glob": np.stack([s.glob for s in samples[:4]]),
             "joints_norm": np.stack(
-                [cr.normalize_pixels(s.joints2d, 64, 64) for s in samples[:4]]
+                [cr.normalize_pixels(s.joints2d, 64) for s in samples[:4]]
             ),
             "visibility": np.stack([s.visibility for s in samples[:4]]),
         }
@@ -631,6 +661,12 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta["encoder"].update(channels=[]), id="no-channels"),
         pytest.param(lambda meta: meta.update(in_channels=0), id="in-channels-zero"),
         pytest.param(lambda meta: meta["encoder"].update(pool_to=-16), id="pool-to-negative"),
+        pytest.param(lambda meta: meta["encoder"].update(pool_to=16.5), id="pool-to-float"),
+        pytest.param(lambda meta: meta["encoder"].update(pool_to=16.0), id="pool-to-whole-float"),
+        pytest.param(lambda meta: meta.update(pose_dim=meta["pose_dim"] + 0.9),
+                     id="pose-dim-float"),
+        pytest.param(lambda meta: meta.update(hidden=True), id="hidden-bool"),
+        pytest.param(lambda meta: meta.update(shape_dim="10"), id="shape-dim-string"),
     ])
     def test_malformed_layout_rejected(self, tiny_net, tmp_path, edit):
         path = tmp_path / "w.sfw"

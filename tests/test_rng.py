@@ -62,3 +62,20 @@ def test_key_boundaries_give_distinct_streams():
     a = named_rng(0, "a", 1).integers(0, 2**32, size=4)
     b = named_rng(0, "a1").integers(0, 2**32, size=4)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.0), "1", None])
+def test_non_int_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        named_rng(seed, "x")
+
+
+@pytest.mark.parametrize("key", [True, np.bool_(False), 1.5, None, b"x"])
+def test_key_neither_int_nor_str_rejected(key):
+    with pytest.raises(ValueError, match="keys"):
+        named_rng(1, "x", key)
+
+
+def test_numpy_ints_draw_the_int_stream():
+    np.testing.assert_array_equal(named_rng(np.int64(1), np.uint8(3)).integers(0, 2**32, size=4),
+                                  named_rng(1, 3).integers(0, 2**32, size=4))

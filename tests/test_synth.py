@@ -77,8 +77,8 @@ def no_aug():
 
 
 class TestConfigValidation:
-    """Each rule of `GenerationConfig.validate` and `AugmentationConfig.validate`
-    raises ValueError, from the config and from generation."""
+    """Each rule of the `GenerationConfig` and `AugmentationConfig`
+    constructors raises ValueError; `dataclasses.replace` checks too."""
 
     @pytest.mark.parametrize("field", [
         pytest.param(dict(image_size=64.0), id="image-size-float"),
@@ -92,13 +92,11 @@ class TestConfigValidation:
         pytest.param(dict(cam_translation_var=(0.05, float("inf"), 0.25)), id="cam-var-inf"),
         pytest.param(dict(cam_translation_var=(0.05, 0.0, 0.25)), id="cam-var-zero"),
     ])
-    def test_generation_config_rejected(self, model, small_cfg, field):
-        cfg = dataclasses.replace(small_cfg, **field)
+    def test_generation_config_rejected(self, small_cfg, field):
         with pytest.raises(ValueError):
-            cfg.validate()
+            dataclasses.replace(small_cfg, **field)
         with pytest.raises(ValueError):
-            synth.generate_dataset(model, cfg, synth.AugmentationConfig(), 1, 1, seed=0,
-                                   corrupt=True)
+            synth.GenerationConfig(**field)
 
     @pytest.mark.parametrize("field", [
         pytest.param(dict(occlusion_box_size=12.5), id="box-size-float"),
@@ -109,12 +107,27 @@ class TestConfigValidation:
         pytest.param(dict(joint_noise_range=-1.0), id="joint-noise-negative"),
         pytest.param(dict(occlusion_box_prob=float("nan")), id="prob-nan"),
     ])
-    def test_augmentation_config_rejected(self, model, small_cfg, field):
-        cfg = synth.AugmentationConfig(**field)
+    def test_augmentation_config_rejected(self, field):
         with pytest.raises(ValueError):
-            cfg.validate()
+            synth.AugmentationConfig(**field)
         with pytest.raises(ValueError):
-            synth.generate_dataset(model, small_cfg, cfg, 1, 1, seed=0, corrupt=True)
+            dataclasses.replace(no_aug(), **field)
+
+    def test_configs_are_frozen(self, small_cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_cfg.image_size = 32
+        aug = no_aug()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            aug.joint_removal_prob = 1.0
+        assert small_cfg.image_size == 64 and aug.joint_removal_prob == 0.0
+
+    def test_numpy_scalars_accepted(self, small_cfg):
+        cfg = dataclasses.replace(small_cfg, image_size=np.int64(64),
+                                  focal_length=np.float32(75.0))
+        assert cfg.image_size == 64 and cfg.focal_length == 75.0
+        aug = synth.AugmentationConfig(occlusion_box_size=np.int32(8),
+                                       joint_removal_prob=np.float64(0.5))
+        assert aug.occlusion_box_size == 8
 
     @pytest.mark.parametrize("counts", [
         pytest.param(dict(num_subjects=2.0), id="subjects-float"),
@@ -176,14 +189,13 @@ class TestCleanGeneration:
         s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
         verts = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
-            small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
+            small_cfg.focal_length, small_cfg.image_size,
             s.cam_translation,
         )
         expected = cr.rasterize_silhouette(verts, model.faces, camera)
         np.testing.assert_array_equal(s.proxy.silhouette, expected)
         # visibility is exactly the in-frame indicator for clean samples
-        expected_vis = cr.in_frame_visibility(s.joints2d, small_cfg.image_size,
-                                              small_cfg.image_size)
+        expected_vis = cr.in_frame_visibility(s.joints2d, small_cfg.image_size)
         np.testing.assert_array_equal(s.visibility, expected_vis)
 
     def test_degenerate_augmentation_equals_clean(self, model, small_cfg, source):
@@ -199,8 +211,7 @@ class TestCleanGeneration:
         np.testing.assert_array_equal(clean.visibility, corrupted.visibility)
 
     def test_removal_prob_one_blanks_everything(self, model, small_cfg, source):
-        aug = no_aug()
-        aug.joint_removal_prob = 1.0
+        aug = dataclasses.replace(no_aug(), joint_removal_prob=1.0)
         s = sample_and_render(
             model, source, small_cfg, aug, named_rng(4, "removed"), corrupt=True
         )
@@ -226,7 +237,7 @@ class TestCameraAndRenders:
         s = samples[-1]
         assert s.proxy.joints2d is s.joints2d and s.proxy.visibility is s.visibility
         size = small_cfg.image_size
-        want = cr.joints_to_heatmaps(s.joints2d, s.visibility, size, size)
+        want = cr.joints_to_heatmaps(s.joints2d, s.visibility, size)
         np.testing.assert_array_equal(s.proxy.heatmaps, want)
         assert calls["heatmaps"] == 2  # drawn on each access, not cached
 
@@ -256,8 +267,8 @@ class TestVisibilityInvariants:
 
     @pytest.mark.parametrize("trial", range(6))
     def test_visible_joints_are_in_frame(self, model, small_cfg, source, trial):
-        aug = no_aug()
-        aug.joint_noise_range = 40.0  # aggressive noise pushes joints out
+        # aggressive noise pushes joints out
+        aug = dataclasses.replace(no_aug(), joint_noise_range=40.0)
         s = sample_and_render(
             model, source, small_cfg, aug, named_rng(trial, "noise"), corrupt=True
         )
@@ -289,7 +300,7 @@ class TestPartOcclusion:
         s = sample_and_render(model, source, small_cfg, no_aug(), rng, corrupt=False)
         verts = bm.forward(model, s.theta, s.beta, s.glob)
         camera = cr.PerspCamera(
-            small_cfg.focal_length, small_cfg.image_size, small_cfg.image_size,
+            small_cfg.focal_length, small_cfg.image_size,
             s.cam_translation,
         )
         assignment = cr.rasterize_part_assignment(verts, model.part_labels, camera,
@@ -308,8 +319,7 @@ class TestPartOcclusion:
         rng = named_rng(5, "occ")
         theta, gamma = source.sample(rng)
         beta = synth.sample_shape(rng, small_cfg)
-        aug = no_aug()
-        aug.body_part_occlusion_prob = 1.0
+        aug = dataclasses.replace(no_aug(), body_part_occlusion_prob=1.0)
         s = synth.render_sample(model, theta, beta, gamma, small_cfg, aug,
                                 ForcedIntegers(rng, part_id), corrupt=True)
         assert s.events["part_occluded"]
@@ -334,8 +344,7 @@ class TestPartOcclusion:
 
     def test_part_occlusion_erases_one_part(self, model, small_cfg, source):
         sil, assignment = self._assignment(model, small_cfg, source)
-        aug = no_aug()
-        aug.body_part_occlusion_prob = 1.0
+        aug = dataclasses.replace(no_aug(), body_part_occlusion_prob=1.0)
         s = sample_and_render(model, source, small_cfg, aug, named_rng(5, "occ"), corrupt=True)
         out = s.proxy.silhouette
         assert s.events["part_occluded"]
@@ -350,8 +359,7 @@ class TestHalfImageOcclusion:
         (0, np.s_[:, :32]), (1, np.s_[:, 32:]), (2, np.s_[:32]), (3, np.s_[32:]),
     ], ids=["left", "right", "top", "bottom"])
     def test_zeroes_the_named_half(self, model, small_cfg, source, side, half):
-        aug = no_aug()
-        aug.half_image_occlusion_prob = 1.0
+        aug = dataclasses.replace(no_aug(), half_image_occlusion_prob=1.0)
         theta, gamma = source.sample(named_rng(6, "pose"))
         beta = synth.sample_shape(named_rng(6, "shape"), small_cfg)
 
@@ -414,7 +422,7 @@ class TestDatasetIO:
             s = samples[i]
             np.testing.assert_array_equal(ds.silhouette(i), s.proxy.silhouette)
             heatmaps = cr.joints_to_heatmaps(ds.arrays["joints2d"][i], ds.arrays["visibility"][i],
-                                             size, size)
+                                             size)
             np.testing.assert_array_equal(heatmaps, s.proxy.heatmaps)
             np.testing.assert_array_equal(ds.arrays["theta"][i], s.theta)
             np.testing.assert_array_equal(ds.arrays["joints2d"][i], s.joints2d)
@@ -435,6 +443,13 @@ class TestDatasetIO:
         build(tmp_path / "a.sfd")
         build(tmp_path / "b.sfd")
         assert (tmp_path / "a.sfd").read_bytes() == (tmp_path / "b.sfd").read_bytes()
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_non_int_seed_rejected(self, model, small_cfg, tmp_path, seed):
+        samples = synth.generate_dataset(model, small_cfg, no_aug(), 1, 1, seed=1, corrupt=False)
+        with pytest.raises(ValueError, match="seed"):
+            synth.write_dataset(tmp_path / "d.sfd", samples, small_cfg, no_aug(), seed=seed)
+        assert not (tmp_path / "d.sfd").exists()
 
     def test_per_sample_streams_match_batch(self, model, small_cfg):
         # regenerating one sample in isolation reproduces the batch result

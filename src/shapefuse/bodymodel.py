@@ -15,13 +15,13 @@ inputs are tape nodes, and plain fast numpy otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .containerio import ContainerError, read_container, write_container
-from .scalars import check_int, is_int
+from .scalars import check_int, is_int, is_real
 
 SHAPE_DIM = 10
 
@@ -62,9 +62,10 @@ def rodrigues(aa):
 # model container
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BodyModel:
-    """Immutable parametric body; safe for concurrent read."""
+    """Immutable parametric body; safe for concurrent read. Checked when
+    built, so by `dataclasses.replace` too: a broken rule raises ValueError."""
 
     template_vertices: np.ndarray   # (V, 3) meters
     shape_basis: np.ndarray         # (V, 3, S) meters per unit coefficient
@@ -100,7 +101,7 @@ class BodyModel:
     def shape_dim(self) -> int:
         return self.shape_basis.shape[2]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         V, J, L = self.num_vertices, self.num_joints, self.num_keypoints
         for name in ("faces", "parents", "part_labels", "keypoint_attach"):
             if not np.issubdtype(getattr(self, name).dtype, np.integer):
@@ -142,6 +143,16 @@ class BodyModel:
         for pair in self.meta.get("lr_swap_pairs", []):
             if len(pair) != 2 or not all(is_int(k) and 0 <= k < L for k in pair):
                 raise ValueError(f"left/right swap pair {pair!r} is not two keypoint indices")
+        if not isinstance(self.meta.get("measurements", {}), dict):
+            raise ValueError("measurements must map names to measurement planes")
+        for name, m in self.meta.get("measurements", {}).items():
+            if not (isinstance(m, dict) and m.get("axis") in ("x", "y", "z")
+                    and isinstance(m.get("anchors"), (list, tuple)) and len(m["anchors"]) == 2
+                    and all(a in self.joint_names for a in m["anchors"])
+                    and is_real(m.get("t")) and isinstance(m.get("parts"), list)
+                    and all(isinstance(p, str) for p in m["parts"])):
+                raise ValueError(f"measurement {name!r} is not an axis, two joint names, "
+                                 f"a real t and a list of part names: {m!r}")
         if len(set(self.part_labels.tolist())) < 6:
             raise ValueError("need at least 6 body parts")
         if self.keypoint_attach.shape != (L,) or np.any(self.keypoint_attach < 0) or np.any(
@@ -656,7 +667,7 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
                 "parts": list(m_parts),
             }
 
-    model = BodyModel(
+    return BodyModel(
         template_vertices=template,
         shape_basis=dirs,
         faces=faces,
@@ -676,8 +687,6 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
             "measurements": measurements,
         },
     )
-    model.validate()
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -685,44 +694,19 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
 # ---------------------------------------------------------------------------
 
 def save_model(path, model: BodyModel) -> None:
-    arrays = {
-        "template_vertices": model.template_vertices,
-        "shape_basis": model.shape_basis,
-        "faces": model.faces,
-        "joint_regressor": model.joint_regressor,
-        "skeleton_regressor": model.skeleton_regressor,
-        "skinning_weights": model.skinning_weights,
-        "parents": model.parents,
-        "part_labels": model.part_labels,
-        "keypoint_attach": model.keypoint_attach,
-    }
+    """Writes each array field as an array and each name tuple as a metadata list."""
+    arrays = {f.name: getattr(model, f.name) for f in fields(model) if f.type == "np.ndarray"}
     meta = dict(model.meta)
-    meta["part_names"] = list(model.part_names)
-    meta["joint_names"] = list(model.joint_names)
-    meta["keypoint_names"] = list(model.keypoint_names)
+    meta.update((f.name, list(getattr(model, f.name))) for f in fields(model) if f.type == "tuple")
     write_container(path, "body_model", arrays, meta)
 
 
 def load_model(path) -> BodyModel:
+    """ContainerError if an array is missing or unexpected, or a `BodyModel` rule breaks."""
     arrays, meta = read_container(path, expected_kind="body_model")
     meta = dict(meta)
     try:
-        model = BodyModel(
-            template_vertices=arrays["template_vertices"],
-            shape_basis=arrays["shape_basis"],
-            faces=arrays["faces"],
-            joint_regressor=arrays["joint_regressor"],
-            skeleton_regressor=arrays["skeleton_regressor"],
-            skinning_weights=arrays["skinning_weights"],
-            parents=arrays["parents"],
-            part_labels=arrays["part_labels"],
-            keypoint_attach=arrays["keypoint_attach"],
-            part_names=tuple(meta.pop("part_names")),
-            joint_names=tuple(meta.pop("joint_names")),
-            keypoint_names=tuple(meta.pop("keypoint_names")),
-            meta=meta,
-        )
-        model.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+        names = {f.name: tuple(meta.pop(f.name)) for f in fields(BodyModel) if f.type == "tuple"}
+        return BodyModel(**arrays, **names, meta=meta)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: malformed body model ({exc!r})") from exc
-    return model

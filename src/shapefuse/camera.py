@@ -12,8 +12,8 @@ full-resolution heatmaps are drawn on demand. The rasterizer is plain
 coverage (a pixel is set when its center lies inside a projected
 triangle), which is all a binary silhouette channel needs — no z-buffer,
 no anti-aliasing. A mesh must be a closed, consistently oriented surface
-in front of the camera, as `BodyModel.validate` requires of a body's
-faces; the rasterizer then tests only the triangles of one facing, those
+in front of the camera, as a `BodyModel` requires of its faces when
+built; the rasterizer then tests only the triangles of one facing, those
 with positive signed pixel area, which cover exactly the pixels the whole
 mesh covers and are the counter-clockwise triangles the coverage test
 requires. It has one path: triangles sorted by bounding-box area are
@@ -262,16 +262,26 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
     return assignment
 
 
+def joint_pixel(joints2d) -> np.ndarray:
+    """The (column, row) pixel of each `(..., 2)` joint, as whole floats: the
+    rounded coordinates, so pixel c holds [c - 0.5, c + 0.5). Frame
+    visibility, heatmap centres and `synth.render_sample`'s erased-pixel test
+    all use it. The rasterizer's pixel c covers [c, c + 1), so the two
+    disagree by half a pixel (u = 10.6 is rasterized column 10 but joint
+    pixel 11); the floor would agree, and would move those outputs."""
+    return np.rint(np.asarray(joints2d, dtype=np.float64))
+
+
 def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> tuple:
     """Separable factors of the S x S joint heatmaps: `(..., L, S)` row and
     column profiles of `(..., L, 2)` joints and `(..., L)` visibilities.
 
     Heatmap channel l is the outer product of row profile l and column
     profile l: a unit-peak Gaussian of std `HEATMAP_SIGMA` in the distance
-    to the joint's rounded pixel, cut to the +-ceil(4 sigma) window around
-    that pixel. Both profiles of an invisible joint are zero.
+    to the joint's pixel (`joint_pixel`), cut to the +-ceil(4 sigma) window
+    around that pixel. Both profiles of an invisible joint are zero.
     """
-    centers = np.rint(np.asarray(joints2d, dtype=np.float64))
+    centers = joint_pixel(joints2d)
     visible = np.asarray(visibility).astype(bool)[..., None]
     radius = int(np.ceil(4 * HEATMAP_SIGMA))
 
@@ -286,7 +296,7 @@ def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, size: int) ->
 def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> np.ndarray:
     """Unit-peak Gaussian heatmaps (S, S, L), zeroed for invisible joints.
 
-    Each visible channel is centered on the joint's rounded pixel so its
+    Each visible channel is centered on the joint's pixel so its
     maximum is exactly 1 there; see `heatmap_profiles`.
     """
     rows, cols = heatmap_profiles(joints2d, visibility, size)
@@ -294,12 +304,9 @@ def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, size: int) 
 
 
 def in_frame_visibility(joints2d: np.ndarray, size: int) -> np.ndarray:
-    """1 where the joint's rounded pixel lies inside the S x S frame."""
-    joints2d = np.asarray(joints2d, dtype=np.float64)
-    c = np.rint(joints2d[:, 0])
-    r = np.rint(joints2d[:, 1])
-    ok = (c >= 0) & (c < size) & (r >= 0) & (r < size)
-    return ok.astype(np.int64)
+    """1 where the joint's pixel (`joint_pixel`) lies inside the S x S frame."""
+    pixel = joint_pixel(joints2d)
+    return np.all((pixel >= 0) & (pixel < size), axis=-1).astype(np.int64)
 
 
 def normalize_pixels(points_px, size: int):

@@ -103,12 +103,11 @@ def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) ->
 # ---------------------------------------------------------------------------
 
 def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
-                           n_samples: int = 100, rng=None) -> np.ndarray:
+                           n_samples: int, rng) -> np.ndarray:
     """Average per-vertex Euclidean distance from the mean vertex location
-    over parameter samples drawn from one sample's predicted distributions,
-    in cm."""
+    over `n_samples` parameter samples drawn by `rng` from one sample's
+    predicted distributions, in cm."""
     check_int("number of draws", n_samples, 1)
-    rng = rng or np.random.default_rng(0)
     n = int(n_samples)
     pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
     shape = pred.shape.mean + np.sqrt(pred.shape.var) * rng.standard_normal((n, pred.shape.dim))

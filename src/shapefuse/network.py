@@ -37,7 +37,7 @@ from . import camera as cr
 from .containerio import ContainerError, read_container, write_container
 from .gaussians import GaussianDiag, PredictionSet, gaussian_nll, reparam_sample
 from .rng import named_rng
-from .scalars import check_int, check_positive, is_int
+from .scalars import check_int, check_positive, is_int, is_real
 
 LOGVAR_CLAMP = 12.0
 LOGSCALE_CLAMP = 6.0
@@ -93,6 +93,10 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "reproj_samples"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed)
+        for name in ("lambda_glob", "lambda_2d"):
+            weight = getattr(self, name)
+            if not (is_real(weight) and weight >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {weight!r}")
 
 
 def _conv_indices(side, c_in):
@@ -303,7 +307,6 @@ def reduced_for_keypoints(model: bm.BodyModel) -> bm.BodyModel:
         skeleton_regressor=model.skeleton_regressor[:, support],
         skinning_weights=model.skinning_weights[support],
         part_labels=model.part_labels[support],
-        meta=dict(model.meta),
     )
 
 
@@ -487,6 +490,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
 
 def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
                  epoch: int = 0) -> None:
+    check_int("epoch", epoch, 0)
     arrays = {f"param/{k}": v for k, v in net.params.items()}
     if optimizer is not None:
         arrays.update({f"adam_m/{k}": v for k, v in optimizer.m.items()})

@@ -261,8 +261,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         silhouette[erased] = 0
 
         # visibility: inside the frame and not erased at the joint's pixel
-        cols = np.clip(np.rint(joints2d[:, 0]).astype(int), 0, size - 1)
-        rows = np.clip(np.rint(joints2d[:, 1]).astype(int), 0, size - 1)
+        cols, rows = np.clip(cr.joint_pixel(joints2d).astype(int), 0, size - 1).T
         visibility = visibility * (~erased[rows, cols]).astype(np.int64)
 
         pairs = model.meta.get("lr_swap_pairs", [])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -202,18 +203,19 @@ class TestBatchedLBS:
 class TestRegressJoints:
     def test_one_hot_row_selects_vertex(self, toy):
         verts = bm.shaped_template(toy, np.zeros(10))
-        model2 = bm.BodyModel(**{**toy.__dict__})
         row = np.zeros(toy.num_vertices)
         row[7] = 1.0
-        model2.joint_regressor = np.vstack([row, toy.joint_regressor[1:]])
+        model2 = dataclasses.replace(toy, joint_regressor=np.vstack([row, toy.joint_regressor[1:]]))
         joints = bm.regress_joints(model2, verts)
         np.testing.assert_allclose(joints[0], verts[7])
 
     def test_uniform_row_gives_centroid(self, toy):
         verts = bm.shaped_template(toy, np.zeros(10))
-        model2 = bm.BodyModel(**{**toy.__dict__})
-        model2.joint_regressor = np.full(
-            (1, toy.num_vertices), 1.0 / toy.num_vertices
+        # one keypoint: its name, attachment and no left/right pairs go with it
+        model2 = dataclasses.replace(
+            toy, joint_regressor=np.full((1, toy.num_vertices), 1.0 / toy.num_vertices),
+            keypoint_names=toy.keypoint_names[:1], keypoint_attach=toy.keypoint_attach[:1],
+            meta=dict(toy.meta, lr_swap_pairs=[]),
         )
         joints = bm.regress_joints(model2, verts)
         np.testing.assert_allclose(joints[0], verts.mean(axis=0), atol=1e-12)
@@ -288,7 +290,7 @@ class TestToyGenerator:
     @pytest.mark.parametrize("V,J", [(600, 16), (600, 24), (120, 8), (50, 9)])
     def test_invariants_across_budgets(self, V, J):
         model = bm.generate_toy_model(seed=7, num_vertices=V, num_joints=J)
-        model.validate()
+        dataclasses.replace(model)  # builds again, so passes every check again
         assert model.num_vertices == V
         assert model.num_joints == J
         assert model.num_keypoints == 17
@@ -322,10 +324,18 @@ def mis_wound_faces(faces):
     return faces
 
 
+def write_damaged(path, model, **arrays):
+    """Save `model`, then overwrite the named arrays in the file without
+    building a model from them."""
+    bm.save_model(path, model)
+    saved, meta = read_container(path, expected_kind="body_model")
+    write_container(path, "body_model", {**saved, **arrays}, meta)
+
+
 class TestClosedSurface:
     def test_reoriented_surface_validates(self, toy):
-        dataclasses.replace(toy, faces=toy.faces[:, [1, 2, 0]]).validate()
-        dataclasses.replace(toy, faces=toy.faces[:, ::-1]).validate()
+        dataclasses.replace(toy, faces=toy.faces[:, [1, 2, 0]])
+        dataclasses.replace(toy, faces=toy.faces[:, ::-1])
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda faces: faces[1:], id="open"),
@@ -333,16 +343,15 @@ class TestClosedSurface:
         pytest.param(lambda faces: np.concatenate([faces, faces[:1]]), id="duplicated-face"),
     ])
     def test_rejected_by_validate_and_load(self, toy, tmp_path, damage):
-        damaged = dataclasses.replace(toy, faces=damage(toy.faces))
         with pytest.raises(ValueError, match="closed, consistently oriented"):
-            damaged.validate()
+            dataclasses.replace(toy, faces=damage(toy.faces))
         path = tmp_path / "model.sfc"
-        bm.save_model(path, damaged)
+        write_damaged(path, toy, faces=damage(toy.faces))
         with pytest.raises(ContainerError, match="closed, consistently oriented"):
             bm.load_model(path)
 
     def test_empty_face_set_validates(self, toy):
-        dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64)).validate()
+        dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64))
 
 
 class TestIndexDtypes:
@@ -351,16 +360,50 @@ class TestIndexDtypes:
         # these arrays index others; float64 faces would load and then make
         # the rasterizer raise IndexError
         model = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=16)
-        damaged = dataclasses.replace(model, **{name: getattr(model, name).astype(np.float64)})
+        as_float = {name: getattr(model, name).astype(np.float64)}
         with pytest.raises(ValueError, match=f"{name} must hold integers"):
-            damaged.validate()
+            dataclasses.replace(model, **as_float)
         path = tmp_path / "model.sfc"
-        bm.save_model(path, damaged)
+        write_damaged(path, model, **as_float)
         with pytest.raises(ContainerError, match=f"{name} must hold integers"):
             bm.load_model(path)
 
 
+class TestFrozen:
+    def test_assignment_rejected(self, toy):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            toy.faces = toy.faces[:, ::-1]
+
+    def test_replace_checks(self, toy):
+        negative = toy.joint_regressor.copy()
+        # a negative weight in a row that still sums to 1
+        negative[0, :2] = [-1.0, 1.0 + negative[0, 0] + negative[0, 1]]
+        with pytest.raises(ValueError, match="joint regressor has negative weights"):
+            dataclasses.replace(toy, joint_regressor=negative)
+
+
+def edit_measurement(**changes):
+    """An edit of the first measurement plane in a saved model's metadata."""
+    def edit(arrays, meta):
+        name = next(iter(meta["measurements"]))
+        meta["measurements"][name] = {**meta["measurements"][name], **changes}
+    return edit
+
+
 class TestModelIO:
+    def test_layout_matches_explicit_layout(self, toy, tmp_path):
+        # the layout as it was written out by hand before it came from the fields
+        arrays = {name: getattr(toy, name) for name in (
+            "template_vertices", "shape_basis", "faces", "joint_regressor",
+            "skeleton_regressor", "skinning_weights", "parents", "part_labels",
+            "keypoint_attach",
+        )}
+        meta = dict(toy.meta, part_names=list(toy.part_names), joint_names=list(toy.joint_names),
+                    keypoint_names=list(toy.keypoint_names))
+        write_container(tmp_path / "explicit.sfc", "body_model", arrays, meta)
+        bm.save_model(tmp_path / "model.sfc", toy)
+        assert (tmp_path / "model.sfc").read_bytes() == (tmp_path / "explicit.sfc").read_bytes()
+
     def test_round_trip_bit_exact(self, toy, tmp_path):
         path = tmp_path / "model.sfc"
         bm.save_model(path, toy)
@@ -405,6 +448,16 @@ class TestModelIO:
                      id="swap-pair-out-of-range"),
         pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[[True, 2]]),
                      id="swap-pair-bool"),
+        pytest.param(edit_measurement(axis="w"), id="measurement-axis"),
+        pytest.param(edit_measurement(anchors=["pelvis", "tail"]), id="measurement-unknown-anchor"),
+        pytest.param(edit_measurement(anchors=["pelvis"]), id="measurement-one-anchor"),
+        pytest.param(edit_measurement(t="x"), id="measurement-t-string"),
+        pytest.param(lambda arrays, meta: meta["measurements"].update(chest=3),
+                     id="measurement-not-dict"),
+        pytest.param(edit_measurement(parts=["torso", 1]), id="measurement-part-not-string"),
+        pytest.param(lambda arrays, meta: meta.update(measurements=[]), id="measurements-list"),
+        pytest.param(lambda arrays, meta: arrays.pop("faces"), id="missing-array"),
+        pytest.param(lambda arrays, meta: arrays.update(extra=np.zeros(3)), id="unexpected-array"),
     ])
     def test_malformed_metadata_rejected(self, toy, tmp_path, edit):
         path = tmp_path / "model.sfc"
@@ -412,5 +465,21 @@ class TestModelIO:
         arrays, meta = read_container(path, expected_kind="body_model")
         edit(arrays, meta)
         write_container(path, "body_model", arrays, meta)
+        with pytest.raises(ContainerError, match="malformed body model"):
+            bm.load_model(path)
+
+    @pytest.mark.parametrize("name", ["template_vertices", "parents", "joint_regressor"])
+    def test_zero_dim_array_rejected(self, toy, tmp_path, name):
+        # write_container stores at least one dimension, so the header is
+        # edited to give the one-element array none
+        path = tmp_path / "model.sfc"
+        write_damaged(path, toy, **{name: np.zeros(1, dtype=getattr(toy, name).dtype)})
+        data = path.read_bytes()
+        end = 12 + int.from_bytes(data[4:12], "little")
+        header = json.loads(data[12:end])
+        next(e for e in header["arrays"] if e["name"] == name)["shape"] = []
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(data[:4] + len(header_bytes).to_bytes(8, "little") + header_bytes
+                         + data[end:])
         with pytest.raises(ContainerError, match="malformed body model"):
             bm.load_model(path)

@@ -255,3 +255,22 @@ class TestHeatmaps:
         maps = cam.joints_to_heatmaps(np.array([[100.4, 99.6]]), np.array([1]), 256)
         r, c = np.unravel_index(np.argmax(maps[:, :, 0]), (256, 256))
         assert (r, c) == (100, 100)
+
+
+class TestJointPixel:
+    def test_rounds_half_a_pixel_off_the_rasterizer_cells(self):
+        # the rasterizer's column 10 covers [10, 11), so 10.6 lies in it and
+        # -0.4 lies left of the frame; the joint pixel rounds both
+        np.testing.assert_array_equal(cam.joint_pixel([[10.6, -0.4], [255.6, 3.5]]),
+                                      [[11, 0], [256, 4]])
+        np.testing.assert_array_equal(cam.in_frame_visibility([[-0.4, 10], [255.6, 10]], 256),
+                                      [1, 0])
+
+    def test_visibility_and_heatmap_peaks_follow_it(self):
+        joints = np.random.default_rng(0).uniform(-3.0, 67.0, (40, 2))
+        pixel = cam.joint_pixel(joints)
+        inside = np.all((pixel >= 0) & (pixel < 64), axis=1)
+        np.testing.assert_array_equal(cam.in_frame_visibility(joints, 64), inside)
+        rows, cols = cam.heatmap_profiles(joints, np.ones(40), 64)
+        np.testing.assert_array_equal(np.argmax(cols[inside], axis=1), pixel[inside, 0])
+        np.testing.assert_array_equal(np.argmax(rows[inside], axis=1), pixel[inside, 1])

@@ -241,7 +241,8 @@ class TestPerVertexUncertainty:
             camera=[1.0, 0.0, 0.0],
         )
         with pytest.raises(ValueError, match="draws"):
-            metrics.per_vertex_uncertainty(pred, model, n_samples=n_samples)
+            metrics.per_vertex_uncertainty(pred, model, n_samples=n_samples,
+                                           rng=np.random.default_rng(0))
 
 
 class TestPoseVisibility:

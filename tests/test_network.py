@@ -256,10 +256,13 @@ class TestTrainConfig:
         dict(batch_size=0), dict(reproj_samples=0), dict(learning_rate=-1e-3),
         dict(learning_rate="1e-3"), dict(learning_rate=float("inf")),
         dict(learning_rate=float("nan")), dict(batch_size=True), dict(seed=1.5),
-        dict(seed=True), dict(learning_rate=True),
+        dict(seed=True), dict(learning_rate=True), dict(lambda_2d=-1.0),
+        dict(lambda_2d=float("nan")), dict(lambda_glob=float("inf")), dict(lambda_2d="x"),
+        dict(lambda_glob=True),
     ], ids=["float-batch", "float-draws", "float-epochs", "zero-batch", "zero-draws",
             "negative-rate", "string-rate", "inf-rate", "nan-rate", "bool-batch",
-            "float-seed", "bool-seed", "bool-rate"])
+            "float-seed", "bool-seed", "bool-rate", "negative-lambda-2d", "nan-lambda-2d",
+            "inf-lambda-glob", "string-lambda-2d", "bool-lambda-glob"])
     def test_malformed_config_rejected(self, field):
         with pytest.raises(ValueError):
             net_mod.TrainConfig(**field)
@@ -274,6 +277,10 @@ class TestTrainConfig:
         log = net_mod.train(net, synth.SynthDataset.from_samples(tiny_data[:4]), cfg,
                             tiny_model)
         assert len(log) == 1 and np.isfinite(log[0]["total"])
+
+    def test_zero_loss_weights_accepted(self):
+        cfg = net_mod.TrainConfig(lambda_glob=0.0, lambda_2d=0)
+        assert dataclasses.replace(cfg, lambda_2d=0.0).lambda_2d == 0.0
 
     def test_frozen(self):
         cfg = net_mod.TrainConfig()
@@ -629,6 +636,12 @@ class TestWeightsIO:
         assert opt2.t == 17
         for k in tiny_net.params:
             np.testing.assert_array_equal(loaded.params[k], tiny_net.params[k])
+
+    @pytest.mark.parametrize("epoch", [1.5, True, -1])
+    def test_malformed_epoch_rejected_before_writing(self, tiny_net, tmp_path, epoch):
+        with pytest.raises(ValueError, match="epoch"):
+            net_mod.save_weights(tmp_path / "w.sfw", tiny_net, epoch=epoch)
+        assert list(tmp_path.iterdir()) == []
 
     def test_checksum_corruption_detected(self, tiny_net, tmp_path):
         path = tmp_path / "w.sfw"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -597,9 +598,11 @@ class TestModelFingerprint:
         seen = {base}
         for f in dataclasses.fields(model):
             value = getattr(model, f.name)
-            if isinstance(value, np.ndarray):
-                changed = value.copy()
-                changed.flat[-1] += 1
+            # each edit keeps the model valid, since a model checks itself when built
+            if f.name == "parents":
+                changed = np.r_[value[:-1], 0]  # the last joint hangs from the root
+            elif isinstance(value, np.ndarray):
+                changed = value[::-1]  # reversed rows keep every row rule
             elif isinstance(value, tuple):
                 changed = value[:-1] + (value[-1] + "_x",)
             else:
@@ -609,8 +612,11 @@ class TestModelFingerprint:
 
     def test_shape_and_dtype_change_it(self, model):
         base = synth.model_fingerprint(model)
-        flat = model.shape_basis.reshape(model.num_vertices, -1, 1)  # same bytes
-        assert synth.model_fingerprint(dataclasses.replace(model, shape_basis=flat)) != base
+        # same bytes in a shape no model may have: set on a copy, past the checks
+        flat = copy.copy(model)
+        object.__setattr__(flat, "shape_basis",
+                           model.shape_basis.reshape(model.num_vertices, -1, 1))
+        assert synth.model_fingerprint(flat) != base
         as_uint = model.faces.view(np.uint64)
         assert synth.model_fingerprint(dataclasses.replace(model, faces=as_uint)) != base
 

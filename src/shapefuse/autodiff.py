@@ -12,10 +12,10 @@ their argument type: `Node` inputs are recorded on the tape, plain arrays
 fall through to numpy. Code written against these functions therefore runs
 identically with and without gradient tracking.
 
-Broadcasting is supported for the elementwise binary ops in the limited
-numpy-compatible form the rest of the package needs (adjoints are summed
-back over broadcast axes); there is no general tensor-shape algebra beyond
-that.
+Every primitive records through `_op`, one (operand, VJP) pair per `Node`
+operand. Operands broadcast as numpy broadcasts them; the sweep sums each
+VJP result back over the broadcast axes to its operand's shape, for every
+primitive alike. There is no general tensor-shape algebra beyond that.
 """
 
 from __future__ import annotations
@@ -143,22 +143,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(a, b, out_value, vjp_a, vjp_b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out_value
-    parents = []
-    if isinstance(a, Node):
-        parents.append((a, lambda g: _unbroadcast(vjp_a(g), a.value.shape)))
-    if isinstance(b, Node):
-        parents.append((b, lambda g: _unbroadcast(vjp_b(g), b.value.shape)))
-    return tape._record(out_value, tuple(parents))
-
-
-def _unary(x, out_value, vjp):
-    if not isinstance(x, Node):
-        return out_value
-    return x.tape._record(out_value, ((x, vjp),))
+def _op(out, *pairs):
+    """Record `out` with one (operand, vjp) pair per `Node` operand, where
+    vjp maps `out`'s adjoint to that operand's contribution at the
+    broadcast shape; with no `Node` operand `out` is returned as it is.
+    Any work a VJP needs belongs inside it, so an untaped call does none of it."""
+    parents = tuple([pair for pair in pairs if isinstance(pair[0], Node)])
+    if not parents:
+        return out
+    return _tape_of(*[x for x, _ in parents])._record(out, parents)
 
 
 # ---------------------------------------------------------------------------
@@ -166,40 +159,39 @@ def _unary(x, out_value, vjp):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    return _binary(a, b, value_of(a) + value_of(b), lambda g: g, lambda g: g)
+    return _op(value_of(a) + value_of(b), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
-    return _binary(a, b, value_of(a) - value_of(b), lambda g: g, lambda g: -g)
+    return _op(value_of(a) - value_of(b), (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
+    return _op(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
     if np.any(bv == 0.0):
         raise DomainError("division by zero")
-    out = av / bv
-    return _binary(a, b, out, lambda g: g / bv, lambda g: -g * av / (bv * bv))
+    return _op(av / bv, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
 
 
 def neg(x):
-    return _unary(x, -value_of(x), lambda g: -g)
+    return _op(-value_of(x), (x, lambda g: -g))
 
 
 def exp(x):
     out = np.exp(value_of(x))
-    return _unary(x, out, lambda g: g * out)
+    return _op(out, (x, lambda g: g * out))
 
 
 def log(x):
     xv = value_of(x)
     if np.any(xv <= 0.0):
         raise DomainError("log of non-positive input")
-    return _unary(x, np.log(xv), lambda g: g / xv)
+    return _op(np.log(xv), (x, lambda g: g / xv))
 
 
 def sqrt(x):
@@ -207,22 +199,22 @@ def sqrt(x):
     if np.any(xv <= 0.0):
         raise DomainError("sqrt of non-positive input")
     out = np.sqrt(xv)
-    return _unary(x, out, lambda g: g * 0.5 / out)
+    return _op(out, (x, lambda g: g * 0.5 / out))
 
 
 def sin(x):
     xv = value_of(x)
-    return _unary(x, np.sin(xv), lambda g: g * np.cos(xv))
+    return _op(np.sin(xv), (x, lambda g: g * np.cos(xv)))
 
 
 def cos(x):
     xv = value_of(x)
-    return _unary(x, np.cos(xv), lambda g: -g * np.sin(xv))
+    return _op(np.cos(xv), (x, lambda g: -g * np.sin(xv)))
 
 
 def square(x):
     xv = value_of(x)
-    return _unary(x, xv * xv, lambda g: g * 2.0 * xv)
+    return _op(xv * xv, (x, lambda g: g * 2.0 * xv))
 
 
 def clamp(x, lo=None, hi=None):
@@ -234,14 +226,14 @@ def clamp(x, lo=None, hi=None):
         inside &= xv > lo
     if hi is not None:
         inside &= xv < hi
-    return _unary(x, out, lambda g: g * inside)
+    return _op(out, (x, lambda g: g * inside))
 
 
 def where(cond, a, b):
     """Select elementwise by a boolean array; `cond` is data, not differentiated."""
     cond = np.asarray(cond, dtype=bool)
     out = np.where(cond, value_of(a), value_of(b))
-    return _binary(a, b, out, lambda g: g * cond, lambda g: g * ~cond)
+    return _op(out, (a, lambda g: g * cond), (b, lambda g: g * ~cond))
 
 
 # ---------------------------------------------------------------------------
@@ -253,29 +245,19 @@ def matmul(a, b):
     av, bv = value_of(a), value_of(b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
-    out = av @ bv
-
-    # _binary sums the products back over broadcast batch dimensions
-    return _binary(a, b, out, lambda g: g @ np.swapaxes(bv, -1, -2),
-                   lambda g: np.swapaxes(av, -1, -2) @ g)
+    return _op(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+               (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x):
+    """Sum of every element."""
     xv = value_of(x)
-    out = xv.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, xv.shape).copy()
-
-    return _unary(x, out, vjp)
+    return _op(xv.sum(), (x, lambda g: np.broadcast_to(g, xv.shape).copy()))
 
 
 def reshape(x, shape):
     xv = value_of(x)
-    return _unary(x, xv.reshape(shape), lambda g: np.asarray(g).reshape(xv.shape))
+    return _op(xv.reshape(shape), (x, lambda g: g.reshape(xv.shape)))
 
 
 def getitem(x, key):
@@ -291,7 +273,7 @@ def getitem(x, key):
         grad[key] += g
         return grad
 
-    return _unary(x, xv[key], vjp)
+    return _op(xv[key], (x, vjp))
 
 
 def take(x, indices, axis):
@@ -312,7 +294,7 @@ def take(x, indices, axis):
         pos = (lead * n + (indices % n)[..., None]) * trail + np.arange(trail)
         return np.bincount(pos.ravel(), weights=np.ravel(g), minlength=xv.size).reshape(xv.shape)
 
-    return _unary(x, out, vjp)
+    return _op(out, (x, vjp))
 
 
 def _einsum_terms(subscripts: str, shapes: list):
@@ -352,47 +334,35 @@ def einsum(subscripts: str, *operands):
     # no optimize=: on these small contractions the planned path is slower
     # and may return a non-contiguous view
     out = np.einsum(subscripts, *values)
-    tape = _tape_of(*operands)
-    if tape is None:
-        return out
-    parents = []
-    for i, op in enumerate(operands):
-        if isinstance(op, Node):
+
+    def vjp(i):
+        def vjp_i(g):
             spec = ",".join([output] + inputs[:i] + inputs[i + 1:]) + "->" + inputs[i]
-            rest = values[:i] + values[i + 1:]
-            parents.append((op, lambda g, spec=spec, rest=rest: np.einsum(spec, g, *rest)))
-    return tape._record(out, tuple(parents))
+            return np.einsum(spec, g, *values[:i], *values[i + 1:])
+        return vjp_i
+
+    return _op(out, *[(op, vjp(i)) for i, op in enumerate(operands)])
 
 
 def stack(items, axis=0):
-    values = [value_of(it) for it in items]
-    tape = _tape_of(*items)
-    out = np.stack(values, axis=axis)
-    if tape is None:
-        return out
-    parents = []
-    for i, it in enumerate(items):
-        if isinstance(it, Node):
-            parents.append((it, lambda g, i=i: np.take(np.asarray(g), i, axis=axis)))
-    return tape._record(out, tuple(parents))
+    out = np.stack([value_of(it) for it in items], axis=axis)
+    return _op(out, *[(it, lambda g, i=i: np.take(g, i, axis=axis))
+                      for i, it in enumerate(items)])
 
 
 def concat(items, axis=0):
     values = [value_of(it) for it in items]
-    tape = _tape_of(*items)
     out = np.concatenate(values, axis=axis)
-    if tape is None:
-        return out
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-    parents = []
-    for i, it in enumerate(items):
-        if isinstance(it, Node):
-            def vjp(g, lo=offsets[i], hi=offsets[i + 1]):
-                index = [slice(None)] * np.asarray(g).ndim
-                index[axis] = slice(lo, hi)
-                return np.asarray(g)[tuple(index)]
-            parents.append((it, vjp))
-    return tape._record(out, tuple(parents))
+
+    def vjp(i):
+        def vjp_i(g):
+            lo = sum(v.shape[axis] for v in values[:i])
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(lo, lo + values[i].shape[axis])
+            return g[tuple(index)]
+        return vjp_i
+
+    return _op(out, *[(it, vjp(i)) for i, it in enumerate(items)])
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +396,13 @@ def gradient(root: Node, inputs) -> list[np.ndarray]:
         if node.index not in keep:
             adjoints[node.index] = None
         for parent, vjp in node.parents:
-            i = parent.index  # no local keeps a replaced adjoint alive
-            adjoints[i] = vjp(adjoint) if adjoints[i] is None else adjoints[i] + vjp(adjoint)
+            # the one place broadcasting is summed away; no local keeps a
+            # VJP result or a replaced adjoint alive past the add
+            i, shape = parent.index, parent.value.shape
+            if adjoints[i] is None:
+                adjoints[i] = _unbroadcast(vjp(adjoint), shape)
+            else:
+                adjoints[i] = adjoints[i] + _unbroadcast(vjp(adjoint), shape)
     return [np.zeros_like(node.value) if adjoints[node.index] is None
-            else np.array(adjoints[node.index], dtype=np.float64).reshape(node.value.shape)
+            else np.array(adjoints[node.index], dtype=np.float64)
             for node in inputs]

@@ -140,8 +140,12 @@ class BodyModel:
             raise ValueError("part labels out of range of the part names")
         if len(self.joint_names) != J or len(self.keypoint_names) != L:
             raise ValueError("joint or keypoint name count mismatch")
-        for pair in self.meta.get("lr_swap_pairs", []):
-            if len(pair) != 2 or not all(is_int(k) and 0 <= k < L for k in pair):
+        pairs = self.meta.get("lr_swap_pairs", [])
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"left/right swap pairs must be a list, got {pairs!r}")
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(is_int(k) and 0 <= k < L for k in pair)):
                 raise ValueError(f"left/right swap pair {pair!r} is not two keypoint indices")
         if not isinstance(self.meta.get("measurements", {}), dict):
             raise ValueError("measurements must map names to measurement planes")
@@ -492,7 +496,6 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
 
     rng = np.random.default_rng(seed)
 
-    canon_index = {name: i for i, (name, _, _) in enumerate(_CANONICAL)}
     canon_parent = {name: parent for name, parent, _ in _CANONICAL}
     canon_pos = {name: _tpos(pos) for name, _, pos in _CANONICAL}
 

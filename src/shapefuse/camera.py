@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .scalars import check_positive
+from .scalars import check_int, check_positive
 
 HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
@@ -53,13 +53,16 @@ class PerspCamera:
     def __post_init__(self):
         self.translation = np.asarray(self.translation, dtype=np.float64)
         check_positive("focal length", self.focal)
+        check_int("image size", self.size, 1)
+        if self.translation.shape != (3,) or not np.all(np.isfinite(self.translation)):
+            raise ValueError(f"camera translation must be 3 finite values, got {self.translation!r}")
         if not self.translation[2] > 0:
             raise ValueError("camera translation must place the subject in front")
 
 
 @dataclass
 class ProxyRepresentation:
-    """Network input: binary silhouette + per-joint heatmaps, S x S x (L+1).
+    """Network input: a binary (S, S) silhouette and L per-joint heatmaps.
 
     Only the silhouette and the keypoints are held; the heatmaps are a
     fixed function of the keypoints and are drawn on each access.
@@ -73,12 +76,6 @@ class ProxyRepresentation:
     def heatmaps(self) -> np.ndarray:
         """(S, S, L) float64 in [0, 1], from `joints_to_heatmaps`; not cached."""
         return joints_to_heatmaps(self.joints2d, self.visibility, len(self.silhouette))
-
-    def stacked(self) -> np.ndarray:
-        """Silhouette as channel 0, then the L heatmap channels."""
-        return np.concatenate(
-            [self.silhouette[:, :, None].astype(np.float64), self.heatmaps], axis=2
-        )
 
 
 def project_weak(points, cam):

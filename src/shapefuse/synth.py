@@ -134,8 +134,8 @@ CANONICAL_FACINGS = np.array(
 _HINGE_EXTRA = {"l_elbow": 0.4, "r_elbow": 0.4, "l_knee": 0.4, "r_knee": 0.4}
 
 
-def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256,
-                           seed: int = 0) -> PoseSource:
+def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256, *,
+                           seed: int) -> PoseSource:
     """Plausible random poses: per-joint zero-mean rotations with extra
     flexion on elbows/knees, norms clamped inside the axis-angle range."""
     check_int("n_poses", n_poses, 1)

@@ -472,3 +472,88 @@ class TestDeterminism:
             _ = x + y
         with pytest.raises(ValueError):  # its index would name a node of t1
             ad.gradient(x * 2.0, [y])
+
+
+# every recording primitive, called on one (2, 2) operand of each tape
+MULTI_OPERAND = {
+    "add": ad.add,
+    "sub": ad.sub,
+    "mul": ad.mul,
+    "div": ad.div,
+    "where": lambda a, b: ad.where(np.eye(2, dtype=bool), a, b),
+    "matmul": ad.matmul,
+    "einsum": lambda a, b: ad.einsum("ij,jk->ik", a, b),
+    "stack": lambda a, b: ad.stack([a, b]),
+    "concat": lambda a, b: ad.concat([a, b], axis=1),
+}
+
+_VALUES = np.array([[0.5, -1.5], [2.0, 0.25]])
+# (primitive on plain arrays, numpy's own result)
+UNTAPED = {
+    "add": (lambda: ad.add(_VALUES, _VALUES.T), _VALUES + _VALUES.T),
+    "sub": (lambda: ad.sub(_VALUES, _VALUES.T), _VALUES - _VALUES.T),
+    "mul": (lambda: ad.mul(_VALUES, _VALUES.T), _VALUES * _VALUES.T),
+    "div": (lambda: ad.div(_VALUES, _VALUES.T), _VALUES / _VALUES.T),
+    "neg": (lambda: ad.neg(_VALUES), -_VALUES),
+    "exp": (lambda: ad.exp(_VALUES), np.exp(_VALUES)),
+    "log": (lambda: ad.log(np.abs(_VALUES)), np.log(np.abs(_VALUES))),
+    "sqrt": (lambda: ad.sqrt(np.abs(_VALUES)), np.sqrt(np.abs(_VALUES))),
+    "sin": (lambda: ad.sin(_VALUES), np.sin(_VALUES)),
+    "cos": (lambda: ad.cos(_VALUES), np.cos(_VALUES)),
+    "square": (lambda: ad.square(_VALUES), _VALUES**2),
+    "clamp": (lambda: ad.clamp(_VALUES, -1.0, 1.0), np.clip(_VALUES, -1.0, 1.0)),
+    "where": (lambda: ad.where(_VALUES > 0, _VALUES, -_VALUES), np.abs(_VALUES)),
+    "matmul": (lambda: ad.matmul(_VALUES, _VALUES.T), _VALUES @ _VALUES.T),
+    "sum_": (lambda: ad.sum_(_VALUES), _VALUES.sum()),
+    "reshape": (lambda: ad.reshape(_VALUES, (4,)), _VALUES.reshape(4)),
+    "getitem": (lambda: ad.getitem(_VALUES, (slice(None), 0)), _VALUES[:, 0]),
+    "take": (lambda: ad.take(_VALUES, np.array([1, 1, 0]), axis=1), _VALUES[:, [1, 1, 0]]),
+    "einsum": (lambda: ad.einsum("ij,jk->ki", _VALUES, _VALUES), (_VALUES @ _VALUES).T),
+    "stack": (lambda: ad.stack([_VALUES, _VALUES.T], axis=1), np.stack([_VALUES, _VALUES.T], 1)),
+    "concat": (lambda: ad.concat([_VALUES, _VALUES.T]), np.concatenate([_VALUES, _VALUES.T])),
+}
+
+
+_COND = np.array([[True, False, True, False],
+                  [False, False, True, True],
+                  [True, True, False, False]])
+
+
+class TestOneRecorder:
+    @pytest.mark.parametrize("name", MULTI_OPERAND)
+    def test_mixing_tapes_rejected(self, name):
+        a, b = ad.Tape().variable(np.ones((2, 2))), ad.Tape().variable(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="different tapes"):
+            MULTI_OPERAND[name](a, b)
+
+    @pytest.mark.parametrize("name", UNTAPED)
+    def test_plain_arrays_give_numpy_result(self, name):
+        call, want = UNTAPED[name]
+        got = call()
+        assert type(got) is type(want)  # an ndarray, or numpy's scalar for sum_
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("row_shape", [(1, 4), (4,)], ids=["1xn", "n"])
+    @pytest.mark.parametrize("op", [
+        pytest.param(ad.mul, id="mul"),
+        pytest.param(lambda row, full: ad.where(_COND, row, full), id="where-first"),
+        pytest.param(lambda row, full: ad.where(_COND, full, row), id="where-second"),
+    ])
+    def test_broadcast_operand_summed_to_its_shape(self, op, row_shape):
+        # a (1, 4) or (4,) operand broadcast against a taped (3, 4) one:
+        # each gets the central-difference gradient at its own shape
+        rng = np.random.default_rng(12)
+        probe = rng.normal(size=(3, 4))
+
+        def f(xs):
+            row = ad.reshape(ad.stack(xs[:4]), row_shape)
+            full = ad.reshape(ad.stack(xs[4:]), (3, 4))
+            return ad.sum_(op(row, full) * probe)
+
+        x0 = rng.normal(size=16)
+        assert grad_check(f, x0, step=1e-6) < 1e-8
+        tape = ad.Tape()
+        row, full = tape.variable(x0[:4].reshape(row_shape)), tape.variable(x0[4:].reshape(3, 4))
+        g_row, g_full = ad.gradient(ad.sum_(op(row, full) * probe), [row, full])
+        assert g_row.shape == row_shape and g_full.shape == (3, 4)
+

@@ -381,6 +381,11 @@ class TestFrozen:
         with pytest.raises(ValueError, match="joint regressor has negative weights"):
             dataclasses.replace(toy, joint_regressor=negative)
 
+    @pytest.mark.parametrize("pairs", [5, [3], [None]], ids=["int", "int-pair", "none-pair"])
+    def test_replace_rejects_malformed_swap_pairs(self, toy, pairs):
+        with pytest.raises(ValueError, match="swap pair"):
+            dataclasses.replace(toy, meta=dict(toy.meta, lr_swap_pairs=pairs))
+
 
 def edit_measurement(**changes):
     """An edit of the first measurement plane in a saved model's metadata."""
@@ -448,6 +453,9 @@ class TestModelIO:
                      id="swap-pair-out-of-range"),
         pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[[True, 2]]),
                      id="swap-pair-bool"),
+        pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=5), id="swap-pairs-int"),
+        pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[3]), id="swap-pair-int"),
+        pytest.param(lambda arrays, meta: meta.update(lr_swap_pairs=[None]), id="swap-pair-none"),
         pytest.param(edit_measurement(axis="w"), id="measurement-axis"),
         pytest.param(edit_measurement(anchors=["pelvis", "tail"]), id="measurement-unknown-anchor"),
         pytest.param(edit_measurement(anchors=["pelvis"]), id="measurement-one-anchor"),

@@ -116,6 +116,18 @@ class TestPerspective:
         with pytest.raises(ValueError, match="finite and positive"):
             cam.PerspCamera(focal, 256, np.array([0.0, 0.0, 2.5]))
 
+    @pytest.mark.parametrize("size", [0, 64.5, True])
+    def test_size_must_be_positive_int(self, size):
+        with pytest.raises(ValueError, match="image size"):
+            cam.PerspCamera(300.0, size, np.array([0.0, 0.0, 2.5]))
+
+    @pytest.mark.parametrize("translation", [[0.0, 0.0], [np.nan, 0.0, 2.0], [0.0, np.inf, 2.0],
+                                             [[0.0, 0.0, 2.0]]],
+                             ids=["two", "nan", "inf", "nested"])
+    def test_translation_must_be_three_finite_values(self, translation):
+        with pytest.raises(ValueError, match="translation"):
+            cam.PerspCamera(300.0, 256, translation)
+
     def test_point_behind_camera_rejected(self):
         c = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):

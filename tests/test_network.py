@@ -737,7 +737,9 @@ class TestPooling:
         invisible = 0
         for i, pool in itertools.product(range(len(ds)), (16, 32)):
             parts = net_mod.pooled_from_dataset(ds, i, pool)
-            full = average_pool(samples[i].proxy.stacked(), pool)
+            proxy = samples[i].proxy
+            full = average_pool(np.concatenate([proxy.silhouette[:, :, None].astype(np.float64),
+                                                proxy.heatmaps], axis=2), pool)
             np.testing.assert_allclose(dense_stack(parts), full, atol=1e-12)
             hidden = samples[i].visibility == 0
             assert not parts.rows[hidden].any() and not parts.cols[hidden].any()

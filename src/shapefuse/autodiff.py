@@ -133,8 +133,12 @@ def _tape_of(*args) -> Tape | None:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` back down to `shape` after numpy broadcasting."""
+    """Sum `grad` back down to `shape` after numpy broadcasting. A `grad`
+    already of that shape is returned as it is, not as a view: numpy adds
+    into a temporary that owns its data instead of allocating the sum."""
     grad = np.asarray(grad)
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):

@@ -367,36 +367,18 @@ _CAPSULES_COMPACT = [
     ("r_shin", "r_knee", (-0.11, -0.92, 0.02), 0.048, (1.0, 1.0), ["r_knee", "r_ankle"], 0.08),
 ]
 
-# COCO-style keypoints: name -> anchor position (canonical frame)
-_KEYPOINTS = [
+# COCO-style keypoints, in order: five face points placed in the canonical
+# frame and carried by the head, then twelve skeleton joints placed and
+# carried as in `_CANONICAL`
+_FACE_KEYPOINTS = [
     ("nose", (0.0, 0.645, -0.082)),
     ("l_eye", (0.028, 0.665, -0.078)),
     ("r_eye", (-0.028, 0.665, -0.078)),
     ("l_ear", (0.082, 0.650, -0.005)),
     ("r_ear", (-0.082, 0.650, -0.005)),
-    ("l_shoulder", (0.17, 0.44, 0.0)),
-    ("r_shoulder", (-0.17, 0.44, 0.0)),
-    ("l_elbow", (0.42, 0.44, 0.0)),
-    ("r_elbow", (-0.42, 0.44, 0.0)),
-    ("l_wrist", (0.65, 0.44, 0.0)),
-    ("r_wrist", (-0.65, 0.44, 0.0)),
-    ("l_hip", (0.09, -0.05, 0.0)),
-    ("r_hip", (-0.09, -0.05, 0.0)),
-    ("l_knee", (0.10, -0.47, 0.0)),
-    ("r_knee", (-0.10, -0.47, 0.0)),
-    ("l_ankle", (0.11, -0.87, 0.0)),
-    ("r_ankle", (-0.11, -0.87, 0.0)),
 ]
-
-_KEYPOINT_ATTACH = {
-    "nose": "head", "l_eye": "head", "r_eye": "head", "l_ear": "head", "r_ear": "head",
-    "l_shoulder": "l_shoulder", "r_shoulder": "r_shoulder",
-    "l_elbow": "l_elbow", "r_elbow": "r_elbow",
-    "l_wrist": "l_wrist", "r_wrist": "r_wrist",
-    "l_hip": "l_hip", "r_hip": "r_hip",
-    "l_knee": "l_knee", "r_knee": "r_knee",
-    "l_ankle": "l_ankle", "r_ankle": "r_ankle",
-}
+_BODY_KEYPOINTS = ("l_shoulder", "r_shoulder", "l_elbow", "r_elbow", "l_wrist", "r_wrist",
+                   "l_hip", "r_hip", "l_knee", "r_knee", "l_ankle", "r_ankle")
 
 # left/right swappable keypoint pairs: shoulders, elbows, wrists, hips, knees, ankles
 LR_SWAP_PAIRS = [(5, 6), (7, 8), (9, 10), (11, 12), (13, 14), (15, 16)]
@@ -424,7 +406,12 @@ def _grid_for_budget(n_target):
 
 def _capsule_mesh(segs, rings, a, b, radius, scales, rng):
     """Rounded capsule between points a, b; returns verts, faces and per-vertex
-    axial parameter (meters along the bone) plus unit radial directions."""
+    axial parameter (meters along the bone) plus unit radial directions.
+
+    Ring i of the (rings, segs) grid sits at axial parameter u_i, and its
+    segment k at angle phi_ik, offset half a segment on odd rings. Each ring
+    vertex draws one radial jitter, in grid order; two axial poles close
+    the ends."""
     a, b = np.asarray(a, float), np.asarray(b, float)
     axis = b - a
     length = np.linalg.norm(axis)
@@ -438,46 +425,35 @@ def _capsule_mesh(segs, rings, a, b, radius, scales, rng):
     e2 = np.cross(d, e1)
 
     cap = 0.7 * radius
+    ring = np.arange(rings)
+    u = -cap + (ring + 0.5) / rings * (length + 2 * cap)
+    over = np.maximum(np.maximum(0.0, -u), u - length)
+    # libm's pow, which the per-vertex scalar form called: an array's `** 2`
+    # squares, and the two differ in the last bit for about 0.1% of inputs
+    ring_r = radius * np.sqrt(np.maximum(1.0 - np.float_power(over / cap, 2), 0.04))
+    phi = 2 * np.pi * (np.arange(segs) + 0.5 * (ring[:, None] % 2)) / segs  # (rings, segs)
+    jitter = 1.0 + 0.015 * rng.standard_normal((rings, segs))
+    rad_dir = (np.cos(phi) * scales[0])[..., None] * e1 + (np.sin(phi) * scales[1])[..., None] * e2
+    ring_verts = (a + np.clip(u, -cap, length + cap)[:, None, None] * d
+                  + (ring_r[:, None] * jitter)[..., None] * rad_dir)
+    # matches np.linalg.norm of each vector bit for bit; norm(axis=-1) does not
+    unit = rad_dir / np.sqrt(rad_dir[..., None, :] @ rad_dir[..., :, None])[..., 0]
 
-    verts, us, radials = [], [], []
-    for i in range(rings):
-        t = (i + 0.5) / rings
-        u = -cap + t * (length + 2 * cap)
-        over = max(0.0, -u, u - length)
-        ring_r = radius * np.sqrt(max(1.0 - (over / cap) ** 2, 0.04))
-        for k in range(segs):
-            phi = 2 * np.pi * (k + 0.5 * (i % 2)) / segs
-            jitter = 1.0 + 0.015 * rng.standard_normal()
-            rad_dir = np.cos(phi) * scales[0] * e1 + np.sin(phi) * scales[1] * e2
-            verts.append(a + np.clip(u, -cap, length + cap) * d + ring_r * jitter * rad_dir)
-            us.append(u)
-            radials.append(rad_dir / np.linalg.norm(rad_dir))
-    # axial pole vertices close the ends
-    verts.append(a - cap * d)
-    us.append(-cap)
-    radials.append(-d)
-    verts.append(b + cap * d)
-    us.append(length + cap)
-    radials.append(d)
+    verts = np.concatenate([ring_verts.reshape(-1, 3), [a - cap * d, b + cap * d]])
+    us = np.concatenate([np.repeat(u, segs), [-cap, length + cap]])
+    radials = np.concatenate([unit.reshape(-1, 3), [-d, d]])
 
+    # two triangles per quad of neighbouring rings, then one fan per pole
     n_ring = rings * segs
-    faces = []
-    for i in range(rings - 1):
-        for k in range(segs):
-            v00 = i * segs + k
-            v01 = i * segs + (k + 1) % segs
-            v10 = (i + 1) * segs + k
-            v11 = (i + 1) * segs + (k + 1) % segs
-            faces.append((v00, v01, v10))
-            faces.append((v01, v11, v10))
-    for k in range(segs):  # pole fans
-        faces.append((n_ring, (k + 1) % segs, k))
-        faces.append(
-            (n_ring + 1, (rings - 1) * segs + k, (rings - 1) * segs + (k + 1) % segs)
-        )
-
-    return (np.array(verts), np.array(faces, dtype=np.int64), np.array(us),
-            np.array(radials), length)
+    k, k1 = np.arange(segs), (np.arange(segs) + 1) % segs
+    lo = np.arange(rings - 1)[:, None] * segs
+    hi = lo + segs
+    quads = np.stack([lo + k, lo + k1, hi + k, lo + k1, hi + k1, hi + k], axis=-1)
+    last = (rings - 1) * segs
+    fans = np.stack([np.full(segs, n_ring), k1, k, np.full(segs, n_ring + 1), last + k, last + k1],
+                    axis=-1)
+    faces = np.concatenate([quads.reshape(-1, 3), fans.reshape(-1, 3)])
+    return verts, faces.astype(np.int64), us, radials, length
 
 
 def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16) -> BodyModel:
@@ -562,18 +538,13 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
             # blend along the spine chain by vertex height
             ys = np.array([canon_pos[n][1] for n in resolved])
             order = np.argsort(ys)
-            ys, names_sorted = ys[order], [resolved[i] for i in order]
-            for vi, v in enumerate(verts):
-                y = v[1]
-                if y <= ys[0]:
-                    rows[vi, jidx[names_sorted[0]]] = 1.0
-                elif y >= ys[-1]:
-                    rows[vi, jidx[names_sorted[-1]]] = 1.0
-                else:
-                    k = int(np.searchsorted(ys, y)) - 1
-                    t = (y - ys[k]) / (ys[k + 1] - ys[k])
-                    rows[vi, jidx[names_sorted[k]]] = 1.0 - t
-                    rows[vi, jidx[names_sorted[k + 1]]] = t
+            ys, cols = ys[order], np.array([jidx[resolved[i]] for i in order])
+            # clipping k and t keeps vertices beyond the end joints rigid to them
+            y = verts[:, 1]
+            k = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
+            t = np.clip((y - ys[k]) / (ys[k + 1] - ys[k]), 0.0, 1.0)
+            rows[np.arange(len(y)), cols[k]] = 1.0 - t
+            rows[np.arange(len(y)), cols[k + 1]] = t
         else:
             # limb segment: rigid to the proximal joint, short distal ramp
             ja, jb = jidx[resolved[0]], jidx[resolved[-1]]
@@ -616,11 +587,11 @@ def generate_toy_model(seed: int, num_vertices: int = 600, num_joints: int = 16)
         return row
 
     skeleton_regressor = np.stack([nearest_row(canon_pos[n], 8) for n in joint_names])
-    keypoint_names = tuple(n for n, _ in _KEYPOINTS)
-    joint_regressor = np.stack([nearest_row(_tpos(p), 4) for _, p in _KEYPOINTS])
-    keypoint_attach = np.array(
-        [jidx[kept_ancestor(_KEYPOINT_ATTACH[n])] for n, _ in _KEYPOINTS], dtype=np.int64
-    )
+    keypoints = ([(n, _tpos(p), "head") for n, p in _FACE_KEYPOINTS]
+                 + [(n, canon_pos[n], n) for n in _BODY_KEYPOINTS])  # name, position, carrier
+    keypoint_names = tuple(n for n, _, _ in keypoints)
+    joint_regressor = np.stack([nearest_row(p, 4) for _, p, _ in keypoints])
+    keypoint_attach = np.array([jidx[kept_ancestor(c)] for _, _, c in keypoints], dtype=np.int64)
 
     # --- shape basis -------------------------------------------------------
     y = template[:, 1]

@@ -42,16 +42,17 @@ HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
 COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerspCamera:
-    """Pinhole camera: focal length and square image side in pixels, translation."""
+    """Pinhole camera: focal length and square image side in pixels,
+    translation; frozen, checked when built."""
 
     focal: float
     size: int
     translation: np.ndarray  # (3,) meters, added to points before projection
 
     def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=np.float64)
+        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
         check_positive("focal length", self.focal)
         check_int("image size", self.size, 1)
         if self.translation.shape != (3,) or not np.all(np.isfinite(self.translation)):

@@ -87,9 +87,17 @@ def mpjpe_pa(pred_joints: np.ndarray, gt_joints: np.ndarray):
     return np.linalg.norm(aligned - np.asarray(gt_joints), axis=-1).mean(axis=-1) * MM
 
 
+def _check_one_shape(beta, model: bm.BodyModel) -> None:
+    if np.shape(beta) != (model.shape_dim,):
+        raise ValueError(f"expected one ({model.shape_dim},) shape vector, got shape "
+                         f"{np.shape(beta)}")
+
+
 def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) -> float:
     """Scale-corrected mean per-vertex distance (mm) between neutral-pose
-    meshes built from the two shape vectors."""
+    meshes built from the two shape vectors; ValueError for any other shape."""
+    for beta in (pred_beta, gt_beta):
+        _check_one_shape(beta, model)
     pred = bm.shaped_template(model, pred_beta)
     gt = bm.shaped_template(model, gt_beta)
     pred = pred - pred.mean(axis=0)
@@ -106,8 +114,10 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
                            n_samples: int, rng) -> np.ndarray:
     """Average per-vertex Euclidean distance from the mean vertex location
     over `n_samples` parameter samples drawn by `rng` from one sample's
-    predicted distributions, in cm."""
+    predicted distributions, in cm. A batch of predictions raises ValueError."""
     check_int("number of draws", n_samples, 1)
+    if pred.camera.ndim != 1:
+        raise ValueError(f"expected one sample's prediction, got a batch of {len(pred)}")
     n = int(n_samples)
     pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
     shape = pred.shape.mean + np.sqrt(pred.shape.var) * rng.standard_normal((n, pred.shape.dim))
@@ -216,23 +226,21 @@ def convex_hull_perimeter(points: np.ndarray) -> float:
 
 def _slice_girth(vertices: np.ndarray, faces: np.ndarray, face_mask: np.ndarray,
                  axis: int, plane: float) -> float:
-    """Perimeter of the convex hull of edge/plane intersection points for
-    the selected faces."""
-    keep = (1, 2) if axis == 0 else ((0, 2) if axis == 1 else (0, 1))
-    points = []
-    for tri in faces[face_mask]:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            va, vb = vertices[tri[a]], vertices[tri[b]]
-            ca, cb = va[axis] - plane, vb[axis] - plane
-            if ca == 0.0:
-                points.append([va[keep[0]], va[keep[1]]])
-            if (ca < 0 < cb) or (cb < 0 < ca):
-                t = ca / (ca - cb)
-                p = va + t * (vb - va)
-                points.append([p[keep[0]], p[keep[1]]])
+    """Perimeter of the convex hull of the points where the edges of the
+    selected faces meet the plane: each edge start that lies on it, and
+    each edge that crosses it."""
+    keep = [i for i in range(3) if i != axis]
+    tri = faces[face_mask]
+    va = vertices[tri].reshape(-1, 3)                   # edge starts, (0, 1, 2) per face
+    vb = vertices[tri[:, [1, 2, 0]]].reshape(-1, 3)     # edge ends
+    ca, cb = va[:, axis] - plane, vb[:, axis] - plane
+    cross = (np.minimum(ca, cb) < 0) & (0 < np.maximum(ca, cb))
+    t = (ca[cross] / (ca[cross] - cb[cross]))[:, None]
+    crossings = va[cross] + t * (vb[cross] - va[cross])
+    points = np.concatenate([va[ca == 0.0][:, keep], crossings[:, keep]])
     if len(points) < 3:
         return 0.0
-    return convex_hull_perimeter(np.array(points))
+    return convex_hull_perimeter(points)
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -240,13 +248,14 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
                           true_height_m: float) -> MeasurementSet:
-    """Girths from planar slices of the neutral-pose mesh, scaled by
-    true_height / predicted_height (the predicted height is the y-extent of
-    the neutral mesh)."""
+    """Girths from planar slices of the neutral-pose mesh of one `(S,)`
+    shape vector, scaled by true_height / predicted_height (the predicted
+    height is the y-extent of the neutral mesh)."""
     check_positive("height", true_height_m)
     spec = model.meta.get("measurements")
     if not spec:
         raise ValueError("model defines no measurement planes")
+    _check_one_shape(pred_beta, model)
     if not np.all(np.isfinite(pred_beta)):
         raise ValueError("predicted shape coefficients must be finite")
     verts = bm.shaped_template(model, pred_beta)

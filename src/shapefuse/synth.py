@@ -137,30 +137,29 @@ _HINGE_EXTRA = {"l_elbow": 0.4, "r_elbow": 0.4, "l_knee": 0.4, "r_knee": 0.4}
 def procedural_pose_source(model: bm.BodyModel, n_poses: int = 256, *,
                            seed: int) -> PoseSource:
     """Plausible random poses: per-joint zero-mean rotations with extra
-    flexion on elbows/knees, norms clamped inside the axis-angle range."""
+    flexion on elbows/knees, norms clamped inside the axis-angle range.
+
+    Each pose reads one row of standard normals: 3 per non-root joint, then
+    one per hinge joint in joint order."""
     check_int("n_poses", n_poses, 1)
     rng = named_rng(seed, "pose_source")
     J = model.num_joints
-    poses = np.empty((n_poses, model.pose_dim))
-    for i in range(n_poses):
-        aa = rng.normal(scale=POSE_STD, size=(J - 1, 3))
-        for j in range(1, J):
-            name = model.joint_names[j]
-            extra = _HINGE_EXTRA.get(name)
-            if extra:
-                aa[j - 1, 1 if "elbow" in name else 0] += abs(rng.normal(scale=extra))
-            norm = np.linalg.norm(aa[j - 1])
-            limit = 0.95 * np.pi
-            if norm > limit:
-                aa[j - 1] *= limit / norm
-        poses[i] = aa.reshape(-1)
-    return PoseSource(poses, CANONICAL_FACINGS.copy())
+    hinges = [(j - 1, 1 if "elbow" in name else 0, _HINGE_EXTRA[name])
+              for j, name in enumerate(model.joint_names) if j > 0 and name in _HINGE_EXTRA]
+    z = rng.standard_normal((n_poses, 3 * (J - 1) + len(hinges)))
+    aa = POSE_STD * z[:, : 3 * (J - 1)].reshape(n_poses, J - 1, 3)
+    for h, (j, axis, extra) in enumerate(hinges):
+        aa[:, j, axis] += np.abs(extra * z[:, 3 * (J - 1) + h])
+    limit = 0.95 * np.pi
+    # matches np.linalg.norm of each rotation bit for bit; norm(axis=-1) does not
+    norm = np.sqrt(aa[..., None, :] @ aa[..., :, None])[..., 0]
+    aa *= np.where(norm > limit, limit / norm, 1.0)
+    return PoseSource(aa.reshape(n_poses, -1), CANONICAL_FACINGS.copy())
 
 
-def sample_shape(rng, cfg: GenerationConfig = None) -> np.ndarray:
+def sample_shape(rng, cfg: GenerationConfig) -> np.ndarray:
     """Shape coefficients from the zero-mean high-variance Gaussian,
     truncated componentwise (by redraw) at the configured magnitude."""
-    cfg = cfg or GenerationConfig()
     std = np.sqrt(cfg.shape_variance)
     beta = std * rng.standard_normal(bm.SHAPE_DIM)
     for _ in range(100):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -11,6 +12,50 @@ from shapefuse import bodymodel as bm
 from shapefuse.containerio import ContainerError, read_container, write_container
 
 from gradcheck import grad_check
+
+
+def pinned_sums(a: np.ndarray) -> tuple:
+    """The sum of an array and its sum weighted from 1 to 2 along the flat
+    array, so a permutation of its entries moves the second."""
+    return a.sum(), (a.ravel() * np.linspace(1.0, 2.0, a.size)).sum()
+
+
+def capsule_mesh_per_vertex(segs, rings, a, b, radius, scales, rng):
+    """One vertex and one face at a time, with one scalar jitter draw per
+    vertex: the oracle for `bm._capsule_mesh`."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    length = np.linalg.norm(b - a)
+    d = (b - a) / length
+    ref = np.array([1.0, 0.0, 0.0]) if abs(d[0]) <= 0.9 else np.array([0.0, 0.0, 1.0])
+    e1 = ref - (ref @ d) * d
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    cap = 0.7 * radius
+    verts, us, radials = [], [], []
+    for i in range(rings):
+        u = -cap + (i + 0.5) / rings * (length + 2 * cap)
+        over = max(0.0, -u, u - length)
+        ring_r = radius * np.sqrt(max(1.0 - (over / cap) ** 2, 0.04))
+        for k in range(segs):
+            phi = 2 * np.pi * (k + 0.5 * (i % 2)) / segs
+            jitter = 1.0 + 0.015 * rng.standard_normal()
+            rad_dir = np.cos(phi) * scales[0] * e1 + np.sin(phi) * scales[1] * e2
+            verts.append(a + np.clip(u, -cap, length + cap) * d + ring_r * jitter * rad_dir)
+            us.append(u)
+            radials.append(rad_dir / np.linalg.norm(rad_dir))
+    verts += [a - cap * d, b + cap * d]
+    us += [-cap, length + cap]
+    radials += [-d, d]
+    n_ring, faces = rings * segs, []
+    for i in range(rings - 1):
+        for k in range(segs):
+            v00, v01 = i * segs + k, i * segs + (k + 1) % segs
+            v10, v11 = v00 + segs, v01 + segs
+            faces += [(v00, v01, v10), (v01, v11, v10)]
+    for k in range(segs):
+        faces += [(n_ring, (k + 1) % segs, k),
+                  (n_ring + 1, (rings - 1) * segs + k, (rings - 1) * segs + (k + 1) % segs)]
+    return np.array(verts), np.array(faces), np.array(us), np.array(radials), length
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +361,80 @@ class TestToyGenerator:
     def test_non_int_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             bm.generate_toy_model(seed=seed, num_vertices=120)
+
+    @pytest.mark.parametrize("segs,rings,a,b,radius,scales", [
+        (14, 9, (0.0, -0.12, 0.0), (0.0, 0.5, 0.0), 0.11, (1.35, 0.8)),  # upright: frame from z
+        (7, 5, (0.17, 0.44, 0.0), (0.42, 0.44, 0.0), 0.04, (1.0, 1.0)),  # sideways: frame from x
+        (5, 4, (0.11, -0.87, 0.0), (0.11, -0.92, 0.1), 0.03, (1.0, 1.2)),
+        (3, 1, (0.0, 0.0, 0.0), (0.3, 0.2, 0.1), 0.06, (1.0, 1.0)),
+        # the head of generate_toy_model(25, 841, 12): the square of its last
+        # ring's cap fraction differs in the last bit between x * x and pow
+        (9, 10, (0.0, 0.6428999999999999, 0.0), (0.0, 0.7689999999999999, 0.0),
+         0.08245000000000001, (1.0, 1.05)),
+    ])
+    def test_capsule_matches_per_vertex_build(self, segs, rings, a, b, radius, scales):
+        got = bm._capsule_mesh(segs, rings, a, b, radius, scales, np.random.default_rng(segs))
+        want = capsule_mesh_per_vertex(segs, rings, a, b, radius, scales,
+                                       np.random.default_rng(segs))
+        assert got[1].dtype == np.int64
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    # generate_toy_model output at five (seed, V, J) budgets. The integer
+    # arrays, the name tuples and the metadata are pinned by a sha256; each
+    # float array, whose last bits may depend on the numpy build, by its sum
+    # and its position-weighted sum at a tight tolerance.
+    GOLDEN = {
+        (0, 6890, 24): ("dc4965689d2dd9bad5c7dd6a7feab98dedb1cdac4ae5f608bf4c1e2984697706", dict(
+            template_vertices=(1358.8038008251506, 1641.24701495775),
+            shape_basis=(128.29091090098444, 175.4893194672328),
+            joint_regressor=(17.0, 25.581868927917697),
+            skeleton_regressor=(24.0, 36.07522446651899),
+            skinning_weights=(6890.0, 10334.863249745093))),
+        (0, 600, 16): ("a55651d9317080e21084d03eb9105a6f9c12ee818ca6446ed42135c2709c62f7", dict(
+            template_vertices=(126.05613712355637, 159.93030662649835),
+            shape_basis=(11.621390502877164, 16.30551108072162),
+            joint_regressor=(17.0, 25.528208338172053),
+            skeleton_regressor=(16.0, 24.077883000202814),
+            skinning_weights=(600.0, 899.8408993921196))),
+        (3, 150, 12): ("d77e4a5c7c4c780d1f94680494ee986472c1f5ad749386ba9ec5bf7b8eaff415", dict(
+            template_vertices=(24.05983274575408, 26.071125741968505),
+            shape_basis=(2.445784834489986, 3.224550162208797),
+            joint_regressor=(17.0, 25.513088957744777),
+            skeleton_regressor=(12.0, 17.975206068643146),
+            skinning_weights=(150.0, 224.92707150230854))),
+        (5, 120, 8): ("837d05d113d8734e573c5d08ce1b54bfff7b2750897d18e39100bf354157e9f4", dict(
+            template_vertices=(25.124880669141707, 32.29823531448641),
+            shape_basis=(2.404840220165597, 3.4183089233748296),
+            joint_regressor=(17.0, 25.51909680327484),
+            skeleton_regressor=(8.0, 11.924319510303729),
+            skinning_weights=(120.0, 179.97606708376782))),
+        (0, 50, 8): ("99d04c49433c4f78cba67862e4a5aa20823a0e27cc2567fcd2e8c65cb9451b68", dict(
+            template_vertices=(7.993263430284073, 5.836834205596837),
+            shape_basis=(0.8392255897578347, 1.0169913645181692),
+            joint_regressor=(17.0, 25.45711503161982),
+            skeleton_regressor=(8.0, 11.855894002855702),
+            skinning_weights=(50.0, 75.16430361618332))),
+    }
+
+    @pytest.mark.parametrize("budget", list(GOLDEN), ids=lambda b: "-".join(map(str, b)))
+    def test_golden_model(self, budget):
+        digest, float_sums = self.GOLDEN[budget]
+        model = bm.generate_toy_model(*budget)
+        exact = hashlib.sha256()
+        sums = {}
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            if not isinstance(value, np.ndarray):
+                exact.update(json.dumps(value, sort_keys=True).encode())
+            elif np.issubdtype(value.dtype, np.integer):
+                exact.update(np.ascontiguousarray(value).tobytes())
+            else:
+                sums[f.name] = pinned_sums(value)
+        assert exact.hexdigest() == digest
+        assert sums.keys() == float_sums.keys()
+        for name, want in float_sums.items():
+            np.testing.assert_allclose(sums[name], want, rtol=1e-12, err_msg=name)
 
 
 def mis_wound_faces(faces):

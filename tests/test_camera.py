@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ class TestPerspective:
     def test_translation_must_be_three_finite_values(self, translation):
         with pytest.raises(ValueError, match="translation"):
             cam.PerspCamera(300.0, 256, translation)
+
+    @pytest.mark.parametrize("field, value", [("size", 0), ("translation", np.array([0, 0, -1.0])),
+                                              ("focal", -1.0)])
+    def test_assignment_rejected(self, field, value):
+        c = cam.PerspCamera(300.0, 256, [0, 0, 2.5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, value)
+        assert c.size == 256 and c.focal == 300.0
+        np.testing.assert_array_equal(c.translation, [0.0, 0.0, 2.5])
+        assert c.translation.dtype == np.float64
 
     def test_point_behind_camera_rejected(self):
         c = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 1.0]))

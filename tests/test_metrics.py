@@ -201,6 +201,13 @@ class TestPveTSc:
         copy[0], copy[1] = gt[0] * (1 + scale) + scale, shift + gt[1] * (1 + scale)
         assert metrics.pve_t_sc(copy, gt, model) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("pred_shape, gt_shape", [((3, 10), (10,)), ((10,), (3, 10)),
+                                                      ((9,), (10,)), ((), (10,))],
+                             ids=["batch-pred", "batch-gt", "short-pred", "scalar-pred"])
+    def test_one_shape_vector_each(self, model, pred_shape, gt_shape):
+        with pytest.raises(ValueError, match="one \\(10,\\) shape vector"):
+            metrics.pve_t_sc(np.zeros(pred_shape), np.zeros(gt_shape), model)
+
 
 class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
@@ -242,6 +249,18 @@ class TestPerVertexUncertainty:
         )
         with pytest.raises(ValueError, match="draws"):
             metrics.per_vertex_uncertainty(pred, model, n_samples=n_samples,
+                                           rng=np.random.default_rng(0))
+
+    def test_batch_of_predictions_rejected(self):
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        pred = PredictionSet(
+            pose=GaussianDiag(np.zeros((3, model.pose_dim)), np.ones((3, model.pose_dim))),
+            shape=GaussianDiag(np.zeros((3, model.shape_dim)), np.ones((3, model.shape_dim))),
+            global_rot=np.zeros((3, 3)),
+            camera=np.tile([1.0, 0.0, 0.0], (3, 1)),
+        )
+        with pytest.raises(ValueError, match="batch"):
+            metrics.per_vertex_uncertainty(pred, model, n_samples=3,
                                            rng=np.random.default_rng(0))
 
 
@@ -324,6 +343,22 @@ def closed_prism(n: int, r: float, rings: int = 3):
     return vertices, np.concatenate(faces)
 
 
+def slice_points_per_edge(vertices, faces, face_mask, axis, plane):
+    """One face and one edge at a time: the plane points that
+    `metrics._slice_girth` takes the hull of, as its oracle."""
+    keep = [i for i in range(3) if i != axis]
+    points = []
+    for tri in faces[face_mask]:
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            va, vb = vertices[tri[a]], vertices[tri[b]]
+            ca, cb = va[axis] - plane, vb[axis] - plane
+            if ca == 0.0:
+                points.append(va[keep])
+            if (ca < 0 < cb) or (cb < 0 < ca):
+                points.append((va + ca / (ca - cb) * (vb - va))[keep])
+    return np.array(points).reshape(-1, 2)
+
+
 class TestGirths:
     @pytest.mark.parametrize("n", [3, 8, 24])
     @pytest.mark.parametrize("plane", [0.37, 1.0], ids=["between-rings", "on-ring"])
@@ -332,6 +367,42 @@ class TestGirths:
         vertices, faces = closed_prism(n, r)
         girth = metrics._slice_girth(vertices, faces, np.ones(len(faces), bool), 1, plane)
         assert girth == pytest.approx(2 * n * r * np.sin(np.pi / n), rel=1e-12, abs=0)
+
+    # the six girths of a fixed shape, at 1.7 m, for two budgets
+    GOLDEN = {
+        (600, 16): dict(chest=69.05505374103494, stomach=70.4528289966325,
+                        hips=70.19764378909255, biceps=15.190881250554645,
+                        forearms=10.323943661130194, thighs=31.85569441126092),
+        (6890, 24): dict(chest=68.74210227553068, stomach=70.3164349873645,
+                         hips=69.70980842691662, biceps=16.83131160157598,
+                         forearms=11.685187189312138, thighs=33.778391096576335),
+    }
+
+    @pytest.mark.parametrize("V,J", list(GOLDEN))
+    def test_golden_girths(self, V, J):
+        model = bm.generate_toy_model(seed=0, num_vertices=V, num_joints=J)
+        girths = metrics.measure_and_normalize(np.linspace(-1.5, 1.5, 10), model, 1.7).girths_cm
+        assert girths.keys() == self.GOLDEN[V, J].keys()
+        for name, want in self.GOLDEN[V, J].items():
+            assert girths[name] == pytest.approx(want, rel=1e-12, abs=0), name
+
+    def test_slices_match_per_edge_crossings(self, monkeypatch):
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        verts = bm.shaped_template(model, np.linspace(-1.0, 1.0, 10))
+        on_vertex = verts[7, 1]  # a plane through a vertex takes it once per edge it starts
+        hulls = []  # the points each slice passes to the hull; it returns their count
+        monkeypatch.setattr(metrics, "convex_hull_perimeter",
+                            lambda pts: hulls.append(pts) or float(len(pts)))
+        mask = np.ones(len(model.faces), bool)
+        for axis, plane in [(1, on_vertex), (1, 0.4), (0, 0.3), (2, 0.0), (1, 5.0)]:
+            want = slice_points_per_edge(verts, model.faces, mask, axis, plane)
+            got = metrics._slice_girth(verts, model.faces, mask, axis, plane)
+            if len(want) < 3:
+                assert got == 0.0
+                continue
+            assert got == len(want)
+            np.testing.assert_array_equal(np.unique(hulls[-1], axis=0), np.unique(want, axis=0))
+        assert len(hulls) == 4
 
     def test_girths_scale_linearly_with_true_height(self):
         toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
@@ -364,6 +435,12 @@ class TestGirths:
         beta[where] = bad
         with pytest.raises(ValueError, match="shape coefficients must be finite"):
             metrics.measure_and_normalize(beta, toy, 1.7)
+
+    @pytest.mark.parametrize("shape", [(3, 10), (1, 10), (9,)], ids=["batch", "row", "short"])
+    def test_one_shape_vector(self, shape):
+        toy = bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
+        with pytest.raises(ValueError, match="one \\(10,\\) shape vector"):
+            metrics.measure_and_normalize(np.zeros(shape), toy, 1.7)
 
     @pytest.mark.parametrize("girth", [float("nan"), float("inf"), -float("inf"), 0.0, -80.0,
                                        True, "80"])

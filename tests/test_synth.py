@@ -27,6 +27,25 @@ def source(model):
     return synth.procedural_pose_source(model, n_poses=32, seed=0)
 
 
+def pose_bank_per_pose(model, n_poses, seed):
+    """One pose, one joint and one scalar hinge draw at a time: the oracle
+    for `synth.procedural_pose_source`."""
+    rng = named_rng(seed, "pose_source")
+    J = model.num_joints
+    poses = np.empty((n_poses, model.pose_dim))
+    for i in range(n_poses):
+        aa = rng.normal(scale=synth.POSE_STD, size=(J - 1, 3))
+        for j in range(1, J):
+            name = model.joint_names[j]
+            if name in ("l_elbow", "r_elbow", "l_knee", "r_knee"):
+                aa[j - 1, 1 if "elbow" in name else 0] += abs(rng.normal(scale=0.4))
+            norm = np.linalg.norm(aa[j - 1])
+            if norm > 0.95 * np.pi:
+                aa[j - 1] *= 0.95 * np.pi / norm
+        poses[i] = aa.reshape(-1)
+    return poses
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts `PerspCamera` constructions, full rasterizations and heatmap
@@ -153,13 +172,15 @@ class TestConfigValidation:
 class TestShapeSampling:
     def test_monte_carlo_variance(self):
         rng = named_rng(0, "shapes")
-        draws = np.stack([synth.sample_shape(rng) for _ in range(100_000)])
+        cfg = synth.GenerationConfig()
+        draws = np.stack([synth.sample_shape(rng, cfg) for _ in range(100_000)])
         per_dim_var = draws.var(axis=0)
         assert np.all(per_dim_var > 2.2) and np.all(per_dim_var < 2.3)
 
     def test_fixed_seed_reproducible(self):
-        a = synth.sample_shape(named_rng(7, "x"))
-        b = synth.sample_shape(named_rng(7, "x"))
+        cfg = synth.GenerationConfig()
+        a = synth.sample_shape(named_rng(7, "x"), cfg)
+        b = synth.sample_shape(named_rng(7, "x"), cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_truncation_bound(self):
@@ -170,6 +191,28 @@ class TestShapeSampling:
 
 
 class TestPoseSource:
+    @pytest.mark.parametrize("J", [8, 16, 24])  # 8 joints keep no hinge
+    @pytest.mark.parametrize("std, clamped", [(synth.POSE_STD, False), (2.0, True)])
+    def test_pose_bank_matches_per_pose_draws(self, J, std, clamped, monkeypatch):
+        # at the real spread no rotation reaches the norm clamp; a wider one
+        # clamps some
+        monkeypatch.setattr(synth, "POSE_STD", std)
+        model = bm.generate_toy_model(seed=0, num_vertices=120, num_joints=J)
+        got = synth.procedural_pose_source(model, n_poses=300, seed=J).poses
+        np.testing.assert_array_equal(got, pose_bank_per_pose(model, 300, J))
+        norms = np.linalg.norm(got.reshape(300, J - 1, 3), axis=-1)
+        assert np.any(np.isclose(norms, 0.95 * np.pi, rtol=1e-12)) == clamped
+
+    def test_golden_pose_bank(self):
+        # the 24-joint pose bank of seed 1, pinned by its sum and its sum
+        # weighted from 1 to 2 along the flat array at a tight tolerance
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=24)
+        poses = synth.procedural_pose_source(model, seed=1).poses
+        assert poses.shape == (256, 69)
+        weighted = (poses.ravel() * np.linspace(1.0, 2.0, poses.size)).sum()
+        np.testing.assert_allclose([poses.sum(), weighted],
+                                   [356.0758727321954, 548.3256302813772], rtol=1e-12)
+
     def test_jitter_is_applied_after_the_facing(self, source):
         # replays the draws of one `sample`: pose index, facing index, jitter
         for i in range(20):

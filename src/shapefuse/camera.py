@@ -52,7 +52,9 @@ class PerspCamera:
     translation: np.ndarray  # (3,) meters, added to points before projection
 
     def __post_init__(self):
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
+        translation = np.array(self.translation, dtype=np.float64)  # own, read-only copy
+        translation.flags.writeable = False
+        object.__setattr__(self, "translation", translation)
         check_positive("focal length", self.focal)
         check_int("image size", self.size, 1)
         if self.translation.shape != (3,) or not np.all(np.isfinite(self.translation)):

@@ -140,6 +140,14 @@ class TestPerspective:
         np.testing.assert_array_equal(c.translation, [0.0, 0.0, 2.5])
         assert c.translation.dtype == np.float64
 
+    def test_translation_is_an_own_read_only_copy(self):
+        given = np.array([0.0, 0.0, 2.5])
+        c = cam.PerspCamera(300.0, 256, given)
+        given[2] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            c.translation[2] = -1.0
+        np.testing.assert_array_equal(c.translation, [0.0, 0.0, 2.5])
+
     def test_point_behind_camera_rejected(self):
         c = cam.PerspCamera(300.0, 256, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):

@@ -191,6 +191,18 @@ def shaped_template(model: BodyModel, betas):
     return model.template_vertices + ad.reshape(offsets, lead + (V, 3))
 
 
+def subtree_table(parents: np.ndarray) -> np.ndarray:
+    """(J, J) bool table of the kinematic tree: entry (j, i) is true when
+    joint i is j or lies below j. Row j lists the joints j's rotation
+    moves; column i lists i and its ancestors, so its sum less 1 is i's
+    depth. Parents precede their children, so one sweep from the last
+    joint up hands each finished row to its parent."""
+    below = np.eye(len(parents), dtype=bool)
+    for i in range(len(parents) - 1, 0, -1):
+        below[parents[i]] |= below[i]
+    return below
+
+
 _HOMOGENEOUS_ROW = np.array([[0.0, 0.0, 0.0, 1.0]])
 
 
@@ -205,9 +217,7 @@ def _world_blocks(parents: np.ndarray, local_rots, pivots):
     and one batched product per level.
     """
     B, J = ad.value_of(pivots).shape[:2]
-    depth = np.zeros(J, dtype=np.int64)
-    for j in range(1, J):
-        depth[j] = depth[parents[j]] + 1
+    depth = subtree_table(parents).sum(axis=0) - 1
     levels = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
     slot = np.zeros(J, dtype=np.int64)  # each joint's position within its level
     for joints in levels:

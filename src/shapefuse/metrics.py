@@ -91,11 +91,14 @@ def _check_one_shape(beta, model: bm.BodyModel) -> None:
     if np.shape(beta) != (model.shape_dim,):
         raise ValueError(f"expected one ({model.shape_dim},) shape vector, got shape "
                          f"{np.shape(beta)}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("shape coefficients must be finite")
 
 
 def pve_t_sc(pred_beta: np.ndarray, gt_beta: np.ndarray, model: bm.BodyModel) -> float:
     """Scale-corrected mean per-vertex distance (mm) between neutral-pose
-    meshes built from the two shape vectors; ValueError for any other shape."""
+    meshes built from the two shape vectors; ValueError for any other shape
+    or a non-finite coefficient."""
     for beta in (pred_beta, gt_beta):
         _check_one_shape(beta, model)
     pred = bm.shaped_template(model, pred_beta)
@@ -128,49 +131,30 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2).mean(axis=0) * CM
 
 
-def pose_dim_keypoint_map(model: bm.BodyModel) -> list:
-    """For every non-root skeleton joint, the keypoints attached at that
-    joint or anywhere in its subtree (the keypoints its rotation can move).
-    Index i corresponds to pose dims [3i, 3i+3)."""
-    J = model.num_joints
-    children = [[] for _ in range(J)]
-    for j in range(1, J):
-        children[int(model.parents[j])].append(j)
-
-    def subtree(j):
-        out = [j]
-        for c in children[j]:
-            out.extend(subtree(c))
-        return out
-
-    attach = np.asarray(model.keypoint_attach)
-    groups = []
-    for j in range(1, J):
-        nodes = set(subtree(j))
-        groups.append(np.flatnonzero(np.isin(attach, list(nodes))))
-    return groups
-
-
 def pose_variance_by_joint_visibility(pose_var: np.ndarray, visibility: np.ndarray,
                                       model: bm.BodyModel):
-    """Split the mean predicted pose variance between dims whose dependent
-    keypoints are all invisible and dims whose dependent keypoints are all
-    visible. Returns (invisible_mean, visible_mean) or None when either
-    side is empty."""
-    groups = pose_dim_keypoint_map(model)
-    vis = np.asarray(visibility).astype(bool)
-    invisible_dims, visible_dims = [], []
-    for i, kps in enumerate(groups):
-        if len(kps) == 0:
-            continue
-        dims = [3 * i, 3 * i + 1, 3 * i + 2]
-        if not vis[kps].any():
-            invisible_dims.extend(dims)
-        elif vis[kps].all():
-            visible_dims.extend(dims)
-    if not invisible_dims or not visible_dims:
+    """Split the mean predicted `(pose_dim,)` pose variance between the
+    dims of joints whose dependent keypoints (those attached at or below
+    the joint) are all invisible and the dims of joints whose dependent
+    keypoints are all visible, by a `(L,)` visibility of 0s and 1s.
+    Returns (invisible_mean, visible_mean) or None when either side is
+    empty; ValueError for any other shape or visibility value."""
+    if np.shape(pose_var) != (model.pose_dim,):
+        raise ValueError(f"expected ({model.pose_dim},) pose variances, got shape "
+                         f"{np.shape(pose_var)}")
+    visibility = np.asarray(visibility)
+    if visibility.shape != (model.num_keypoints,) or not np.isin(visibility, (0, 1)).all():
+        raise ValueError(f"expected a ({model.num_keypoints},) visibility of 0s and 1s")
+    # (J-1, L): entry (j, l) says joint j + 1 moves keypoint l
+    moves = bm.subtree_table(model.parents)[1:, model.keypoint_attach]
+    seen = visibility == 1
+    moves_some = moves.any(axis=1)
+    hidden = moves_some & ~(moves & seen).any(axis=1)
+    shown = moves_some & (~moves | seen).all(axis=1)
+    if not hidden.any() or not shown.any():
         return None
-    return float(pose_var[invisible_dims].mean()), float(pose_var[visible_dims].mean())
+    var = np.asarray(pose_var).reshape(-1, 3)
+    return float(var[hidden].mean()), float(var[shown].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +240,6 @@ def measure_and_normalize(pred_beta: np.ndarray, model: bm.BodyModel,
     if not spec:
         raise ValueError("model defines no measurement planes")
     _check_one_shape(pred_beta, model)
-    if not np.all(np.isfinite(pred_beta)):
-        raise ValueError("predicted shape coefficients must be finite")
     verts = bm.shaped_template(model, pred_beta)
     predicted_height = float(verts[:, 1].max() - verts[:, 1].min())
     check_positive("predicted height", predicted_height)
@@ -347,14 +329,11 @@ def hip_root(model: bm.BodyModel):
     return 0
 
 
-def combine_shape(predictions: PredictionSet, combination: str) -> np.ndarray:
-    """Point estimate of the group's shape from its `(n,)` predictions under
-    the chosen combination."""
-    if combination == "pc":
-        return fuse_shapes(predictions.shape).mean
-    if combination == "mean":
-        return predictions.shape.mean.mean(axis=0)
-    raise ValueError(f"unknown combination {combination!r}")
+# each combination's point estimate of a group's shape from its `(n,)` predictions
+_COMBINE = {
+    "pc": lambda shapes: fuse_shapes(shapes).mean,
+    "mean": lambda shapes: shapes.mean.mean(axis=0),
+}
 
 
 def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
@@ -364,7 +343,7 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
     which both combinations return each prediction's own shape mean.
     `uncertainty_samples` MC draws per sample give the mean per-vertex
     uncertainty; 0 turns it off."""
-    if combination not in ("pc", "mean"):
+    if not isinstance(combination, str) or combination not in _COMBINE:
         raise ValueError(f"unknown combination {combination!r}")
     check_int("group size", group_size, 1)
     check_int("number of draws", uncertainty_samples, 0)
@@ -388,7 +367,7 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
         pa[idx] = mpjpe_pa(pred_joints, gt_joints)
 
         for g in split_groups(idx, group_size, rng):
-            beta_hat = combine_shape(predictions[g], combination)
+            beta_hat = _COMBINE[combination](predictions[g].shape)
             group_subject.append(int(subj))
             group_sizes.append(len(g))
             group_pve.append(pve_t_sc(beta_hat, a["beta"][g[0]], model))

@@ -89,6 +89,62 @@ def lbs_per_joint_loop(model, pose, betas, glob):
     return out
 
 
+def subtree_by_walk(parents, j) -> set:
+    """Joint j and every joint below it, by a recursive walk over child
+    lists: the oracle for a row of `bm.subtree_table`."""
+    children = [[] for _ in parents]
+    for c in range(1, len(parents)):
+        children[int(parents[c])].append(c)
+
+    def walk(k):
+        out = [k]
+        for c in children[k]:
+            out.extend(walk(c))
+        return out
+
+    return set(walk(j))
+
+
+def depth_by_loop(parents) -> np.ndarray:
+    """Each joint's number of ancestors, one joint at a time: the oracle
+    for the depths `bm._world_blocks` chains by."""
+    depth = np.zeros(len(parents), dtype=np.int64)
+    for j in range(1, len(parents)):
+        depth[j] = depth[parents[j]] + 1
+    return depth
+
+
+def random_tree(J, rng) -> np.ndarray:
+    """A parents array with every parent before its child."""
+    return np.array([-1] + [int(rng.integers(0, i)) for i in range(1, J)])
+
+
+class TestSubtreeTable:
+    def check(self, parents):
+        below = bm.subtree_table(parents)
+        J = len(parents)
+        assert below.shape == (J, J) and below.dtype == bool
+        assert [set(np.flatnonzero(row).tolist()) for row in below] == [
+            subtree_by_walk(parents, j) for j in range(J)]
+        np.testing.assert_array_equal(below.sum(axis=0) - 1, depth_by_loop(parents))
+
+    @pytest.mark.parametrize("J", range(8, 25))
+    def test_toy_skeletons_match_walk_and_depth_loop(self, J):
+        self.check(bm.generate_toy_model(seed=0, num_vertices=50, num_joints=J).parents)
+
+    def test_hand_built_tree(self):
+        # root 0 -> 1 -> 2 and root 0 -> 3 -> 4
+        parents = np.array([-1, 0, 1, 0, 3])
+        self.check(parents)
+        assert bm.subtree_table(parents).astype(int).tolist() == [
+            [1, 1, 1, 1, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+
+    def test_random_trees_match_walk_and_depth_loop(self):
+        rng = np.random.default_rng(21)
+        for J in [1, 2, 3] + list(rng.integers(4, 40, 30)):
+            self.check(random_tree(J, rng))
+
+
 class TestRodrigues:
     def test_zero_gives_identity(self):
         np.testing.assert_allclose(bm.rodrigues(np.zeros(3)), np.eye(3), atol=1e-15)

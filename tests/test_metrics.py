@@ -208,6 +208,19 @@ class TestPveTSc:
         with pytest.raises(ValueError, match="one \\(10,\\) shape vector"):
             metrics.pve_t_sc(np.zeros(pred_shape), np.zeros(gt_shape), model)
 
+    @pytest.mark.parametrize("bad, side, where", [
+        (float("nan"), "pred", slice(None)), (float("inf"), "gt", 3), (-float("inf"), "pred", 9),
+    ], ids=["all-nan-pred", "inf-gt", "minus-inf-pred"])
+    def test_non_finite_shape_rejected_before_posing(self, model, bad, side, where, monkeypatch):
+        def pose(*args):
+            raise AssertionError("posed a body before checking the shape vectors")
+
+        monkeypatch.setattr(bm, "shaped_template", pose)
+        beta = {"pred": np.zeros(10), "gt": np.zeros(10)}
+        beta[side][where] = bad
+        with pytest.raises(ValueError, match="shape coefficients must be finite"):
+            metrics.pve_t_sc(beta["pred"], beta["gt"], model)
+
 
 class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
@@ -264,18 +277,55 @@ class TestPerVertexUncertainty:
                                            rng=np.random.default_rng(0))
 
 
+def split_by_subtree_walk(pose_var, visibility, model):
+    """The occlusion variance split one joint at a time, over keypoint
+    groups found by a recursive subtree walk: the exact oracle for
+    `metrics.pose_variance_by_joint_visibility`."""
+    J = model.num_joints
+    children = [[] for _ in range(J)]
+    for j in range(1, J):
+        children[int(model.parents[j])].append(j)
+
+    def subtree(j):
+        out = [j]
+        for c in children[j]:
+            out.extend(subtree(c))
+        return out
+
+    attach = np.asarray(model.keypoint_attach)
+    vis = np.asarray(visibility).astype(bool)
+    invisible_dims, visible_dims = [], []
+    for i in range(J - 1):
+        kps = np.flatnonzero(np.isin(attach, subtree(i + 1)))
+        if len(kps) == 0:
+            continue
+        dims = [3 * i, 3 * i + 1, 3 * i + 2]
+        if not vis[kps].any():
+            invisible_dims.extend(dims)
+        elif vis[kps].all():
+            visible_dims.extend(dims)
+    if not invisible_dims or not visible_dims:
+        return None
+    return float(pose_var[invisible_dims].mean()), float(pose_var[visible_dims].mean())
+
+
 class TestPoseVisibility:
     # root 0 -> 1 -> 2 and root 0 -> 3 -> 4. Keypoints: k0 on the root, k1
     # and k2 on joint 2, k3 on joint 1, k4 on joint 3; nothing hangs on 4.
     TREE = types.SimpleNamespace(num_joints=5, parents=np.array([-1, 0, 1, 0, 3]),
-                                 keypoint_attach=np.array([0, 2, 2, 1, 3]))
+                                 keypoint_attach=np.array([0, 2, 2, 1, 3]),
+                                 pose_dim=12, num_keypoints=5)
     # pose dims [3i, 3i+3) belong to joint i+1; joint 4's keypoint-free
     # dims carry a variance that would show if they were counted
     POSE_VAR = np.array([1.0, 1, 1, 2, 2, 2, 3, 3, 3, 1000, 1000, 1000])
 
+    @pytest.fixture(scope="class")
+    def toy(self):
+        return bm.generate_toy_model(seed=3, num_vertices=150, num_joints=12)
+
     def test_keypoints_of_each_subtree(self):
-        groups = metrics.pose_dim_keypoint_map(self.TREE)
-        assert [g.tolist() for g in groups] == [[1, 2, 3], [1, 2], [4], []]
+        moves = bm.subtree_table(self.TREE.parents)[1:, self.TREE.keypoint_attach]
+        assert [np.flatnonzero(row).tolist() for row in moves] == [[1, 2, 3], [1, 2], [4], []]
 
     @pytest.mark.parametrize("visibility, want", [
         # joint 1 mixed, joint 2 hidden, joint 3 seen; the root keypoint is ignored
@@ -291,6 +341,59 @@ class TestPoseVisibility:
         got = metrics.pose_variance_by_joint_visibility(self.POSE_VAR, np.array(visibility),
                                                         self.TREE)
         assert got == want
+        assert split_by_subtree_walk(self.POSE_VAR, visibility, self.TREE) == want
+
+    def test_matches_subtree_walk_on_random_cases(self):
+        # every toy skeleton, 200 seeded (pose_var, visibility) pairs each,
+        # with variances over six decades so a reordered mean would show
+        rng = np.random.default_rng(23)
+        splits = 0
+        for J in range(8, 25):
+            model = bm.generate_toy_model(seed=0, num_vertices=50, num_joints=J)
+            for _ in range(200):
+                pose_var = 10.0 ** rng.uniform(-4, 2, model.pose_dim)
+                visibility = (rng.random(model.num_keypoints) < rng.random()).astype(int)
+                want = split_by_subtree_walk(pose_var, visibility, model)
+                got = metrics.pose_variance_by_joint_visibility(pose_var, visibility, model)
+                assert got == want
+                splits += want is not None
+        assert splits > 1000
+
+    def visible_but_left_arm(self, toy):
+        visibility = np.ones(toy.num_keypoints, dtype=int)
+        visibility[[toy.keypoint_names.index(n) for n in ("l_elbow", "l_wrist")]] = 0
+        return visibility
+
+    def test_left_arm_hidden_splits(self, toy):
+        rng = np.random.default_rng(24)
+        pose_var = rng.uniform(0.1, 1.0, toy.pose_dim)
+        visibility = self.visible_but_left_arm(toy)
+        got = metrics.pose_variance_by_joint_visibility(pose_var, visibility, toy)
+        assert got is not None
+        assert got == split_by_subtree_walk(pose_var, visibility, toy)
+        # booleans are 0s and 1s too
+        assert metrics.pose_variance_by_joint_visibility(pose_var, visibility == 1, toy) == got
+
+    @pytest.mark.parametrize("pose_var_shape", [(33 + 6,), (33 - 3,), (1, 33), (33, 1), ()],
+                             ids=["long", "short", "row", "column", "scalar"])
+    def test_pose_var_shape_rejected(self, toy, pose_var_shape):
+        assert toy.pose_dim == 33
+        with pytest.raises(ValueError, match="pose variances"):
+            metrics.pose_variance_by_joint_visibility(np.ones(pose_var_shape),
+                                                      self.visible_but_left_arm(toy), toy)
+
+    @pytest.mark.parametrize("edit", [
+        lambda v: np.concatenate([v, [1, 1]]),
+        lambda v: v[:-1],
+        lambda v: v[None],
+        lambda v: v * 0.5,
+        lambda v: np.where(v == 1, 2, 0),
+        lambda v: np.where(v == 1, np.nan, 0.0),
+    ], ids=["long", "short", "row", "halves", "twos", "nan"])
+    def test_visibility_rejected(self, toy, edit):
+        visibility = edit(self.visible_but_left_arm(toy))
+        with pytest.raises(ValueError, match="visibility"):
+            metrics.pose_variance_by_joint_visibility(np.ones(toy.pose_dim), visibility, toy)
 
 
 class TestConvexHullPerimeter:
@@ -623,8 +726,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="group size"):
             self.evaluate(setup, "pc", group_size=group_size)
 
-    def test_unknown_combination_rejected(self, setup):
-        for combination in ("median", "single"):
+    def test_unknown_combination_rejected(self, setup, monkeypatch):
+        def predict(*args):
+            raise AssertionError("predicted before checking the combination")
+
+        monkeypatch.setattr(metrics.net_mod, "predict_dataset", predict)
+        for combination in ("median", "single", "PC", "", ["pc"]):
             with pytest.raises(ValueError, match="unknown combination"):
                 self.evaluate(setup, combination)
 

@@ -50,3 +50,18 @@ def test_reference_case_matches_recording(workloads, name, tmp_path):
     want = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][name]
     got = workloads.WORKLOADS[name].reference(tmp_path)
     assert workloads.compare_reference(name, got, want) == []
+
+
+def test_reference_stream_matches_generate_dataset(workloads):
+    # the benchmark renders its reference samples one call at a time; the
+    # recording is only meaningful while `generate_dataset` gives the same
+    # samples for the same model, configs, subjects and seed
+    from shapefuse import synth
+
+    samples = synth.generate_dataset(
+        workloads.build_model(), synth.GenerationConfig(), synth.AugmentationConfig(),
+        workloads.REF_SAMPLES // workloads.POSES_PER_SUBJECT, workloads.POSES_PER_SUBJECT,
+        workloads.REF_SEED, True)
+    want = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]["generate"]
+    got = {"samples": [workloads.sample_summary(s) for s in samples]}
+    assert workloads.compare_reference("generate", got, want) == []

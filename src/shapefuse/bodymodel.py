@@ -15,7 +15,9 @@ inputs are tape nodes, and plain fast numpy otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,16 @@ def rodrigues(aa):
 # model container
 # ---------------------------------------------------------------------------
 
+class KinematicTree(NamedTuple):
+    """The skeleton tree as the skinning chain reads it; `BodyModel.tree`
+    builds it on first use, once per model."""
+
+    below: np.ndarray    # (J, J) `subtree_table` of the parents
+    levels: list         # the joints at each depth, root first
+    parent_slots: list   # per later level: each joint's parent's place in the level above
+    order: np.ndarray    # (J,) each joint's place in the levels laid end to end
+
+
 @dataclass(frozen=True)
 class BodyModel:
     """Immutable parametric body; safe for concurrent read. Checked when
@@ -100,6 +112,37 @@ class BodyModel:
     @property
     def shape_dim(self) -> int:
         return self.shape_basis.shape[2]
+
+    @cached_property
+    def tree(self) -> KinematicTree:
+        below = subtree_table(self.parents)
+        depth = below.sum(axis=0) - 1
+        levels = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
+        slot = np.zeros(self.num_joints, dtype=np.int64)
+        for joints in levels:
+            slot[joints] = np.arange(len(joints))
+        return KinematicTree(below, levels, [slot[self.parents[joints]] for joints in levels[1:]],
+                             np.argsort(np.concatenate(levels)))
+
+    @cached_property
+    def keypoint_model(self) -> BodyModel:
+        """The keypoint rig, built on first use, once per model: this model
+        cut down to the vertices that the keypoint and skeleton regressors
+        read, with no faces. It poses the same keypoints as the whole mesh
+        at a fraction of the cost."""
+        support = np.flatnonzero(
+            (self.joint_regressor > 0).any(axis=0) | (self.skeleton_regressor > 0).any(axis=0)
+        )
+        return replace(
+            self,
+            template_vertices=self.template_vertices[support],
+            shape_basis=self.shape_basis[support],
+            faces=np.zeros((0, 3), dtype=np.int64),
+            joint_regressor=self.joint_regressor[:, support],
+            skeleton_regressor=self.skeleton_regressor[:, support],
+            skinning_weights=self.skinning_weights[support],
+            part_labels=self.part_labels[support],
+        )
 
     def __post_init__(self):
         V, J, L = self.num_vertices, self.num_joints, self.num_keypoints
@@ -206,7 +249,7 @@ def subtree_table(parents: np.ndarray) -> np.ndarray:
 _HOMOGENEOUS_ROW = np.array([[0.0, 0.0, 0.0, 1.0]])
 
 
-def _world_blocks(parents: np.ndarray, local_rots, pivots):
+def _world_blocks(tree: KinematicTree, local_rots, pivots):
     """World transforms [R_j | u_j] (B, J, 3, 4) of local rotations L_j
     (B, J, 3, 3) about rest pivots p_j (B, J, 3), chained down the tree.
 
@@ -217,20 +260,14 @@ def _world_blocks(parents: np.ndarray, local_rots, pivots):
     and one batched product per level.
     """
     B, J = ad.value_of(pivots).shape[:2]
-    depth = subtree_table(parents).sum(axis=0) - 1
-    levels = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
-    slot = np.zeros(J, dtype=np.int64)  # each joint's position within its level
-    for joints in levels:
-        slot[joints] = np.arange(len(joints))
-
     offsets = pivots - ad.einsum("bjkl,bjl->bjk", local_rots, pivots)
     blocks = ad.concat([local_rots, ad.reshape(offsets, (B, J, 3, 1))], axis=3)
     square = ad.concat([blocks, np.broadcast_to(_HOMOGENEOUS_ROW, (B, J, 1, 4))], axis=2)
-    world = [ad.take(blocks, levels[0], axis=1)]
-    for joints in levels[1:]:
-        parent_blocks = ad.take(world[-1], slot[parents[joints]], axis=1)
+    world = [ad.take(blocks, tree.levels[0], axis=1)]
+    for joints, parent_slots in zip(tree.levels[1:], tree.parent_slots):
+        parent_blocks = ad.take(world[-1], parent_slots, axis=1)
         world.append(ad.matmul(parent_blocks, ad.take(square, joints, axis=1)))
-    return ad.take(ad.concat(world, axis=1), np.argsort(np.concatenate(levels)), axis=1)
+    return ad.take(ad.concat(world, axis=1), tree.order, axis=1)
 
 
 def lbs_vertices(model: BodyModel, pose, betas, glob):
@@ -257,7 +294,7 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     pivots = ad.matmul(model.skeleton_regressor, shaped)       # (B, J, 3)
 
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
-    world = _world_blocks(model.parents, rodrigues(aa_all), pivots)  # (B, J, 3, 4)
+    world = _world_blocks(model.tree, rodrigues(aa_all), pivots)  # (B, J, 3, 4)
 
     # the (B, V, 3, 3) blend is built C-ordered by matmul and handed straight
     # to the apply, so it lives only for that call
@@ -296,6 +333,13 @@ def regress_joints(model: BodyModel, vertices):
     if ad.value_of(vertices).shape[-2] != model.num_vertices:
         raise ValueError("mesh vertex count does not match regressor")
     return ad.matmul(model.joint_regressor, vertices)
+
+
+def posed_keypoints(model: BodyModel, pose, betas, glob):
+    """Batched keypoints of interest: (B,P),(B,S),(B,3) -> (B,L,3), the
+    `regress_joints` of `lbs_vertices`, posed on `model.keypoint_model`."""
+    rig = model.keypoint_model
+    return regress_joints(rig, lbs_vertices(rig, pose, betas, glob))
 
 
 # ---------------------------------------------------------------------------

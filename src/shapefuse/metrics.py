@@ -146,7 +146,7 @@ def pose_variance_by_joint_visibility(pose_var: np.ndarray, visibility: np.ndarr
     if visibility.shape != (model.num_keypoints,) or not np.isin(visibility, (0, 1)).all():
         raise ValueError(f"expected a ({model.num_keypoints},) visibility of 0s and 1s")
     # (J-1, L): entry (j, l) says joint j + 1 moves keypoint l
-    moves = bm.subtree_table(model.parents)[1:, model.keypoint_attach]
+    moves = model.tree.below[1:, model.keypoint_attach]
     seen = visibility == 1
     moves_some = moves.any(axis=1)
     hidden = moves_some & ~(moves & seen).any(axis=1)
@@ -339,7 +339,8 @@ _COMBINE = {
 def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
              combination: str, rng, uncertainty_samples: int = 0) -> MetricsReport:
     """Predict every sample, group per subject, combine shapes and report
-    pose/shape metrics. Single-image evaluation is `group_size=1`, under
+    pose/shape metrics; the joints of the true and the predicted bodies come
+    from `bm.posed_keypoints`. Single-image evaluation is `group_size=1`, under
     which both combinations return each prediction's own shape mean.
     `uncertainty_samples` MC draws per sample give the mean per-vertex
     uncertainty; 0 turns it off."""
@@ -358,11 +359,9 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
     group_subject, group_sizes, group_pve = [], [], []
     for subj in np.unique(subjects):
         idx = np.flatnonzero(subjects == subj)
-        gt_joints = bm.regress_joints(
-            model, bm.lbs_vertices(model, a["theta"][idx], a["beta"][idx], a["glob"][idx]))
+        gt_joints = bm.posed_keypoints(model, a["theta"][idx], a["beta"][idx], a["glob"][idx])
         pred = predictions[idx]
-        pred_joints = bm.regress_joints(
-            model, bm.lbs_vertices(model, pred.pose.mean, pred.shape.mean, pred.global_rot))
+        pred_joints = bm.posed_keypoints(model, pred.pose.mean, pred.shape.mean, pred.global_rot)
         sc[idx] = mpjpe_sc(pred_joints, gt_joints, root=root)
         pa[idx] = mpjpe_pa(pred_joints, gt_joints)
 

@@ -111,6 +111,22 @@ def _conv_indices(side, c_in):
     return idx.reshape(len(taps) ** 2, -1).astype(np.int64), len(taps)
 
 
+def _param_shapes(pose_dim: int, shape_dim: int, in_channels: int, encoder: EncoderConfig,
+                 hidden: int) -> dict:
+    """Name -> shape of every parameter of a network layout, in the order
+    the network initialises them and a weights file stores them; allocates
+    nothing. ValueError unless the four sizes are positive ints."""
+    if not all(is_int(d) and d > 0 for d in (pose_dim, shape_dim, in_channels, hidden)):
+        raise ValueError("pose, shape, input channel and hidden sizes must be positive ints")
+    shapes = {}
+    for i, (c_in, c_out) in enumerate(zip((in_channels,) + encoder.channels, encoder.channels)):
+        shapes[f"conv{i}_w"], shapes[f"conv{i}_b"] = (KERNEL * KERNEL * c_in, c_out), (c_out,)
+    out = 2 * pose_dim + 2 * shape_dim + 6
+    shapes.update(dense0_w=(encoder.feature_dim, hidden), dense0_b=(hidden,),
+                  dense1_w=(hidden, out), dense1_b=(out,))
+    return shapes
+
+
 def _profile_taps(profiles: np.ndarray) -> np.ndarray:
     """(B, L, P) profiles -> (B, L, P/2, KERNEL) taps of the stride-2
     kernel: entry (i, a) is the profile at 2i + a - KERNEL//2, zero outside."""
@@ -130,35 +146,28 @@ class PredictorNet:
     def __init__(self, pose_dim: int, shape_dim: int, in_channels: int,
                  encoder: EncoderConfig = None, hidden: int = 512, seed: int = 0):
         encoder = encoder or EncoderConfig()
-        if not all(is_int(d) and d > 0 for d in (pose_dim, shape_dim, in_channels, hidden)):
-            raise ValueError("pose, shape, input channel and hidden sizes must be positive ints")
+        shapes = _param_shapes(pose_dim, shape_dim, in_channels, encoder, hidden)
         self.pose_dim = pose_dim
         self.shape_dim = shape_dim
         self.in_channels = in_channels
         self.encoder = encoder
         self.hidden = hidden
 
-        # weights and the static gather index table of each conv stage; stage
-        # 0 gathers the silhouette alone, since the heatmaps stay separable
+        # each layer draws from its own substream; the output layer starts small
         self.params: dict[str, np.ndarray] = {}
-        self._conv_tables = []
-        c_prev, side = in_channels, encoder.pool_to
-        for i, c_out in enumerate(encoder.channels):
-            fan_in = KERNEL * KERNEL * c_prev
-            rng = named_rng(seed, "init", f"conv{i}")
-            self.params[f"conv{i}_w"] = rng.normal(0, np.sqrt(2.0 / fan_in), (fan_in, c_out))
-            self.params[f"conv{i}_b"] = np.zeros(c_out)
-            idx, side = _conv_indices(side, c_prev if i else 1)
+        for name, shape in shapes.items():
+            layer, kind = name.rsplit("_", 1)
+            if kind == "b":
+                self.params[name] = np.zeros(shape)
+            else:
+                std = 0.01 if name == "dense1_w" else np.sqrt(2.0 / shape[0])
+                self.params[name] = named_rng(seed, "init", layer).normal(0, std, shape)
+        # the static gather index table of each conv stage; stage 0 gathers
+        # the silhouette alone, since the heatmaps stay separable
+        self._conv_tables, side = [], encoder.pool_to
+        for c_in in (1,) + encoder.channels[:-1]:
+            idx, side = _conv_indices(side, c_in)
             self._conv_tables.append(idx)
-            c_prev = c_out
-        rng = named_rng(seed, "init", "dense0")
-        self.params["dense0_w"] = rng.normal(
-            0, np.sqrt(2.0 / encoder.feature_dim), (encoder.feature_dim, hidden)
-        )
-        self.params["dense0_b"] = np.zeros(hidden)
-        rng = named_rng(seed, "init", "dense1")
-        self.params["dense1_w"] = rng.normal(0, 0.01, (hidden, self.output_dim))
-        self.params["dense1_b"] = np.zeros(self.output_dim)
 
     @classmethod
     def for_model(cls, model: bm.BodyModel, encoder: EncoderConfig = None,
@@ -168,7 +177,7 @@ class PredictorNet:
 
     @property
     def output_dim(self) -> int:
-        return 2 * self.pose_dim + 2 * self.shape_dim + 6
+        return self.params["dense1_b"].shape[0]
 
     def head_slices(self) -> dict:
         p, s = self.pose_dim, self.shape_dim
@@ -291,25 +300,6 @@ def predict_dataset(net: PredictorNet, dataset) -> PredictionSet:
 # losses
 # ---------------------------------------------------------------------------
 
-def reduced_for_keypoints(model: bm.BodyModel) -> bm.BodyModel:
-    """Slice the model down to the vertices the keypoint and skeleton
-    regressors actually touch; keypoint outputs are unchanged, the LBS pass
-    inside the reprojection loss gets much cheaper."""
-    support = np.flatnonzero(
-        (model.joint_regressor > 0).any(axis=0) | (model.skeleton_regressor > 0).any(axis=0)
-    )
-    return dataclasses.replace(
-        model,
-        template_vertices=model.template_vertices[support],
-        shape_basis=model.shape_basis[support],
-        faces=np.zeros((0, 3), dtype=np.int64),
-        joint_regressor=model.joint_regressor[:, support],
-        skeleton_regressor=model.skeleton_regressor[:, support],
-        skinning_weights=model.skinning_weights[support],
-        part_labels=model.part_labels[support],
-    )
-
-
 def loss_glob(pred_glob, target_glob):
     """Squared Frobenius distance between the two rotation matrices."""
     diff = bm.rodrigues(target_glob) - bm.rodrigues(pred_glob)
@@ -322,9 +312,9 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
     """Sum over examples and reparameterized draws of the masked squared
     keypoint reprojection error (normalized image coordinates).
 
-    `model` should be the keypoint-reduced model for speed; noise arrays
-    have shape (B, n_draws, dim) and are supplied by the caller so the
-    estimator stays deterministic and differentiable.
+    The drawn bodies are posed by `bm.posed_keypoints` on the full model;
+    noise arrays have shape (B, n_draws, dim) and are supplied by the
+    caller so the estimator stays deterministic and differentiable.
     """
     B, S, P = noise_pose.shape
     sdim = noise_shape.shape[2]
@@ -336,13 +326,12 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
                              noise_shape)
     glob_tiled = heads["glob"][:, None, :] + np.zeros((1, S, 1))
 
-    verts = bm.lbs_vertices(
+    joints3d = bm.posed_keypoints(                               # (B*S, L, 3)
         model,
         ad.reshape(pose_s, (B * S, P)),
         ad.reshape(shape_s, (B * S, sdim)),
         ad.reshape(glob_tiled, (B * S, 3)),
     )
-    joints3d = bm.regress_joints(model, verts)                   # (B*S, L, 3)
     projected = cr.project_weak(ad.reshape(joints3d, (B, S, L, 3)), heads["camera"])
 
     mask = visibility.astype(np.float64)[:, None, :, None]
@@ -350,7 +339,7 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
     return ad.sum_(ad.square(diff))
 
 
-def loss_total_batch(heads: dict, targets: dict, model_reduced: bm.BodyModel,
+def loss_total_batch(heads: dict, targets: dict, model: bm.BodyModel,
                      cfg: TrainConfig, noise_pose: np.ndarray, noise_shape: np.ndarray):
     """Per-batch mean of nll + lambda_glob * glob + lambda_2d * reproj.
 
@@ -364,7 +353,7 @@ def loss_total_batch(heads: dict, targets: dict, model_reduced: bm.BodyModel,
     total = nll + cfg.lambda_glob * glob
     if cfg.lambda_2d != 0.0:
         reproj = loss_reproj_batch(
-            heads, model_reduced, targets["joints_norm"], targets["visibility"],
+            heads, model, targets["joints_norm"], targets["visibility"],
             noise_pose, noise_shape,
         )
         total = total + cfg.lambda_2d * reproj
@@ -442,7 +431,6 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
     n_batches = len(range(0, n, cfg.batch_size))
     arrays = dataset.arrays
     size = dataset.image_size
-    reduced = reduced_for_keypoints(model)
     optimizer = optimizer or AdamState(net.params)
 
     log = []
@@ -467,8 +455,7 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
             tape = ad.Tape()
             leaves = {k: tape.variable(v) for k, v in net.params.items()}
             heads = net.heads(pooled, leaves)
-            total, parts = loss_total_batch(heads, targets, reduced, cfg,
-                                            noise_pose, noise_shape)
+            total, parts = loss_total_batch(heads, targets, model, cfg, noise_pose, noise_shape)
             _require_finite(np.isfinite(parts["total"]), "loss", epoch, step, net.params)
             grads = ad.gradient(total, list(leaves.values()))
             _require_finite(all(np.isfinite(g).all() for g in grads), "gradient", epoch, step,
@@ -509,32 +496,37 @@ def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
 
 
 def load_weights(path):
-    """Returns (net, optimizer or None, meta); validates version and shapes.
-    Layout values reach the constructors unconverted: a float size fails.
+    """Returns (net, optimizer or None, meta). The version, the layout and
+    every array's name and shape are checked before the network is built;
+    layout values reach the constructors unconverted, so a float size fails.
     An old encoder `kernel` key is ignored; another kernel fails the shape check."""
     arrays, meta = read_container(path, expected_kind="weights")
     if meta.get("weights_version") != WEIGHTS_VERSION:
         raise ContainerError(f"{path}: unsupported weights version")
     try:
         enc = meta["encoder"]
-        net = PredictorNet(meta["pose_dim"], meta["shape_dim"], meta["in_channels"],
-                           EncoderConfig(enc["pool_to"], tuple(enc["channels"])), meta["hidden"])
+        layout = (meta["pose_dim"], meta["shape_dim"], meta["in_channels"],
+                  EncoderConfig(enc["pool_to"], tuple(enc["channels"])), meta["hidden"])
+        shapes = _param_shapes(*layout)
         adam_t = meta["adam_t"]
         check_int("adam_t", adam_t, 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: malformed network layout ({exc!r})") from exc
-    for k in net.params:
-        key = f"param/{k}"
-        if key not in arrays or arrays[key].shape != net.params[k].shape:
-            raise ContainerError(f"{path}: parameter {k} missing or misshapen")
-        net.params[k] = arrays[key]
+    # any array besides the parameters means a saved optimizer: both moments of each
+    optimized = not all(k.startswith("param/") for k in arrays)
+    groups = ("param", "adam_m", "adam_v") if optimized else ("param",)
+    expected = {f"{g}/{k}": shape for g in groups for k, shape in shapes.items()}
+    unexpected = sorted(set(arrays) - set(expected))
+    if unexpected:
+        raise ContainerError(f"{path}: unexpected arrays {unexpected}")
+    for key, shape in expected.items():
+        if key not in arrays or arrays[key].shape != shape or arrays[key].dtype != np.float64:
+            raise ContainerError(f"{path}: {key} missing or misshapen (want float64 {shape})")
+    net = PredictorNet(*layout)
+    net.params = {k: arrays[f"param/{k}"] for k in shapes}
     optimizer = None
-    if any(k.startswith("adam_m/") for k in arrays):
+    if optimized:
         optimizer = AdamState(net.params)
-        for k in net.params:
-            for key, moments in ((f"adam_m/{k}", optimizer.m), (f"adam_v/{k}", optimizer.v)):
-                if key not in arrays or arrays[key].shape != net.params[k].shape:
-                    raise ContainerError(f"{path}: optimizer state {key} missing or misshapen")
-                moments[k] = arrays[key]
+        optimizer.m, optimizer.v = ({k: arrays[f"{g}/{k}"] for k in shapes} for g in groups[1:])
         optimizer.t = adam_t
     return net, optimizer, meta

@@ -340,7 +340,8 @@ class SynthDataset:
 
     Raises ValueError unless every stored array is present with one common
     leading length of at least 1, `joints2d` is (n, L, 2), `visibility` is
-    (n, L), and the uint8 silhouette bits fit `image_size`, a positive int.
+    (n, L), `visibility` and `corrupted` hold only 0s and 1s, and the uint8
+    silhouette bits fit `image_size`, a positive int.
     A `heatmap_sigma` key, which older containers carry, is ignored.
     """
 
@@ -356,6 +357,8 @@ class SynthDataset:
         n, vis = lengths.pop(), arrays["visibility"]
         if vis.ndim != 2 or arrays["joints2d"].shape != (n, vis.shape[1], 2):
             raise ValueError("joints2d must be (n, L, 2) and visibility (n, L)")
+        if not all(np.isin(arrays[k], (0, 1)).all() for k in ("visibility", "corrupted")):
+            raise ValueError("visibility and corrupted must hold only 0s and 1s")
         bits = arrays["silhouette_bits"]
         if bits.dtype != np.uint8 or bits.shape != (n, -(-size * size // 8)):
             raise ValueError(f"silhouette bits must be uint8 (n, ceil({size}^2 / 8))")

@@ -119,6 +119,36 @@ def random_tree(J, rng) -> np.ndarray:
     return np.array([-1] + [int(rng.integers(0, i)) for i in range(1, J)])
 
 
+def tree_plan_per_call(parents) -> tuple:
+    """The levels, parent slots and level order that `bm._world_blocks`
+    derived from `parents` on every call: the oracle for `BodyModel.tree`."""
+    depth = bm.subtree_table(parents).sum(axis=0) - 1
+    levels = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
+    slot = np.zeros(len(parents), dtype=np.int64)
+    for joints in levels:
+        slot[joints] = np.arange(len(joints))
+    parent_slots = [slot[parents[joints]] for joints in levels[1:]]
+    return levels, parent_slots, np.argsort(np.concatenate(levels))
+
+
+def reduced_for_keypoints(model):
+    """The model sliced down to the vertices that the keypoint and skeleton
+    regressors touch, with no faces: the oracle for `BodyModel.keypoint_model`."""
+    support = np.flatnonzero(
+        (model.joint_regressor > 0).any(axis=0) | (model.skeleton_regressor > 0).any(axis=0)
+    )
+    return dataclasses.replace(
+        model,
+        template_vertices=model.template_vertices[support],
+        shape_basis=model.shape_basis[support],
+        faces=np.zeros((0, 3), dtype=np.int64),
+        joint_regressor=model.joint_regressor[:, support],
+        skeleton_regressor=model.skeleton_regressor[:, support],
+        skinning_weights=model.skinning_weights[support],
+        part_labels=model.part_labels[support],
+    )
+
+
 class TestSubtreeTable:
     def check(self, parents):
         below = bm.subtree_table(parents)
@@ -143,6 +173,43 @@ class TestSubtreeTable:
         rng = np.random.default_rng(21)
         for J in [1, 2, 3] + list(rng.integers(4, 40, 30)):
             self.check(random_tree(J, rng))
+
+
+class TestKinematicTree:
+    def check(self, model):
+        tree = model.tree
+        assert model.tree is tree
+        np.testing.assert_array_equal(tree.below, bm.subtree_table(model.parents))
+        levels, parent_slots, order = tree_plan_per_call(model.parents)
+        for got, want in zip((tree.levels, tree.parent_slots), (levels, parent_slots)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+        assert tree.order.dtype == order.dtype
+        np.testing.assert_array_equal(tree.order, order)
+
+    @pytest.mark.parametrize("J", range(8, 25))
+    def test_toy_skeletons_match_per_call_plan(self, J):
+        self.check(bm.generate_toy_model(seed=0, num_vertices=50, num_joints=J))
+
+    def test_random_trees_match_per_call_plan(self):
+        rng = np.random.default_rng(22)
+        for J in range(8, 25):
+            model = bm.generate_toy_model(seed=0, num_vertices=50, num_joints=J)
+            for _ in range(3):
+                self.check(dataclasses.replace(model, parents=random_tree(J, rng)))
+
+    def test_lbs_on_random_tree_matches_per_joint_loop(self, toy):
+        model = dataclasses.replace(toy, parents=random_tree(toy.num_joints,
+                                                             np.random.default_rng(24)))
+        rng = np.random.default_rng(25)
+        pose = rng.normal(scale=0.5, size=(3, model.pose_dim))
+        betas = rng.normal(size=(3, 10))
+        glob = rng.normal(scale=0.8, size=(3, 3))
+        np.testing.assert_allclose(bm.lbs_vertices(model, pose, betas, glob),
+                                   lbs_per_joint_loop(model, pose, betas, glob),
+                                   rtol=0, atol=1e-12)
 
 
 class TestRodrigues:
@@ -340,6 +407,46 @@ class TestRegressJoints:
     def test_vertex_count_mismatch(self, toy):
         with pytest.raises(ValueError):
             bm.regress_joints(toy, np.zeros((toy.num_vertices + 1, 3)))
+
+
+class TestKeypointRig:
+    @pytest.mark.parametrize("budget", [(0, 6890, 24), (0, 600, 16), (3, 150, 12),
+                                        (5, 120, 8), (0, 50, 8), (11, 300, 16)])
+    def test_matches_reduced_model(self, budget):
+        model = bm.generate_toy_model(*budget)
+        rig, want = model.keypoint_model, reduced_for_keypoints(model)
+        for f in dataclasses.fields(bm.BodyModel):
+            got, expected = getattr(rig, f.name), getattr(want, f.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+            else:
+                assert got == expected
+        if budget[1] == 6890:
+            assert rig.num_vertices < model.num_vertices // 10
+
+    def test_built_on_first_use_once_per_model(self):
+        model = bm.generate_toy_model(seed=11, num_vertices=300, num_joints=16)
+        assert "keypoint_model" not in vars(model) and "tree" not in vars(model)
+        rig = model.keypoint_model
+        assert model.keypoint_model is rig
+        assert "keypoint_model" not in vars(rig)
+        fresh = dataclasses.replace(model)
+        assert fresh.keypoint_model is not rig and fresh.tree is not model.tree
+        np.testing.assert_array_equal(fresh.keypoint_model.template_vertices,
+                                      rig.template_vertices)
+
+    def test_posed_keypoints_pose_the_rig(self):
+        model = bm.generate_toy_model(seed=6, num_vertices=600, num_joints=24)
+        rng = np.random.default_rng(26)
+        args = (rng.normal(scale=0.5, size=(4, model.pose_dim)), rng.normal(size=(4, 10)),
+                rng.normal(scale=0.8, size=(4, 3)))
+        got = bm.posed_keypoints(model, *args)
+        oracle = reduced_for_keypoints(model)
+        np.testing.assert_array_equal(got,
+                                      bm.regress_joints(oracle, bm.lbs_vertices(oracle, *args)))
+        np.testing.assert_allclose(got, bm.regress_joints(model, bm.lbs_vertices(model, *args)),
+                                   rtol=0, atol=1e-12)
 
 
 class TestNeutralPose:

@@ -312,7 +312,10 @@ def split_by_subtree_walk(pose_var, visibility, model):
 class TestPoseVisibility:
     # root 0 -> 1 -> 2 and root 0 -> 3 -> 4. Keypoints: k0 on the root, k1
     # and k2 on joint 2, k3 on joint 1, k4 on joint 3; nothing hangs on 4.
-    TREE = types.SimpleNamespace(num_joints=5, parents=np.array([-1, 0, 1, 0, 3]),
+    # `tree.below` stands in for the model's own copy of the subtree table.
+    PARENTS = np.array([-1, 0, 1, 0, 3])
+    TREE = types.SimpleNamespace(num_joints=5, parents=PARENTS,
+                                 tree=types.SimpleNamespace(below=bm.subtree_table(PARENTS)),
                                  keypoint_attach=np.array([0, 2, 2, 1, 3]),
                                  pose_dim=12, num_keypoints=5)
     # pose dims [3i, 3i+3) belong to joint i+1; joint 4's keypoint-free

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from gradcheck import grad_check
 
 
 TINY_ENCODER = dict(pool_to=16, channels=(2, 4, 8))
+# `save_weights` of the tiny network (seed 0) with zero Adam moments at t=3, epoch 2
+SAVED_WEIGHTS_SHA256 = "55d3f79b2a21bcf33783f033ab906d0c64cd7a53f0247ce2deac4e441a9aa3a5"
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +95,11 @@ def conv_mlp_oracle(net, params, pooled):
     return hidden @ params["dense1_w"] + params["dense1_b"]
 
 
-def reproj_loss(pred, reduced, joints_norm, visibility, n_draws, rng) -> float:
+def reproj_loss(pred, model, joints_norm, visibility, n_draws, rng) -> float:
     """`loss_reproj_batch` on one prediction with `n_draws` fresh draws."""
     heads, _ = heads_from_prediction(pred)
     value = net_mod.loss_reproj_batch(
-        heads, reduced, joints_norm[None], np.asarray(visibility)[None],
+        heads, model, joints_norm[None], np.asarray(visibility)[None],
         rng.standard_normal((1, n_draws, pred.pose.dim)),
         rng.standard_normal((1, n_draws, pred.shape.dim)),
     )
@@ -334,7 +338,7 @@ class TestReprojectionLoss:
     def test_all_invisible_gives_zero(self, tiny_model):
         pred = self._make_pred(tiny_model)
         L = tiny_model.num_keypoints
-        loss = reproj_loss(pred, net_mod.reduced_for_keypoints(tiny_model), np.zeros((L, 2)),
+        loss = reproj_loss(pred, tiny_model, np.zeros((L, 2)),
                            np.zeros(L, dtype=int), 4, named_rng(0, "r"))
         assert loss == 0.0
 
@@ -344,14 +348,13 @@ class TestReprojectionLoss:
         joints3d = np.asarray(bm.regress_joints(tiny_model, verts))
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
-        loss = reproj_loss(pred, net_mod.reduced_for_keypoints(tiny_model), targets,
+        loss = reproj_loss(pred, tiny_model, targets,
                            np.ones(L, dtype=int), 4, named_rng(1, "r"))
         assert loss < 1e-12
 
     def test_gradients_match_fd_with_frozen_noise(self, tiny_model):
         model = tiny_model
         P = model.pose_dim
-        reduced = net_mod.reduced_for_keypoints(model)
         rng = np.random.default_rng(4)
         L = model.num_keypoints
         joints_norm = rng.uniform(-0.8, 0.8, size=(1, L, 2))
@@ -383,7 +386,7 @@ class TestReprojectionLoss:
                     (1, 3),
                 ),
             }
-            return net_mod.loss_reproj_batch(heads, reduced, joints_norm, vis,
+            return net_mod.loss_reproj_batch(heads, model, joints_norm, vis,
                                              noise_pose, noise_shape)
 
         assert grad_check(f, x0, step=1e-5) < 1e-4
@@ -396,12 +399,11 @@ class TestReprojectionLoss:
         targets = np.asarray(cr.project_weak(joints3d, pred.camera))
         L = tiny_model.num_keypoints
         vis = np.ones(L, dtype=int)
-        reduced = net_mod.reduced_for_keypoints(tiny_model)
 
         def estimate(n_draws, n_rep, key):
             vals = []
             for i in range(n_rep):
-                v = reproj_loss(pred, reduced, targets, vis, n_draws, named_rng(key, "mc", i))
+                v = reproj_loss(pred, tiny_model, targets, vis, n_draws, named_rng(key, "mc", i))
                 vals.append(v / n_draws)
             return np.array(vals)
 
@@ -428,17 +430,15 @@ class TestTotalLoss:
 
     def test_zero_lambdas_equals_nll(self, tiny_model, tiny_net, tiny_data):
         pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
-        reduced = net_mod.reduced_for_keypoints(tiny_model)
         heads = tiny_net.heads(pooled)
         cfg = net_mod.TrainConfig(lambda_glob=0.0, lambda_2d=0.0, reproj_samples=2)
         noise_p = np.zeros((4, 2, tiny_model.pose_dim))
         noise_s = np.zeros((4, 2, 10))
-        total, parts = net_mod.loss_total_batch(heads, targets, reduced, cfg, noise_p, noise_s)
+        total, parts = net_mod.loss_total_batch(heads, targets, tiny_model, cfg, noise_p, noise_s)
         assert float(ad.value_of(total)) == pytest.approx(parts["nll"])
 
     def test_additivity_in_lambdas(self, tiny_model, tiny_net, tiny_data):
         pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
-        reduced = net_mod.reduced_for_keypoints(tiny_model)
         heads = tiny_net.heads(pooled)
         rng = named_rng(0, "noise")
         noise_p = rng.standard_normal((4, 2, tiny_model.pose_dim))
@@ -446,7 +446,7 @@ class TestTotalLoss:
 
         def total_for(lg, l2):
             cfg = net_mod.TrainConfig(lambda_glob=lg, lambda_2d=l2, reproj_samples=2)
-            t, parts = net_mod.loss_total_batch(heads, targets, reduced, cfg, noise_p, noise_s)
+            t, parts = net_mod.loss_total_batch(heads, targets, tiny_model, cfg, noise_p, noise_s)
             return float(ad.value_of(t)), parts
 
         t_full, parts = total_for(1.0, 0.01)
@@ -457,12 +457,11 @@ class TestTotalLoss:
 
     def test_finite_on_random_net(self, tiny_model, tiny_net, tiny_data):
         pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
-        reduced = net_mod.reduced_for_keypoints(tiny_model)
         heads = tiny_net.heads(pooled)
         cfg = net_mod.TrainConfig(reproj_samples=2)
         rng = named_rng(1, "noise")
         total, _ = net_mod.loss_total_batch(
-            heads, targets, reduced, cfg,
+            heads, targets, tiny_model, cfg,
             rng.standard_normal((4, 2, tiny_model.pose_dim)),
             rng.standard_normal((4, 2, 10)),
         )
@@ -660,6 +659,64 @@ class TestWeightsIO:
         write_container(path, "weights", arrays, meta)
         with pytest.raises(ContainerError, match="adam_v/conv0_w"):
             net_mod.load_weights(path)
+
+    def test_missing_first_moments_rejected(self, tiny_net, tmp_path):
+        # the second moments alone are a partial optimizer state, not none
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net, net_mod.AdamState(tiny_net.params))
+        arrays, meta = read_container(path, expected_kind="weights")
+        arrays = {k: v for k, v in arrays.items() if not k.startswith("adam_m/")}
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="adam_m/conv0_w"):
+            net_mod.load_weights(path)
+
+    @pytest.mark.parametrize("name", ["param/bogus", "adam_m/bogus", "bogus"])
+    def test_unexpected_array_rejected(self, tiny_net, tmp_path, name):
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net, net_mod.AdamState(tiny_net.params))
+        arrays, meta = read_container(path, expected_kind="weights")
+        arrays[name] = np.zeros(3)
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="unexpected arrays"):
+            net_mod.load_weights(path)
+
+    def test_non_float_parameter_rejected(self, tiny_net, tmp_path):
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net)
+        arrays, meta = read_container(path, expected_kind="weights")
+        arrays["param/conv0_b"] = arrays["param/conv0_b"].astype(np.int64)
+        write_container(path, "weights", arrays, meta)
+        with pytest.raises(ContainerError, match="conv0_b missing or misshapen"):
+            net_mod.load_weights(path)
+
+    def test_header_sizes_checked_before_building(self, tiny_net, tmp_path):
+        # a header claiming a wide hidden layer over the small file's arrays
+        # fails on their shapes, before anything of the claimed size is made
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, tiny_net)
+        arrays, meta = read_container(path, expected_kind="weights")
+        meta["hidden"] = 20_000
+        write_container(path, "weights", arrays, meta)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="dense0_w missing or misshapen"):
+                net_mod.load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_saved_bytes_pinned(self, tiny_model, tmp_path):
+        # each layer initialises from its own named substream, and the file
+        # holds the parameters, then both Adam moments, in layout order
+        net = net_mod.PredictorNet.for_model(
+            tiny_model, net_mod.EncoderConfig(**TINY_ENCODER), hidden=16, seed=0
+        )
+        optimizer = net_mod.AdamState(net.params)
+        optimizer.t = 3
+        path = tmp_path / "w.sfw"
+        net_mod.save_weights(path, net, optimizer, epoch=2)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_WEIGHTS_SHA256
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda meta: meta.pop("encoder"), id="no-encoder"),

@@ -587,6 +587,10 @@ class TestDatasetIO:
         pytest.param(lambda a, m: a.update(joints2d=a["joints2d"][:, :-1]), id="joint-count"),
         pytest.param(lambda a, m: a.update(joints2d=a["joints2d"][..., :1]), id="joints-not-2d"),
         pytest.param(lambda a, m: a.update(visibility=a["visibility"][:, 0]), id="visibility-1d"),
+        pytest.param(lambda a, m: a.update(visibility=np.full_like(a["visibility"], 3)),
+                     id="visibility-three"),
+        pytest.param(lambda a, m: a.update(corrupted=np.full_like(a["corrupted"], 2)),
+                     id="corrupted-two"),
         pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"][:, :-1]),
                      id="bits-narrow"),
         pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"].astype(np.int64)),
@@ -603,6 +607,22 @@ class TestDatasetIO:
         write_container(path, "dataset", arrays, meta)
         with pytest.raises(ContainerError, match="malformed dataset"):
             synth.read_dataset(path)
+
+    @pytest.mark.parametrize("name, value", [("visibility", 3), ("visibility", -1),
+                                             ("visibility", 0.5), ("corrupted", 2)])
+    def test_flags_other_than_zero_and_one_rejected(self, model, small_cfg, name, value):
+        # the reprojection loss weights each keypoint's squared error by its
+        # visibility, so a visibility of 3 would weight it by 9
+        samples = synth.generate_dataset(model, small_cfg, synth.AugmentationConfig(),
+                                         num_subjects=1, poses_per_subject=2, seed=4,
+                                         corrupt=False)
+        dataset = synth.SynthDataset.from_samples(samples)
+        arrays = dict(dataset.arrays, **{name: dataset.arrays[name].astype(np.float64)})
+        arrays[name].flat[0] = value
+        with pytest.raises(ValueError, match="visibility and corrupted must hold only 0s and 1s"):
+            synth.SynthDataset(arrays, dataset.meta)
+        arrays[name].flat[0] = 1 - dataset.arrays[name].flat[0]
+        assert len(synth.SynthDataset(arrays, dataset.meta)) == 2
 
     @pytest.mark.parametrize("sigma", [4.0, "2", 0.0, -1.5, float("nan"), float("inf")],
                              ids=["sigma-4", "sigma-string", "sigma-zero", "sigma-negative",

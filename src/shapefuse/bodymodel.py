@@ -200,7 +200,7 @@ class BodyModel:
                     and all(isinstance(p, str) for p in m["parts"])):
                 raise ValueError(f"measurement {name!r} is not an axis, two joint names, "
                                  f"a real t and a list of part names: {m!r}")
-        if len(set(self.part_labels.tolist())) < 6:
+        if len(self.part_names) < 6:
             raise ValueError("need at least 6 body parts")
         if self.keypoint_attach.shape != (L,) or np.any(self.keypoint_attach < 0) or np.any(
             self.keypoint_attach >= J

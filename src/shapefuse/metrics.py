@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bodymodel as bm
 from . import network as net_mod
-from .gaussians import PredictionSet, fuse_shapes
+from .gaussians import PredictionSet, fuse_shapes, reparam_sample
 from .scalars import check_int, check_positive
 
 MM = 1000.0
@@ -122,8 +122,9 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     if pred.camera.ndim != 1:
         raise ValueError(f"expected one sample's prediction, got a batch of {len(pred)}")
     n = int(n_samples)
-    pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
-    shape = pred.shape.mean + np.sqrt(pred.shape.var) * rng.standard_normal((n, pred.shape.dim))
+    pose = reparam_sample(pred.pose.mean, pred.pose.var, rng.standard_normal((n, pred.pose.dim)))
+    shape = reparam_sample(pred.shape.mean, pred.shape.var,
+                           rng.standard_normal((n, pred.shape.dim)))
     glob = np.broadcast_to(pred.global_rot, (n, 3)).copy()
     verts = np.asarray(bm.lbs_vertices(model, pose, shape, glob))  # (n, V, 3)
     d = verts - verts.mean(axis=0)

@@ -2,9 +2,9 @@
 
 A small convolutional encoder (average-pooled proxy input, three 3x3 stride-2
 stages) feeds an MLP with one 512-unit hidden layer and a single output
-layer whose width is 2*pose_dim + 2*shape_dim + 6 — 164 for a 24-joint
-body. Variance heads pass through a clamped exponential so they are always
-strictly positive; the camera scale gets the same treatment.
+layer, whose width is the sum of the head widths in `head_widths` — 164 for
+a 24-joint body. Variance heads pass through a clamped exponential so they
+are always strictly positive; the camera scale gets the same treatment.
 
 Training minimizes
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +112,13 @@ def _conv_indices(side, c_in):
     return idx.reshape(len(taps) ** 2, -1).astype(np.int64), len(taps)
 
 
+def head_widths(pose_dim: int, shape_dim: int) -> dict:
+    """Name -> width of each output head, in the output layer's order: the
+    one statement of that layout, which `PredictorNet.heads` slices."""
+    return {"pose_mean": pose_dim, "pose_logvar": pose_dim, "shape_mean": shape_dim,
+            "shape_logvar": shape_dim, "glob": 3, "camera": 3}
+
+
 def _param_shapes(pose_dim: int, shape_dim: int, in_channels: int, encoder: EncoderConfig,
                  hidden: int) -> dict:
     """Name -> shape of every parameter of a network layout, in the order
@@ -121,7 +129,7 @@ def _param_shapes(pose_dim: int, shape_dim: int, in_channels: int, encoder: Enco
     shapes = {}
     for i, (c_in, c_out) in enumerate(zip((in_channels,) + encoder.channels, encoder.channels)):
         shapes[f"conv{i}_w"], shapes[f"conv{i}_b"] = (KERNEL * KERNEL * c_in, c_out), (c_out,)
-    out = 2 * pose_dim + 2 * shape_dim + 6
+    out = sum(head_widths(pose_dim, shape_dim).values())
     shapes.update(dense0_w=(encoder.feature_dim, hidden), dense0_b=(hidden,),
                   dense1_w=(hidden, out), dense1_b=(out,))
     return shapes
@@ -144,24 +152,15 @@ class PredictorNet:
     """Weights plus layout; immutable shapes, mutable parameter values."""
 
     def __init__(self, pose_dim: int, shape_dim: int, in_channels: int,
-                 encoder: EncoderConfig = None, hidden: int = 512, seed: int = 0):
-        encoder = encoder or EncoderConfig()
-        shapes = _param_shapes(pose_dim, shape_dim, in_channels, encoder, hidden)
+                 encoder: EncoderConfig, hidden: int, params: dict):
+        """Keeps `params` (laid out by `_param_shapes`) as given: `for_model`
+        draws them, `load_weights` checks a file's."""
         self.pose_dim = pose_dim
         self.shape_dim = shape_dim
         self.in_channels = in_channels
         self.encoder = encoder
         self.hidden = hidden
-
-        # each layer draws from its own substream; the output layer starts small
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            layer, kind = name.rsplit("_", 1)
-            if kind == "b":
-                self.params[name] = np.zeros(shape)
-            else:
-                std = 0.01 if name == "dense1_w" else np.sqrt(2.0 / shape[0])
-                self.params[name] = named_rng(seed, "init", layer).normal(0, std, shape)
+        self.params: dict[str, np.ndarray] = params
         # the static gather index table of each conv stage; stage 0 gathers
         # the silhouette alone, since the heatmaps stay separable
         self._conv_tables, side = [], encoder.pool_to
@@ -172,23 +171,19 @@ class PredictorNet:
     @classmethod
     def for_model(cls, model: bm.BodyModel, encoder: EncoderConfig = None,
                   hidden: int = 512, seed: int = 0) -> "PredictorNet":
-        return cls(model.pose_dim, model.shape_dim, model.num_keypoints + 1,
-                   encoder, hidden, seed)
-
-    @property
-    def output_dim(self) -> int:
-        return self.params["dense1_b"].shape[0]
-
-    def head_slices(self) -> dict:
-        p, s = self.pose_dim, self.shape_dim
-        return {
-            "pose_mean": slice(0, p),
-            "pose_logvar": slice(p, 2 * p),
-            "shape_mean": slice(2 * p, 2 * p + s),
-            "shape_logvar": slice(2 * p + s, 2 * p + 2 * s),
-            "glob": slice(2 * p + 2 * s, 2 * p + 2 * s + 3),
-            "camera": slice(2 * p + 2 * s + 3, 2 * p + 2 * s + 6),
-        }
+        """A freshly initialised network for `model`'s sizes."""
+        layout = (model.pose_dim, model.shape_dim, model.num_keypoints + 1,
+                  encoder or EncoderConfig(), hidden)
+        # each layer draws from its own substream; the output layer starts small
+        params = {}
+        for name, shape in _param_shapes(*layout).items():
+            layer, kind = name.rsplit("_", 1)
+            if kind == "b":
+                params[name] = np.zeros(shape)
+            else:
+                std = 0.01 if name == "dense1_w" else np.sqrt(2.0 / shape[0])
+                params[name] = named_rng(seed, "init", layer).normal(0, std, shape)
+        return cls(*layout, params)
 
     # ---- forward ---------------------------------------------------------
 
@@ -234,19 +229,17 @@ class PredictorNet:
         """Named output heads with positivity maps applied to the variances
         and the camera scale."""
         raw = self.raw_outputs(pooled, params)
-        sl = self.head_slices()
-        pose_var = ad.exp(ad.clamp(raw[:, sl["pose_logvar"]], -LOGVAR_CLAMP, LOGVAR_CLAMP))
-        shape_var = ad.exp(ad.clamp(raw[:, sl["shape_logvar"]], -LOGVAR_CLAMP, LOGVAR_CLAMP))
-        cam_raw = raw[:, sl["camera"]]
-        cam_scale = ad.exp(ad.clamp(cam_raw[:, 0:1], -LOGSCALE_CLAMP, LOGSCALE_CLAMP))
-        camera = ad.concat([cam_scale, cam_raw[:, 1:3]], axis=1)
+        widths = head_widths(self.pose_dim, self.shape_dim)
+        out = {name: raw[:, end - width:end]
+               for (name, width), end in zip(widths.items(), accumulate(widths.values()))}
+        cam_scale = ad.exp(ad.clamp(out["camera"][:, 0:1], -LOGSCALE_CLAMP, LOGSCALE_CLAMP))
         return {
-            "pose_mean": raw[:, sl["pose_mean"]],
-            "pose_var": pose_var,
-            "shape_mean": raw[:, sl["shape_mean"]],
-            "shape_var": shape_var,
-            "glob": raw[:, sl["glob"]],
-            "camera": camera,
+            "pose_mean": out["pose_mean"],
+            "pose_var": ad.exp(ad.clamp(out["pose_logvar"], -LOGVAR_CLAMP, LOGVAR_CLAMP)),
+            "shape_mean": out["shape_mean"],
+            "shape_var": ad.exp(ad.clamp(out["shape_logvar"], -LOGVAR_CLAMP, LOGVAR_CLAMP)),
+            "glob": out["glob"],
+            "camera": ad.concat([cam_scale, out["camera"][:, 1:3]], axis=1),
         }
 
 
@@ -341,7 +334,8 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
 
 def loss_total_batch(heads: dict, targets: dict, model: bm.BodyModel,
                      cfg: TrainConfig, noise_pose: np.ndarray, noise_shape: np.ndarray):
-    """Per-batch mean of nll + lambda_glob * glob + lambda_2d * reproj.
+    """Per-batch mean of nll + lambda_glob * glob + lambda_2d * reproj;
+    every term is computed whatever its weight.
 
     Returns (total, dict of detached component means).
     """
@@ -350,16 +344,9 @@ def loss_total_batch(heads: dict, targets: dict, model: bm.BodyModel,
         heads["shape_mean"], heads["shape_var"], targets["beta"]
     )
     glob = loss_glob(heads["glob"], targets["glob"])
-    total = nll + cfg.lambda_glob * glob
-    if cfg.lambda_2d != 0.0:
-        reproj = loss_reproj_batch(
-            heads, model, targets["joints_norm"], targets["visibility"],
-            noise_pose, noise_shape,
-        )
-        total = total + cfg.lambda_2d * reproj
-    else:
-        reproj = 0.0
-    total = total / float(B)
+    reproj = loss_reproj_batch(heads, model, targets["joints_norm"], targets["visibility"],
+                               noise_pose, noise_shape)
+    total = (nll + cfg.lambda_glob * glob + cfg.lambda_2d * reproj) / float(B)
     parts = {
         "nll": float(ad.value_of(nll)) / B,
         "glob": float(ad.value_of(glob)) / B,
@@ -496,9 +483,10 @@ def save_weights(path, net: PredictorNet, optimizer: AdamState = None,
 
 
 def load_weights(path):
-    """Returns (net, optimizer or None, meta). The version, the layout and
-    every array's name and shape are checked before the network is built;
-    layout values reach the constructors unconverted, so a float size fails.
+    """Returns (net, optimizer or None, meta). The version, the layout, the
+    epoch and every array's name and shape are checked before the network is
+    built from the file's arrays; layout values reach the checks unconverted,
+    so a float size fails.
     An old encoder `kernel` key is ignored; another kernel fails the shape check."""
     arrays, meta = read_container(path, expected_kind="weights")
     if meta.get("weights_version") != WEIGHTS_VERSION:
@@ -508,8 +496,8 @@ def load_weights(path):
         layout = (meta["pose_dim"], meta["shape_dim"], meta["in_channels"],
                   EncoderConfig(enc["pool_to"], tuple(enc["channels"])), meta["hidden"])
         shapes = _param_shapes(*layout)
-        adam_t = meta["adam_t"]
-        check_int("adam_t", adam_t, 0)
+        for key in ("adam_t", "epoch"):
+            check_int(key, meta[key], 0)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: malformed network layout ({exc!r})") from exc
     # any array besides the parameters means a saved optimizer: both moments of each
@@ -522,11 +510,10 @@ def load_weights(path):
     for key, shape in expected.items():
         if key not in arrays or arrays[key].shape != shape or arrays[key].dtype != np.float64:
             raise ContainerError(f"{path}: {key} missing or misshapen (want float64 {shape})")
-    net = PredictorNet(*layout)
-    net.params = {k: arrays[f"param/{k}"] for k in shapes}
+    net = PredictorNet(*layout, {k: arrays[f"param/{k}"] for k in shapes})
     optimizer = None
     if optimized:
-        optimizer = AdamState(net.params)
+        optimizer = AdamState({})  # no zero moments: the file's replace them
         optimizer.m, optimizer.v = ({k: arrays[f"{g}/{k}"] for k in shapes} for g in groups[1:])
-        optimizer.t = adam_t
+        optimizer.t = meta["adam_t"]
     return net, optimizer, meta

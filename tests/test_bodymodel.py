@@ -448,6 +448,32 @@ class TestKeypointRig:
         np.testing.assert_allclose(got, bm.regress_joints(model, bm.lbs_vertices(model, *args)),
                                    rtol=0, atol=1e-12)
 
+    def test_rig_of_one_part_poses_like_the_mesh(self):
+        # regressors that read torso vertices only cut the rig down to one
+        # part; the rig keeps every part name, so it still builds
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        torso = np.flatnonzero(model.part_labels == model.part_names.index("torso"))
+
+        def one_hot(rows):
+            out = np.zeros((rows, model.num_vertices))
+            out[np.arange(rows), torso[:rows]] = 1.0
+            return out
+
+        model = dataclasses.replace(model, joint_regressor=one_hot(model.num_keypoints),
+                                    skeleton_regressor=one_hot(model.num_joints))
+        assert set(model.keypoint_model.part_labels.tolist()) == {0}
+        rng = np.random.default_rng(27)
+        args = (rng.normal(scale=0.5, size=(2, model.pose_dim)), rng.normal(size=(2, 10)),
+                rng.normal(scale=0.8, size=(2, 3)))
+        np.testing.assert_array_equal(
+            bm.posed_keypoints(model, *args),
+            bm.regress_joints(model, bm.lbs_vertices(model, *args)))
+
+    def test_fewer_than_six_part_names_rejected(self, toy):
+        with pytest.raises(ValueError, match="at least 6 body parts"):
+            dataclasses.replace(toy, part_names=toy.part_names[:5],
+                                part_labels=np.minimum(toy.part_labels, 4))
+
 
 class TestNeutralPose:
     """The neutral (T-pose) body of one shape vector: `shaped_template` on (S,)."""

@@ -13,7 +13,7 @@ from shapefuse import camera as cr
 from shapefuse import network as net_mod
 from shapefuse import synth
 from shapefuse.containerio import ContainerError, read_container, write_container
-from shapefuse.gaussians import GaussianDiag, PredictionSet
+from shapefuse.gaussians import GaussianDiag, PredictionSet, gaussian_nll
 from shapefuse.rng import named_rng
 
 from gradcheck import grad_check
@@ -126,11 +126,18 @@ class TestOutputContract:
         model = bm.generate_toy_model(seed=1, num_vertices=150, num_joints=24)
         net = net_mod.PredictorNet.for_model(model)
         assert model.pose_dim == 69
-        assert net.output_dim == 164
-        sl = net.head_slices()
-        widths = [sl[k].stop - sl[k].start for k in
-                  ("pose_mean", "pose_logvar", "shape_mean", "shape_logvar", "glob", "camera")]
-        assert widths == [69, 69, 10, 10, 3, 3]
+        assert net.params["dense1_b"].shape == (164,)
+        pooled = random_pooled(np.random.default_rng(3), 2, 64, model.num_keypoints)
+        heads = net.heads(pooled)
+        shapes = [heads[k].shape for k in
+                  ("pose_mean", "pose_var", "shape_mean", "shape_var", "glob", "camera")]
+        assert shapes == [(2, 69), (2, 69), (2, 10), (2, 10), (2, 3), (2, 3)]
+        # the heads are the output layer's columns in that order
+        raw = net.raw_outputs(pooled)
+        np.testing.assert_array_equal(heads["pose_mean"], raw[:, :69])
+        np.testing.assert_array_equal(heads["shape_mean"], raw[:, 138:148])
+        np.testing.assert_array_equal(heads["glob"], raw[:, 158:161])
+        np.testing.assert_array_equal(heads["camera"][:, 1:], raw[:, 162:])
 
     def test_zero_input_finite_positive_variances(self, tiny_net, tiny_model):
         L = tiny_model.num_keypoints
@@ -183,7 +190,7 @@ class TestOutputContract:
         rng = np.random.default_rng(16)
         pooled = random_pooled(rng, 2, 16, tiny_model.num_keypoints)
         pooled.rows[:, 3] = pooled.cols[:, 3] = 0.0
-        probe = rng.normal(size=(2, net.output_dim))
+        probe = rng.normal(size=(2, net.params["dense1_b"].shape[0]))
         w_shape = net.params["conv0_w"].shape
         n_w = int(np.prod(w_shape))
 
@@ -455,6 +462,35 @@ class TestTotalLoss:
             parts["glob"] + 0.01 * parts["reproj"], rel=1e-9
         )
 
+    def test_zero_reprojection_weight_only_scales_the_term(self, tiny_model, tiny_net,
+                                                           tiny_data):
+        pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
+        rng = named_rng(2, "noise")
+        noise_p = rng.standard_normal((4, 2, tiny_model.pose_dim))
+        noise_s = rng.standard_normal((4, 2, 10))
+        cfg = net_mod.TrainConfig(lambda_glob=0.5, lambda_2d=0.0, reproj_samples=2)
+
+        def gradient_bytes(root_of):
+            tape = ad.Tape()
+            leaves = {k: tape.variable(v) for k, v in tiny_net.params.items()}
+            root = root_of(tiny_net.heads(pooled, leaves))
+            return [g.tobytes() for g in ad.gradient(root, list(leaves.values()))]
+
+        def explicit(heads):
+            nll = (gaussian_nll(heads["pose_mean"], heads["pose_var"], targets["theta"])
+                   + gaussian_nll(heads["shape_mean"], heads["shape_var"], targets["beta"]))
+            return (nll + 0.5 * net_mod.loss_glob(heads["glob"], targets["glob"])) / 4.0
+
+        def total(heads):
+            return net_mod.loss_total_batch(heads, targets, tiny_model, cfg, noise_p, noise_s)[0]
+
+        assert gradient_bytes(total) == gradient_bytes(explicit)
+        heads = tiny_net.heads(pooled)
+        _, parts = net_mod.loss_total_batch(heads, targets, tiny_model, cfg, noise_p, noise_s)
+        reproj = net_mod.loss_reproj_batch(heads, tiny_model, targets["joints_norm"],
+                                           targets["visibility"], noise_p, noise_s)
+        assert parts["reproj"] == float(reproj) / 4 > 0
+
     def test_finite_on_random_net(self, tiny_model, tiny_net, tiny_data):
         pooled, targets = self._setup(tiny_model, tiny_net, tiny_data)
         heads = tiny_net.heads(pooled)
@@ -706,6 +742,23 @@ class TestWeightsIO:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_load_makes_no_random_draw(self, tiny_net, tmp_path, monkeypatch):
+        path = tmp_path / "w.sfw"
+        optimizer = net_mod.AdamState(tiny_net.params)
+        optimizer.t = 5
+        net_mod.save_weights(path, tiny_net, optimizer, epoch=1)
+
+        def no_draw(*key):
+            raise AssertionError(f"random draw {key!r} while loading weights")
+
+        monkeypatch.setattr(net_mod, "named_rng", no_draw)
+        net, loaded, meta = net_mod.load_weights(path)
+        assert meta["epoch"] == 1 and loaded.t == 5
+        for k, v in tiny_net.params.items():
+            np.testing.assert_array_equal(net.params[k], v)
+            np.testing.assert_array_equal(loaded.m[k], optimizer.m[k])
+            np.testing.assert_array_equal(loaded.v[k], optimizer.v[k])
+
     def test_saved_bytes_pinned(self, tiny_model, tmp_path):
         # each layer initialises from its own named substream, and the file
         # holds the parameters, then both Adam moments, in layout order
@@ -728,6 +781,12 @@ class TestWeightsIO:
         pytest.param(lambda meta: meta.update(adam_t=None), id="adam-t-null"),
         pytest.param(lambda meta: meta.update(adam_t="x"), id="adam-t-string"),
         pytest.param(lambda meta: meta.update(adam_t=-1), id="adam-t-negative"),
+        pytest.param(lambda meta: meta.pop("epoch"), id="no-epoch"),
+        pytest.param(lambda meta: meta.update(epoch=-1), id="epoch-negative"),
+        pytest.param(lambda meta: meta.update(epoch="x"), id="epoch-string"),
+        pytest.param(lambda meta: meta.update(epoch=2.5), id="epoch-float"),
+        pytest.param(lambda meta: meta.update(epoch=None), id="epoch-null"),
+        pytest.param(lambda meta: meta.update(epoch=True), id="epoch-bool"),
         pytest.param(lambda meta: meta["encoder"].update(channels=[]), id="no-channels"),
         pytest.param(lambda meta: meta.update(in_channels=0), id="in-channels-zero"),
         pytest.param(lambda meta: meta["encoder"].update(pool_to=-16), id="pool-to-negative"),

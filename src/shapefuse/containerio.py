@@ -6,8 +6,9 @@ names/shapes/dtypes in payload order plus free-form metadata; all float
 arrays are little-endian float64. A sha256 of the payload is stored so
 readers can detect corruption.
 
-Body models, datasets, network weights and prediction files all use this
-one format (distinguished by the header's "kind" field).
+Body models, datasets and network weights all use this one format
+(distinguished by the header's "kind" field). Arrays stream between their
+own buffers and the file, hashed on the way; the payload is never copied.
 """
 
 from __future__ import annotations
@@ -26,20 +27,27 @@ FORMAT_VERSION = "1"
 
 # dtypes allowed in the payload; everything is stored little-endian.
 _ALLOWED_DTYPES = {"<f8", "<i8", "|u1"}
+# the stored dtype of each writable array kind; uint8 is stored as it is
+_STORED = {"f": "<f8", "i": "<i8", "u": "<i8", "b": "<i8"}
 
 
 class ContainerError(ValueError):
     """Malformed, truncated or incompatible container file."""
 
 
-def _canonical_dtype(arr: np.ndarray) -> str:
-    if arr.dtype == np.float64:
-        return "<f8"
-    if arr.dtype == np.int64:
-        return "<i8"
-    if arr.dtype == np.uint8:
-        return "|u1"
-    raise ContainerError(f"unsupported array dtype {arr.dtype}")
+def _canonical(arr) -> np.ndarray:
+    """`arr` as a C-ordered float64, int64 or uint8 array; a copy only when
+    its layout or dtype differs."""
+    arr = np.asarray(arr)
+    dtype = "|u1" if arr.dtype == np.uint8 else _STORED.get(arr.dtype.kind)
+    if dtype is None:
+        raise ContainerError(f"unsupported array dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def _json_scalar(value):
+    """json's fallback: a numpy scalar in metadata is written as the Python scalar it holds."""
+    return value.item() if isinstance(value, np.generic) else json.JSONEncoder().default(value)
 
 
 def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> None:
@@ -49,28 +57,20 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
     serialized with sorted keys so identical inputs give identical bytes.
     The file is replaced atomically.
     """
-    entries = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.kind == "f":
-            arr = arr.astype(np.float64)
-        elif arr.dtype.kind in "iub" and arr.dtype != np.uint8:
-            arr = arr.astype(np.int64)
-        dtype = _canonical_dtype(arr)
-        blob = arr.astype(np.dtype(dtype)).tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        blobs.append(blob)
-
-    payload = b"".join(blobs)
+    arrays = {name: _canonical(arr) for name, arr in arrays.items()}
+    digest = hashlib.sha256()
+    for arr in arrays.values():
+        digest.update(arr)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "arrays": entries,
+        "arrays": [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
+                   for name, arr in arrays.items()],
         "meta": meta or {},
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              default=_json_scalar).encode("utf-8")
 
     # write a sibling file, then rename it over `path`: readers see the old
     # file or the complete new one, never a partial write
@@ -80,7 +80,8 @@ def write_container(path, kind: str, arrays: dict, meta: dict | None = None) -> 
             f.write(MAGIC)
             f.write(len(header_bytes).to_bytes(8, "little"))
             f.write(header_bytes)
-            f.write(payload)
+            for arr in arrays.values():
+                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -109,56 +110,54 @@ def read_container(path, expected_kind: str | None = None):
 
     Raises ContainerError, and no other error, on wrong magic, version
     mismatch, a malformed header, truncation, checksum failure or
-    unexpected kind.
+    unexpected kind. Sizes are checked against the file before anything is
+    read, and each array is read into its own writeable buffer.
     """
     with open(path, "rb") as f:
-        data = f.read()
-
-    if len(data) < 12:
-        raise ContainerError(f"{path}: file too short to be a container")
-    if data[:4] != MAGIC:
-        raise ContainerError(f"{path}: bad magic bytes")
-    header_len = int.from_bytes(data[4:12], "little")
-    if len(data) < 12 + header_len:
-        raise ContainerError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ContainerError(f"{path}: unreadable header ({exc!r})") from exc
-    if not isinstance(header, dict):
-        raise ContainerError(f"{path}: header is not a JSON object")
-
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ContainerError(
-            f"{path}: format version {header.get('format_version')!r} "
-            f"not supported (expected {FORMAT_VERSION!r})"
-        )
-    if expected_kind is not None and header.get("kind") != expected_kind:
-        raise ContainerError(
-            f"{path}: container kind {header.get('kind')!r}, expected {expected_kind!r}"
-        )
-    entries = _array_entries(path, header)
-
-    payload = data[12 + header_len :]
-    expected_size = sum(math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in entries)
-    if len(payload) != expected_size:
-        raise ContainerError(
-            f"{path}: payload size {len(payload)} != expected {expected_size} (truncated?)"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
-        raise ContainerError(f"{path}: payload checksum mismatch")
-
-    arrays = {}
-    offset = 0
-    for entry in entries:
-        dt = np.dtype(entry["dtype"])
-        count = math.prod(entry["shape"])
-        raw = payload[offset : offset + count * dt.itemsize]
+        file_size = os.fstat(f.fileno()).st_size
+        preamble = f.read(12)
+        if len(preamble) < 12:
+            raise ContainerError(f"{path}: file too short to be a container")
+        if preamble[:4] != MAGIC:
+            raise ContainerError(f"{path}: bad magic bytes")
+        header_len = int.from_bytes(preamble[4:], "little")
+        if file_size < 12 + header_len:
+            raise ContainerError(f"{path}: truncated header")
         try:
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
-        except ValueError as exc:  # an empty array with dimensions numpy cannot index
-            raise ContainerError(f"{path}: array {entry['name']!r}: {exc}") from exc
-        offset += count * dt.itemsize
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ContainerError(f"{path}: unreadable header ({exc!r})") from exc
+        if not isinstance(header, dict):
+            raise ContainerError(f"{path}: header is not a JSON object")
 
+        if header.get("format_version") != FORMAT_VERSION:
+            raise ContainerError(
+                f"{path}: format version {header.get('format_version')!r} "
+                f"not supported (expected {FORMAT_VERSION!r})"
+            )
+        if expected_kind is not None and header.get("kind") != expected_kind:
+            raise ContainerError(
+                f"{path}: container kind {header.get('kind')!r}, expected {expected_kind!r}"
+            )
+        entries = _array_entries(path, header)
+
+        payload_size = file_size - 12 - header_len
+        size = sum(math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in entries)
+        if payload_size != size:
+            raise ContainerError(
+                f"{path}: payload size {payload_size} != expected {size} (truncated?)"
+            )
+        digest = hashlib.sha256()
+        arrays = {}
+        for entry in entries:
+            try:
+                arr = np.empty(entry["shape"], dtype=entry["dtype"])
+            except ValueError as exc:  # an empty array with dimensions numpy cannot index
+                raise ContainerError(f"{path}: array {entry['name']!r}: {exc}") from exc
+            f.readinto(arr)  # a file cut while it is read fails the checksum
+            digest.update(arr)
+            arrays[entry["name"]] = arr
+
+    if digest.hexdigest() != header.get("payload_sha256"):
+        raise ContainerError(f"{path}: payload checksum mismatch")
     return arrays, header["meta"]

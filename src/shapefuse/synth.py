@@ -338,9 +338,12 @@ class SynthDataset:
     the encoder reads those separable parts. `from_samples(samples)` packs
     in-memory samples and takes the image size from their silhouettes.
 
-    Raises ValueError unless every stored array is present with one common
-    leading length of at least 1, `joints2d` is (n, L, 2), `visibility` is
-    (n, L), `visibility` and `corrupted` hold only 0s and 1s, and the uint8
+    Raises ValueError unless the stored arrays are exactly `DATASET_ARRAYS`
+    with one common leading length n of at least 1, `joints2d` is (n, L, 2),
+    `visibility` is (n, L), `theta` and `beta` are 2-D, `glob` and
+    `cam_translation` are (n, 3), `subject_id` is n integers, `theta`,
+    `beta`, `glob`, `joints2d` and `cam_translation` are finite,
+    `visibility` and `corrupted` hold only 0s and 1s, and the uint8
     silhouette bits fit `image_size`, a positive int.
     A `heatmap_sigma` key, which older containers carry, is ignored.
     """
@@ -349,14 +352,24 @@ class SynthDataset:
         size = meta.get("image_size")
         check_int("image_size", size, 1)
         missing = sorted(set(DATASET_ARRAYS) - set(arrays))
-        if missing:
-            raise ValueError(f"missing arrays {missing}")
+        unexpected = sorted(set(arrays) - set(DATASET_ARRAYS))
+        if missing or unexpected:
+            raise ValueError(f"missing arrays {missing}, unexpected arrays {unexpected}")
         lengths = {arrays[k].shape[0] if arrays[k].ndim else 0 for k in DATASET_ARRAYS}
         if len(lengths) != 1 or 0 in lengths:
             raise ValueError(f"arrays need one common leading length >= 1, got {sorted(lengths)}")
         n, vis = lengths.pop(), arrays["visibility"]
         if vis.ndim != 2 or arrays["joints2d"].shape != (n, vis.shape[1], 2):
             raise ValueError("joints2d must be (n, L, 2) and visibility (n, L)")
+        if not (arrays["theta"].ndim == arrays["beta"].ndim == 2
+                and arrays["glob"].shape == arrays["cam_translation"].shape == (n, 3)):
+            raise ValueError("theta and beta must be 2-D, glob and cam_translation (n, 3)")
+        ids = arrays["subject_id"]
+        if ids.shape != (n,) or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"subject_id must be n integers, got {ids.dtype} {ids.shape}")
+        if not all(np.isfinite(arrays[k]).all()
+                   for k in ("theta", "beta", "glob", "joints2d", "cam_translation")):
+            raise ValueError("theta, beta, glob, joints2d and cam_translation must be finite")
         if not all(np.isin(arrays[k], (0, 1)).all() for k in ("visibility", "corrupted")):
             raise ValueError("visibility and corrupted must hold only 0s and 1s")
         bits = arrays["silhouette_bits"]
@@ -435,7 +448,7 @@ def model_fingerprint(model: bm.BodyModel) -> str:
         value = getattr(model, f.name)
         if isinstance(value, np.ndarray):
             h.update(f"{f.name} {value.dtype.str} {value.shape}\n".encode())
-            h.update(np.ascontiguousarray(value).tobytes())
+            h.update(np.ascontiguousarray(value))
         else:
             h.update(f"{f.name} {json.dumps(value, sort_keys=True)}\n".encode())
     return h.hexdigest()[:16]

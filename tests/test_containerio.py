@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,92 @@ class TestMalformedHeaders:
         data = MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes
         with pytest.raises(ContainerError):
             read_bytes_as_container(scratch, data)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated during `fn()`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """Each array's bytes move once between its own buffer and the file."""
+
+    BIG = {
+        "floats": np.linspace(0.0, 1.0, 1_000_000),
+        "ints": np.arange(-50_000, 50_000, dtype=np.int64).reshape(100, 1000),
+        "bits": np.arange(300_000, dtype=np.int64).astype(np.uint8),
+    }
+    PAYLOAD = sum(a.nbytes for a in BIG.values())
+
+    def test_read_peaks_near_payload(self, tmp_path):
+        assert self.PAYLOAD >= 8_000_000
+        path = tmp_path / "big.sfc"
+        write_container(path, "test", self.BIG, {"note": "x"})
+        assert traced_peak(lambda: read_container(path)) < 1.25 * self.PAYLOAD
+
+    def test_write_allocates_no_payload_copy(self, tmp_path):
+        path = tmp_path / "big.sfc"
+        assert traced_peak(lambda: write_container(path, "test", self.BIG)) < 0.1 * self.PAYLOAD
+        arrays, _ = read_container(path)
+        for name, arr in self.BIG.items():
+            np.testing.assert_array_equal(arrays[name], arr)
+
+    def test_arrays_writeable_and_owned(self, tmp_path):
+        # optimizers update loaded moments in place
+        path = tmp_path / "c.sfc"
+        write_container(path, "test", ARRAYS)
+        for arr in read_container(path)[0].values():
+            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("header_len", [2**63 - 1, 2**40, 2**64 - 1])
+    def test_header_length_beyond_file_rejected(self, valid, scratch, header_len):
+        data = valid[:4] + header_len.to_bytes(8, "little") + valid[12:]
+        with pytest.raises(ContainerError, match="truncated header"):
+            read_bytes_as_container(scratch, data)
+
+    @pytest.mark.parametrize("given, canonical", [
+        (np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+         np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4).astype(np.float64)),
+        (np.array([[True, False], [False, True]]), np.array([[1, 0], [0, 1]], dtype=np.int64)),
+        (np.arange(-3, 3, dtype=np.int32), np.arange(-3, 3, dtype=np.int64)),
+        (np.arange(5, dtype=np.uint16), np.arange(5, dtype=np.int64)),
+        (np.linspace(-1, 1, 6).astype(">f8"), np.linspace(-1, 1, 6)),
+        (np.arange(-3, 3).astype(">i8"), np.arange(-3, 3, dtype=np.int64)),
+        (np.asfortranarray(np.arange(12.0).reshape(3, 4)), np.arange(12.0).reshape(3, 4)),
+        (np.arange(24.0).reshape(4, 6)[::2, 1::2], np.array([[1.0, 3.0, 5.0], [13.0, 15.0, 17.0]])),
+        (np.float64(2.5), np.array([2.5])),
+    ], ids=["float32", "bool", "int32", "uint16", "big-endian-float", "big-endian-int",
+            "fortran", "strided", "scalar"])
+    def test_input_forms_write_canonical_bytes(self, tmp_path, given, canonical):
+        write_container(tmp_path / "given.sfc", "test", {"a": given, "bits": ARRAYS["bits"]})
+        write_container(tmp_path / "canon.sfc", "test", {"a": canonical, "bits": ARRAYS["bits"]})
+        assert (tmp_path / "given.sfc").read_bytes() == (tmp_path / "canon.sfc").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, "U3", object, "M8[s]"])
+    def test_unsupported_dtype_rejected_before_writing(self, tmp_path, dtype):
+        with pytest.raises(ContainerError, match="unsupported array dtype"):
+            write_container(tmp_path / "c.sfc", "test", {"a": np.zeros(2, dtype=dtype)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_scalars_in_meta_written_as_python_scalars(self, tmp_path):
+        given = {"n": np.int64(32), "f": np.float32(40.0), "b": np.bool_(True),
+                 "nested": {"xs": [np.uint8(3), np.float64(0.5)]}}
+        plain = {"n": 32, "f": 40.0, "b": True, "nested": {"xs": [3, 0.5]}}
+        write_container(tmp_path / "given.sfc", "test", ARRAYS, given)
+        write_container(tmp_path / "plain.sfc", "test", ARRAYS, plain)
+        assert (tmp_path / "given.sfc").read_bytes() == (tmp_path / "plain.sfc").read_bytes()
+        meta = read_container(tmp_path / "given.sfc")[1]
+        assert meta == plain and type(meta["n"]) is int and type(meta["f"]) is float
+
+    def test_other_meta_objects_still_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_container(tmp_path / "c.sfc", "test", ARRAYS, {"x": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 json_values = st.recursive(

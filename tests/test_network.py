@@ -771,6 +771,17 @@ class TestWeightsIO:
         net_mod.save_weights(path, net, optimizer, epoch=2)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_WEIGHTS_SHA256
 
+    def test_numpy_scalar_sizes_round_trip(self, tiny_model, tiny_net, tmp_path):
+        # numpy ints are ints by the scalar rule; the file holds the Python ints
+        encoder = net_mod.EncoderConfig(**dict(TINY_ENCODER, pool_to=np.int64(16)))
+        net = net_mod.PredictorNet.for_model(tiny_model, encoder, hidden=np.int64(16), seed=0)
+        net_mod.save_weights(tmp_path / "numpy.sfw", net)
+        net_mod.save_weights(tmp_path / "python.sfw", tiny_net)
+        assert (tmp_path / "numpy.sfw").read_bytes() == (tmp_path / "python.sfw").read_bytes()
+        loaded, _, meta = net_mod.load_weights(tmp_path / "numpy.sfw")
+        assert type(meta["hidden"]) is int and type(meta["encoder"]["pool_to"]) is int
+        assert loaded.hidden == 16 and loaded.encoder == tiny_net.encoder
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda meta: meta.pop("encoder"), id="no-encoder"),
         pytest.param(lambda meta: meta.pop("hidden"), id="no-hidden"),

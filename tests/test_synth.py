@@ -591,6 +591,21 @@ class TestDatasetIO:
                      id="visibility-three"),
         pytest.param(lambda a, m: a.update(corrupted=np.full_like(a["corrupted"], 2)),
                      id="corrupted-two"),
+        pytest.param(lambda a, m: a.update(glob=np.hstack([a["glob"], a["glob"][:, :1]])),
+                     id="glob-width-4"),
+        pytest.param(lambda a, m: a.update(cam_translation=a["cam_translation"][:, :2]),
+                     id="cam-translation-width-2"),
+        pytest.param(lambda a, m: a.update(theta=a["theta"][:, 0]), id="theta-1d"),
+        pytest.param(lambda a, m: a.update(beta=a["beta"][:, :, None]), id="beta-3d"),
+        pytest.param(lambda a, m: a.update(subject_id=a["subject_id"] + 0.5),
+                     id="subject-id-fraction"),
+        pytest.param(lambda a, m: a["beta"].__setitem__((0, 0), np.nan), id="beta-nan"),
+        pytest.param(lambda a, m: a["joints2d"].__setitem__((1, 0, 0), np.inf), id="joints-inf"),
+        pytest.param(lambda a, m: a["theta"].__setitem__((0, 0), -np.inf), id="theta-inf"),
+        pytest.param(lambda a, m: a["glob"].__setitem__((1, 2), np.nan), id="glob-nan"),
+        pytest.param(lambda a, m: a["cam_translation"].__setitem__((0, 2), np.nan),
+                     id="cam-translation-nan"),
+        pytest.param(lambda a, m: a.update(bogus=np.zeros(2)), id="extra-array"),
         pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"][:, :-1]),
                      id="bits-narrow"),
         pytest.param(lambda a, m: a.update(silhouette_bits=a["silhouette_bits"].astype(np.int64)),
@@ -643,6 +658,22 @@ class TestDatasetIO:
         assert ds.image_size == small_cfg.image_size and ds.arrays.keys() == arrays.keys()
         for key in arrays:
             np.testing.assert_array_equal(ds.arrays[key], arrays[key])
+
+    def test_numpy_scalar_config_round_trip(self, model, source, tmp_path):
+        # numpy scalars are ints and reals by the scalar rule; the file holds
+        # the Python scalars, so it matches one written from a plain config
+        given = synth.GenerationConfig(image_size=np.int64(32), focal_length=np.float32(40.0))
+        plain = synth.GenerationConfig(image_size=32, focal_length=40.0)
+        aug_cfg = synth.AugmentationConfig()
+        samples = [sample_and_render(model, source, given, aug_cfg, named_rng(7, "np", i),
+                                     corrupt=False) for i in range(2)]
+        synth.write_dataset(tmp_path / "numpy.sfd", samples, given, aug_cfg, seed=7)
+        synth.write_dataset(tmp_path / "python.sfd", samples, plain, aug_cfg, seed=7)
+        assert (tmp_path / "numpy.sfd").read_bytes() == (tmp_path / "python.sfd").read_bytes()
+        stored = synth.read_dataset(tmp_path / "numpy.sfd").meta["generation_config"]
+        assert stored["image_size"] == 32 and type(stored["image_size"]) is int
+        assert stored["focal_length"] == 40.0 and type(stored["focal_length"]) is float
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["numpy.sfd", "python.sfd"]
 
     def test_from_samples_takes_image_size_from_silhouettes(self, model, small_cfg, source):
         samples = [sample_and_render(model, source, small_cfg, synth.AugmentationConfig(),

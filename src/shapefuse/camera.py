@@ -16,13 +16,14 @@ in front of the camera, as a `BodyModel` requires of its faces when
 built; the rasterizer then tests only the triangles of one facing, those
 with positive signed pixel area, which cover exactly the pixels the whole
 mesh covers and are the counter-clockwise triangles the coverage test
-requires. It has one path: triangles sorted by bounding-box area are
-tested in batches of at most `COVERAGE_CELLS` edge tests (or one triangle
-whose box alone is larger), so its working memory does not grow with the
-number of triangles. `covers_any_pixel` runs the same batches but stops
-at the first one that covers a pixel, so a visibility test costs a
-fraction of a full render and always agrees with
-`rasterize_silhouette(...).any()`.
+requires. It has one path: each triangle is tested only at the pixel
+centers inside its bounding box, and the triangles, sorted by the longer
+and then the shorter side of that box, are tested in batches of at most
+`COVERAGE_CELLS` edge tests (or one triangle whose box alone is larger),
+so its working memory does not grow with the number of triangles.
+`covers_any_pixel` runs the same batches but stops at the first one that
+covers a pixel, so a visibility test costs a fraction of a full render
+and always agrees with `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, cam)`, and part assignment labels a silhouette the caller
 already rasterized by nearest projected vertex, so it takes no faces.
@@ -39,7 +40,9 @@ from . import autodiff as ad
 from .scalars import check_int, check_positive
 
 HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
-COVERAGE_CELLS = 1 << 16  # edge tests per rasterizer batch; bounds its working memory
+# edge tests per rasterizer batch: bounds its working memory, and the first
+# batch, which on a visible body is all that covers_any_pixel tests
+COVERAGE_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,21 @@ def _covered_cells(tri_px: np.ndarray, size: int):
     Every triangle must be counter-clockwise and non-degenerate: positive
     signed area (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as
     `_projected_triangles` keeps. A pixel center (c + .5, r + .5) counts as
-    covered when all three edge cross products are >= 0. Triangles are
-    sorted by the area of their bounding box clipped to the frame and cut
-    into consecutive batches. A batch is tested on one grid of its largest
-    box height by its largest box width, anchored at each triangle's own
-    box corner, so it costs (triangles x grid) edge tests; a batch holds at
-    most `COVERAGE_CELLS` of them, or one triangle whose box alone exceeds
-    that. Grid cells past a triangle's own box are dropped. A cell may be
-    yielded more than once, and a batch that covers nothing yields an
-    empty array.
+    covered when it lies in the triangle's bounding box and all three edge
+    cross products are >= 0. A triangle's box is the frame's columns
+    ceil(min x - .5) .. floor(max x - .5), whose centers lie within its x
+    extent, by the same rule for rows; a triangle whose box is empty (off
+    the frame, or between two rows or columns of centers) is dropped. The
+    box clause matters only on a near-collinear sliver, whose rounded cross
+    products can accept centers on its line beyond its ends. Triangles are
+    sorted by the longer and then the shorter side of their box, so boxes
+    of one shape share batches, and cut into consecutive batches. A batch
+    is tested on one grid of its largest box height by its largest box
+    width, anchored at each triangle's own box corner, so it costs
+    (triangles x grid) edge tests; a batch holds at most `COVERAGE_CELLS` of
+    them, or one triangle whose box alone exceeds that. Grid cells past a
+    triangle's own box are dropped. A cell may be yielded more than once,
+    and a batch that covers nothing yields an empty array.
     """
     tri = np.asarray(tri_px, dtype=np.float64)
     x = tri[:, :, 0]
@@ -140,16 +149,16 @@ def _covered_cells(tri_px: np.ndarray, size: int):
     max_x = np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
     min_y = np.minimum(np.minimum(y[:, 0], y[:, 1]), y[:, 2])
     max_y = np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2])
-    lo_c = np.clip(np.floor(min_x - 0.5).astype(np.int64), 0, size - 1)
-    hi_c = np.clip(np.ceil(max_x - 0.5).astype(np.int64), -1, size - 1)
-    lo_r = np.clip(np.floor(min_y - 0.5).astype(np.int64), 0, size - 1)
-    hi_r = np.clip(np.ceil(max_y - 0.5).astype(np.int64), -1, size - 1)
+    lo_c = np.clip(np.ceil(min_x - 0.5).astype(np.int64), 0, size)
+    hi_c = np.clip(np.floor(max_x - 0.5).astype(np.int64), -1, size - 1)
+    lo_r = np.clip(np.ceil(min_y - 0.5).astype(np.int64), 0, size)
+    hi_r = np.clip(np.floor(max_y - 0.5).astype(np.int64), -1, size - 1)
     bw = hi_c - lo_c + 1
     bh = hi_r - lo_r + 1
     on_screen = np.flatnonzero((bw > 0) & (bh > 0))
-    order = on_screen[np.argsort(bw[on_screen] * bh[on_screen], kind="stable")]
+    order = on_screen[np.lexsort((np.minimum(bw, bh)[on_screen], np.maximum(bw, bh)[on_screen]))]
     tri, lo_c, hi_c, lo_r, hi_r, bw, bh = (
-        a[order] for a in (tri, lo_c, hi_c, lo_r, hi_r, bw, bh)
+        np.take(a, order, axis=0) for a in (tri, lo_c, hi_c, lo_r, hi_r, bw, bh)
     )
 
     start = 0
@@ -210,11 +219,11 @@ def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.nd
     vertices = ad.value_of(vertices)
     if vertices.size == 0 or faces.size == 0:
         return np.zeros((0, 3, 2))
-    tri = project_persp(vertices, cam)[faces]
+    tri = np.take(project_persp(vertices, cam), faces, axis=0)
     area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
         tri[:, 1, 1] - tri[:, 0, 1]
     ) * (tri[:, 2, 0] - tri[:, 0, 0])
-    return tri[area2 > 0.0]
+    return np.compress(area2 > 0.0, tri, axis=0)
 
 
 def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:

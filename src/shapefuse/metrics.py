@@ -344,11 +344,13 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
     from `bm.posed_keypoints`. Single-image evaluation is `group_size=1`, under
     which both combinations return each prediction's own shape mean.
     `uncertainty_samples` MC draws per sample give the mean per-vertex
-    uncertainty; 0 turns it off."""
+    uncertainty; 0 turns it off. ValueError, before predicting, unless the
+    dataset's label widths fit the model (`network.check_label_widths`)."""
     if not isinstance(combination, str) or combination not in _COMBINE:
         raise ValueError(f"unknown combination {combination!r}")
     check_int("group size", group_size, 1)
     check_int("number of draws", uncertainty_samples, 0)
+    net_mod.check_label_widths(dataset, model)
     predictions = net_mod.predict_dataset(net, dataset)
     n = len(dataset)
     a = dataset.arrays

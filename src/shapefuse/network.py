@@ -397,6 +397,16 @@ class AdamState:
             params[k] = np.subtract(params[k], step, out=step)
 
 
+def check_label_widths(dataset, model: bm.BodyModel) -> None:
+    """ValueError unless the dataset's `theta` and `beta` are as wide as the
+    model's `pose_dim` and `shape_dim`; `train` and `metrics.evaluate` check
+    this before they predict or step."""
+    for name, width in (("theta", model.pose_dim), ("beta", model.shape_dim)):
+        got = dataset.arrays[name].shape[1]
+        if got != width:
+            raise ValueError(f"dataset {name} has width {got}, the body model needs {width}")
+
+
 def _require_finite(finite: bool, what: str, epoch: int, step: int, params: dict) -> None:
     if not finite:
         norm = np.sqrt(sum(float((v**2).sum()) for v in params.values()))
@@ -412,8 +422,11 @@ def train(net: PredictorNet, dataset, cfg: TrainConfig, model: bm.BodyModel,
     Deterministic given cfg.seed: shuffling, reparameterization noise and
     initialization all derive from named substreams. A non-finite loss or
     gradient aborts with the failing batch index and current weight norm.
+    ValueError, before any step, unless the dataset's label widths fit the
+    model (`check_label_widths`).
     """
     check_int("start_epoch", start_epoch, 0)
+    check_label_widths(dataset, model)
     n = len(dataset)
     n_batches = len(range(0, n, cfg.batch_size))
     arrays = dataset.arrays

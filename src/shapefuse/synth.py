@@ -341,10 +341,12 @@ class SynthDataset:
     Raises ValueError unless the stored arrays are exactly `DATASET_ARRAYS`
     with one common leading length n of at least 1, `joints2d` is (n, L, 2),
     `visibility` is (n, L), `theta` and `beta` are 2-D, `glob` and
-    `cam_translation` are (n, 3), `subject_id` is n integers, `theta`,
-    `beta`, `glob`, `joints2d` and `cam_translation` are finite,
-    `visibility` and `corrupted` hold only 0s and 1s, and the uint8
-    silhouette bits fit `image_size`, a positive int.
+    `cam_translation` are (n, 3), `corrupted` is (n,), `subject_id` is n
+    integers, `theta`, `beta`, `glob`, `joints2d` and `cam_translation` are
+    finite, `visibility` and `corrupted` hold only 0s and 1s, and the uint8
+    silhouette bits fit `image_size`, a positive int. The widths of `theta`
+    and `beta` are the body model's, which the dataset does not know:
+    `network.check_label_widths` checks them.
     A `heatmap_sigma` key, which older containers carry, is ignored.
     """
 
@@ -367,6 +369,8 @@ class SynthDataset:
         ids = arrays["subject_id"]
         if ids.shape != (n,) or not np.issubdtype(ids.dtype, np.integer):
             raise ValueError(f"subject_id must be n integers, got {ids.dtype} {ids.shape}")
+        if arrays["corrupted"].shape != (n,):
+            raise ValueError(f"corrupted must be (n,), got {arrays['corrupted'].shape}")
         if not all(np.isfinite(arrays[k]).all()
                    for k in ("theta", "beta", "glob", "joints2d", "cam_translation")):
             raise ValueError("theta, beta, glob, joints2d and cam_translation must be finite")

@@ -12,13 +12,21 @@ from gradcheck import grad_check
 
 
 def brute_force_coverage(tri_px, h, w):
-    """Independent per-pixel, per-triangle point-in-triangle oracle."""
+    """Independent per-pixel, per-triangle point-in-triangle oracle.
+
+    A center outside a triangle's bounding box is outside the triangle; the
+    rounded edge tests alone can accept a center on the line of a
+    near-collinear sliver beyond its ends (see
+    `test_sliver_line_past_its_box_not_covered`)."""
     mask = np.zeros((h, w), dtype=bool)
     for r in range(h):
         for c in range(w):
             px, py = c + 0.5, r + 0.5
             for tri in tri_px:
                 (x0, y0), (x1, y1), (x2, y2) = tri
+                if not (min(x0, x1, x2) <= px <= max(x0, x1, x2)
+                        and min(y0, y1, y2) <= py <= max(y0, y1, y2)):
+                    continue
                 area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
                 if area2 == 0.0:
                     continue
@@ -30,6 +38,34 @@ def brute_force_coverage(tri_px, h, w):
                 if e0 >= 0 and e1 >= 0 and e2 >= 0:
                     mask[r, c] = True
                     break
+    return mask
+
+
+def widened_box_coverage(tri_px, size, margin=2):
+    """Pixel-center coverage of counter-clockwise triangles (n, 3, 2) in an
+    S x S image, each tested at every center of its bounding box widened by
+    `margin` pixels on every side: a reference that shares no box rule with
+    the rasterizer. As in `brute_force_coverage`, a center outside a
+    triangle's bounding box is outside it."""
+    mask = np.zeros((size, size), dtype=bool)
+    for tri in np.array_split(tri_px, max(1, len(tri_px) // 512)):
+        lo, hi = tri.min(axis=1)[:, :, None, None], tri.max(axis=1)[:, :, None, None]
+        start = np.floor(lo).astype(np.int64) - margin
+        steps = np.arange(int((np.ceil(hi) - np.floor(lo)).max()) + 2 * margin + 1)
+        cols = start[:, 0] + steps[None, None, :]                  # (n, 1, E)
+        rows = start[:, 1] + steps[None, :, None]                  # (n, E, 1)
+        px, py = cols + 0.5, rows + 0.5
+        (x0, y0), (x1, y1), (x2, y2) = (tri[:, k, :, None, None].transpose(1, 0, 2, 3)
+                                        for k in range(3))
+        inside = (
+            (cols >= 0) & (cols < size) & (rows >= 0) & (rows < size)
+            & (px >= lo[:, 0]) & (px <= hi[:, 0]) & (py >= lo[:, 1]) & (py <= hi[:, 1])
+            & ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0)
+            & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
+            & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
+        )
+        mask[np.broadcast_to(rows, inside.shape)[inside],
+             np.broadcast_to(cols, inside.shape)[inside]] = True
     return mask
 
 
@@ -158,6 +194,48 @@ class TestPerspective:
 TWO_SIDED = np.array([[0, 1, 2], [0, 2, 1]])
 
 
+def hard_triangles(kind, rng, size, n):
+    """(n, 3, 2) pixel-space triangles of one kind that tests the ends of
+    the rasterizer's boxes in an S x S frame:
+    - "centers": vertices on pixel centers and pixel corners (multiples of
+      1/2), on and past the frame;
+    - "slivers": a segment, half of them snapped to multiples of 1/2, and a
+      third point 1e-14 to 1e-3 px off its line;
+    - "collinear": three points on a line through a pixel center along a
+      small whole-pixel step, each nudged by 1e-15 to 1e-6 px;
+    - "past-<edge>": wholly beyond the last pixel centers at that frame
+      edge, some on quarter pixels (the frame edge itself among them)."""
+    if kind == "centers":
+        return rng.integers(-6, 2 * size + 6, size=(n, 3, 2)) / 2.0
+    if kind == "slivers":
+        p = rng.uniform(-3, size + 3, size=(n, 2))
+        angle = rng.uniform(0, 2 * np.pi, n)
+        d = rng.uniform(1, size, n)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        q = p + d
+        snap = rng.random(n) < 0.5
+        p[snap], q[snap] = np.round(2 * p[snap]) / 2, np.round(2 * q[snap]) / 2
+        d = q - p
+        normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-14, -3, n)
+        third = p + rng.uniform(-0.5, 1.5, n)[:, None] * d + gap[:, None] * normal
+        return np.stack([p, q, third], axis=1)
+    if kind == "collinear":
+        center = rng.integers(0, size, size=(n, 1, 2)) + 0.5
+        step = rng.integers(1, 4, size=(n, 1, 2)) * rng.choice([-1, 1], size=(n, 1, 2))
+        along = rng.uniform(-3, 3, size=(n, 3, 1))
+        nudge = rng.normal(size=(n, 3, 2)) * 10.0 ** rng.uniform(-15, -6, size=(n, 1, 1))
+        return center + along * step + nudge
+    edge = kind.removeprefix("past-")
+    # beyond the centers 0.5 and S - 0.5; a box of whole centers is empty
+    depth = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0, 4, (n, 3)),
+                     rng.integers(1, 16, (n, 3)) / 4.0)
+    depth = np.maximum(depth, 1e-9)
+    across = rng.uniform(-3, size + 3, size=(n, 3))
+    far = np.where(edge in ("left", "top"), 0.5 - depth, size - 0.5 + depth)
+    x, y = (far, across) if edge in ("left", "right") else (across, far)
+    return np.stack([x, y], axis=2)
+
+
 class TestRasterizer:
     def test_covering_triangle_fills_frame(self):
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [0.0, 80.0, 0.0]])
@@ -213,6 +291,56 @@ class TestRasterizer:
         assert any(cells.size for cells in
                    cam._covered_cells(counter_clockwise(tri_px), size)) == want.any()
 
+    @pytest.mark.parametrize("kind, seed, cells", [
+        *(pytest.param(k, s, None, id=f"{k}-{s}") for k in ("centers", "slivers", "collinear")
+          for s in range(3)),
+        *(pytest.param(k, 0, 16, id=f"{k}-16cells") for k in ("centers", "slivers", "collinear")),
+        *(pytest.param(f"past-{edge}", s, None, id=f"past-{edge}-{s}")
+          for edge in ("left", "right", "top", "bottom") for s in range(2)),
+    ])
+    def test_tight_boxes_match_brute_force(self, kind, seed, cells, monkeypatch):
+        # triangles on and between pixel centers, where a box's ends are
+        # decided; per triangle and as one soup, at a budget that batches them
+        if cells is not None:
+            monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
+        size = 24
+        c = cam.PerspCamera(1.0, size, np.array([0.0, 0.0, 1.0]))
+        designed = hard_triangles(kind, np.random.default_rng(seed), size, 40)
+        verts = np.concatenate([designed - size / 2, np.zeros((40, 3, 1))], axis=2)
+        tri_px = cam.project_persp(verts, c)
+        masks = [brute_force_coverage([t.tolist()], size, size) for t in tri_px]
+        for v, want in zip(verts, masks):
+            assert cam.covers_any_pixel(v, TWO_SIDED, c) == want.any()
+            np.testing.assert_array_equal(cam.rasterize_silhouette(v, TWO_SIDED, c), want)
+        want = np.any(masks, axis=0)
+        np.testing.assert_array_equal(cam._coverage_mask(counter_clockwise(tri_px), size), want)
+        assert any(cells.size for cells in
+                   cam._covered_cells(counter_clockwise(tri_px), size)) == want.any()
+        if kind.startswith("past"):
+            # no center lies within their boxes, so no batch is tested
+            assert not want.any()
+            assert list(cam._covered_cells(counter_clockwise(tri_px), size)) == []
+        else:
+            assert want.any()
+
+    def test_sliver_line_past_its_box_not_covered(self):
+        # a near-collinear sliver along x + y = 17: the rounded edge tests
+        # accept the centers (2.5, 14.5) and (1.5, 15.5) on its line, left of
+        # its leftmost vertex, so outside it; a box of whole centers drops them
+        tri = np.array([[14.565855547963992, 2.4341444520360147],
+                        [3.079821961670765, 13.920178038329235],
+                        [8.611650750443419, 8.388349249556583]])
+        (x0, y0), (x1, y1), (x2, y2) = tri
+        assert (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0
+        for px, py in [(2.5, 14.5), (1.5, 15.5)]:
+            assert px < tri[:, 0].min()
+            assert ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0
+                    and (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0
+                    and (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
+        got = cam._coverage_mask(tri[None], 16)
+        assert not got[14, 2] and not got[15, 1]
+        np.testing.assert_array_equal(got, brute_force_coverage([tri.tolist()], 16, 16))
+
     def test_part_assignment_partitions_silhouette(self):
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
         verts = bm.shaped_template(model, np.zeros(10))
@@ -251,12 +379,16 @@ class TestClosedMeshRasterizer:
                 cam.rasterize_silhouette(verts, model.faces[:, ::-1], c), want)
             assert cam.covers_any_pixel(verts, model.faces, c) is True
 
+    @pytest.fixture(scope="class")
+    def benchmark_model(self):
+        return bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+
     @pytest.mark.parametrize("shift", [0.0, 1.0, 3.0], ids=["centred", "past-edge", "off-frame"])
-    def test_matches_all_faces_at_benchmark_size(self, shift):
-        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+    def test_matches_all_faces_at_benchmark_size(self, benchmark_model, shift):
+        model = benchmark_model
         c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
         for verts in posed_noisy_bodies(model, 7, [0, 1, 2, 3]):
-            want = cam._coverage_mask(
+            want = widened_box_coverage(
                 counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256)
             assert want.any() == (shift < 3.0) and not want.all()
             for faces in (model.faces, model.faces[:, ::-1]):
@@ -266,6 +398,25 @@ class TestClosedMeshRasterizer:
                 assert cam.covers_any_pixel(verts, faces, c) == want.any()
             if shift == 1.0:
                 assert want[:, -1].any()
+
+    def test_visibility_stops_at_the_first_batch(self, benchmark_model, monkeypatch):
+        # a visible body's first batch covers a pixel, so covers_any_pixel
+        # pulls one batch of the many that a full render pulls
+        model = benchmark_model
+        c = cam.PerspCamera(300.0, 256, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 7, [0])[0]
+        covered_cells, pulled = cam._covered_cells, []
+
+        def counting(tri_px, size):
+            pulled.append(0)
+            for cells in covered_cells(tri_px, size):
+                pulled[-1] += 1
+                yield cells
+
+        monkeypatch.setattr(cam, "_covered_cells", counting)
+        assert cam.covers_any_pixel(verts, model.faces, c) is True
+        assert cam.rasterize_silhouette(verts, model.faces, c).any()
+        assert pulled[0] == 1 < pulled[1]
 
 
 class TestHeatmaps:

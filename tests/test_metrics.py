@@ -742,3 +742,60 @@ class TestEvaluate:
         model, net, dataset, _ = setup
         with pytest.raises(ValueError, match="group size"):
             metrics.evaluate(dataset, net, model, 2.0, "pc", np.random.default_rng(9))
+
+
+class TestLabelWidths:
+    """A dataset whose `theta` or `beta` is not as wide as the model's pose
+    or shape is rejected by `evaluate` and `network.train` before they
+    predict or step, naming both widths; before the check it failed inside
+    LBS with numpy's "cannot reshape"."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        model = bm.generate_toy_model(2, 300, 16)
+        net = network.PredictorNet.for_model(
+            model, network.EncoderConfig(pool_to=16, channels=(2, 4, 8)), hidden=16, seed=0
+        )
+        samples = synth.generate_dataset(
+            model, synth.GenerationConfig(image_size=64, focal_length=75.0),
+            synth.AugmentationConfig(), num_subjects=1, poses_per_subject=2, seed=3,
+            corrupt=False,
+        )
+        return model, net, synth.SynthDataset.from_samples(samples)
+
+    @pytest.fixture(params=[("theta", 5), ("beta", 3), ("beta", 11)],
+                    ids=["theta-5", "beta-3", "beta-11"])
+    def cut(self, request, setup):
+        model, net, dataset = setup
+        name, width = request.param
+        arrays = dict(dataset.arrays)
+        full = arrays[name]
+        arrays[name] = np.hstack([full, full])[:, :width]
+        want = {"theta": model.pose_dim, "beta": model.shape_dim}[name]
+        assert len(dataset) == 2 and full.shape[1] == want != width
+        return synth.SynthDataset(arrays, dataset.meta), rf"{name} has width {width}\b.*\b{want}\b"
+
+    def test_evaluate_rejects_before_predicting(self, setup, cut, monkeypatch):
+        model, net, _ = setup
+        bad, message = cut
+
+        def predict(*args):
+            raise AssertionError("predicted before checking the label widths")
+
+        monkeypatch.setattr(metrics.net_mod, "predict_dataset", predict)
+        with pytest.raises(ValueError, match=message):
+            metrics.evaluate(bad, net, model, 1, "pc", np.random.default_rng(0))
+
+    def test_train_rejects_before_a_step(self, setup, cut):
+        model, net, _ = setup
+        bad, message = cut
+        before = {k: v.copy() for k, v in net.params.items()}
+        cfg = network.TrainConfig(epochs=1, batch_size=2, reproj_samples=2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            network.train(net, bad, cfg, model)
+        for k in before:
+            np.testing.assert_array_equal(net.params[k], before[k])
+
+    def test_matching_widths_pass(self, setup):
+        model, _, dataset = setup
+        network.check_label_widths(dataset, model)

@@ -591,6 +591,8 @@ class TestDatasetIO:
                      id="visibility-three"),
         pytest.param(lambda a, m: a.update(corrupted=np.full_like(a["corrupted"], 2)),
                      id="corrupted-two"),
+        pytest.param(lambda a, m: a.update(corrupted=np.zeros((2, 2), np.uint8)),
+                     id="corrupted-2d"),
         pytest.param(lambda a, m: a.update(glob=np.hstack([a["glob"], a["glob"][:, :1]])),
                      id="glob-width-4"),
         pytest.param(lambda a, m: a.update(cam_translation=a["cam_translation"][:, :2]),

@@ -74,6 +74,15 @@ class KinematicTree(NamedTuple):
     order: np.ndarray    # (J,) each joint's place in the levels laid end to end
 
 
+class JointBasis(NamedTuple):
+    """The rest joint pivots as a linear map of the shape coefficients, the
+    skeleton regressor applied to the template and to the shape basis;
+    `BodyModel.joint_basis` builds it on first use, once per model."""
+
+    rest: np.ndarray     # (J, 3) pivots of the template
+    shape: np.ndarray    # (S, 3J) pivot offsets per unit coefficient, joint-major
+
+
 @dataclass(frozen=True)
 class BodyModel:
     """Immutable parametric body; safe for concurrent read. Checked when
@@ -123,6 +132,13 @@ class BodyModel:
             slot[joints] = np.arange(len(joints))
         return KinematicTree(below, levels, [slot[self.parents[joints]] for joints in levels[1:]],
                              np.argsort(np.concatenate(levels)))
+
+    @cached_property
+    def joint_basis(self) -> JointBasis:
+        J, V, S = self.num_joints, self.num_vertices, self.shape_dim
+        regressed = self.skeleton_regressor @ self.shape_basis.reshape(V, 3 * S)  # (J, 3S)
+        return JointBasis(self.skeleton_regressor @ self.template_vertices,
+                          regressed.reshape(J, 3, S).transpose(2, 0, 1).reshape(S, 3 * J))
 
     @cached_property
     def keypoint_model(self) -> BodyModel:
@@ -273,9 +289,12 @@ def _world_blocks(tree: KinematicTree, local_rots, pivots):
 def lbs_vertices(model: BodyModel, pose, betas, glob):
     """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3).
 
-    Joint pivots regress from the shaped template and rotations chain down
-    the kinematic tree. Skinning then blends the per-joint transforms, not
-    per-joint posed copies of the mesh (the SMPL form, Loper et al. 2015).
+    Joint pivots regress linearly from the shaped template, so they are
+    linear in the shape coefficients: p = p_rest + betas @ basis, by the
+    model's `joint_basis`, with no (J, V) product per call. Rotations
+    chain down the kinematic tree. Skinning then blends the per-joint
+    transforms, not per-joint posed copies of the mesh (the SMPL form,
+    Loper et al. 2015).
     Joint j moves v to R_j v + u_j, where u_j = pos_j - R_j p_j takes the
     rest pivot p_j to the posed pivot pos_j. The skinning weights W sum to
     1 per vertex, so
@@ -291,7 +310,8 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     B = ad.value_of(betas).shape[0]
 
     shaped = shaped_template(model, betas)                     # (B, V, 3)
-    pivots = ad.matmul(model.skeleton_regressor, shaped)       # (B, J, 3)
+    basis = model.joint_basis
+    pivots = basis.rest + ad.reshape(ad.matmul(betas, basis.shape), (B, J, 3))
 
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
     world = _world_blocks(model.tree, rodrigues(aa_all), pivots)  # (B, J, 3, 4)

@@ -108,8 +108,13 @@ def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     """Pinhole projection to pixel coordinates.
 
     u = focal * (x + tx) / (z + tz) + S/2, v analogously, for image side S.
+    ValueError for a non-finite coordinate (so no NaN pixel reaches the
+    rasterizer, whose area test would drop its faces silently) and for a
+    point at or behind the camera plane.
     """
     points = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise ValueError("point coordinates must be finite")
     shifted = points + cam.translation
     z = shifted[..., 2]
     if np.any(z <= 1e-9):

@@ -475,6 +475,55 @@ class TestKeypointRig:
                                 part_labels=np.minimum(toy.part_labels, 4))
 
 
+def pivots_from_basis(model, betas) -> np.ndarray:
+    """The (B, J, 3) rest pivots of (B, S) shape vectors, as `bm.lbs_vertices`
+    takes them from the model's joint basis."""
+    basis = model.joint_basis
+    return basis.rest + (betas @ basis.shape).reshape(len(betas), model.num_joints, 3)
+
+
+class TestJointBasis:
+    @pytest.mark.parametrize("budget", [(0, 6890, 24), (0, 600, 16), (3, 150, 12),
+                                        (5, 120, 8), (0, 50, 8)])
+    def test_matches_regressed_shaped_template(self, budget):
+        model = bm.generate_toy_model(*budget)
+        betas = np.random.default_rng(28).normal(scale=2.0, size=(6, model.shape_dim))
+        basis = model.joint_basis
+        assert basis.rest.shape == (model.num_joints, 3)
+        assert basis.shape.shape == (model.shape_dim, 3 * model.num_joints)
+        want = model.skeleton_regressor @ bm.shaped_template(model, betas)
+        np.testing.assert_allclose(pivots_from_basis(model, betas), want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pivots_from_basis(model, np.zeros((1, model.shape_dim)))[0],
+                                      model.skeleton_regressor @ model.template_vertices)
+
+    def test_matches_after_save_and_load(self, toy, tmp_path):
+        path = tmp_path / "model.sfc"
+        bm.save_model(path, toy)
+        loaded = bm.load_model(path)
+        assert "joint_basis" not in vars(loaded)
+        betas = np.random.default_rng(29).normal(size=(4, toy.shape_dim))
+        want = loaded.skeleton_regressor @ bm.shaped_template(loaded, betas)
+        np.testing.assert_allclose(pivots_from_basis(loaded, betas), want, rtol=0, atol=1e-12)
+        for got, expected in zip(loaded.joint_basis, toy.joint_basis):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_built_on_first_use_once_per_model(self):
+        model = bm.generate_toy_model(seed=11, num_vertices=300, num_joints=16)
+        assert "joint_basis" not in vars(model)
+        rng = np.random.default_rng(30)
+        args = (rng.normal(scale=0.3, size=(2, model.pose_dim)), rng.normal(size=(2, 10)),
+                rng.normal(scale=0.3, size=(2, 3)))
+        bm.lbs_vertices(model, *args)
+        basis = vars(model)["joint_basis"]
+        bm.lbs_vertices(model, *args)
+        assert model.joint_basis is basis
+        fresh = dataclasses.replace(model)
+        assert "joint_basis" not in vars(fresh)
+        assert fresh.joint_basis is not basis
+        for got, expected in zip(fresh.joint_basis, basis):
+            np.testing.assert_array_equal(got, expected)
+
+
 class TestNeutralPose:
     """The neutral (T-pose) body of one shape vector: `shaped_template` on (S,)."""
 

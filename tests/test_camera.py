@@ -189,6 +189,23 @@ class TestPerspective:
         with pytest.raises(ValueError):
             cam.project_persp(np.array([[0.0, 0.0, -1.0]]), c)
 
+    @pytest.mark.parametrize("bad, where", [
+        (float("nan"), (0, 0)), (float("nan"), (2, 2)), (float("inf"), (1, 1)),
+        (-float("inf"), (0, 2)),
+    ], ids=["nan-x", "nan-z", "inf-y", "minus-inf-z"])
+    @pytest.mark.parametrize("call", [
+        lambda v, c: cam.project_persp(v, c),
+        lambda v, c: cam.rasterize_silhouette(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
+        lambda v, c: cam.covers_any_pixel(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
+    ], ids=["project", "rasterize", "covers"])
+    def test_non_finite_point_rejected(self, bad, where, call):
+        # a NaN z passes a `z <= eps` test, and a NaN pixel area is not
+        # positive, so the faces at a NaN vertex would vanish from the mask
+        verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        verts[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            call(verts, cam.PerspCamera(300.0, 64, [0.0, 0.0, 2.5]))
+
 
 # one triangle and its reverse: the smallest closed, consistently oriented surface
 TWO_SIDED = np.array([[0, 1, 2], [0, 2, 1]])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -222,18 +223,32 @@ class TestPveTSc:
             metrics.pve_t_sc(beta["pred"], beta["gt"], model)
 
 
+def uncertainty_prediction(model, seed) -> PredictionSet:
+    rng = np.random.default_rng(seed)
+    return PredictionSet(
+        pose=GaussianDiag(rng.normal(scale=0.2, size=model.pose_dim),
+                          rng.uniform(0.01, 0.1, model.pose_dim)),
+        shape=GaussianDiag(rng.normal(size=model.shape_dim),
+                           rng.uniform(0.1, 1.0, model.shape_dim)),
+        global_rot=[0.1, -0.3, 0.2],
+        camera=[1.0, 0.0, 0.0],
+    )
+
+
+def uncertainty_one_call(pred, model, n, rng) -> np.ndarray:
+    """Every draw posed by one `lbs_vertices` call, with the draws made as
+    `metrics.per_vertex_uncertainty` makes them: the oracle for its blocks."""
+    pose = pred.pose.mean + np.sqrt(pred.pose.var) * rng.standard_normal((n, pred.pose.dim))
+    shape = pred.shape.mean + np.sqrt(pred.shape.var) * rng.standard_normal((n, pred.shape.dim))
+    verts = bm.lbs_vertices(model, pose, shape, np.tile(pred.global_rot, (n, 1)))
+    return np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
+
+
 class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
-        rng = np.random.default_rng(6)
-        pred = PredictionSet(
-            pose=GaussianDiag(rng.normal(scale=0.2, size=model.pose_dim),
-                              rng.uniform(0.01, 0.1, model.pose_dim)),
-            shape=GaussianDiag(rng.normal(size=model.shape_dim),
-                               rng.uniform(0.1, 1.0, model.shape_dim)),
-            global_rot=[0.1, -0.3, 0.2],
-            camera=[1.0, 0.0, 0.0],
-        )
+        pred = uncertainty_prediction(model, 6)
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 7 * 200 + 199)
         draws = []
         lbs = bm.lbs_vertices
 
@@ -245,11 +260,46 @@ class TestPerVertexUncertainty:
         monkeypatch.setattr(bm, "lbs_vertices", recording)
         got = metrics.per_vertex_uncertainty(pred, model, n_samples=30,
                                              rng=np.random.default_rng(7))
-        (verts,) = draws
+        assert [len(d) for d in draws] == [7, 7, 7, 7, 2]  # ceil(30 / 7) blocks
+        verts = np.concatenate(draws)
         assert verts.shape == (30, 200, 3)
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 13])
+    def test_blocks_match_one_call(self, n, monkeypatch):
+        # blocks of 5 draws; one-row and many-row BLAS products may differ
+        # in the last bit (see test_bodymodel.py, test_matches_batched_form)
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        pred = uncertainty_prediction(model, 8)
+        want = uncertainty_one_call(pred, model, n, np.random.default_rng(9))
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 5 * 200)
+        got = metrics.per_vertex_uncertainty(pred, model, n, np.random.default_rng(9))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_model_larger_than_the_budget_takes_one_draw_per_block(self, monkeypatch):
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        pred = uncertainty_prediction(model, 10)
+        want = uncertainty_one_call(pred, model, 3, np.random.default_rng(11))
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 150)
+        got = metrics.per_vertex_uncertainty(pred, model, 3, np.random.default_rng(11))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_peak_memory_at_benchmark_size(self):
+        # the draws array plus one block's skinning: the one-call form
+        # peaked at 5.0 times the draws array
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        pred = uncertainty_prediction(model, 12)
+        metrics.per_vertex_uncertainty(pred, model, 1, np.random.default_rng(0))  # cached bases
+        n = 100
+        tracemalloc.start()
+        try:
+            metrics.per_vertex_uncertainty(pred, model, n, np.random.default_rng(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (8 * n * model.num_vertices * 3)
 
     @pytest.mark.parametrize("n_samples", [0, -3, 2.0, True])
     def test_non_positive_or_non_int_draws_rejected(self, n_samples):

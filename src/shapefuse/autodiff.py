@@ -264,6 +264,14 @@ def reshape(x, shape):
     return _op(xv.reshape(shape), (x, lambda g: g.reshape(xv.shape)))
 
 
+def transpose(x, axes):
+    """Axes permuted as by `np.transpose`, into a C-ordered array."""
+    xv = value_of(x)
+    inverse = np.argsort(axes)
+    return _op(np.ascontiguousarray(xv.transpose(axes)),
+               (x, lambda g: np.ascontiguousarray(g.transpose(inverse))))
+
+
 def getitem(x, key):
     """Basic indexing (integers, slices, None, Ellipsis); adjoints add back
     into the indexed region. Gathers by an index array go through `take`."""
@@ -291,11 +299,15 @@ def take(x, indices, axis):
 
     def vjp(g):
         # flat position in x of every adjoint element, summed by bincount in
-        # element order (as np.add.at would, at a fraction of its cost)
+        # element order (as np.add.at would, at a fraction of its cost): the
+        # start of each leading row plus the offsets within one row
         n = xv.shape[axis]
-        lead = np.arange(int(np.prod(xv.shape[:axis]))).reshape((-1,) + (1,) * (indices.ndim + 1))
         trail = int(np.prod(xv.shape[axis + 1:]))
-        pos = (lead * n + (indices % n)[..., None]) * trail + np.arange(trail)
+        inner = (indices % n).ravel()
+        if trail > 1:
+            inner = (inner[:, None] * trail + np.arange(trail)).ravel()
+        lead = np.arange(int(np.prod(xv.shape[:axis]))) * (n * trail)
+        pos = lead[:, None] + inner
         return np.bincount(pos.ravel(), weights=np.ravel(g), minlength=xv.size).reshape(xv.shape)
 
     return _op(out, (x, vjp))

@@ -83,6 +83,16 @@ class JointBasis(NamedTuple):
     shape: np.ndarray    # (S, 3J) pivot offsets per unit coefficient, joint-major
 
 
+class SkinningLayout(NamedTuple):
+    """The skinning arrays in the component-major layout `lbs_vertices`
+    works in, where a batch of meshes is (B, 3, V) with the vertex
+    innermost; `BodyModel.skinning` builds it on first use, once per model."""
+
+    weights: np.ndarray   # (J, V) skinning weights, transposed
+    template: np.ndarray  # (3, V) template vertices, transposed
+    shape: np.ndarray     # (S, 3V) shape basis, component-major
+
+
 @dataclass(frozen=True)
 class BodyModel:
     """Immutable parametric body; safe for concurrent read. Checked when
@@ -139,6 +149,13 @@ class BodyModel:
         regressed = self.skeleton_regressor @ self.shape_basis.reshape(V, 3 * S)  # (J, 3S)
         return JointBasis(self.skeleton_regressor @ self.template_vertices,
                           regressed.reshape(J, 3, S).transpose(2, 0, 1).reshape(S, 3 * J))
+
+    @cached_property
+    def skinning(self) -> SkinningLayout:
+        V, S = self.num_vertices, self.shape_dim
+        return SkinningLayout(np.ascontiguousarray(self.skinning_weights.T),
+                              np.ascontiguousarray(self.template_vertices.T),
+                              self.shape_basis.transpose(2, 1, 0).reshape(S, 3 * V))
 
     @cached_property
     def keypoint_model(self) -> BodyModel:
@@ -241,13 +258,22 @@ def _is_closed_oriented(faces: np.ndarray, num_vertices: int) -> bool:
 
 def shaped_template(model: BodyModel, betas):
     """Template plus shape blendshape offsets, the neutral (T-pose) body:
-    (..., S) -> (..., V, 3). The coefficients are rows of one (n, S) matrix
-    product, so one body gets the same bits as `forward` at zero pose."""
+    (..., S) -> (..., V, 3). The coefficients are rows of the one (n, S) @
+    (S, 3V) product that `lbs_vertices` poses, transposed from the
+    component-major layout, so one body gets the same bits as `forward` at
+    zero pose."""
     V, S = model.num_vertices, model.shape_dim
     lead = ad.value_of(betas).shape[:-1]
-    basis_flat = model.shape_basis.reshape(V * 3, S).T  # (S, 3V)
-    offsets = ad.matmul(ad.reshape(betas, (-1, S)), basis_flat)
-    return model.template_vertices + ad.reshape(offsets, lead + (V, 3))
+    shaped = _shaped_components(model, ad.reshape(betas, (-1, S)))
+    return ad.reshape(ad.transpose(shaped, (0, 2, 1)), lead + (V, 3))
+
+
+def _shaped_components(model: BodyModel, betas):
+    """(n, S) -> the shaped template (n, 3, V), component-major."""
+    layout = model.skinning
+    n = ad.value_of(betas).shape[0]
+    return layout.template + ad.reshape(ad.matmul(betas, layout.shape),
+                                        (n, 3, model.num_vertices))
 
 
 def subtree_table(parents: np.ndarray) -> np.ndarray:
@@ -287,7 +313,9 @@ def _world_blocks(tree: KinematicTree, local_rots, pivots):
 
 
 def lbs_vertices(model: BodyModel, pose, betas, glob):
-    """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3).
+    """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3);
+    ValueError, naming the argument's shape and the model's width, when an
+    argument is not (B, width), or when the batch sizes differ.
 
     Joint pivots regress linearly from the shaped template, so they are
     linear in the shape coefficients: p = p_rest + betas @ basis, by the
@@ -301,29 +329,41 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
 
         v' = sum_j w_j (R_j v + u_j) = v + (W (R - I)) v + W u.
 
-    Each vertex applies one blended 3x3 and one blended offset. R - I and u
-    are exactly 0 at the rest pose, so the rest pose reproduces the shaped
-    template bit for bit.
+    The mesh is skinned component-major, (B, 3, V), in the model's
+    `skinning` layout: the shaped body is the one (B, S) @ (S, 3V) product
+    of `shaped_template`, the blend of R - I is one (B*9, J) @ (J, V)
+    product and that of u one (B*3, J) @ (J, V) product, and each vertex
+    applies its blended 3x3 with the vertex innermost. One transpose gives
+    the (B, V, 3) result. R - I and u are exactly 0 at the rest pose, so
+    the rest pose reproduces the shaped template bit for bit.
     """
-    J = model.num_joints
-    V = model.num_vertices
-    B = ad.value_of(betas).shape[0]
+    J, V = model.num_joints, model.num_vertices
+    for name, x, width in (("pose", pose, model.pose_dim), ("shape", betas, model.shape_dim),
+                           ("global rotation", glob, 3)):
+        shape = ad.value_of(x).shape
+        if len(shape) != 2 or shape[1] != width:
+            raise ValueError(f"{name} has shape {shape}, the body model needs (B, {width})")
+    batch = [len(ad.value_of(x)) for x in (pose, betas, glob)]
+    if len(set(batch)) != 1:
+        raise ValueError(f"pose, shape and global rotation have batch sizes {batch}")
+    B = batch[0]
 
-    shaped = shaped_template(model, betas)                     # (B, V, 3)
+    shaped = _shaped_components(model, betas)                  # (B, 3, V)
     basis = model.joint_basis
     pivots = basis.rest + ad.reshape(ad.matmul(betas, basis.shape), (B, J, 3))
 
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
     world = _world_blocks(model.tree, rodrigues(aa_all), pivots)  # (B, J, 3, 4)
 
-    # the (B, V, 3, 3) blend is built C-ordered by matmul and handed straight
-    # to the apply, so it lives only for that call
-    weights = model.skinning_weights
-    rot_delta = ad.reshape(world[..., :3], (B, J, 9)) - np.eye(3).ravel()
+    # the (B, 3, 3, V) blend is handed straight to the apply, so it lives
+    # only for that call
+    weights = model.skinning.weights
+    rot_delta = ad.reshape(ad.transpose(world[..., :3] - np.eye(3), (0, 2, 3, 1)), (B * 9, J))
     rot_offset = ad.einsum(
-        "bvkl,bvl->bvk", ad.reshape(ad.matmul(weights, rot_delta), (B, V, 3, 3)), shaped
+        "bklv,blv->bkv", ad.reshape(ad.matmul(rot_delta, weights), (B, 3, 3, V)), shaped
     )
-    return shaped + rot_offset + ad.matmul(weights, world[..., 3])
+    trans = ad.matmul(ad.reshape(ad.transpose(world[..., 3], (0, 2, 1)), (B * 3, J)), weights)
+    return ad.transpose(shaped + rot_offset + ad.reshape(trans, (B, 3, V)), (0, 2, 1))
 
 
 def forward(model: BodyModel, pose, betas, glob):

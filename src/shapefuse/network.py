@@ -363,6 +363,9 @@ def loss_total_batch(heads: dict, targets: dict, model: bm.BodyModel,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per block of `AdamState.step`: a block's operands stay in cache
+# across all of its passes
+ADAM_BLOCK = 1 << 14
 
 
 class AdamState:
@@ -375,26 +378,36 @@ class AdamState:
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1**self.t
         correction2 = 1.0 - ADAM_BETA2**self.t
+        scratch = np.empty(ADAM_BLOCK)
         for k, g in grads.items():
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
             # p - lr (m / c1) / (sqrt(v / c2) + eps), operation for operation,
-            # so the bits match the out-of-place formula; the moments change
-            # in place, the gradient is only read, the parameter is a new array
-            m, v = self.m[k], self.v[k]
-            scratch = np.multiply(1 - ADAM_BETA1, g)
-            m *= ADAM_BETA1
-            m += scratch
-            np.multiply(1 - ADAM_BETA2, g, out=scratch)
-            scratch *= g
-            v *= ADAM_BETA2
-            v += scratch
-            denominator = np.divide(v, correction2, out=scratch)
-            np.sqrt(denominator, out=denominator)
-            denominator += ADAM_EPS
-            step = np.divide(m, correction1)
-            step *= lr
-            step /= denominator
-            params[k] = np.subtract(params[k], step, out=step)
+            # so the bits match the out-of-place formula; the moments (C-ordered,
+            # so their flat forms are views) change in place, the gradient is
+            # only read, the parameter is a new array. Each block of elements
+            # takes every pass before the next block starts.
+            m, v, g, p = (a.reshape(-1) for a in (self.m[k], self.v[k], g, params[k]))
+            new = np.empty(params[k].shape)
+            out = new.reshape(-1)
+            for lo in range(0, m.size, ADAM_BLOCK):
+                block = slice(lo, lo + ADAM_BLOCK)
+                mb, vb, gb, step = m[block], v[block], g[block], out[block]
+                s = scratch[:len(gb)]
+                np.multiply(1 - ADAM_BETA1, gb, out=s)
+                mb *= ADAM_BETA1
+                mb += s
+                np.multiply(1 - ADAM_BETA2, gb, out=s)
+                s *= gb
+                vb *= ADAM_BETA2
+                vb += s
+                np.divide(vb, correction2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                np.divide(mb, correction1, out=step)
+                step *= lr
+                step /= s
+                np.subtract(p[block], step, out=step)
+            params[k] = new
 
 
 def check_label_widths(dataset, model: bm.BodyModel) -> None:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from shapefuse import autodiff as ad
+from shapefuse import bodymodel as bm
+from shapefuse import network
 
 from gradcheck import grad_check
 
@@ -347,6 +349,36 @@ class TestTensorOps:
         want = np.zeros_like(x0)
         np.add.at(want, (slice(None), idx), 2 * x0[:, idx])
         np.testing.assert_allclose(g, want)
+
+    def test_take_conv_tables_match_add_at(self):
+        # the network's gathers: a (B, N + 1) batch by each conv stage's
+        # (patches, taps) table, whose index N reads the zero pad; the
+        # scatter is np.add.at's, sum for sum in element order
+        net = network.PredictorNet.for_model(bm.generate_toy_model(0, 50, 8))
+        rng = np.random.default_rng(35)
+        for idx in net._conv_tables:
+            x0 = rng.normal(size=(4, idx.max() + 1))
+            weights = rng.normal(size=(4,) + idx.shape)
+            tape = ad.Tape()
+            x = tape.variable(x0)
+            (g,) = ad.gradient(ad.sum_(ad.take(x, idx, axis=1) * weights), [x])
+            want = np.zeros_like(x0)
+            np.add.at(want, (slice(None), idx), weights)
+            np.testing.assert_array_equal(g, want)
+
+    def test_transpose_is_c_ordered_and_permutes_adjoints_back(self):
+        rng = np.random.default_rng(36)
+        x0 = rng.normal(size=(2, 3, 4))
+        probe = rng.normal(size=(3, 4, 2))
+        tape = ad.Tape()
+        x = tape.variable(x0)
+        out = ad.transpose(x, (1, 2, 0))
+        assert out.value.flags.c_contiguous
+        np.testing.assert_array_equal(out.value, x0.transpose(1, 2, 0))
+        (g,) = ad.gradient(ad.sum_(out * probe), [x])
+        assert g.flags.c_contiguous
+        np.testing.assert_array_equal(g, probe.transpose(2, 0, 1))
+        assert ad.transpose(x0, (1, 2, 0)).flags.c_contiguous
 
     @pytest.mark.parametrize("shape,axis", [((2, 5), -1), ((2, 5, 2), 1), ((5, 3), 0)])
     def test_take_index_table_scatter_adds(self, shape, axis):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,42 @@ class TestBatchedLBS:
         np.testing.assert_allclose(got, lbs_per_joint_loop(model, pose, betas, glob),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("B", [1, 19])
+    def test_matches_per_joint_loop_at_smpl_size(self, B):
+        # 19 draws is one `metrics.per_vertex_uncertainty` block at this size
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        rng = np.random.default_rng(31)
+        pose = rng.normal(scale=0.5, size=(B, model.pose_dim))
+        betas = rng.normal(size=(B, 10))
+        glob = rng.normal(scale=0.8, size=(B, 3))
+        got = bm.lbs_vertices(model, pose, betas, glob)
+        assert got.shape == (B, model.num_vertices, 3) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, lbs_per_joint_loop(model, pose, betas, glob),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("widths,message", [
+        ((5, 10, 3), "pose has shape (2, 5), the body model needs (B, 33)"),
+        ((33, 4, 3), "shape has shape (2, 4), the body model needs (B, 10)"),
+        ((33, 10, 2), "global rotation has shape (2, 2), the body model needs (B, 3)"),
+    ])
+    def test_width_mismatch_rejected(self, widths, message):
+        model = bm.generate_toy_model(4, 200, 12)
+        args = [np.zeros((2, width)) for width in widths]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bm.lbs_vertices(model, *args)
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bm.lbs_vertices(model, *[tape.variable(a) for a in args])
+        with pytest.raises(ValueError, match=r"^pose has shape \(33,\)"):
+            bm.lbs_vertices(model, np.zeros(33), np.zeros((1, 10)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("batch", [(2, 3, 2), (2, 2, 1), (1, 2, 2)])
+    def test_batch_size_mismatch_rejected(self, batch):
+        model = bm.generate_toy_model(4, 200, 12)
+        args = [np.zeros((n, width)) for n, width in zip(batch, (33, 10, 3))]
+        with pytest.raises(ValueError, match=re.escape(f"batch sizes {list(batch)}")):
+            bm.lbs_vertices(model, *args)
+
     def test_zero_pose_is_shaped_template_exact(self, toy):
         betas = np.random.default_rng(13).normal(size=(5, 10))
         zero = np.zeros((5, toy.pose_dim))
@@ -351,21 +388,32 @@ class TestBatchedLBS:
         np.testing.assert_array_equal(got, bm.shaped_template(toy, betas))
 
     def test_numpy_peak_memory_per_vertex(self):
-        # the per-vertex blend is (B, V, 9) and must not outlive its apply:
+        # the per-vertex blend is (B, 9, V) and must not outlive its apply:
         # the peak stays below 18 float64 per (batch, vertex)
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=24)
-        rng = np.random.default_rng(14)
-        B = 100
-        pose = rng.normal(scale=0.3, size=(B, model.pose_dim))
-        betas = rng.normal(size=(B, 10))
-        glob = rng.normal(scale=0.3, size=(B, 3))
-        tracemalloc.start()
-        try:
-            bm.lbs_vertices(model, pose, betas, glob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 * B * model.num_vertices) <= 18.0
+        assert lbs_peak_per_vertex(model, 100, np.random.default_rng(14)) <= 18.0
+
+    def test_numpy_peak_memory_at_smpl_size(self):
+        # one `metrics.per_vertex_uncertainty` block of 19 draws
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        for name in ("skinning", "joint_basis", "tree"):
+            getattr(model, name)  # built once per model, so not part of a call's peak
+        assert lbs_peak_per_vertex(model, 19, np.random.default_rng(32)) <= 18.0
+
+
+def lbs_peak_per_vertex(model, B, rng) -> float:
+    """The tracemalloc peak of one untaped `bm.lbs_vertices` call on B
+    random bodies, in float64 per (batch, vertex)."""
+    pose = rng.normal(scale=0.3, size=(B, model.pose_dim))
+    betas = rng.normal(size=(B, 10))
+    glob = rng.normal(scale=0.3, size=(B, 3))
+    tracemalloc.start()
+    try:
+        bm.lbs_vertices(model, pose, betas, glob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * B * model.num_vertices)
 
 
 class TestRegressJoints:
@@ -521,6 +569,38 @@ class TestJointBasis:
         assert "joint_basis" not in vars(fresh)
         assert fresh.joint_basis is not basis
         for got, expected in zip(fresh.joint_basis, basis):
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestSkinningLayout:
+    @pytest.mark.parametrize("budget", [(0, 6890, 24), (3, 150, 12), (0, 50, 8)])
+    def test_is_the_model_component_major(self, budget):
+        model = bm.generate_toy_model(*budget)
+        layout = model.skinning
+        V, S = model.num_vertices, model.shape_dim
+        np.testing.assert_array_equal(layout.weights, model.skinning_weights.T)
+        np.testing.assert_array_equal(layout.template, model.template_vertices.T)
+        assert layout.shape.shape == (S, 3 * V)
+        for c in range(3):
+            np.testing.assert_array_equal(layout.shape[:, c * V:(c + 1) * V],
+                                          model.shape_basis[:, c, :].T)
+        assert all(a.flags.c_contiguous for a in layout)
+
+    def test_built_on_first_use_once_per_model(self):
+        model = bm.generate_toy_model(seed=11, num_vertices=300, num_joints=16)
+        assert "skinning" not in vars(model)
+        rng = np.random.default_rng(33)
+        args = (rng.normal(scale=0.3, size=(2, model.pose_dim)), rng.normal(size=(2, 10)),
+                rng.normal(scale=0.3, size=(2, 3)))
+        bm.lbs_vertices(model, *args)
+        layout = vars(model)["skinning"]
+        bm.lbs_vertices(model, *args)
+        bm.shaped_template(model, args[1])
+        assert model.skinning is layout
+        fresh = dataclasses.replace(model)
+        assert "skinning" not in vars(fresh)
+        assert fresh.skinning is not layout
+        for got, expected in zip(fresh.skinning, layout):
             np.testing.assert_array_equal(got, expected)
 
 

@@ -267,6 +267,17 @@ class TestPerVertexUncertainty:
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("field,width,need", [("pose", 5, 33), ("shape", 4, 10)])
+    def test_width_mismatch_rejected(self, field, width, need):
+        model = bm.generate_toy_model(4, 200, 12)
+        rng = np.random.default_rng(34)
+        pred = uncertainty_prediction(model, 6)
+        pred = dataclasses.replace(pred, **{field: GaussianDiag(rng.normal(size=width),
+                                                                rng.uniform(0.1, 1.0, width))})
+        with pytest.raises(ValueError, match=rf"^{field} has shape \(3, {width}\), "
+                                             rf"the body model needs \(B, {need}\)$"):
+            metrics.per_vertex_uncertainty(pred, model, n_samples=3, rng=rng)
+
     @pytest.mark.parametrize("n", [1, 4, 5, 6, 13])
     def test_blocks_match_one_call(self, n, monkeypatch):
         # blocks of 5 draws; one-row and many-row BLAS products may differ

@@ -602,31 +602,47 @@ class TestTraining:
             np.testing.assert_array_equal(net.params[k], before[k])
 
 
+def adam_matches_out_of_place_formula(params: dict, rng) -> None:
+    """Three `AdamState.step`s against Adam's out-of-place formula, bit for
+    bit; the gradients are only read and each parameter is a new array."""
+    expected = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = net_mod.AdamState(params)
+    lr = 3e-3
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=v.shape) * 10.0**-t for k, v in params.items()}
+        unchanged = {k: g.copy() for k, g in grads.items()}
+        before = dict(params)
+        opt.step(params, grads, lr)
+        b1, b2, eps = net_mod.ADAM_BETA1, net_mod.ADAM_BETA2, net_mod.ADAM_EPS
+        for k, g in unchanged.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v2[k] = b2 * v2[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v2[k] / (1.0 - b2**t)
+            expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_array_equal(grads[k], g)
+            np.testing.assert_array_equal(opt.m[k], m[k])
+            np.testing.assert_array_equal(opt.v[k], v2[k])
+            np.testing.assert_array_equal(params[k], expected[k])
+            assert params[k] is not before[k] and params[k].shape == g.shape
+    assert opt.t == 3
+
+
 class TestAdam:
     def test_matches_out_of_place_formula_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
-        expected = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros_like(v) for k, v in params.items()}
-        v2 = {k: np.zeros_like(v) for k, v in params.items()}
-        opt = net_mod.AdamState(params)
-        lr = 3e-3
-        for t in range(1, 4):
-            grads = {k: rng.normal(size=v.shape) * 10.0**-t for k, v in params.items()}
-            unchanged = {k: g.copy() for k, g in grads.items()}
-            opt.step(params, grads, lr)
-            b1, b2, eps = net_mod.ADAM_BETA1, net_mod.ADAM_BETA2, net_mod.ADAM_EPS
-            for k, g in unchanged.items():
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v2[k] = b2 * v2[k] + (1 - b2) * g * g
-                m_hat = m[k] / (1.0 - b1**t)
-                v_hat = v2[k] / (1.0 - b2**t)
-                expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-                np.testing.assert_array_equal(grads[k], g)
-                np.testing.assert_array_equal(opt.m[k], m[k])
-                np.testing.assert_array_equal(opt.v[k], v2[k])
-                np.testing.assert_array_equal(params[k], expected[k])
-        assert opt.t == 3
+        adam_matches_out_of_place_formula({"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)},
+                                          rng)
+
+    def test_blocks_match_out_of_place_formula_bit_for_bit(self):
+        # several `ADAM_BLOCK` blocks and a remainder, flat and in two dims
+        rng = np.random.default_rng(37)
+        block = net_mod.ADAM_BLOCK
+        adam_matches_out_of_place_formula(
+            {"w": rng.normal(size=(3, block + 1000)), "b": rng.normal(size=2 * block + 17),
+             "s": rng.normal(size=(7,))}, rng)
 
     def test_resume_from_saved_weights_is_bit_identical(self, tiny_model, tiny_data, tmp_path):
         samples = tiny_data

@@ -144,6 +144,12 @@ class BodyModel:
                              np.argsort(np.concatenate(levels)))
 
     @cached_property
+    def edge_twins(self) -> np.ndarray:
+        """The (F, 3) `edge_twins` table of the faces, built on first use,
+        once per model."""
+        return edge_twins(self.faces)
+
+    @cached_property
     def joint_basis(self) -> JointBasis:
         J, V, S = self.num_joints, self.num_vertices, self.shape_dim
         regressed = self.skeleton_regressor @ self.shape_basis.reshape(V, 3 * S)  # (J, 3S)
@@ -190,7 +196,7 @@ class BodyModel:
             raise ValueError("faces must be (F, 3)")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= V):
             raise ValueError("face indices out of range")
-        if not _is_closed_oriented(self.faces, V):
+        if not _is_closed_oriented(self.faces):
             raise ValueError("faces must form a closed, consistently oriented surface")
         if self.joint_regressor.shape != (L, V):
             raise ValueError("joint regressor shape mismatch")
@@ -241,15 +247,66 @@ class BodyModel:
             raise ValueError("keypoint attachment joints out of range")
 
 
-def _is_closed_oriented(faces: np.ndarray, num_vertices: int) -> bool:
+def _edge_keys(faces: np.ndarray) -> tuple:
+    """One key per directed edge of the faces, from corner k to corner
+    k + 1 (mod 3), in row-major order: its undirected edge low * base +
+    high, with its direction as the lowest bit. Returns (keys, base)."""
+    heads = np.empty_like(faces)
+    heads[:, :2], heads[:, 2] = faces[:, 1:], faces[:, 0]
+    tails, heads = faces.ravel(), heads.ravel()
+    base = faces.max() + 1
+    return (np.minimum(tails, heads) * base + np.maximum(tails, heads)) * 2 + (tails > heads), base
+
+
+def _reverse_positions(ranked: np.ndarray, base) -> np.ndarray:
+    """For sorted edge keys, the sorted position of each edge's reverse, or
+    -1: an edge has a reverse when it and one edge the other way are
+    alone under their undirected edge. An edge from a vertex to itself,
+    alone, is its own reverse; its undirected key v * base + v is a
+    multiple of base + 1."""
+    # whether each position starts an undirected edge, and one past the end
+    starts = np.ones(len(ranked) + 1, dtype=bool)
+    starts[1:-1] = (ranked[1:] >> 1) != (ranked[:-1] >> 1)
+    reverse = np.full(len(ranked), -1)
+    pair = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:] & (ranked[1:] != ranked[:-1]))
+    reverse[pair], reverse[pair + 1] = pair + 1, pair
+    alone = np.flatnonzero(starts[:-1] & starts[1:])
+    loop = alone[(ranked[alone] >> 1) % (base + 1) == 0]
+    reverse[loop] = loop
+    return reverse
+
+
+def _is_closed_oriented(faces: np.ndarray) -> bool:
     """Whether each directed edge of the faces occurs once and its reverse
-    occurs once; true for no faces. The rasterizer relies on this (see
-    `camera._projected_triangles`)."""
-    faces = faces.astype(np.int64)
-    tails, heads = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-    edges = np.sort(tails * num_vertices + heads)
-    reverse = np.sort(heads * num_vertices + tails)
-    return not np.any(edges[1:] == edges[:-1]) and np.array_equal(edges, reverse)
+    occurs once, so that `edge_twins` has no -1; true for no faces. The
+    same rule as the table's, from one sort of the edge keys."""
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.size == 0:
+        return True
+    keys, base = _edge_keys(faces)
+    return bool(np.all(_reverse_positions(np.sort(keys), base) >= 0))
+
+
+def edge_twins(faces: np.ndarray) -> np.ndarray:
+    """The (F, 3) twin table of the faces: entry (f, k) is the face holding
+    the reverse of f's directed edge from corner k to corner k + 1 (mod 3),
+    or -1 when that reverse is missing or either edge occurs more than once.
+
+    The faces form a closed, consistently oriented surface, as `BodyModel`
+    requires (`_is_closed_oriented`), exactly when no entry is -1: each
+    directed edge occurs once and its reverse once. One `argsort` of the
+    edge keys (`_edge_keys`) puts each edge beside its reverse. The
+    rasterizer reads the table to tell contour edges from shared ones
+    (see `camera._coverage`)."""
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.size == 0:
+        return np.zeros(faces.shape, dtype=np.int64)
+    keys, base = _edge_keys(faces)
+    order = np.argsort(keys)
+    reverse = _reverse_positions(keys[order], base)
+    twins = np.empty(len(keys), dtype=np.int64)
+    twins[order] = np.where(reverse >= 0, order[reverse] // 3, -1)
+    return twins.reshape(faces.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +427,13 @@ def forward(model: BodyModel, pose, betas, glob):
     """Single-sample model evaluation -> posed vertices (V, 3).
 
     Deterministic; differentiable w.r.t. pose, shape and global rotation
-    when inputs are tape nodes.
+    when inputs are tape nodes. ValueError when an input is not 1-D; the
+    widths are checked by `lbs_vertices`, with its message.
     """
-    P, S = model.pose_dim, model.shape_dim
-    if ad.value_of(pose).shape != (P,):
-        raise ValueError(f"pose must have shape ({P},)")
-    if ad.value_of(betas).shape != (S,):
-        raise ValueError(f"shape coefficients must have shape ({S},)")
-    if ad.value_of(glob).shape != (3,):
-        raise ValueError("global rotation must have shape (3,)")
-    verts = lbs_vertices(
-        model,
-        ad.reshape(pose, (1, P)),
-        ad.reshape(betas, (1, S)),
-        ad.reshape(glob, (1, 3)),
-    )
+    for name, x in (("pose", pose), ("shape", betas), ("global rotation", glob)):
+        if ad.value_of(x).ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {ad.value_of(x).shape}")
+    verts = lbs_vertices(model, *(ad.reshape(x, (1, -1)) for x in (pose, betas, glob)))
     return ad.reshape(verts, (model.num_vertices, 3))
 
 

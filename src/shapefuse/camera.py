@@ -13,20 +13,21 @@ coverage (a pixel is set when its center lies inside a projected
 triangle), which is all a binary silhouette channel needs — no z-buffer,
 no anti-aliasing. A mesh must be a closed, consistently oriented surface
 in front of the camera, as a `BodyModel` requires of its faces when
-built; the rasterizer then tests only the triangles of one facing, those
+built; the rasterizer then counts only the triangles of one facing, those
 with positive signed pixel area, which cover exactly the pixels the whole
-mesh covers and are the counter-clockwise triangles the coverage test
-requires. It has one path: each triangle is tested only at the pixel
-centers inside its bounding box, and the triangles, sorted by the longer
-and then the shorter side of that box, are tested in batches of at most
-`COVERAGE_CELLS` edge tests (or one triangle whose box alone is larger),
-so its working memory does not grow with the number of triangles.
-`covers_any_pixel` runs the same batches but stops at the first one that
-covers a pixel, so a visibility test costs a fraction of a full render
-and always agrees with `rasterize_silhouette(...).any()`.
+mesh covers. It has one path, a scanline fill from contour edges: the
+edges of those triangles whose twin face (`bodymodel.edge_twins`, built
+once per model) faces the other way. Each contour edge adds +1 or -1 at
+its crossing of each pixel-center row, and one cumulative sum gives each
+center's winding number. Centers within rounding of an edge are decided
+by the per-triangle rule instead (a tie repair), so the mask is that
+rule's, pixel for pixel. `covers_any_pixel` first tests one center
+against the largest positive triangle, and fills only when that fails,
+so it always agrees with `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
-`(vertices, faces, cam)`, and part assignment labels a silhouette the caller
-already rasterized by nearest projected vertex, so it takes no faces.
+`(vertices, faces, twins, cam)`, and part assignment labels a silhouette
+the caller already rasterized by nearest projected vertex, so it takes no
+faces.
 Images are square: every function takes one side `size` (S), in pixels.
 """
 
@@ -40,9 +41,8 @@ from . import autodiff as ad
 from .scalars import check_int, check_positive
 
 HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
-# edge tests per rasterizer batch: bounds its working memory, and the first
-# batch, which on a visible body is all that covers_any_pixel tests
-COVERAGE_CELLS = 1 << 13
+# relative rounding bound of the rasterizer's doubt set (see `_coverage`)
+_TIE_BOUND = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -124,132 +124,229 @@ def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def _covered_cells(tri_px: np.ndarray, size: int):
-    """Pixel-center coverage of 2D triangles (n, 3, 2) in an S x S image, yielded
-    per batch as the flat (row * S + col) indices of the cells the batch covers.
+def _face_pixels(vertices, faces: np.ndarray, cam: PerspCamera) -> tuple:
+    """The projected corners of the faces, x and y (3, F) with one row per
+    corner, and twice each face's signed pixel area (F,),
+    (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0).
 
-    Every triangle must be counter-clockwise and non-degenerate: positive
-    signed area (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0), as
-    `_projected_triangles` keeps. A pixel center (c + .5, r + .5) counts as
-    covered when it lies in the triangle's bounding box and all three edge
-    cross products are >= 0. A triangle's box is the frame's columns
-    ceil(min x - .5) .. floor(max x - .5), whose centers lie within its x
-    extent, by the same rule for rows; a triangle whose box is empty (off
-    the frame, or between two rows or columns of centers) is dropped. The
-    box clause matters only on a near-collinear sliver, whose rounded cross
-    products can accept centers on its line beyond its ends. Triangles are
-    sorted by the longer and then the shorter side of their box, so boxes
-    of one shape share batches, and cut into consecutive batches. A batch
-    is tested on one grid of its largest box height by its largest box
-    width, anchored at each triangle's own box corner, so it costs
-    (triangles x grid) edge tests; a batch holds at most `COVERAGE_CELLS` of
-    them, or one triangle whose box alone exceeds that. Grid cells past a
-    triangle's own box are dropped. A cell may be yielded more than once,
-    and a batch that covers nothing yields an empty array.
-    """
-    tri = np.asarray(tri_px, dtype=np.float64)
-    x = tri[:, :, 0]
-    y = tri[:, :, 1]
-    min_x = np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2])
-    max_x = np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
-    min_y = np.minimum(np.minimum(y[:, 0], y[:, 1]), y[:, 2])
-    max_y = np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2])
-    lo_c = np.clip(np.ceil(min_x - 0.5).astype(np.int64), 0, size)
-    hi_c = np.clip(np.floor(max_x - 0.5).astype(np.int64), -1, size - 1)
-    lo_r = np.clip(np.ceil(min_y - 0.5).astype(np.int64), 0, size)
-    hi_r = np.clip(np.floor(max_y - 0.5).astype(np.int64), -1, size - 1)
-    bw = hi_c - lo_c + 1
-    bh = hi_r - lo_r + 1
-    on_screen = np.flatnonzero((bw > 0) & (bh > 0))
-    order = on_screen[np.lexsort((np.minimum(bw, bh)[on_screen], np.maximum(bw, bh)[on_screen]))]
-    tri, lo_c, hi_c, lo_r, hi_r, bw, bh = (
-        np.take(a, order, axis=0) for a in (tri, lo_c, hi_c, lo_r, hi_r, bw, bh)
-    )
-
-    start = 0
-    while start < len(tri):
-        # a batch has at most COVERAGE_CELLS triangles, since each costs >= 1 cell
-        window = slice(start, start + COVERAGE_CELLS)
-        cells = (np.arange(1, len(bh[window]) + 1) * np.maximum.accumulate(bh[window])
-                 * np.maximum.accumulate(bw[window]))
-        stop = start + max(int(np.searchsorted(cells, COVERAGE_CELLS, side="right")), 1)
-        batch = slice(start, stop)
-        start = stop
-
-        rows = lo_r[batch, None, None] + np.arange(bh[batch].max())[None, :, None]
-        cols = lo_c[batch, None, None] + np.arange(bw[batch].max())[None, None, :]
-        py = rows + 0.5                                             # (n, grid_h, 1)
-        px = cols + 0.5                                             # (n, 1, grid_w)
-        x0, y0 = tri[batch, 0, 0, None, None], tri[batch, 0, 1, None, None]
-        x1, y1 = tri[batch, 1, 0, None, None], tri[batch, 1, 1, None, None]
-        x2, y2 = tri[batch, 2, 0, None, None], tri[batch, 2, 1, None, None]
-        inside = (
-            (rows <= hi_r[batch, None, None])
-            & (cols <= hi_c[batch, None, None])
-            & ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0)
-            & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
-            & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
-        )
-        yield (rows * size + cols)[inside]
-
-
-def _coverage_mask(tri_px: np.ndarray, size: int) -> np.ndarray:
-    """Pixel-center coverage of 2D triangles (n, 3, 2) -> (S, S) bool; see
-    `_covered_cells` for the coverage rule and the batching."""
-    mask = np.zeros((size, size), dtype=bool)
-    for cells in _covered_cells(tri_px, size):
-        mask.ravel()[cells] = True
-    return mask
-
-
-def _projected_triangles(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
-    """The faces with positive signed pixel area, in pixel coordinates,
-    (n, 3, 2); (0, 3, 2) when there are no vertices or no faces.
-
-    These triangles cover the same pixel centers as all the faces when the
-    faces form a closed, consistently oriented surface (each directed edge
-    occurs once and its reverse once) whose vertices all lie in front of
-    the camera. Count each triangle that covers a point +1 when its pixel
-    area is positive and -1 when negative. Crossing a projected edge
-    changes the terms of the two triangles sharing it by opposite
-    amounts, since they run along it in opposite directions; so the count
-    is constant between edges, and it is 0 far outside the image of the
-    surface. A covered point off the projected edges is therefore covered
-    by as many positive triangles as negative ones, hence by at least one
-    positive triangle. Under the toy model's outward winding,
-    positive pixel area marks the faces turned away from the camera,
-    because image v grows with y. Positive area makes them the
-    counter-clockwise, non-degenerate triangles `_covered_cells` requires.
+    The faces with positive area cover the same pixel centers as all the
+    faces when the faces form a closed, consistently oriented surface
+    (each directed edge occurs once and its reverse once) whose vertices
+    all lie in front of the camera. Count each triangle that covers a
+    point +1 when its pixel area is positive and -1 when negative.
+    Crossing a projected edge changes the terms of the two triangles
+    sharing it by opposite amounts, since they run along it in opposite
+    directions; so the count is constant between edges, and it is 0 far
+    outside the image of the surface. A covered point off the projected
+    edges is therefore covered by as many positive triangles as negative
+    ones, hence by at least one positive triangle. Under the toy model's
+    outward winding, positive pixel area marks the faces turned away from
+    the camera, because image v grows with y.
     """
     vertices = ad.value_of(vertices)
     if vertices.size == 0 or faces.size == 0:
-        return np.zeros((0, 3, 2))
-    tri = np.take(project_persp(vertices, cam), faces, axis=0)
-    area2 = (tri[:, 1, 0] - tri[:, 0, 0]) * (tri[:, 2, 1] - tri[:, 0, 1]) - (
-        tri[:, 1, 1] - tri[:, 0, 1]
-    ) * (tri[:, 2, 0] - tri[:, 0, 0])
-    return np.compress(area2 > 0.0, tri, axis=0)
+        return np.zeros((3, 0)), np.zeros((3, 0)), np.zeros(0)
+    pixels = project_persp(vertices, cam)
+    x, y = np.take(pixels[:, 0], faces.T), np.take(pixels[:, 1], faces.T)
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    return x, y, area2
 
 
-def rasterize_silhouette(vertices, faces: np.ndarray, cam: PerspCamera) -> np.ndarray:
-    """Binary coverage mask (S, S) uint8 of the projected mesh.
+def _rule_covers(x, y, px, py) -> np.ndarray:
+    """The coverage rule of positive-area triangles, broadcast over corners
+    x, y (3, ...) and pixel centers px, py: the center lies in the
+    triangle's bounding box and all three rounded edge cross products are
+    >= 0. The box clause matters only on a near-collinear sliver, whose
+    rounded cross products can accept centers on its line past its ends."""
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    return (
+        (np.minimum(np.minimum(x0, x1), x2) <= px) & (px <= np.maximum(np.maximum(x0, x1), x2))
+        & (np.minimum(np.minimum(y0, y1), y2) <= py) & (py <= np.maximum(np.maximum(y0, y1), y2))
+        & ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0)
+        & ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0)
+        & ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
+    )
 
-    The faces must form a closed, consistently oriented surface in front
-    of the camera; only the triangles of one facing are tested, which
-    cover the same pixels (see `_projected_triangles`).
+
+def _slots(counts: np.ndarray, first: np.ndarray) -> tuple:
+    """(owner, number) of every slot when item i holds counts[i] slots,
+    numbered first[i], first[i] + 1, ..."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) + (first - np.cumsum(counts) + counts)[owner]
+
+
+def _centers(lo, hi, size: int) -> tuple:
+    """The first and the last pixel index whose center (index + 0.5) lies in
+    [lo, hi], clipped to the frame; first > last when there is none."""
+    return (np.clip(np.ceil(lo - 0.5), 0, size).astype(np.int64),
+            np.clip(np.floor(hi - 0.5), -1, size - 1).astype(np.int64))
+
+
+def _rectangle_cells(rows: tuple, cols: tuple, size: int) -> np.ndarray:
+    """Flat indices (row * S + col) of the centers of each rectangle given
+    by its (first, last) rows and its (first, last) columns."""
+    n_cols = np.maximum(cols[1] - cols[0] + 1, 0)
+    owner, offset = _slots(np.maximum(rows[1] - rows[0] + 1, 0) * n_cols, np.zeros_like(n_cols))
+    n_cols = n_cols[owner]
+    return (rows[0][owner] + offset // n_cols) * size + cols[0][owner] + offset % n_cols
+
+
+def _coverage(x, y, area2, twins: np.ndarray, size: int) -> np.ndarray:
+    """The (S, S) bool mask of the pixel centers that some positive face
+    covers by `_rule_covers`, for a closed, consistently oriented surface:
+    faces with the twin table `twins` (F, 3) (`bodymodel.edge_twins`),
+    projected by `_face_pixels` to corners x, y (3, F) and doubled signed
+    areas `area2`.
+
+    *Fill.* Edges shared by two positive faces cancel (`_face_pixels`), so
+    the positive faces hold a point exactly when the winding number of
+    their contour edges about it is not 0. A contour edge is a directed
+    edge a -> b of a positive face whose twin face is not positive. It
+    crosses each center row with min(ya, yb) <= r + 0.5 < max(ya, yb)
+    once, at x = xa + (r + 0.5 - ya) / (yb - ya) * (xb - xa), and adds +1
+    going down or -1 going up at the first center at or right of x, column
+    ceil(x - 0.5), or at the spare column S. One `bincount` puts every
+    crossing into an array of the rows and columns that hold crossings,
+    and one cumulative sum gives the winding number at every center. The
+    sum runs over the flattened array: the contour edges form closed
+    loops, so each row's crossings sum to 0 and no count runs on into the
+    next row.
+
+    *Ties.* Rounding can move a crossing past a center, or flip the sign
+    of a rule's edge test, only at centers near an edge. Those centers
+    form the doubt set D, and each is decided by `_rule_covers` over the
+    positive faces. With eps = `_TIE_BOUND` = 2^-40, hundreds of times the
+    relative rounding error of either computation (a few units of 2^-53),
+    and X the largest |x| of a corner, D holds:
+    - for each non-horizontal edge of a positive face, each shared edge
+      once: the centers of its closed row span within eps (2 X + 1) of its
+      computed crossing;
+    - for each positive face with box width W and height H: the centers
+      of its box within eps W H^2 / max(area2, eps W H) of its middle
+      corner's y. That is all of its box when the sign of its area is in
+      doubt, and it holds the row of any horizontal edge of the face,
+      whose ends share the middle corner's y.
+    Off D no center lies on an edge and every crossing lies on its true
+    side, so the count is the exact winding number: the number of faces
+    holding the center. Every rule is exact there too. A rule that
+    disagrees with exact coverage has a rounded edge test of the wrong
+    sign, on an edge that is not horizontal, since a horizontal edge's
+    test is one exact-signed product. If the center's row is in that
+    edge's span, the center is in its window. Else the edge is one of the
+    two shorter edges in y, and the row lies in the spans of the other
+    two. Off their windows, the center's barycentric weights for them
+    exceed their rounding bounds, so its row lies within the face's band
+    about the middle corner. So off D the mask is the rule by
+    construction, and on D by evaluation.
     """
-    tri_px = _projected_triangles(vertices, faces, cam)
-    return _coverage_mask(tri_px, cam.size).astype(np.uint8)
+    positive = area2 > 0
+    if not positive.any():
+        return np.zeros((size, size), dtype=bool)
+    # directed edges a -> b of the positive faces, by flat corner-major
+    # index k F + f: the contour edges, and one direction of each edge
+    # that two positive faces share
+    n_faces = len(area2)
+    twin_positive = np.append(positive, False)[twins.T]
+    line = np.flatnonzero(positive & (~twin_positive | (twins.T > np.arange(n_faces))))
+    contour = ~twin_positive.ravel()[line]
+    head = np.where(line < 2 * n_faces, line + n_faces, line - 2 * n_faces)
+    xa, ya = x.ravel()[line], y.ravel()[line]
+    xb, yb = x.ravel()[head], y.ravel()[head]
+    dy = yb - ya
+    y_hi = np.maximum(ya, yb)
+    first, last = _centers(np.minimum(ya, yb), y_hi, size)
+    owner, row = _slots(np.maximum(last - first + 1, 0), first)
+    center_y = row + 0.5
+    cross = xa[owner] + (center_y - ya[owner]) / np.where(dy == 0, 1.0, dy)[owner] * (xb - xa)[owner]
+
+    mask = np.zeros((size, size), dtype=bool)
+    fill = np.flatnonzero(contour[owner] & (center_y < y_hi[owner]))
+    if fill.size:
+        rows, cols = row[fill], np.clip(np.ceil(cross[fill] - 0.5), 0, size).astype(np.int64)
+        r0, c0 = rows.min(), cols.min()
+        n_rows, n_cols = rows.max() - r0 + 1, cols.max() - c0 + 1
+        steps = np.bincount((rows - r0) * n_cols + cols - c0, weights=np.sign(dy[owner[fill]]),
+                            minlength=n_rows * n_cols)
+        mask[r0:r0 + n_rows, c0:c0 + n_cols - 1] = (np.cumsum(steps) != 0).reshape(
+            n_rows, n_cols)[:, :-1]
+
+    # the doubt set: centers near a crossing, and the faces' bands about
+    # their middle corners
+    window = _TIE_BOUND * (2.0 * np.abs(x).max() + 1.0)
+    off = cross - 0.5
+    doubt = np.flatnonzero(np.abs(off - np.rint(off)) <= window)
+    doubt_cols = _centers(cross[doubt] - window, cross[doubt] + window, size)
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    y_min, y_max = np.minimum(np.minimum(y0, y1), y2), np.maximum(np.maximum(y0, y1), y2)
+    y_mid = np.maximum(np.minimum(y0, y1), np.minimum(np.maximum(y0, y1), y2))
+    height = y_max - y_min
+    box = (np.maximum(np.maximum(x0, x1), x2) - np.minimum(np.minimum(x0, x1), x2)) * height
+    faces_up = np.flatnonzero(positive)
+    box, height, y_mid = box[faces_up], height[faces_up], y_mid[faces_up]
+    band = _TIE_BOUND * box * height / np.maximum(area2[faces_up], _TIE_BOUND * box)
+    off = y_mid - 0.5
+    in_band = np.flatnonzero(np.abs(off - np.rint(off)) <= band)
+    banded = faces_up[in_band]
+    if doubt.size or banded.size:
+        xs = x[:, banded]
+        cells = np.unique(np.concatenate([
+            _rectangle_cells((row[doubt], row[doubt]), doubt_cols, size),
+            _rectangle_cells(
+                _centers(np.maximum(y_min[banded], (y_mid - band)[in_band]),
+                         np.minimum(y_max[banded], (y_mid + band)[in_band]), size),
+                _centers(xs.min(axis=0), xs.max(axis=0), size), size),
+        ]))
+        mask.ravel()[cells] = _decide(x[:, positive], y[:, positive], cells, size)
+    return mask
 
 
-def covers_any_pixel(vertices, faces: np.ndarray, cam: PerspCamera) -> bool:
-    """Whether the projected mesh covers any pixel center, i.e. exactly
-    `rasterize_silhouette(vertices, faces, cam).any()`, stopping at the
-    first batch of triangles that covers one. Like `rasterize_silhouette`,
-    it requires a closed, consistently oriented surface and tests only the
-    triangles of one facing."""
-    tri_px = _projected_triangles(vertices, faces, cam)
-    return any(cells.size for cells in _covered_cells(tri_px, cam.size))
+def _decide(x, y, cells: np.ndarray, size: int) -> np.ndarray:
+    """Whether `_rule_covers` holds for any of the faces with corners x, y
+    (3, n) at each of the flat cells; row by row, over the faces whose
+    rows hold it."""
+    covered = np.zeros(len(cells), dtype=bool)
+    rows = cells // size
+    y_min, y_max = y.min(axis=0), y.max(axis=0)
+    for r in np.unique(rows):
+        at = np.flatnonzero(rows == r)
+        held = np.flatnonzero((y_min <= r + 0.5) & (r + 0.5 <= y_max))
+        px = (cells[at] % size + 0.5)[:, None]
+        covered[at] = _rule_covers(x[:, None, held], y[:, None, held], px, r + 0.5).any(axis=1)
+    return covered
+
+
+def _check_twins(faces: np.ndarray, twins: np.ndarray) -> None:
+    if np.shape(twins) != np.shape(faces):
+        raise ValueError(f"edge twins have shape {np.shape(twins)}, the faces {np.shape(faces)}")
+
+
+def rasterize_silhouette(vertices, faces: np.ndarray, twins: np.ndarray,
+                         cam: PerspCamera) -> np.ndarray:
+    """Binary coverage mask (S, S) uint8 of the projected mesh: faces (F, 3)
+    forming a closed, consistently oriented surface in front of the
+    camera, with their twin table `bodymodel.edge_twins(faces)` (a body
+    model holds it as `edge_twins`). A pixel is set when some face covers
+    its center; see `_coverage`."""
+    _check_twins(faces, twins)
+    return _coverage(*_face_pixels(vertices, faces, cam), twins, cam.size).astype(np.uint8)
+
+
+def covers_any_pixel(vertices, faces: np.ndarray, twins: np.ndarray, cam: PerspCamera) -> bool:
+    """Whether the projected mesh covers any pixel center: exactly
+    `rasterize_silhouette(vertices, faces, twins, cam).any()`, with the
+    same requirements. It first tests the center nearest the centroid of
+    the largest positive face against that face; the mask holds that
+    center when the rule covers it. Only when it does not is the mask
+    filled."""
+    _check_twins(faces, twins)
+    x, y, area2 = _face_pixels(vertices, faces, cam)
+    if area2.size and area2.max() > 0:
+        big = np.argmax(area2)
+        col, row = np.floor(x[:, big].mean()), np.floor(y[:, big].mean())
+        if 0 <= col < cam.size and 0 <= row < cam.size and _rule_covers(
+                x[:, big], y[:, big], col + 0.5, row + 0.5):
+            return True
+    return bool(_coverage(x, y, area2, twins, cam.size).any())
 
 
 def rasterize_part_assignment(vertices, part_labels: np.ndarray,

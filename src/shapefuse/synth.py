@@ -191,11 +191,13 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
     """Full single-sample pipeline: pose the body, sample a camera, render
     the proxy input, optionally corrupt it, and derive joint visibility.
 
-    Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until the
-    early-exit `covers_any_pixel` finds one that sees the clean mesh;
-    `ValueError` is raised when none does. The accepted view is then
-    rasterized in full exactly once, from the noisy mesh when vertex noise
-    applies and from the clean mesh otherwise.
+    Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until
+    `covers_any_pixel` finds one that sees the clean mesh (most views are
+    settled by one center of the largest back-facing triangle, the rest by
+    the rasterizer's fill); `ValueError` is raised when none does. The
+    accepted view is then rasterized in full exactly once, from the noisy
+    mesh when vertex noise applies and from the clean mesh otherwise. Both
+    take the model's `edge_twins` table.
     """
     size = gen_cfg.image_size
     vertices = bm.forward(model, theta, beta, glob)
@@ -209,7 +211,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
         candidate = cr.PerspCamera(gen_cfg.focal_length, size, translation)
-        if cr.covers_any_pixel(vertices, model.faces, candidate):
+        if cr.covers_any_pixel(vertices, model.faces, model.edge_twins, candidate):
             camera = candidate
             break
     if camera is None:
@@ -221,7 +223,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         rendered = vertices + rng.uniform(
             -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
         )
-    silhouette = cr.rasterize_silhouette(rendered, model.faces, camera)
+    silhouette = cr.rasterize_silhouette(rendered, model.faces, model.edge_twins, camera)
 
     keypoints3d = bm.regress_joints(model, vertices)
     joints2d = cr.project_persp(keypoints3d, camera)

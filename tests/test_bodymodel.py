@@ -308,6 +308,17 @@ class TestForward:
         with pytest.raises(ValueError):
             bm.forward(toy, np.zeros(toy.pose_dim), np.zeros(9), np.zeros(3))
 
+    def test_width_rejected_with_the_lbs_message(self):
+        # forward checks only that each input is 1-D; lbs_vertices states the widths
+        model = bm.generate_toy_model(4, 200, 12)
+        with pytest.raises(ValueError, match=re.escape("pose has shape (1, 5), the body model "
+                                                       "needs (B, 33)")):
+            bm.forward(model, np.zeros(5), np.zeros(10), np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("shape has shape (1, 4)")):
+            bm.forward(model, np.zeros(33), np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("pose must be 1-D, got shape (1, 33)")):
+            bm.forward(model, np.zeros((1, 33)), np.zeros(10), np.zeros(3))
+
     def test_jacobians_match_finite_differences(self):
         # directional derivative probe over 20 random configurations
         model = bm.generate_toy_model(seed=5, num_vertices=120, num_joints=8)
@@ -789,6 +800,65 @@ class TestClosedSurface:
 
     def test_empty_face_set_validates(self, toy):
         dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64))
+
+
+def closed_oriented(faces, num_vertices):
+    """Whether each directed edge of the faces occurs once and its reverse
+    occurs once, by two sorts of the directed edge keys: the model check
+    before the twin table."""
+    faces = faces.astype(np.int64)
+    tails, heads = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    edges = np.sort(tails * num_vertices + heads)
+    reverse = np.sort(heads * num_vertices + tails)
+    return not np.any(edges[1:] == edges[:-1]) and np.array_equal(edges, reverse)
+
+
+class TestEdgeTwins:
+    def test_twin_of_the_twin_is_the_edge(self, toy):
+        twins = toy.edge_twins
+        assert twins.shape == toy.faces.shape and twins.min() >= 0
+        faces = toy.faces
+        f, k = np.meshgrid(np.arange(len(faces)), np.arange(3), indexing="ij")
+        g = twins[f, k]
+        tail, head = faces[f, k], faces[f, (k + 1) % 3]
+        # the twin face holds the reverse edge head -> tail, at some corner j
+        at = (faces[g] == head[..., None]) & (np.roll(faces[g], -1, axis=-1) == tail[..., None])
+        assert np.all(at.sum(axis=-1) == 1)
+        j = np.argmax(at, axis=-1)
+        np.testing.assert_array_equal(twins[g, j], f)
+
+    def test_built_once_on_first_use_and_not_copied(self, toy):
+        model = dataclasses.replace(toy)
+        assert "edge_twins" not in vars(model)
+        assert model.edge_twins is model.edge_twins
+        moved = dataclasses.replace(model, faces=model.faces[:, [1, 2, 0]])
+        assert "edge_twins" not in vars(moved)
+        np.testing.assert_array_equal(moved.edge_twins, model.edge_twins[:, [1, 2, 0]])
+
+    @pytest.mark.parametrize("damage, closed", [
+        pytest.param(lambda faces: faces, True, id="closed"),
+        pytest.param(lambda faces: faces[1:], False, id="open"),
+        pytest.param(lambda faces: np.concatenate([faces, faces[:1]]), False, id="duplicated-edge"),
+        pytest.param(mis_wound_faces, False, id="flipped-face"),
+        pytest.param(lambda faces: np.concatenate([faces, faces[:1, ::-1]]), False,
+                     id="extra-reverse"),
+        pytest.param(lambda faces: faces[:0], True, id="no-faces"),
+        # an edge from a vertex to itself is its own reverse under both rules
+        pytest.param(lambda faces: np.array([[0, 0, 1]]), True, id="repeated-corner"),
+    ])
+    def test_verdict_matches_the_two_sort_check(self, toy, damage, closed):
+        faces = damage(toy.faces)
+        twins = bm.edge_twins(faces)
+        assert twins.shape == faces.shape
+        assert closed_oriented(faces, toy.num_vertices) == closed
+        assert np.all(twins >= 0) == closed
+        assert bm._is_closed_oriented(faces) == closed
+
+    def test_open_mesh_marks_the_boundary(self):
+        # two triangles sharing one edge: that edge pair is twinned, the
+        # four boundary edges are not
+        faces = np.array([[0, 1, 2], [2, 1, 3]])
+        np.testing.assert_array_equal(bm.edge_twins(faces), [[-1, 1, -1], [0, -1, -1]])
 
 
 class TestIndexDtypes:

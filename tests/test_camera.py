@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -71,12 +72,32 @@ def widened_box_coverage(tri_px, size, margin=2):
 
 def counter_clockwise(tri_px):
     """The non-degenerate triangles of a soup (n, 3, 2), each reordered to
-    positive signed area, as `_covered_cells` requires."""
+    positive signed area, as `widened_box_coverage` requires."""
     tri = np.array(tri_px, dtype=np.float64)
     (x0, y0), (x1, y1), (x2, y2) = tri[:, 0].T, tri[:, 1].T, tri[:, 2].T
     area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     tri[area2 < 0.0] = tri[area2 < 0.0][:, [0, 2, 1]]
     return tri[area2 != 0.0]
+
+
+def pillow(triangles):
+    """A closed, consistently oriented mesh of a triangle soup (n, 3, 3):
+    each triangle gets its own three vertices, and its reversed face with
+    corners 1 and 2 swapped, as `TWO_SIDED` has it. The two pixel areas are
+    then exact negatives, so the positive face is the triangle the oracle
+    tests. Returns (vertices (3n, 3), faces (2n, 3), edge twins)."""
+    n = len(triangles)
+    faces = np.arange(3 * n).reshape(n, 3)
+    faces = np.concatenate([faces, faces[:, [0, 2, 1]]])
+    return np.reshape(triangles, (3 * n, 3)), faces, bm.edge_twins(faces)
+
+
+def silhouette(vertices, faces, c):
+    return cam.rasterize_silhouette(vertices, faces, bm.edge_twins(faces), c)
+
+
+def covers(vertices, faces, c):
+    return cam.covers_any_pixel(vertices, faces, bm.edge_twins(faces), c)
 
 
 class TestWeakPerspective:
@@ -195,8 +216,8 @@ class TestPerspective:
     ], ids=["nan-x", "nan-z", "inf-y", "minus-inf-z"])
     @pytest.mark.parametrize("call", [
         lambda v, c: cam.project_persp(v, c),
-        lambda v, c: cam.rasterize_silhouette(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
-        lambda v, c: cam.covers_any_pixel(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
+        lambda v, c: silhouette(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
+        lambda v, c: covers(v, np.array([[0, 1, 2], [0, 2, 1]]), c),
     ], ids=["project", "rasterize", "covers"])
     def test_non_finite_point_rejected(self, bad, where, call):
         # a NaN z passes a `z <= eps` test, and a NaN pixel area is not
@@ -258,68 +279,68 @@ class TestRasterizer:
         verts = np.array([[-50.0, -50.0, 0.0], [50.0, -50.0, 0.0], [0.0, 80.0, 0.0]])
         faces = TWO_SIDED
         c = cam.PerspCamera(10.0, 32, np.array([0.0, 0.0, 1.0]))
-        mask = cam.rasterize_silhouette(verts, faces, c)
+        mask = silhouette(verts, faces, c)
         assert mask.all()
-        assert cam.covers_any_pixel(verts, faces, c) is True
+        assert covers(verts, faces, c) is True
         # the same mesh moved wholly past the frame's right edge
         shifted = verts + [200.0, 0.0, 0.0]
-        assert not cam.rasterize_silhouette(shifted, faces, c).any()
-        assert cam.covers_any_pixel(shifted, faces, c) is False
+        assert not silhouette(shifted, faces, c).any()
+        assert covers(shifted, faces, c) is False
 
     def test_empty_mesh_gives_zeros(self):
         c = cam.PerspCamera(10.0, 16, np.array([0.0, 0.0, 1.0]))
         verts, faces = np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
-        mask = cam.rasterize_silhouette(verts, faces, c)
+        mask = silhouette(verts, faces, c)
         assert mask.shape == (16, 16) and not mask.any()
-        assert cam.covers_any_pixel(verts, faces, c) is False
+        assert covers(verts, faces, c) is False
+
+    @pytest.mark.parametrize("call", [cam.rasterize_silhouette, cam.covers_any_pixel],
+                             ids=["rasterize", "covers"])
+    def test_twin_table_must_match_the_faces(self, call):
+        verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        c = cam.PerspCamera(50.0, 32, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="edge twins have shape"):
+            call(verts, TWO_SIDED, bm.edge_twins(TWO_SIDED)[:1], c)
 
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
         faces = TWO_SIDED
         c = cam.PerspCamera(50.0, 32, np.array([0.0, 0.0, 1.0]))
-        mask = cam.rasterize_silhouette(verts, faces, c)
+        mask = silhouette(verts, faces, c)
         assert not mask.any()
-        assert cam.covers_any_pixel(verts, faces, c) is False
+        assert covers(verts, faces, c) is False
 
-    @pytest.mark.parametrize("seed, size, spread, cells", [
-        *(pytest.param(100 + t, 64, 0.8, None, id=str(t)) for t in range(8)),
-        # boxes past 4096 cells (the old loop cutoff), off every frame edge;
-        # seeds whose meshes reach all four edges, as asserted below
-        *(pytest.param(s, 96, 4.0, None, id=f"96px-{s}") for s in (202, 204, 205)),
-        # a 64-cell budget splits batches, and single boxes exceed it
-        *(pytest.param(100 + t, 64, 0.8, 64, id=f"64cells-{t}") for t in range(3)),
+    @pytest.mark.parametrize("seed, size, spread", [
+        *(pytest.param(100 + t, 64, 0.8, id=str(t)) for t in range(8)),
+        # boxes past 4096 cells, off every frame edge; seeds whose meshes
+        # reach all four edges, as asserted below
+        *(pytest.param(s, 96, 4.0, id=f"96px-{s}") for s in (202, 204, 205)),
     ])
-    def test_matches_brute_force_oracle(self, seed, size, spread, cells, monkeypatch):
-        # a triangle soup, oriented here; the oracle takes either winding
-        if cells is not None:
-            monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
+    def test_matches_brute_force_oracle(self, seed, size, spread):
+        # a triangle soup, closed up as a pillow; the oracle takes either winding
         rng = np.random.default_rng(seed)
         verts = rng.uniform(-0.8, 0.8, size=(12, 3)) * [spread / 0.8, spread / 0.8, 1.0]
         faces = rng.integers(0, 12, size=(20, 3))
         c = cam.PerspCamera(40.0, size, np.array([0.0, 0.0, 2.0]))
         tri_px = cam.project_persp(verts, c)[faces]
-        got = cam._coverage_mask(counter_clockwise(tri_px), size)
         if size == 96:
             lo, hi = tri_px.min(axis=1), tri_px.max(axis=1)
             assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
         want = brute_force_coverage(tri_px.tolist(), size, size)
-        np.testing.assert_array_equal(got, want)
-        assert any(cells.size for cells in
-                   cam._covered_cells(counter_clockwise(tri_px), size)) == want.any()
+        soup, pillow_faces, twins = pillow(verts[faces])
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, pillow_faces, twins, c), want)
+        assert cam.covers_any_pixel(soup, pillow_faces, twins, c) == want.any()
 
-    @pytest.mark.parametrize("kind, seed, cells", [
-        *(pytest.param(k, s, None, id=f"{k}-{s}") for k in ("centers", "slivers", "collinear")
+    @pytest.mark.parametrize("kind, seed", [
+        *(pytest.param(k, s, id=f"{k}-{s}") for k in ("centers", "slivers", "collinear")
           for s in range(3)),
-        *(pytest.param(k, 0, 16, id=f"{k}-16cells") for k in ("centers", "slivers", "collinear")),
-        *(pytest.param(f"past-{edge}", s, None, id=f"past-{edge}-{s}")
+        *(pytest.param(f"past-{edge}", s, id=f"past-{edge}-{s}")
           for edge in ("left", "right", "top", "bottom") for s in range(2)),
     ])
-    def test_tight_boxes_match_brute_force(self, kind, seed, cells, monkeypatch):
-        # triangles on and between pixel centers, where a box's ends are
-        # decided; per triangle and as one soup, at a budget that batches them
-        if cells is not None:
-            monkeypatch.setattr(cam, "COVERAGE_CELLS", cells)
+    def test_tight_boxes_match_brute_force(self, kind, seed):
+        # triangles on and between pixel centers, where the fill's crossings
+        # tie with centers; per triangle and as one soup
         size = 24
         c = cam.PerspCamera(1.0, size, np.array([0.0, 0.0, 1.0]))
         designed = hard_triangles(kind, np.random.default_rng(seed), size, 40)
@@ -327,23 +348,22 @@ class TestRasterizer:
         tri_px = cam.project_persp(verts, c)
         masks = [brute_force_coverage([t.tolist()], size, size) for t in tri_px]
         for v, want in zip(verts, masks):
-            assert cam.covers_any_pixel(v, TWO_SIDED, c) == want.any()
-            np.testing.assert_array_equal(cam.rasterize_silhouette(v, TWO_SIDED, c), want)
+            assert covers(v, TWO_SIDED, c) == want.any()
+            np.testing.assert_array_equal(silhouette(v, TWO_SIDED, c), want)
         want = np.any(masks, axis=0)
-        np.testing.assert_array_equal(cam._coverage_mask(counter_clockwise(tri_px), size), want)
-        assert any(cells.size for cells in
-                   cam._covered_cells(counter_clockwise(tri_px), size)) == want.any()
+        soup, faces, twins = pillow(verts)
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, faces, twins, c), want)
+        assert cam.covers_any_pixel(soup, faces, twins, c) == want.any()
         if kind.startswith("past"):
-            # no center lies within their boxes, so no batch is tested
+            # no center lies within their boxes
             assert not want.any()
-            assert list(cam._covered_cells(counter_clockwise(tri_px), size)) == []
         else:
             assert want.any()
 
     def test_sliver_line_past_its_box_not_covered(self):
         # a near-collinear sliver along x + y = 17: the rounded edge tests
         # accept the centers (2.5, 14.5) and (1.5, 15.5) on its line, left of
-        # its leftmost vertex, so outside it; a box of whole centers drops them
+        # its leftmost vertex, so outside it; the rule's box clause drops them
         tri = np.array([[14.565855547963992, 2.4341444520360147],
                         [3.079821961670765, 13.920178038329235],
                         [8.611650750443419, 8.388349249556583]])
@@ -354,7 +374,11 @@ class TestRasterizer:
             assert ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= 0
                     and (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0
                     and (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
-        got = cam._coverage_mask(tri[None], 16)
+        # the camera maps these vertices back to the sliver's pixels exactly
+        c = cam.PerspCamera(1.0, 16, np.array([0.0, 0.0, 1.0]))
+        soup, faces, twins = pillow(np.concatenate([tri - 8, np.zeros((3, 1))], axis=1)[None])
+        np.testing.assert_array_equal(cam.project_persp(soup, c), tri)
+        got = cam.rasterize_silhouette(soup, faces, twins, c)
         assert not got[14, 2] and not got[15, 1]
         np.testing.assert_array_equal(got, brute_force_coverage([tri.tolist()], 16, 16))
 
@@ -362,7 +386,7 @@ class TestRasterizer:
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
         verts = bm.shaped_template(model, np.zeros(10))
         c = cam.PerspCamera(150.0, 128, np.array([0.0, -0.2, 2.5]))
-        sil = cam.rasterize_silhouette(verts, model.faces, c)
+        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
         assign = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
 
@@ -391,10 +415,20 @@ class TestClosedMeshRasterizer:
             # Python floats: the same arithmetic as numpy scalars, several times faster
             want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 48, 48)
             assert want.any() and not want.all()
-            np.testing.assert_array_equal(cam.rasterize_silhouette(verts, model.faces, c), want)
             np.testing.assert_array_equal(
-                cam.rasterize_silhouette(verts, model.faces[:, ::-1], c), want)
-            assert cam.covers_any_pixel(verts, model.faces, c) is True
+                cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c), want)
+            np.testing.assert_array_equal(silhouette(verts, model.faces[:, ::-1], c), want)
+            assert cam.covers_any_pixel(verts, model.faces, model.edge_twins, c) is True
+
+    def test_matches_brute_force_at_streamed_training_size(self):
+        # 600 vertices at 64 px, the size the streamed training renders
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 5, [1])[0]
+        want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 64, 64)
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(
+            cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c), want)
 
     @pytest.fixture(scope="class")
     def benchmark_model(self):
@@ -409,31 +443,158 @@ class TestClosedMeshRasterizer:
                 counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256)
             assert want.any() == (shift < 3.0) and not want.all()
             for faces in (model.faces, model.faces[:, ::-1]):
-                kept = len(cam._projected_triangles(verts, faces, c))
+                kept = np.count_nonzero(cam._face_pixels(verts, faces, c)[2] > 0)
                 assert 0 < kept < len(faces)
-                np.testing.assert_array_equal(cam.rasterize_silhouette(verts, faces, c), want)
-                assert cam.covers_any_pixel(verts, faces, c) == want.any()
+                np.testing.assert_array_equal(silhouette(verts, faces, c), want)
+                assert covers(verts, faces, c) == want.any()
             if shift == 1.0:
                 assert want[:, -1].any()
 
-    def test_visibility_stops_at_the_first_batch(self, benchmark_model, monkeypatch):
-        # a visible body's first batch covers a pixel, so covers_any_pixel
-        # pulls one batch of the many that a full render pulls
+    @pytest.mark.parametrize("shift, accepted", [(0.0, True), (1.0, None), (3.0, False)],
+                             ids=["centred", "past-edge", "off-frame"])
+    def test_covers_any_pixel_is_the_masks_any(self, benchmark_model, shift, accepted,
+                                               monkeypatch):
+        # a visible body is settled by its largest face alone; a body off
+        # the frame needs the fill
         model = benchmark_model
-        c = cam.PerspCamera(300.0, 256, np.array([0.0, -0.2, 2.5]))
-        verts = posed_noisy_bodies(model, 7, [0])[0]
-        covered_cells, pulled = cam._covered_cells, []
+        c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
+        filled = filling(monkeypatch)
+        for verts in posed_noisy_bodies(model, 11, [0, 1, 2, 3]):
+            want = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c).any()
+            del filled[:]
+            assert cam.covers_any_pixel(verts, model.faces, model.edge_twins, c) == want
+            if accepted is not None:
+                assert want == accepted and bool(filled) != accepted
 
-        def counting(tri_px, size):
-            pulled.append(0)
-            for cells in covered_cells(tri_px, size):
-                pulled[-1] += 1
-                yield cells
+    @pytest.mark.parametrize("small_at, want", [(0.0, True), (40.0, False)],
+                             ids=["small-visible", "both-off-frame"])
+    def test_fill_decides_when_the_largest_face_is_off_frame(self, small_at, want, monkeypatch):
+        # a large triangle wholly left of the frame and a small one at
+        # small_at: the center nearest the large one's centroid is off the
+        # frame, so the quick test fails and the fill decides
+        c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
+        large = [[-60.0, -10.0, 0.0], [-30.0, -10.0, 0.0], [-45.0, 10.0, 0.0]]
+        small = [[small_at - 2, -2.0, 0.0], [small_at + 2, -2.0, 0.0], [small_at, 2.0, 0.0]]
+        verts, faces, twins = pillow(np.array([large, small]))
+        filled = filling(monkeypatch)
+        assert cam.covers_any_pixel(verts, faces, twins, c) is want
+        assert len(filled) == 1
+        assert cam.rasterize_silhouette(verts, faces, twins, c).any() == want
 
-        monkeypatch.setattr(cam, "_covered_cells", counting)
-        assert cam.covers_any_pixel(verts, model.faces, c) is True
-        assert cam.rasterize_silhouette(verts, model.faces, c).any()
-        assert pulled[0] == 1 < pulled[1]
+
+def filling(monkeypatch):
+    """A list that gets one entry per `camera._coverage` fill."""
+    filled, coverage = [], cam._coverage
+
+    def counting(*args):
+        filled.append(0)
+        return coverage(*args)
+
+    monkeypatch.setattr(cam, "_coverage", counting)
+    return filled
+
+
+# focal 64 at depth 2 projects a vertex at z = 0 to pixel 32 x + 32 exactly,
+# for pixels in [16, 64]
+EXACT = cam.PerspCamera(64.0, 64, np.array([0.0, 0.0, 2.0]))
+
+
+def place(verts, i, u, v):
+    """Move vertex i to depth 0 where `EXACT` projects it to (u, v)."""
+    verts[i] = [(u - 32.0) / 32.0, (v - 32.0) / 32.0, 0.0]
+    np.testing.assert_array_equal(cam.project_persp(verts[i], EXACT), [u, v])
+
+
+class TestTieRepair:
+    """Posed, noisy bodies with pixel centers put on their edges, where the
+    fill's crossings tie with centers: the tie repair decides some centers
+    by the per-face rule, and the mask matches the per-pixel oracle."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        """The number of centers of each tie decision made in the test."""
+        counts, decide = [], cam._decide
+
+        def counting(x, y, cells, size):
+            counts.append(len(cells))
+            return decide(x, y, cells, size)
+
+        monkeypatch.setattr(cam, "_decide", counting)
+        return counts
+
+    @pytest.fixture
+    def body(self):
+        model = bm.generate_toy_model(seed=2, num_vertices=150, num_joints=16)
+        verts = posed_noisy_bodies(model, 3, [0])[0]
+        x, y, area2 = cam._face_pixels(verts, model.faces, EXACT)
+        inner = np.all((x >= 20) & (x <= 44) & (y >= 20) & (y <= 44), axis=0)
+        return model, verts, np.flatnonzero(inner & (area2 > 0))
+
+    @staticmethod
+    def check(model, verts, decided):
+        want = brute_force_coverage(cam.project_persp(verts, EXACT)[model.faces].tolist(), 64, 64)
+        assert want.any() and not want.all()
+        got = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, EXACT)
+        assert decided and min(decided) > 0
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("tri", [
+        [[11.5, 8.000000000000007], [1.7763568394002505e-15, 5.000000000000001],
+         [6.0, 11.000000000000005]],
+        [[8.500000000000004, 1.5], [3.9999999999999636, 3.5000000000000018],
+         [15.5, 6.500000000000001]],
+    ], ids=["corner", "side"])
+    def test_crossing_within_rounding_of_a_center(self, tri, decided):
+        # from a random search of triangles near the half-pixel lattice: a
+        # center that lies within rounding of an edge, where the computed
+        # crossing and the rule's rounded edge test disagree, so only the
+        # crossing's window sends it to the rule
+        c = cam.PerspCamera(1.0, 16, np.array([0.0, 0.0, 1.0]))
+        verts = np.concatenate([np.array(tri) - 8, np.zeros((3, 1))], axis=1)
+        soup, faces, twins = pillow(verts[None])
+        want = brute_force_coverage([cam.project_persp(verts, c).tolist()], 16, 16)
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, faces, twins, c), want)
+        assert decided
+
+    def test_vertex_on_a_pixel_center(self, body, decided):
+        model, verts, inner = body
+        corner = model.faces[inner[0], 0]
+        u, v = cam.project_persp(verts[corner], EXACT)
+        place(verts, corner, np.floor(u) + 0.5, np.floor(v) + 0.5)
+        self.check(model, verts, decided)
+
+    def test_contour_edge_along_a_center_row(self, body, decided):
+        model, verts, inner = body
+        for face, k in itertools.product(inner, range(3)):
+            a, b = model.faces[face, k], model.faces[face, (k + 1) % 3]
+            moved = verts.copy()
+            (ua, va), (ub, vb) = cam.project_persp(verts[[a, b]], EXACT)
+            row = np.floor((va + vb) / 2) + 0.5
+            place(moved, a, ua, row)
+            place(moved, b, ub, row)
+            area2 = cam._face_pixels(moved, model.faces, EXACT)[2]
+            if area2[face] > 0 and not area2[model.edge_twins[face, k]] > 0:
+                break
+        else:
+            pytest.fail("no contour edge stays one when laid along a row")
+        self.check(model, moved, decided)
+
+    def test_sliver_face(self, body, decided):
+        # a corner 1e-15 px off the line of the other two: the sign of the
+        # face's pixel area is in doubt, so its whole box is decided by rule
+        model, verts, inner = body
+        for face, step in itertools.product(inner, (1e-15, 2e-15, 4e-15, 8e-15)):
+            a, b, corner = model.faces[face]
+            moved = verts.copy()
+            pa, pb = cam.project_persp(verts[[a, b]], EXACT)
+            normal = np.array([pb[1] - pa[1], pa[0] - pb[0]]) / np.hypot(*(pb - pa))
+            place(moved, corner, *((pa + pb) / 2 + step * normal))
+            area2 = cam._face_pixels(moved, model.faces, EXACT)[2][face]
+            if 0 < area2 < 1e-12:
+                break
+        else:
+            pytest.fail("no sliver with a positive pixel area")
+        self.check(model, moved, decided)
 
 
 class TestHeatmaps:

@@ -13,9 +13,11 @@ fall through to numpy. Code written against these functions therefore runs
 identically with and without gradient tracking.
 
 Every primitive records through `_op`, one (operand, VJP) pair per `Node`
-operand. Operands broadcast as numpy broadcasts them; the sweep sums each
-VJP result back over the broadcast axes to its operand's shape, for every
-primitive alike. There is no general tensor-shape algebra beyond that.
+operand; the many-operand primitives (`einsum`, `stack`, `concat`) build a
+VJP only for their `Node` operands, so an untaped call builds none.
+Operands broadcast as numpy broadcasts them; the sweep sums each VJP result
+back over the broadcast axes to its operand's shape, for every primitive
+alike. There is no general tensor-shape algebra beyond that.
 """
 
 from __future__ import annotations
@@ -357,13 +359,13 @@ def einsum(subscripts: str, *operands):
             return np.einsum(spec, g, *values[:i], *values[i + 1:])
         return vjp_i
 
-    return _op(out, *[(op, vjp(i)) for i, op in enumerate(operands)])
+    return _op(out, *[(op, vjp(i)) for i, op in enumerate(operands) if isinstance(op, Node)])
 
 
 def stack(items, axis=0):
     out = np.stack([value_of(it) for it in items], axis=axis)
     return _op(out, *[(it, lambda g, i=i: np.take(g, i, axis=axis))
-                      for i, it in enumerate(items)])
+                      for i, it in enumerate(items) if isinstance(it, Node)])
 
 
 def concat(items, axis=0):
@@ -378,7 +380,7 @@ def concat(items, axis=0):
             return g[tuple(index)]
         return vjp_i
 
-    return _op(out, *[(it, vjp(i)) for i, it in enumerate(items)])
+    return _op(out, *[(it, vjp(i)) for i, it in enumerate(items) if isinstance(it, Node)])
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,17 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     ValueError, naming the argument's shape and the model's width, when an
     argument is not (B, width), or when the batch sizes differ.
 
+    The transpose of the component-major skinning `_skinned_components`,
+    the one skinning path: see there for the method.
+    """
+    return ad.transpose(_skinned_components(model, pose, betas, glob), (0, 2, 1))
+
+
+def _skinned_components(model: BodyModel, pose, betas, glob):
+    """Batched forward into the component-major layout: (B,P),(B,S),(B,3)
+    -> posed vertices (B,3,V), with the checks and messages of
+    `lbs_vertices`. `metrics.per_vertex_uncertainty` reads its rows.
+
     Joint pivots regress linearly from the shaped template, so they are
     linear in the shape coefficients: p = p_rest + betas @ basis, by the
     model's `joint_basis`, with no (J, V) product per call. Rotations
@@ -390,9 +401,9 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     `skinning` layout: the shaped body is the one (B, S) @ (S, 3V) product
     of `shaped_template`, the blend of R - I is one (B*9, J) @ (J, V)
     product and that of u one (B*3, J) @ (J, V) product, and each vertex
-    applies its blended 3x3 with the vertex innermost. One transpose gives
-    the (B, V, 3) result. R - I and u are exactly 0 at the rest pose, so
-    the rest pose reproduces the shaped template bit for bit.
+    applies its blended 3x3 with the vertex innermost. R - I and u are
+    exactly 0 at the rest pose, so the rest pose reproduces the shaped
+    template bit for bit.
     """
     J, V = model.num_joints, model.num_vertices
     for name, x, width in (("pose", pose, model.pose_dim), ("shape", betas, model.shape_dim),
@@ -420,7 +431,7 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
         "bklv,blv->bkv", ad.reshape(ad.matmul(rot_delta, weights), (B, 3, 3, V)), shaped
     )
     trans = ad.matmul(ad.reshape(ad.transpose(world[..., 3], (0, 2, 1)), (B * 3, J)), weights)
-    return ad.transpose(shaped + rot_offset + ad.reshape(trans, (B, 3, V)), (0, 2, 1))
+    return shaped + rot_offset + ad.reshape(trans, (B, 3, V))
 
 
 def forward(model: BodyModel, pose, betas, glob):

@@ -65,6 +65,8 @@ class PredictionSet:
             raise ValueError("global rotation and camera must be 3-vectors per sample")
         if self.shape.mean.shape[:-1] != lead:
             raise ValueError("pose and shape must cover the same samples")
+        if not np.all(np.isfinite(self.global_rot)) or not np.all(np.isfinite(self.camera)):
+            raise ValueError("global rotation and camera must be finite")
         if not np.all(self.camera[..., 0] > 0):
             raise ValueError("camera scale must be positive")
 

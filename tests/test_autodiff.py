@@ -565,6 +565,43 @@ class TestOneRecorder:
         assert type(got) is type(want)  # an ndarray, or numpy's scalar for sum_
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["einsum", "stack", "concat"])
+    def test_vjps_only_for_node_operands(self, name, monkeypatch):
+        # the many-operand primitives hand `_op` one VJP per Node operand and
+        # none for a plain array, so an untaped call builds no closure
+        call = {"einsum": lambda *xs: ad.einsum("ij,jk,kl->il", *xs),
+                "stack": lambda *xs: ad.stack(list(xs), axis=1),
+                "concat": lambda *xs: ad.concat(list(xs), axis=1)}[name]
+        record = ad._op
+        handed = []
+
+        def recording(out, *pairs):
+            handed.append([x for x, _ in pairs])
+            return record(out, *pairs)
+
+        monkeypatch.setattr(ad, "_op", recording)
+        values = [_VALUES, _VALUES.T, _VALUES + 1.0]
+        plain = call(*values)
+        assert type(plain) is np.ndarray and handed == [[]]
+        tape = ad.Tape()
+        node = tape.variable(values[1])
+        taped = call(values[0], node, values[2])
+        assert handed[1] == [node]
+        np.testing.assert_array_equal(taped.value, plain)
+        np.testing.assert_array_equal(plain, {
+            "einsum": np.einsum("ij,jk,kl->il", *values),
+            "stack": np.stack(values, axis=1),
+            "concat": np.concatenate(values, axis=1)}[name])
+
+    @pytest.mark.parametrize("spec,n_operands", [("ij,jk", 2), ("ii->i", 1), ("ij->i", 1),
+                                                  ("ij,jk,kl->il", 2), ("ij,jk->ik", 2)])
+    def test_einsum_checks_untaped_subscripts(self, spec, n_operands):
+        # the subscript check runs on every call, not only when recording:
+        # numpy alone would accept all but the operand count
+        second = np.ones((1, 2)) if spec == "ij,jk->ik" else np.ones((2, 2))
+        with pytest.raises(ValueError):
+            ad.einsum(spec, np.ones((2, 2)), *[second] * (n_operands - 1))
+
     @pytest.mark.parametrize("row_shape", [(1, 4), (4,)], ids=["1xn", "n"])
     @pytest.mark.parametrize("op", [
         pytest.param(ad.mul, id="mul"),

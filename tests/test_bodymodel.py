@@ -392,6 +392,34 @@ class TestBatchedLBS:
         with pytest.raises(ValueError, match=re.escape(f"batch sizes {list(batch)}")):
             bm.lbs_vertices(model, *args)
 
+    def test_is_the_component_major_core_transposed(self, toy):
+        rng = np.random.default_rng(35)
+        args = [rng.normal(scale=0.5, size=(4, width)) for width in (toy.pose_dim, 10, 3)]
+        core = bm._skinned_components(toy, *args)
+        assert core.shape == (4, 3, toy.num_vertices)
+        got = bm.lbs_vertices(toy, *args)
+        assert type(got) is np.ndarray and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, core.transpose(0, 2, 1))
+        tape = ad.Tape()
+        taped = bm.lbs_vertices(toy, *[tape.variable(a) for a in args])
+        taped_core = bm._skinned_components(toy, *[tape.variable(a) for a in args])
+        np.testing.assert_array_equal(taped.value, got)
+        np.testing.assert_array_equal(taped_core.value, core)
+
+    @pytest.mark.parametrize("seed,V,J,nodes", [(4, 200, 12, 67), (11, 300, 16, 70),
+                                                (0, 600, 24, 82)])
+    def test_tape_nodes_per_call(self, seed, V, J, nodes):
+        # 55 nodes plus three per tree level (4, 5 and 9 levels here), the
+        # count from when `lbs_vertices` held the skinning itself: its one
+        # own node is the transpose of `_skinned_components`
+        model = bm.generate_toy_model(seed=seed, num_vertices=V, num_joints=J)
+        rng = np.random.default_rng(5)
+        tape = ad.Tape()
+        args = [tape.variable(rng.normal(scale=0.3, size=(3, width)))
+                for width in (model.pose_dim, model.shape_dim, 3)]
+        bm.lbs_vertices(model, *args)
+        assert len(tape.nodes) - len(args) == nodes
+
     def test_zero_pose_is_shaped_template_exact(self, toy):
         betas = np.random.default_rng(13).normal(size=(5, 10))
         zero = np.zeros((5, toy.pose_dim))

@@ -263,3 +263,14 @@ class TestPredictionSet:
             PredictionSet(GaussianDiag(np.zeros((3, 4)), np.ones((3, 4))),
                           GaussianDiag(np.zeros((3, 2)), np.ones((3, 2))),
                           np.zeros((3, 3)), camera)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field,entry", [("global_rot", 0), ("global_rot", 2),
+                                             ("camera", 0), ("camera", 1), ("camera", 2)])
+    def test_non_finite_rotation_or_camera_rejected(self, field, entry, bad):
+        fields = dict(pose=GaussianDiag(np.zeros((3, 4)), np.ones((3, 4))),
+                      shape=GaussianDiag(np.zeros((3, 2)), np.ones((3, 2))),
+                      global_rot=np.zeros((3, 3)), camera=np.ones((3, 3)))
+        fields[field][1, entry] = bad
+        with pytest.raises(ValueError, match="^global rotation and camera must be finite$"):
+            PredictionSet(**fields)

@@ -244,28 +244,57 @@ def uncertainty_one_call(pred, model, n, rng) -> np.ndarray:
     return np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
 
 
+def uncertainty_and_core_draws(pred, model, n, rng, monkeypatch):
+    """`metrics.per_vertex_uncertainty` with every block that its skinning
+    core returns recorded, as the (n, V, 3) transpose of the blocks."""
+    blocks = []
+    core = bm._skinned_components
+
+    def recording(*args):
+        out = core(*args)
+        blocks.append(np.asarray(out))
+        return out
+
+    monkeypatch.setattr(bm, "_skinned_components", recording)
+    got = metrics.per_vertex_uncertainty(pred, model, n_samples=n, rng=rng)
+    return got, [len(b) for b in blocks], np.concatenate(blocks).transpose(0, 2, 1)
+
+
 class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
         pred = uncertainty_prediction(model, 6)
         monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 7 * 200 + 199)
-        draws = []
-        lbs = bm.lbs_vertices
-
-        def recording(*args):
-            out = lbs(*args)
-            draws.append(np.asarray(out))
-            return out
-
-        monkeypatch.setattr(bm, "lbs_vertices", recording)
-        got = metrics.per_vertex_uncertainty(pred, model, n_samples=30,
-                                             rng=np.random.default_rng(7))
-        assert [len(d) for d in draws] == [7, 7, 7, 7, 2]  # ceil(30 / 7) blocks
-        verts = np.concatenate(draws)
+        got, sizes, verts = uncertainty_and_core_draws(pred, model, 30,
+                                                       np.random.default_rng(7), monkeypatch)
+        assert sizes == [7, 7, 7, 7, 2]  # ceil(30 / 7) blocks
         assert verts.shape == (30, 200, 3)
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
+
+    def test_equals_linalg_norm_bit_for_bit_at_benchmark_size(self, monkeypatch):
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        pred = uncertainty_prediction(model, 14)
+        got, sizes, verts = uncertainty_and_core_draws(pred, model, 100,
+                                                       np.random.default_rng(15), monkeypatch)
+        assert sizes == [19] * 5 + [5]  # the default budget of 2^17 rows
+        want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
+        assert want.min() > 0
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field,value", [("global_rot", [0, 0, 0]), ("camera", [1, 0, 0])])
+    def test_non_finite_rotation_or_camera_rejected(self, field, value, bad):
+        # unchecked, a non-finite global rotation gave an all-NaN uncertainty
+        # and no error; the camera is checked with it, as one rule
+        model = bm.generate_toy_model(4, 200, 12)
+        pred = uncertainty_prediction(model, 6)
+        value = np.array(value, dtype=np.float64)
+        value[1] = bad
+        with pytest.raises(ValueError, match="^global rotation and camera must be finite$"):
+            metrics.per_vertex_uncertainty(dataclasses.replace(pred, **{field: value}), model,
+                                           n_samples=3, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("field,width,need", [("pose", 5, 33), ("shape", 4, 10)])
     def test_width_mismatch_rejected(self, field, width, need):

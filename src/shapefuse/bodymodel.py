@@ -372,7 +372,8 @@ def _world_blocks(tree: KinematicTree, local_rots, pivots):
 def lbs_vertices(model: BodyModel, pose, betas, glob):
     """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3);
     ValueError, naming the argument's shape and the model's width, when an
-    argument is not (B, width), or when the batch sizes differ.
+    argument is not (B, width), when the batch sizes differ, or when any
+    value is NaN or infinite.
 
     The transpose of the component-major skinning `_skinned_components`,
     the one skinning path: see there for the method.
@@ -414,6 +415,8 @@ def _skinned_components(model: BodyModel, pose, betas, glob):
     batch = [len(ad.value_of(x)) for x in (pose, betas, glob)]
     if len(set(batch)) != 1:
         raise ValueError(f"pose, shape and global rotation have batch sizes {batch}")
+    if not all(np.isfinite(ad.value_of(x)).all() for x in (pose, betas, glob)):
+        raise ValueError("pose, shape and global rotation must be finite")
     B = batch[0]
 
     shaped = _shaped_components(model, betas)                  # (B, 3, V)
@@ -439,7 +442,7 @@ def forward(model: BodyModel, pose, betas, glob):
 
     Deterministic; differentiable w.r.t. pose, shape and global rotation
     when inputs are tape nodes. ValueError when an input is not 1-D; the
-    widths are checked by `lbs_vertices`, with its message.
+    widths and values are checked by `lbs_vertices`, with its messages.
     """
     for name, x in (("pose", pose), ("shape", betas), ("global rotation", glob)):
         if ad.value_of(x).ndim != 1:

@@ -27,7 +27,10 @@ so it always agrees with `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, twins, cam)`, and part assignment labels a silhouette
 the caller already rasterized by nearest projected vertex, so it takes no
-faces.
+faces. The nearest vertex is exact, the lowest index on ties, and is
+found on a pixel grid over the silhouette's box, whose (2K+1)^2 block of
+cells about a pixel, for K = 1, 2, 4, ..., holds every vertex within
+K + 1/2 of its centre.
 Images are square: every function takes one side `size` (S), in pixels.
 """
 
@@ -355,22 +358,74 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
 
     `silhouette` is the body's coverage mask under `cam`, as returned by
     `rasterize_silhouette`; it is not rasterized again here. Each covered
-    pixel is assigned the part of its nearest projected vertex, giving a
-    deterministic partition of the silhouette (the per-part masks tile the
-    silhouette exactly, mirroring a part segmentation).
-    """
-    from scipy.spatial import cKDTree
+    pixel is assigned the part of its nearest projected vertex: the exact
+    `argmin` over the vertices of the squared distance to the pixel's
+    centre, the lowest vertex index on ties. The per-part masks tile the
+    silhouette exactly, mirroring a part segmentation.
 
+    The search (`_nearest_points`) runs on a grid of pixel cells over the
+    silhouette's box plus a one-cell margin. Each vertex goes into the
+    cell of its pixel; a vertex off the grid goes into the nearest border
+    cell, so a far-off vertex costs no memory. The (2K+1)^2 block of cells
+    about a pixel holds every vertex within K + 1/2 of its centre, so a
+    best squared distance of at most K^2 + K found in it is final. The
+    pixels not settled are searched again with K doubled, from K = 1,
+    until a block covers the grid.
+    """
     assignment = np.full(silhouette.shape, -1, dtype=np.int64)
     rows, cols = np.nonzero(silhouette)
     if rows.size == 0:
         return assignment
     projected = project_persp(ad.value_of(vertices), cam)
-    tree = cKDTree(projected)
-    centers = np.stack([cols + 0.5, rows + 0.5], axis=1)
-    _, nearest = tree.query(centers)
-    assignment[rows, cols] = np.asarray(part_labels)[nearest]
+    assignment[rows, cols] = np.asarray(part_labels)[_nearest_points(projected, rows, cols)]
     return assignment
+
+
+def _nearest_points(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each pixel (rows[i], cols[i]), the index of the point of `points`
+    (V >= 1, 2) nearest its centre (cols + 0.5, rows + 0.5) by the squared
+    distance du^2 + dv^2, the lowest index on ties, by the grid search of
+    `rasterize_part_assignment`, without a (pixels, V) table.
+
+    The block bound: a point beyond a block's columns lies at least
+    K + 1/2 from the centre in u, and one beyond its rows in v. Clamping a
+    point into a border cell keeps it in every block its own cell lies in,
+    since a block reaching past the grid is cut at the border. K^2 + K is a quarter below (K + 1/2)^2, a margin far above the
+    distances' rounding, so no point outside the block can tie or beat
+    that best.
+    """
+    r0, c0 = rows.min() - 1, cols.min() - 1
+    n_rows, n_cols = rows.max() - r0 + 2, cols.max() - c0 + 2
+    cell = (np.clip(np.floor(points[:, 1]) - r0, 0, n_rows - 1).astype(np.int64) * n_cols
+            + np.clip(np.floor(points[:, 0]) - c0, 0, n_cols - 1).astype(np.int64))
+    order = np.argsort(cell, kind="stable")
+    u, v = points[order].T
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=n_rows * n_cols))))
+    nearest = np.empty(len(rows), dtype=np.int64)
+    pending, reach = np.arange(len(rows)), 1
+    while pending.size:
+        row, col = rows[pending] - r0, cols[pending] - c0
+        row_lo, row_hi = np.maximum(row - reach, 0), np.minimum(row + reach, n_rows - 1)
+        col_lo, col_hi = np.maximum(col - reach, 0), np.minimum(col + reach, n_cols - 1)
+        # one run of sorted points per row of each block, then its points
+        line, block_row = _slots(row_hi - row_lo + 1, row_lo)
+        first = starts[block_row * n_cols + col_lo[line]]
+        run, slot = _slots(starts[block_row * n_cols + col_hi[line] + 1] - first, first)
+        pixel = line[run]
+        dist2 = ((u[slot] - (cols[pending] + 0.5)[pixel]) ** 2
+                 + (v[slot] - (rows[pending] + 0.5)[pixel]) ** 2)
+        # candidates run grouped by pixel; a pixel with none keeps inf
+        counts = np.bincount(pixel, minlength=len(pending))
+        found = counts > 0
+        group = (np.cumsum(counts) - counts)[found]
+        best = np.full(len(pending), np.inf)
+        best[found] = np.minimum.reduceat(dist2, group)
+        nearest[pending[found]] = np.minimum.reduceat(
+            np.where(dist2 == best[pixel], order[slot], len(points)), group)
+        whole = (row_lo == 0) & (row_hi == n_rows - 1) & (col_lo == 0) & (col_hi == n_cols - 1)
+        pending = pending[~(whole | (best <= reach * reach + reach))]
+        reach *= 2
+    return nearest
 
 
 def joint_pixel(joints2d) -> np.ndarray:

@@ -20,7 +20,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import bodymodel as bm
 from . import camera as cr
@@ -116,8 +115,36 @@ class PoseSource:
         theta = self.poses[rng.integers(len(self.poses))]
         gamma = self.facings[rng.integers(len(self.facings))]
         jitter = rng.normal(scale=GLOBAL_JITTER_STD, size=3)
-        gamma = (Rotation.from_rotvec(jitter) * Rotation.from_rotvec(gamma)).as_rotvec()
-        return theta.copy(), gamma
+        return theta.copy(), _compose_rotvecs(jitter, gamma)
+
+
+# below this angle the quaternion scales use their Taylor series, whose
+# next term is below double rounding
+_SMALL_ANGLE = 1e-3
+
+
+def _quaternion(rotvec: np.ndarray) -> np.ndarray:
+    """The unit quaternion (x, y, z, w) of a rotation vector."""
+    angle = np.linalg.norm(rotvec)
+    scale = (0.5 - angle**2 / 48 + angle**4 / 3840 if angle <= _SMALL_ANGLE
+             else np.sin(angle / 2) / angle)
+    return np.append(scale * rotvec, np.cos(angle / 2))
+
+
+def _compose_rotvecs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The rotation vector of `outer` applied after `inner`, by the
+    quaternion product, in the canonical form: the product is normalized
+    and flipped to w >= 0, so its angle 2 atan2(|v|, w) lies in [0, pi]."""
+    p, q = _quaternion(outer), _quaternion(inner)
+    quat = np.append(p[3] * q[:3] + q[3] * p[:3] + np.cross(p[:3], q[:3]),
+                     p[3] * q[3] - p[:3] @ q[:3])
+    quat /= np.linalg.norm(quat)
+    if quat[3] < 0:
+        quat = -quat
+    angle = 2 * np.arctan2(np.linalg.norm(quat[:3]), quat[3])
+    scale = (2 + angle**2 / 12 + 7 * angle**4 / 2880 if angle <= _SMALL_ANGLE
+             else angle / np.sin(angle / 2))
+    return scale * quat[:3]
 
 
 # the four canonical subject orientations: camera facing front/back/left/right

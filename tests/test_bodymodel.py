@@ -392,6 +392,23 @@ class TestBatchedLBS:
         with pytest.raises(ValueError, match=re.escape(f"batch sizes {list(batch)}")):
             bm.lbs_vertices(model, *args)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", [0, 1, 2], ids=["pose", "shape", "glob"])
+    def test_non_finite_value_rejected(self, arg, bad):
+        # unchecked, a NaN global rotation gave all-NaN vertices and an
+        # infinite shape coefficient NaN in every vertex, with no error
+        model = bm.generate_toy_model(4, 200, 12)
+        args = [np.zeros((2, width)) for width in (33, 10, 3)]
+        args[arg][1, -1] = bad
+        message = "^pose, shape and global rotation must be finite$"
+        with pytest.raises(ValueError, match=message):
+            bm.lbs_vertices(model, *args)
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=message):
+            bm.lbs_vertices(model, *[tape.variable(a) for a in args])
+        with pytest.raises(ValueError, match=message):
+            bm.forward(model, *(a[1] for a in args))
+
     def test_is_the_component_major_core_transposed(self, toy):
         rng = np.random.default_rng(35)
         args = [rng.normal(scale=0.5, size=(4, width)) for width in (toy.pose_dim, 10, 3)]

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
@@ -403,6 +405,11 @@ def posed_noisy_bodies(model, seed, facings):
     return verts + rng.uniform(-noise, noise, verts.shape)
 
 
+@pytest.fixture(scope="module")
+def benchmark_model():
+    return bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+
+
 class TestClosedMeshRasterizer:
     """On a closed body mesh, the rasterizers test one facing of the faces;
     these oracles test all of them."""
@@ -429,10 +436,6 @@ class TestClosedMeshRasterizer:
         assert want.any() and not want.all()
         np.testing.assert_array_equal(
             cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c), want)
-
-    @pytest.fixture(scope="class")
-    def benchmark_model(self):
-        return bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
 
     @pytest.mark.parametrize("shift", [0.0, 1.0, 3.0], ids=["centred", "past-edge", "off-frame"])
     def test_matches_all_faces_at_benchmark_size(self, benchmark_model, shift):
@@ -595,6 +598,108 @@ class TestTieRepair:
         else:
             pytest.fail("no sliver with a positive pixel area")
         self.check(model, moved, decided)
+
+
+def brute_force_nearest(points, rows, cols):
+    """The index of the point nearest each pixel centre by an argmin over
+    all points, in `camera._nearest_points`'s arithmetic: the lowest index
+    on ties."""
+    dist2 = ((points[:, 0] - (cols + 0.5)[:, None]) ** 2
+             + (points[:, 1] - (rows + 0.5)[:, None]) ** 2)
+    return np.argmin(dist2, axis=1), dist2
+
+
+def search_rounds(monkeypatch):
+    """A list that gains two entries per round of the grid search, one per
+    gather through `camera._slots`."""
+    calls = []
+    slots = cam._slots
+
+    def counted(*args):
+        calls.append(1)
+        return slots(*args)
+
+    monkeypatch.setattr(cam, "_slots", counted)
+    return calls
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPartAssignment:
+    """The grid search under `rasterize_part_assignment` against searches
+    over all points."""
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicates", "sparse"])
+    def test_matches_brute_force(self, kind, monkeypatch):
+        rng = np.random.default_rng(["ties", "duplicates", "sparse"].index(kind))
+        rounds = search_rounds(monkeypatch)
+        most = 0
+        for _ in range(20):
+            rows, cols = np.nonzero(rng.random((32, 32)) < rng.uniform(0.05, 1.0))
+            if kind == "ties":
+                # on the half-pixel lattice the distances are exact, and many
+                # centres lie as far from two or more points
+                points = rng.integers(-4, 72, size=(60, 2)) / 2.0
+            elif kind == "duplicates":
+                base = rng.uniform(-3.0, 35.0, size=(12, 2))
+                points = base[rng.integers(len(base), size=50)]
+            else:
+                points = rng.uniform(-8.0, 40.0, size=(3, 2))
+            want, dist2 = brute_force_nearest(points, rows, cols)
+            del rounds[:]
+            np.testing.assert_array_equal(cam._nearest_points(points, rows, cols), want)
+            most = max(most, len(rounds) // 2)
+            if kind != "sparse":
+                assert np.any((dist2 == dist2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+        if kind == "sparse":
+            # three points in a 32 px frame leave some centres unsettled at
+            # K = 1, 2 and 4
+            assert most >= 4
+
+    def test_far_off_vertex_costs_no_memory(self):
+        # a vertex projected about 1e6 px off the frame falls into a border
+        # cell: the grid stays the silhouette's box, not the points' box
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 3, [0])[0]
+        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+        far = verts.copy()
+        far[17, 0] = 1e6 * (far[17, 2] + 2.5) / 75.0
+        assert cam.project_persp(far, c)[17, 0] > 1e6
+        rows, cols = np.nonzero(sil)
+        for body in (verts, far):
+            want = model.part_labels[brute_force_nearest(cam.project_persp(body, c), rows, cols)[0]]
+            got = cam.rasterize_part_assignment(body, model.part_labels, c, sil)
+            np.testing.assert_array_equal(got[rows, cols], want)
+        peaks = [peak_bytes(lambda: cam.rasterize_part_assignment(body, model.part_labels, c, sil))
+                 for body in (verts, far)]
+        assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0], ids=["centred", "past-edge"])
+    def test_matches_kd_tree_at_benchmark_size(self, benchmark_model, shift):
+        # past the edge, the vertices off the frame are clamped into the
+        # grid's border cells
+        model = benchmark_model
+        c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
+        for verts in posed_noisy_bodies(model, 13, [0, 1, 2, 3]):
+            sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+            rows, cols = np.nonzero(sil)
+            projected = cam.project_persp(verts, c)
+            assert rows.size > 2000
+            if shift:
+                assert np.any(projected[:, 0] >= 256)
+            _, want = cKDTree(projected).query(np.stack([cols + 0.5, rows + 0.5], axis=1))
+            np.testing.assert_array_equal(cam._nearest_points(projected, rows, cols), want)
+            got = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
+            np.testing.assert_array_equal(got[rows, cols], model.part_labels[want])
+            assert (got >= 0).sum() == rows.size
 
 
 class TestHeatmaps:

@@ -296,6 +296,19 @@ class TestPerVertexUncertainty:
             metrics.per_vertex_uncertainty(dataclasses.replace(pred, **{field: value}), model,
                                            n_samples=3, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["pose", "shape", "global_rot"])
+    def test_non_finite_draw_rejected_by_the_skinning(self, field, bad):
+        # a prediction is checked when built; a value changed in place after
+        # that reaches the draws, and the skinning core rejects it
+        model = bm.generate_toy_model(4, 200, 12)
+        pred = uncertainty_prediction(model, 6)
+        values = pred.global_rot if field == "global_rot" else getattr(pred, field).mean
+        values[1] = bad
+        with pytest.raises(ValueError, match="^pose, shape and global rotation must be finite$"):
+            metrics.per_vertex_uncertainty(pred, model, n_samples=3,
+                                           rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("field,width,need", [("pose", 5, 33), ("shape", 4, 10)])
     def test_width_mismatch_rejected(self, field, width, need):
         model = bm.generate_toy_model(4, 200, 12)

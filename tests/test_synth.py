@@ -1,9 +1,14 @@
 import copy
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from shapefuse import bodymodel as bm
 from shapefuse import camera as cr
@@ -226,6 +231,34 @@ class TestPoseSource:
                                        bm.rodrigues(jitter) @ bm.rodrigues(facing),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("facing", range(len(synth.CANONICAL_FACINGS)),
+                             ids=["front", "back", "left", "right"])
+    def test_composition_matches_scipy(self, facing):
+        # scipy's canonical rotation vector: for the back facing, just under
+        # pi, the plain quaternion product of about half the draws has w < 0
+        rng = np.random.default_rng(facing)
+        gamma = synth.CANONICAL_FACINGS[facing]
+        flipped = 0
+        for _ in range(500):
+            jitter = rng.normal(scale=synth.GLOBAL_JITTER_STD, size=3)
+            composed = Rotation.from_rotvec(jitter) * Rotation.from_rotvec(gamma)
+            flipped += composed.as_quat()[3] < 0
+            np.testing.assert_allclose(synth._compose_rotvecs(jitter, gamma),
+                                       composed.as_rotvec(), rtol=0, atol=1e-14)
+        assert (flipped > 100) == (facing == 1)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-4])
+    def test_small_angles_match_scipy(self, scale):
+        # below the 1e-3 series threshold in the jitter's quaternion and, on
+        # the front facing, in the composed rotation vector
+        rng = np.random.default_rng(3)
+        for gamma in synth.CANONICAL_FACINGS[:2]:
+            for _ in range(20):
+                jitter = scale * rng.normal(size=3)
+                want = (Rotation.from_rotvec(jitter) * Rotation.from_rotvec(gamma)).as_rotvec()
+                np.testing.assert_allclose(synth._compose_rotvecs(jitter, gamma), want,
+                                           rtol=0, atol=1e-14)
+
 
 class TestCleanGeneration:
     def test_clean_silhouette_matches_rasterizer(self, model, small_cfg, source):
@@ -396,6 +429,34 @@ class TestPartOcclusion:
         cleared = np.unique(assignment[(sil == 1) & (out == 0)])
         assert len(cleared) <= 1
         np.testing.assert_array_equal(out, sil * ~np.isin(assignment, cleared))
+
+    def test_package_runs_without_scipy(self):
+        # a fresh interpreter in which any import of scipy raises ImportError
+        # imports every module and renders a part-occluded sample
+        script = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import shapefuse
+names = [m.name for m in pkgutil.iter_modules(shapefuse.__path__)]
+for name in names:
+    importlib.import_module("shapefuse." + name)
+from shapefuse import bodymodel as bm, synth
+from shapefuse.rng import named_rng
+model = bm.generate_toy_model(seed=2, num_vertices=300, num_joints=16)
+theta, gamma = synth.procedural_pose_source(model, n_poses=4, seed=0).sample(named_rng(0, "t"))
+gen = synth.GenerationConfig(image_size=64, focal_length=75.0)
+aug = synth.AugmentationConfig(body_part_occlusion_prob=1.0)
+rng = named_rng(0, "s")
+s = synth.render_sample(model, theta, synth.sample_shape(rng, gen), gamma, gen, aug, rng, True)
+assert s.events["part_occluded"]
+print(" ".join(names))
+"""
+        package = Path(synth.__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert set(done.stdout.split()) == {p.stem for p in package.glob("*.py")} - {"__init__"}
 
 
 class TestHalfImageOcclusion:

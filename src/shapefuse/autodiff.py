@@ -22,6 +22,8 @@ alike. There is no general tensor-shape algebra beyond that.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -315,16 +317,19 @@ def take(x, indices, axis):
     return _op(out, (x, vjp))
 
 
-def _einsum_terms(subscripts: str, shapes: list):
-    """Split "ab,bc->ac" into (["ab", "bc"], "ac"), rejecting the forms whose
-    adjoints are not einsums of the output adjoint and the other operands."""
+@functools.lru_cache(maxsize=256)
+def _einsum_terms(subscripts: str, shapes: tuple) -> tuple:
+    """Split "ab,bc->ac" into (("ab", "bc"), "ac"), rejecting the forms whose
+    adjoints are not einsums of the output adjoint and the other operands.
+    Cached by the subscripts and the operand shapes, which are all it
+    reads; a rejection is not cached, so it raises on every call."""
     if "->" not in subscripts or "." in subscripts:
         raise ValueError(f"einsum needs explicit output subscripts and no ellipsis: {subscripts!r}")
     lhs, output = subscripts.replace(" ", "").split("->")
-    inputs = lhs.split(",")
+    inputs = tuple(lhs.split(","))
     if len(inputs) != len(shapes):
         raise ValueError(f"{subscripts!r} names {len(inputs)} operands, got {len(shapes)}")
-    for term in inputs + [output]:
+    for term in inputs + (output,):
         if len(set(term)) != len(term):
             raise ValueError(f"repeated subscript in {term!r}: diagonals are not supported")
     sizes = {}
@@ -348,14 +353,14 @@ def einsum(subscripts: str, *operands):
     sizes (no broadcasting).
     """
     values = [value_of(op) for op in operands]
-    inputs, output = _einsum_terms(subscripts, [v.shape for v in values])
+    inputs, output = _einsum_terms(subscripts, tuple(v.shape for v in values))
     # no optimize=: on these small contractions the planned path is slower
     # and may return a non-contiguous view
     out = np.einsum(subscripts, *values)
 
     def vjp(i):
         def vjp_i(g):
-            spec = ",".join([output] + inputs[:i] + inputs[i + 1:]) + "->" + inputs[i]
+            spec = ",".join((output,) + inputs[:i] + inputs[i + 1:]) + "->" + inputs[i]
             return np.einsum(spec, g, *values[:i], *values[i + 1:])
         return vjp_i
 

@@ -84,13 +84,20 @@ class JointBasis(NamedTuple):
 
 
 class SkinningLayout(NamedTuple):
-    """The skinning arrays in the component-major layout `lbs_vertices`
-    works in, where a batch of meshes is (B, 3, V) with the vertex
-    innermost; `BodyModel.skinning` builds it on first use, once per model."""
+    """The skinning arrays of a range of vertices in the component-major
+    layout `_skin_components` works in, where a batch of meshes is
+    (B, 3, Vt) with the vertex innermost, over the range's joint support:
+    the joints whose weight is nonzero at some vertex of the range, so
+    each blend is a dense product whose inner size is that support.
+    `BodyModel.skinning` is the whole mesh over all J joints, the layout
+    of `lbs_vertices`; `BodyModel.skinning_tiles` cuts the mesh into
+    ranges of consecutive vertices. Both are built on first use, once per
+    model."""
 
-    weights: np.ndarray   # (J, V) skinning weights, transposed
-    template: np.ndarray  # (3, V) template vertices, transposed
-    shape: np.ndarray     # (S, 3V) shape basis, component-major
+    weights: np.ndarray   # (K, Vt) skinning weights of the support joints, transposed
+    template: np.ndarray  # (3, Vt) template vertices, transposed
+    shape: np.ndarray     # (S, 3Vt) shape basis, component-major
+    joints: np.ndarray    # (K,) the support joints, ascending
 
 
 @dataclass(frozen=True)
@@ -158,10 +165,29 @@ class BodyModel:
 
     @cached_property
     def skinning(self) -> SkinningLayout:
-        V, S = self.num_vertices, self.shape_dim
-        return SkinningLayout(np.ascontiguousarray(self.skinning_weights.T),
-                              np.ascontiguousarray(self.template_vertices.T),
-                              self.shape_basis.transpose(2, 1, 0).reshape(S, 3 * V))
+        return _skinning_layout(self, 0, self.num_vertices, np.arange(self.num_joints))
+
+    def skinning_tiles(self, width: int) -> tuple:
+        """The mesh cut into ranges of `width` consecutive vertices (the
+        last one shorter), as (vertices, layout) pairs of a slice and the
+        range's `SkinningLayout` over its joint support. Built on first
+        use; the model keeps the tiles of the last width asked for."""
+        check_int("tile width", width, 1)
+        kept = self._tiles.get(width)
+        if kept is None:
+            weights, tiles = self.skinning.weights, []
+            for start in range(0, self.num_vertices, width):
+                stop = min(start + width, self.num_vertices)
+                support = np.flatnonzero((weights[:, start:stop] > 0).any(axis=1))
+                tiles.append((slice(start, stop), _skinning_layout(self, start, stop, support)))
+            kept = tuple(tiles)
+            self._tiles.clear()
+            self._tiles[width] = kept
+        return kept
+
+    @cached_property
+    def _tiles(self) -> dict:
+        return {}
 
     @cached_property
     def keypoint_model(self) -> BodyModel:
@@ -309,6 +335,17 @@ def edge_twins(faces: np.ndarray) -> np.ndarray:
     return twins.reshape(faces.shape)
 
 
+def _skinning_layout(model: BodyModel, start: int, stop: int,
+                     joints: np.ndarray) -> SkinningLayout:
+    """The `SkinningLayout` of vertices start to stop over the joints."""
+    S = model.shape_dim
+    return SkinningLayout(
+        np.ascontiguousarray(model.skinning_weights[start:stop, joints].T),
+        np.ascontiguousarray(model.template_vertices[start:stop].T),
+        np.ascontiguousarray(model.shape_basis[start:stop].transpose(2, 1, 0)).reshape(S, -1),
+        joints)
+
+
 # ---------------------------------------------------------------------------
 # forward model
 # ---------------------------------------------------------------------------
@@ -321,16 +358,15 @@ def shaped_template(model: BodyModel, betas):
     zero pose."""
     V, S = model.num_vertices, model.shape_dim
     lead = ad.value_of(betas).shape[:-1]
-    shaped = _shaped_components(model, ad.reshape(betas, (-1, S)))
+    shaped = _shaped_components(model.skinning, ad.reshape(betas, (-1, S)))
     return ad.reshape(ad.transpose(shaped, (0, 2, 1)), lead + (V, 3))
 
 
-def _shaped_components(model: BodyModel, betas):
-    """(n, S) -> the shaped template (n, 3, V), component-major."""
-    layout = model.skinning
-    n = ad.value_of(betas).shape[0]
-    return layout.template + ad.reshape(ad.matmul(betas, layout.shape),
-                                        (n, 3, model.num_vertices))
+def _shaped_components(layout: SkinningLayout, betas):
+    """(n, S) -> the shaped template (n, 3, Vt) of the layout's vertices,
+    component-major."""
+    n, width = ad.value_of(betas).shape[0], layout.template.shape[1]
+    return layout.template + ad.reshape(ad.matmul(betas, layout.shape), (n, 3, width))
 
 
 def subtree_table(parents: np.ndarray) -> np.ndarray:
@@ -384,7 +420,8 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
 def _skinned_components(model: BodyModel, pose, betas, glob):
     """Batched forward into the component-major layout: (B,P),(B,S),(B,3)
     -> posed vertices (B,3,V), with the checks and messages of
-    `lbs_vertices`. `metrics.per_vertex_uncertainty` reads its rows.
+    `lbs_vertices`: the `_joint_transforms`, then the `_skin_components`
+    of the whole mesh, `model.skinning`, over all J joints.
 
     Joint pivots regress linearly from the shaped template, so they are
     linear in the shape coefficients: p = p_rest + betas @ basis, by the
@@ -398,15 +435,21 @@ def _skinned_components(model: BodyModel, pose, betas, glob):
 
         v' = sum_j w_j (R_j v + u_j) = v + (W (R - I)) v + W u.
 
-    The mesh is skinned component-major, (B, 3, V), in the model's
-    `skinning` layout: the shaped body is the one (B, S) @ (S, 3V) product
-    of `shaped_template`, the blend of R - I is one (B*9, J) @ (J, V)
-    product and that of u one (B*3, J) @ (J, V) product, and each vertex
-    applies its blended 3x3 with the vertex innermost. R - I and u are
-    exactly 0 at the rest pose, so the rest pose reproduces the shaped
-    template bit for bit.
+    The mesh is skinned component-major, (B, 3, V): the shaped body is the
+    one (B, S) @ (S, 3V) product of `shaped_template`, the blend of R - I
+    is one (B*9, J) @ (J, V) product and that of u one (B*3, J) @ (J, V)
+    product, and each vertex applies its blended 3x3 with the vertex
+    innermost. R - I and u are exactly 0 at the rest pose, so the rest
+    pose reproduces the shaped template bit for bit.
     """
-    J, V = model.num_joints, model.num_vertices
+    return _skin_components(model.skinning, betas, *_joint_transforms(model, pose, betas, glob))
+
+
+def _joint_transforms(model: BodyModel, pose, betas, glob) -> tuple:
+    """The checks of `lbs_vertices`, then the world transforms of the
+    joints as the blends read them: R - I as (B*9, J) rows, component pair
+    major, and u as (B*3, J) rows; see `_skinned_components`."""
+    J = model.num_joints
     for name, x, width in (("pose", pose, model.pose_dim), ("shape", betas, model.shape_dim),
                            ("global rotation", glob, 3)):
         shape = ad.value_of(x).shape
@@ -419,22 +462,43 @@ def _skinned_components(model: BodyModel, pose, betas, glob):
         raise ValueError("pose, shape and global rotation must be finite")
     B = batch[0]
 
-    shaped = _shaped_components(model, betas)                  # (B, 3, V)
     basis = model.joint_basis
     pivots = basis.rest + ad.reshape(ad.matmul(betas, basis.shape), (B, J, 3))
-
     aa_all = ad.concat([ad.reshape(glob, (B, 1, 3)), ad.reshape(pose, (B, J - 1, 3))], axis=1)
     world = _world_blocks(model.tree, rodrigues(aa_all), pivots)  # (B, J, 3, 4)
+    return (ad.reshape(ad.transpose(world[..., :3] - np.eye(3), (0, 2, 3, 1)), (B * 9, J)),
+            ad.reshape(ad.transpose(world[..., 3], (0, 2, 1)), (B * 3, J)))
 
-    # the (B, 3, 3, V) blend is handed straight to the apply, so it lives
-    # only for that call
-    weights = model.skinning.weights
-    rot_delta = ad.reshape(ad.transpose(world[..., :3] - np.eye(3), (0, 2, 3, 1)), (B * 9, J))
-    rot_offset = ad.einsum(
-        "bklv,blv->bkv", ad.reshape(ad.matmul(rot_delta, weights), (B, 3, 3, V)), shaped
-    )
-    trans = ad.matmul(ad.reshape(ad.transpose(world[..., 3], (0, 2, 1)), (B * 3, J)), weights)
-    return shaped + rot_offset + ad.reshape(trans, (B, 3, V))
+
+def _skin_components(layout: SkinningLayout, betas, rot_delta, trans, out=None):
+    """The posed vertices (B, 3, Vt) of the layout's range, component-major:
+    its shaped template (`_shaped_components`) plus the blends of the
+    `_joint_transforms` R - I (B*9, K) and u (B*3, K), given as the
+    columns of the layout's K support joints. A joint off the support has
+    weight 0 at every vertex of the range, so it adds nothing to the
+    blends; the products over the support and over all J joints differ
+    only in the rounding order that the BLAS kernel picks.
+
+    `out`, for untaped arrays only, is a (2, B, 3, Vt) buffer: the same
+    products and sums, in the same order, then write the shaped template
+    into out[0] and the posed vertices into out[1], which is returned, so
+    a caller that skins range after range reuses two warm arrays."""
+    B, width = ad.value_of(betas).shape[0], layout.template.shape[1]
+    if out is None:
+        shaped = _shaped_components(layout, betas)                  # (B, 3, Vt)
+        # the (B, 3, 3, Vt) blend is handed straight to the apply, so it
+        # lives only for that call
+        rot_offset = ad.einsum("bklv,blv->bkv", ad.reshape(ad.matmul(rot_delta, layout.weights),
+                                                           (B, 3, 3, width)), shaped)
+        return shaped + rot_offset + ad.reshape(ad.matmul(trans, layout.weights), (B, 3, width))
+    shaped, posed = out
+    np.matmul(betas, layout.shape, out=shaped.reshape(B, 3 * width))
+    shaped += layout.template
+    np.einsum("bklv,blv->bkv", (rot_delta @ layout.weights).reshape(B, 3, 3, width), shaped,
+              out=posed)
+    posed += shaped
+    posed += (trans @ layout.weights).reshape(B, 3, width)
+    return posed
 
 
 def forward(model: BodyModel, pose, betas, glob):

@@ -21,9 +21,10 @@ once per model) faces the other way. Each contour edge adds +1 or -1 at
 its crossing of each pixel-center row, and one cumulative sum gives each
 center's winding number. Centers within rounding of an edge are decided
 by the per-triangle rule instead (a tie repair), so the mask is that
-rule's, pixel for pixel. `covers_any_pixel` first tests one center
-against the largest positive triangle, and fills only when that fails,
-so it always agrees with `rasterize_silhouette(...).any()`.
+rule's, pixel for pixel. `covers_any_pixel` first tests the center
+nearest the centroid of the largest positive triangle, then that of
+every positive triangle, and fills only when both fail, so it always
+agrees with `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, twins, cam)`, and part assignment labels a silhouette
 the caller already rasterized by nearest projected vertex, so it takes no
@@ -337,19 +338,30 @@ def rasterize_silhouette(vertices, faces: np.ndarray, twins: np.ndarray,
 def covers_any_pixel(vertices, faces: np.ndarray, twins: np.ndarray, cam: PerspCamera) -> bool:
     """Whether the projected mesh covers any pixel center: exactly
     `rasterize_silhouette(vertices, faces, twins, cam).any()`, with the
-    same requirements. It first tests the center nearest the centroid of
-    the largest positive face against that face; the mask holds that
-    center when the rule covers it. Only when it does not is the mask
-    filled."""
+    same requirements. The mask holds every in-frame center that the rule
+    of some positive face covers, so a covered center nearest a face's
+    centroid settles it: first for the largest positive face, then for
+    every positive face at once (`_covers_centroid_center`). Only when
+    neither does is the mask filled."""
     _check_twins(faces, twins)
     x, y, area2 = _face_pixels(vertices, faces, cam)
     if area2.size and area2.max() > 0:
         big = np.argmax(area2)
-        col, row = np.floor(x[:, big].mean()), np.floor(y[:, big].mean())
-        if 0 <= col < cam.size and 0 <= row < cam.size and _rule_covers(
-                x[:, big], y[:, big], col + 0.5, row + 0.5):
+        if _covers_centroid_center(x[:, big:big + 1], y[:, big:big + 1], cam.size).any():
+            return True
+        positive = area2 > 0
+        if _covers_centroid_center(x[:, positive], y[:, positive], cam.size).any():
             return True
     return bool(_coverage(x, y, area2, twins, cam.size).any())
+
+
+def _covers_centroid_center(x, y, size: int) -> np.ndarray:
+    """For faces with corners x, y (3, n): whether each covers, by
+    `_rule_covers`, the pixel center nearest its centroid, when that center
+    lies in the frame."""
+    col, row = np.floor(x.mean(axis=0)), np.floor(y.mean(axis=0))
+    return ((0 <= col) & (col < size) & (0 <= row) & (row < size)
+            & _rule_covers(x, y, col + 0.5, row + 0.5))
 
 
 def rasterize_part_assignment(vertices, part_labels: np.ndarray,

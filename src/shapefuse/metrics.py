@@ -26,9 +26,10 @@ from .scalars import check_int, check_positive
 MM = 1000.0
 CM = 100.0
 
-# posed vertex rows per skinning call in `per_vertex_uncertainty`, a
-# bound on its working memory: 2^17 rows is 19 draws at 6890 vertices
-UNCERTAINTY_BLOCK_ROWS = 1 << 17
+# posed (draw, vertex) rows per tile in `per_vertex_uncertainty`, the one
+# bound on its working memory: 2^14 rows is 163 vertices at 100 draws, as
+# fast as any budget from 2^13 to 2^17 at benchmark size
+UNCERTAINTY_BLOCK_ROWS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +124,19 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     over `n_samples` parameter samples drawn by `rng` from one sample's
     predicted distributions, in cm. A batch of predictions raises ValueError.
 
-    The draws are posed component-major, straight from the skinning that
-    `lbs_vertices` transposes, into one (n, 3, V) array: a block of
-    `UNCERTAINTY_BLOCK_ROWS // V` draws (at least one) per call. The array
-    is centred, squared and summed as rows, (x^2 + y^2) + z^2, in place, so
-    the result equals `np.linalg.norm` over the (n, V, 3) draws bit for bit
-    and no step reads a component with a stride. The peak is that array
-    plus one block's skinning, not n draws' skinning: about 2x the array
-    for 100 draws of 6890 vertices, where one call for all draws took 5x."""
+    The joint transforms of all n draws are computed once, with the
+    checks and messages of `lbs_vertices`. The mesh is then skinned one
+    tile at a time: `model.skinning_tiles` of `UNCERTAINTY_BLOCK_ROWS // n`
+    vertices (at least one), each over its joint support, so every blend
+    is a dense product over the few joints that weight that tile. Each
+    tile's (n, 3, Vt) draws go into two preallocated buffers and are
+    centred, squared and summed as rows, (x^2 + y^2) + z^2, in place, so
+    the result equals `np.linalg.norm` over the tile's (n, Vt, 3) draws
+    bit for bit and no step reads a component with a stride. No (n, 3, V)
+    array is held: the peak is one tile's skinning, about 0.15x that
+    array for 100 draws of 6890 vertices. The tiles' products differ from
+    one `lbs_vertices` call only in rounding order (within 1e-15
+    relative)."""
     check_int("number of draws", n_samples, 1)
     if pred.camera.ndim != 1:
         raise ValueError(f"expected one sample's prediction, got a batch of {len(pred)}")
@@ -139,19 +145,23 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     shape = reparam_sample(pred.shape.mean, pred.shape.var,
                            rng.standard_normal((n, pred.shape.dim)))
     glob = np.broadcast_to(pred.global_rot, (n, 3))
-    block = max(1, UNCERTAINTY_BLOCK_ROWS // model.num_vertices)
-    verts = np.empty((n, 3, model.num_vertices))
-    for start in range(0, n, block):
-        stop = start + block
-        verts[start:stop] = bm._skinned_components(model, pose[start:stop], shape[start:stop],
-                                                   glob[start:stop])
-    verts -= verts.mean(axis=0)
-    np.square(verts, out=verts)
-    dist = verts[:, 0]  # the x^2 rows, which take the sum in place
-    dist += verts[:, 1]
-    dist += verts[:, 2]
-    np.sqrt(dist, out=dist)
-    return dist.mean(axis=0) * CM
+    rot_delta, trans = bm._joint_transforms(model, pose, shape, glob)
+    width = max(1, UNCERTAINTY_BLOCK_ROWS // n)
+    buffers = np.empty((2, 3 * n * min(width, model.num_vertices)))
+    dist = np.empty(model.num_vertices)
+    for vertices, tile in model.skinning_tiles(width):
+        size = 3 * n * (vertices.stop - vertices.start)
+        verts = bm._skin_components(tile, shape, np.take(rot_delta, tile.joints, axis=1),
+                                    np.take(trans, tile.joints, axis=1),
+                                    out=buffers[:, :size].reshape(2, n, 3, -1))
+        verts -= verts.mean(axis=0)
+        np.square(verts, out=verts)
+        tile_dist = verts[:, 0]  # the x^2 rows, which take the sum in place
+        tile_dist += verts[:, 1]
+        tile_dist += verts[:, 2]
+        np.sqrt(tile_dist, out=tile_dist)
+        dist[vertices] = tile_dist.mean(axis=0)
+    return dist * CM
 
 
 def pose_variance_by_joint_visibility(pose_var: np.ndarray, visibility: np.ndarray,

@@ -602,6 +602,23 @@ class TestOneRecorder:
         with pytest.raises(ValueError):
             ad.einsum(spec, np.ones((2, 2)), *[second] * (n_operands - 1))
 
+    def test_einsum_size_rejection_raises_on_every_call(self):
+        # the parse is cached by subscripts and shapes; a rejection is not
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^subscript 'j' has sizes 3 and 4$"):
+                ad.einsum("ij,jk->ik", np.ones((2, 3)), np.ones((4, 5)))
+
+    def test_einsum_parse_cache_is_bounded(self):
+        limit = ad._einsum_terms.cache_info().maxsize
+        assert limit is not None
+        for n in range(1, limit + 21):
+            ad.einsum("ij,jk->ik", np.ones((2, n)), np.ones((n, 3)))
+        assert ad._einsum_terms.cache_info().currsize == limit
+        hits = ad._einsum_terms.cache_info().hits
+        ad.einsum("ij,jk->ik", np.ones((2, limit + 20)), np.ones((limit + 20, 3)))
+        assert ad._einsum_terms.cache_info().hits == hits + 1
+        assert ad._einsum_terms("ij,jk->ik", ((2, 3), (3, 4))) == (("ij", "jk"), "ik")
+
     @pytest.mark.parametrize("row_shape", [(1, 4), (4,)], ids=["1xn", "n"])
     @pytest.mark.parametrize("op", [
         pytest.param(ad.mul, id="mul"),

@@ -358,7 +358,6 @@ class TestBatchedLBS:
 
     @pytest.mark.parametrize("B", [1, 19])
     def test_matches_per_joint_loop_at_smpl_size(self, B):
-        # 19 draws is one `metrics.per_vertex_uncertainty` block at this size
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
         rng = np.random.default_rng(31)
         pose = rng.normal(scale=0.5, size=(B, model.pose_dim))
@@ -450,7 +449,6 @@ class TestBatchedLBS:
         assert lbs_peak_per_vertex(model, 100, np.random.default_rng(14)) <= 18.0
 
     def test_numpy_peak_memory_at_smpl_size(self):
-        # one `metrics.per_vertex_uncertainty` block of 19 draws
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
         for name in ("skinning", "joint_basis", "tree"):
             getattr(model, name)  # built once per model, so not part of a call's peak
@@ -658,6 +656,57 @@ class TestSkinningLayout:
         assert fresh.skinning is not layout
         for got, expected in zip(fresh.skinning, layout):
             np.testing.assert_array_equal(got, expected)
+
+
+class TestSkinningTiles:
+    @pytest.mark.parametrize("width", [1, 7, 64, 599, 600, 1000])
+    def test_tiles_partition_the_vertices_over_their_supports(self, width):
+        model = bm.generate_toy_model(seed=3, num_vertices=600, num_joints=24)
+        tiles = model.skinning_tiles(width)
+        assert tiles[0][0].start == 0 and tiles[-1][0].stop == model.num_vertices
+        for (here, _), (after, _) in zip(tiles, tiles[1:]):
+            assert here.stop == after.start and here.stop - here.start == width
+        assert 0 < tiles[-1][0].stop - tiles[-1][0].start <= width
+        V, S = model.num_vertices, model.shape_dim
+        for vertices, layout in tiles:
+            weights = model.skinning_weights[vertices]
+            np.testing.assert_array_equal(layout.joints, np.flatnonzero((weights > 0).any(axis=0)))
+            np.testing.assert_array_equal(layout.weights, weights[:, layout.joints].T)
+            np.testing.assert_array_equal(layout.template, model.template_vertices[vertices].T)
+            width_here = vertices.stop - vertices.start
+            np.testing.assert_array_equal(
+                layout.shape.reshape(S, 3, width_here),
+                model.shape_basis[vertices].transpose(2, 1, 0))
+            assert all(a.flags.c_contiguous for a in layout)
+        assert model.skinning_tiles(width) is tiles
+        # a model keeps the tiles of one width
+        assert model.skinning_tiles(width + 1) is not tiles
+        assert vars(model)["_tiles"].keys() == {width + 1}
+        np.testing.assert_array_equal(model.skinning.joints, np.arange(model.num_joints))
+        assert len(model.skinning.joints) == 24 > len(tiles[0][1].joints)
+
+    @pytest.mark.parametrize("width", [0, -1, 2.0, True])
+    def test_width_must_be_a_positive_int(self, toy, width):
+        with pytest.raises(ValueError, match="tile width must be an int >= 1"):
+            toy.skinning_tiles(width)
+
+    @pytest.mark.parametrize("width", [37, 600])
+    def test_buffered_skin_is_bit_identical(self, toy, width):
+        rng = np.random.default_rng(36)
+        B = 5
+        args = [rng.normal(scale=0.5, size=(B, w)) for w in (toy.pose_dim, 10, 3)]
+        rot_delta, trans = bm._joint_transforms(toy, *args)
+        for vertices, layout in toy.skinning_tiles(width):
+            columns = [np.take(m, layout.joints, axis=1) for m in (rot_delta, trans)]
+            want = bm._skin_components(layout, args[1], *columns)
+            out = np.full((2, B, 3, vertices.stop - vertices.start), np.nan)
+            got = bm._skin_components(layout, args[1], *columns, out=out)
+            assert got is out[1] or np.shares_memory(got, out[1])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(out[0], bm._shaped_components(layout, args[1]))
+            np.testing.assert_allclose(
+                got, bm.lbs_vertices(toy, *args).transpose(0, 2, 1)[..., vertices],
+                rtol=0, atol=1e-14)
 
 
 class TestNeutralPose:

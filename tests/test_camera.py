@@ -471,18 +471,35 @@ class TestClosedMeshRasterizer:
 
     @pytest.mark.parametrize("small_at, want", [(0.0, True), (40.0, False)],
                              ids=["small-visible", "both-off-frame"])
-    def test_fill_decides_when_the_largest_face_is_off_frame(self, small_at, want, monkeypatch):
+    def test_every_face_is_tried_before_the_fill(self, small_at, want, monkeypatch):
         # a large triangle wholly left of the frame and a small one at
         # small_at: the center nearest the large one's centroid is off the
-        # frame, so the quick test fails and the fill decides
+        # frame, so the largest face's test fails; the small one's center
+        # settles a visible mesh, and the fill decides an invisible one
         c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
         large = [[-60.0, -10.0, 0.0], [-30.0, -10.0, 0.0], [-45.0, 10.0, 0.0]]
         small = [[small_at - 2, -2.0, 0.0], [small_at + 2, -2.0, 0.0], [small_at, 2.0, 0.0]]
         verts, faces, twins = pillow(np.array([large, small]))
         filled = filling(monkeypatch)
         assert cam.covers_any_pixel(verts, faces, twins, c) is want
-        assert len(filled) == 1
+        assert len(filled) == (not want)
         assert cam.rasterize_silhouette(verts, faces, twins, c).any() == want
+
+    def test_fill_decides_when_no_face_covers_its_centroid_center(self, monkeypatch):
+        # a sliver over the centers (10.5, 16.5) and (11.5, 16.5) whose
+        # centroid's center (13.5, 16.5) lies just above it: no face
+        # settles the check, and the fill finds the centers it covers
+        c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
+        sliver = [[-16.0, 0.0, 0.0], [14.0, 0.0, 0.0], [-5.5, 0.55, 0.0]]
+        verts, faces, twins = pillow(np.array([sliver]))
+        x, y, area2 = cam._face_pixels(verts, faces, c)
+        assert np.count_nonzero(area2 > 0) == 1
+        assert not cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 32).any()
+        want = cam.rasterize_silhouette(verts, faces, twins, c)
+        assert set(zip(*np.nonzero(want))) == {(16, 10), (16, 11)}
+        filled = filling(monkeypatch)
+        assert cam.covers_any_pixel(verts, faces, twins, c) is True
+        assert len(filled) == 1
 
 
 def filling(monkeypatch):

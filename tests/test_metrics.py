@@ -244,30 +244,31 @@ def uncertainty_one_call(pred, model, n, rng) -> np.ndarray:
     return np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
 
 
-def uncertainty_and_core_draws(pred, model, n, rng, monkeypatch):
-    """`metrics.per_vertex_uncertainty` with every block that its skinning
-    core returns recorded, as the (n, V, 3) transpose of the blocks."""
-    blocks = []
-    core = bm._skinned_components
+def uncertainty_and_tile_draws(pred, model, n, rng, monkeypatch):
+    """`metrics.per_vertex_uncertainty` with the posed draws of every tile
+    that its vertex skin returns recorded, before they are reduced in
+    place: (result, tile widths, the (n, V, 3) draws)."""
+    tiles = []
+    skin = bm._skin_components
 
-    def recording(*args):
-        out = core(*args)
-        blocks.append(np.asarray(out))
+    def recording(*args, **kwargs):
+        out = skin(*args, **kwargs)
+        tiles.append(np.array(out))
         return out
 
-    monkeypatch.setattr(bm, "_skinned_components", recording)
+    monkeypatch.setattr(bm, "_skin_components", recording)
     got = metrics.per_vertex_uncertainty(pred, model, n_samples=n, rng=rng)
-    return got, [len(b) for b in blocks], np.concatenate(blocks).transpose(0, 2, 1)
+    return got, [t.shape[2] for t in tiles], np.concatenate(tiles, axis=2).transpose(0, 2, 1)
 
 
 class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit(self, monkeypatch):
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
         pred = uncertainty_prediction(model, 6)
-        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 7 * 200 + 199)
-        got, sizes, verts = uncertainty_and_core_draws(pred, model, 30,
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 30 * 64 + 29)
+        got, sizes, verts = uncertainty_and_tile_draws(pred, model, 30,
                                                        np.random.default_rng(7), monkeypatch)
-        assert sizes == [7, 7, 7, 7, 2]  # ceil(30 / 7) blocks
+        assert sizes == [64, 64, 64, 8]  # tiles of 64 vertices
         assert verts.shape == (30, 200, 3)
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
@@ -276,9 +277,9 @@ class TestPerVertexUncertainty:
     def test_equals_linalg_norm_bit_for_bit_at_benchmark_size(self, monkeypatch):
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
         pred = uncertainty_prediction(model, 14)
-        got, sizes, verts = uncertainty_and_core_draws(pred, model, 100,
+        got, sizes, verts = uncertainty_and_tile_draws(pred, model, 100,
                                                        np.random.default_rng(15), monkeypatch)
-        assert sizes == [19] * 5 + [5]  # the default budget of 2^17 rows
+        assert sizes == [163] * 42 + [44]  # the default budget of 2^14 rows
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
         np.testing.assert_array_equal(got, want)
@@ -322,8 +323,9 @@ class TestPerVertexUncertainty:
 
     @pytest.mark.parametrize("n", [1, 4, 5, 6, 13])
     def test_blocks_match_one_call(self, n, monkeypatch):
-        # blocks of 5 draws; one-row and many-row BLAS products may differ
-        # in the last bit (see test_bodymodel.py, test_matches_batched_form)
+        # tiles of 1000 // n vertices over their joint supports; products
+        # of other sizes and inner sizes may differ in the last bit (see
+        # test_bodymodel.py, test_matches_batched_form)
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
         pred = uncertainty_prediction(model, 8)
         want = uncertainty_one_call(pred, model, n, np.random.default_rng(9))
@@ -332,6 +334,7 @@ class TestPerVertexUncertainty:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_model_larger_than_the_budget_takes_one_draw_per_block(self, monkeypatch):
+        # a budget below the vertex count: tiles of 50 vertices for 3 draws
         model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
         pred = uncertainty_prediction(model, 10)
         want = uncertainty_one_call(pred, model, 3, np.random.default_rng(11))
@@ -339,20 +342,49 @@ class TestPerVertexUncertainty:
         got = metrics.per_vertex_uncertainty(pred, model, 3, np.random.default_rng(11))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_more_draws_than_the_budget_take_tiles_of_one_vertex(self, monkeypatch):
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        pred = uncertainty_prediction(model, 16)
+        want = uncertainty_one_call(pred, model, 9, np.random.default_rng(17))
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 7)
+        got, sizes, _ = uncertainty_and_tile_draws(pred, model, 9, np.random.default_rng(17),
+                                                   monkeypatch)
+        assert sizes == [1] * 200
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_tiles_that_touch_every_joint(self, monkeypatch):
+        # every vertex weighted on every joint, so each tile's support is
+        # all J joints, as in the whole-mesh layout
+        model = bm.generate_toy_model(seed=4, num_vertices=200, num_joints=12)
+        rng = np.random.default_rng(18)
+        dense = model.skinning_weights + rng.uniform(0.01, 0.1, model.skinning_weights.shape)
+        dense /= dense.sum(axis=1, keepdims=True)
+        model = dataclasses.replace(model, skinning_weights=dense)
+        pred = uncertainty_prediction(model, 19)
+        want = uncertainty_one_call(pred, model, 6, np.random.default_rng(20))
+        monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 6 * 32)
+        got = metrics.per_vertex_uncertainty(pred, model, 6, np.random.default_rng(20))
+        tiles = model.skinning_tiles(32)
+        assert len(tiles) == 7
+        for _, tile in tiles:
+            np.testing.assert_array_equal(tile.joints, np.arange(12))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_peak_memory_at_benchmark_size(self):
-        # the draws array plus one block's skinning: the one-call form
-        # peaked at 5.0 times the draws array
+        # the skin of one tile at a time: the parent's (n, 3, V) draws
+        # array and one block's skinning peaked at 2x that array, and one
+        # call for all draws at 5x
         model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
         pred = uncertainty_prediction(model, 12)
-        metrics.per_vertex_uncertainty(pred, model, 1, np.random.default_rng(0))  # cached bases
         n = 100
+        metrics.per_vertex_uncertainty(pred, model, n, np.random.default_rng(0))  # cached tiles
         tracemalloc.start()
         try:
             metrics.per_vertex_uncertainty(pred, model, n, np.random.default_rng(13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (8 * n * model.num_vertices * 3)
+        assert peak <= 0.5 * (8 * n * model.num_vertices * 3)
 
     @pytest.mark.parametrize("n_samples", [0, -3, 2.0, True])
     def test_non_positive_or_non_int_draws_rejected(self, n_samples):

@@ -237,6 +237,17 @@ def clamp(x, lo=None, hi=None):
     return _op(out, (x, lambda g: g * inside))
 
 
+def elu(x):
+    """x above 0 and exp(x) - 1 at and below it, as one primitive. Its
+    value and adjoint are those of `where(x > 0, x, exp(clamp(x, hi=0)) - 1)`
+    bit for bit: the adjoint g * (e where x < 0, 1 where x > 0, 0 at x = 0),
+    with e = exp(x), is the sum of the composition's two routes to x, one
+    of which is always a zero of g's sign."""
+    xv = value_of(x)
+    e = np.exp(np.clip(xv, None, 0.0))
+    return _op(np.where(xv > 0, xv, e - 1.0), (x, lambda g: g * np.where(xv < 0, e, xv > 0)))
+
+
 def where(cond, a, b):
     """Select elementwise by a boolean array; `cond` is data, not differentiated."""
     cond = np.asarray(cond, dtype=bool)

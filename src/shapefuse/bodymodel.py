@@ -15,7 +15,7 @@ inputs are tape nodes, and plain fast numpy otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -84,20 +84,32 @@ class JointBasis(NamedTuple):
 
 
 class SkinningLayout(NamedTuple):
-    """The skinning arrays of a range of vertices in the component-major
+    """The skinning arrays of a set of vertices in the component-major
     layout `_skin_components` works in, where a batch of meshes is
-    (B, 3, Vt) with the vertex innermost, over the range's joint support:
-    the joints whose weight is nonzero at some vertex of the range, so
+    (B, 3, Vt) with the vertex innermost, over the set's joint support:
+    the joints whose weight is nonzero at some vertex of the set, so
     each blend is a dense product whose inner size is that support.
     `BodyModel.skinning` is the whole mesh over all J joints, the layout
     of `lbs_vertices`; `BodyModel.skinning_tiles` cuts the mesh into
-    ranges of consecutive vertices. Both are built on first use, once per
-    model."""
+    ranges of consecutive vertices, and `BodyModel.keypoint_rig` holds the
+    layout of the vertices the keypoint regressor reads. All are built on
+    first use, once per model."""
 
     weights: np.ndarray   # (K, Vt) skinning weights of the support joints, transposed
     template: np.ndarray  # (3, Vt) template vertices, transposed
     shape: np.ndarray     # (S, 3Vt) shape basis, component-major
     joints: np.ndarray    # (K,) the support joints, ascending
+
+
+class KeypointRig(NamedTuple):
+    """The keypoint rig, what `posed_keypoints` skins: the vertices the
+    joint regressor reads (its nonzero columns), their `SkinningLayout`
+    over their joint support, and those columns of the regressor.
+    `BodyModel.keypoint_rig` builds it on first use, once per model."""
+
+    vertices: np.ndarray   # (Vk,) the regressor's nonzero columns, ascending
+    layout: SkinningLayout
+    regressor: np.ndarray  # (L, Vk) the regressor's weights at those vertices
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,7 @@ class BodyModel:
 
     @cached_property
     def skinning(self) -> SkinningLayout:
-        return _skinning_layout(self, 0, self.num_vertices, np.arange(self.num_joints))
+        return _skinning_layout(self, slice(None), np.arange(self.num_joints))
 
     def skinning_tiles(self, width: int) -> tuple:
         """The mesh cut into ranges of `width` consecutive vertices (the
@@ -175,12 +187,9 @@ class BodyModel:
         check_int("tile width", width, 1)
         kept = self._tiles.get(width)
         if kept is None:
-            weights, tiles = self.skinning.weights, []
-            for start in range(0, self.num_vertices, width):
-                stop = min(start + width, self.num_vertices)
-                support = np.flatnonzero((weights[:, start:stop] > 0).any(axis=1))
-                tiles.append((slice(start, stop), _skinning_layout(self, start, stop, support)))
-            kept = tuple(tiles)
+            kept = tuple((tile, _skinning_layout(self, tile))
+                         for tile in (slice(start, min(start + width, self.num_vertices))
+                                      for start in range(0, self.num_vertices, width)))
             self._tiles.clear()
             self._tiles[width] = kept
         return kept
@@ -190,24 +199,10 @@ class BodyModel:
         return {}
 
     @cached_property
-    def keypoint_model(self) -> BodyModel:
-        """The keypoint rig, built on first use, once per model: this model
-        cut down to the vertices that the keypoint and skeleton regressors
-        read, with no faces. It poses the same keypoints as the whole mesh
-        at a fraction of the cost."""
-        support = np.flatnonzero(
-            (self.joint_regressor > 0).any(axis=0) | (self.skeleton_regressor > 0).any(axis=0)
-        )
-        return replace(
-            self,
-            template_vertices=self.template_vertices[support],
-            shape_basis=self.shape_basis[support],
-            faces=np.zeros((0, 3), dtype=np.int64),
-            joint_regressor=self.joint_regressor[:, support],
-            skeleton_regressor=self.skeleton_regressor[:, support],
-            skinning_weights=self.skinning_weights[support],
-            part_labels=self.part_labels[support],
-        )
+    def keypoint_rig(self) -> KeypointRig:
+        vertices = np.flatnonzero((self.joint_regressor != 0).any(axis=0))
+        return KeypointRig(vertices, _skinning_layout(self, vertices),
+                           np.ascontiguousarray(self.joint_regressor[:, vertices]))
 
     def __post_init__(self):
         V, J, L = self.num_vertices, self.num_joints, self.num_keypoints
@@ -335,14 +330,17 @@ def edge_twins(faces: np.ndarray) -> np.ndarray:
     return twins.reshape(faces.shape)
 
 
-def _skinning_layout(model: BodyModel, start: int, stop: int,
-                     joints: np.ndarray) -> SkinningLayout:
-    """The `SkinningLayout` of vertices start to stop over the joints."""
-    S = model.shape_dim
+def _skinning_layout(model: BodyModel, vertices, joints: np.ndarray = None) -> SkinningLayout:
+    """The `SkinningLayout` of the vertices, a slice or an ascending index
+    array, over the joints: by default their support, the joints with a
+    nonzero weight at one of them."""
+    S, weights = model.shape_dim, model.skinning_weights[vertices]
+    if joints is None:
+        joints = np.flatnonzero((weights != 0).any(axis=0))
     return SkinningLayout(
-        np.ascontiguousarray(model.skinning_weights[start:stop, joints].T),
-        np.ascontiguousarray(model.template_vertices[start:stop].T),
-        np.ascontiguousarray(model.shape_basis[start:stop].transpose(2, 1, 0)).reshape(S, -1),
+        np.ascontiguousarray(weights[:, joints].T),
+        np.ascontiguousarray(model.template_vertices[vertices].T),
+        np.ascontiguousarray(model.shape_basis[vertices].transpose(2, 1, 0)).reshape(S, -1),
         joints)
 
 
@@ -471,18 +469,18 @@ def _joint_transforms(model: BodyModel, pose, betas, glob) -> tuple:
 
 
 def _skin_components(layout: SkinningLayout, betas, rot_delta, trans, out=None):
-    """The posed vertices (B, 3, Vt) of the layout's range, component-major:
+    """The posed vertices (B, 3, Vt) of the layout, component-major:
     its shaped template (`_shaped_components`) plus the blends of the
     `_joint_transforms` R - I (B*9, K) and u (B*3, K), given as the
     columns of the layout's K support joints. A joint off the support has
-    weight 0 at every vertex of the range, so it adds nothing to the
+    weight 0 at every vertex of the layout, so it adds nothing to the
     blends; the products over the support and over all J joints differ
     only in the rounding order that the BLAS kernel picks.
 
     `out`, for untaped arrays only, is a (2, B, 3, Vt) buffer: the same
     products and sums, in the same order, then write the shaped template
     into out[0] and the posed vertices into out[1], which is returned, so
-    a caller that skins range after range reuses two warm arrays."""
+    a caller that skins layout after layout reuses two warm arrays."""
     B, width = ad.value_of(betas).shape[0], layout.template.shape[1]
     if out is None:
         shaped = _shaped_components(layout, betas)                  # (B, 3, Vt)
@@ -524,9 +522,19 @@ def regress_joints(model: BodyModel, vertices):
 
 def posed_keypoints(model: BodyModel, pose, betas, glob):
     """Batched keypoints of interest: (B,P),(B,S),(B,3) -> (B,L,3), the
-    `regress_joints` of `lbs_vertices`, posed on `model.keypoint_model`."""
-    rig = model.keypoint_model
-    return regress_joints(rig, lbs_vertices(rig, pose, betas, glob))
+    `regress_joints` of `lbs_vertices`, with its checks and messages.
+
+    Only the vertices the regressor reads are posed, as a tile of
+    `metrics.per_vertex_uncertainty` is: `_joint_transforms`, then
+    `_skin_components` of `model.keypoint_rig`, then its regressor
+    columns. The other vertices add nothing to a keypoint, so the result
+    differs from the whole mesh's only in rounding order."""
+    rig = model.keypoint_rig
+    joints = rig.layout.joints
+    rot_delta, trans = _joint_transforms(model, pose, betas, glob)
+    posed = _skin_components(rig.layout, betas, ad.take(rot_delta, joints, axis=1),
+                             ad.take(trans, joints, axis=1))      # (B, 3, Vk)
+    return ad.einsum("bkv,lv->blk", posed, rig.regressor)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ camera model and is differentiable; full-perspective projection, binary
 silhouette rasterization and joint heatmap synthesis produce the
 network's proxy inputs during data generation. Heatmaps are separable:
 `heatmap_profiles` defines them once, as per-joint row and column
-profiles of a Gaussian of the fixed width `HEATMAP_SIGMA` (4 px), and both
-the full-resolution maps and the network's pooled input are built from
+profiles of a Gaussian of the fixed width `HEATMAP_SIGMA` (4 px), by one
+rule at any pooled size, full resolution being pooled size S; both the
+full-resolution maps and the network's pooled input are built from
 those profiles. A rendered sample keeps only its keypoints; its
 full-resolution heatmaps are drawn on demand. The rasterizer is plain
 coverage (a pixel is set when its center lies inside a projected
@@ -37,6 +38,7 @@ Images are square: every function takes one side `size` (S), in pixels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,7 @@ from . import autodiff as ad
 from .scalars import check_int, check_positive
 
 HEATMAP_SIGMA = 4.0  # heatmap Gaussian std, pixels
+_HEATMAP_RADIUS = int(np.ceil(4 * HEATMAP_SIGMA))  # half-width of the profile window, pixels
 # relative rounding bound of the rasterizer's doubt set (see `_coverage`)
 _TIE_BOUND = 2.0**-40
 
@@ -450,25 +453,59 @@ def joint_pixel(joints2d) -> np.ndarray:
     return np.rint(np.asarray(joints2d, dtype=np.float64))
 
 
-def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> tuple:
-    """Separable factors of the S x S joint heatmaps: `(..., L, S)` row and
-    column profiles of `(..., L, 2)` joints and `(..., L)` visibilities.
+def heatmap_profiles(joints2d: np.ndarray, visibility: np.ndarray, size: int,
+                     pooled: int) -> tuple:
+    """Separable factors of the S x S joint heatmaps, block-averaged to P =
+    `pooled` (P = S for full resolution): `(..., L, P)` row and column
+    profiles of `(..., L, 2)` joints and `(..., L)` visibilities.
+    ValueError unless P is an int >= 1 dividing S, or for a non-finite joint.
 
     Heatmap channel l is the outer product of row profile l and column
     profile l: a unit-peak Gaussian of std `HEATMAP_SIGMA` in the distance
     to the joint's pixel (`joint_pixel`), cut to the +-ceil(4 sigma) window
-    around that pixel. Both profiles of an invisible joint are zero.
+    around that pixel; both profiles of an invisible joint are zero. Its
+    block mean over f x f pixels, f = S / P, is the outer product of the
+    profiles' block means. A pixel c = q f + m (0 <= m < f) is whole, so
+    block j depends only on m and j - q, and each entry is gathered from
+    the `_block_profiles` table of f. A joint far off the frame is clipped
+    to just beyond the window: its profile stays zero and its index in range.
     """
+    check_int("pooled size", pooled, 1)
+    if size % pooled:
+        raise ValueError(f"image size {size} not divisible by pooled size {pooled}")
     centers = joint_pixel(joints2d)
-    visible = np.asarray(visibility).astype(bool)[..., None]
-    radius = int(np.ceil(4 * HEATMAP_SIGMA))
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("joints must be finite")
+    f = size // pooled
+    table, reach = _block_profiles(f), -(-_HEATMAP_RADIUS // f)
+    pixel = np.clip(centers, -_HEATMAP_RADIUS - 1, size + _HEATMAP_RADIUS).astype(np.int64)
+    q, m = np.divmod(pixel, f)
+    hidden = ~np.asarray(visibility).astype(bool)[..., None]
 
-    def profile(center, n):
-        offset = np.arange(n) - center[..., None]
-        window = visible & (np.abs(offset) <= radius)
-        return np.where(window, np.exp(-(offset**2) / (2.0 * HEATMAP_SIGMA**2)), 0.0)
+    def profile(q, m):
+        k = np.arange(pooled) - q[..., None]
+        column = np.where((np.abs(k) > reach) | hidden, 2 * reach + 1, k + reach)
+        return np.take(table, m[..., None] * (2 * reach + 2) + column)
 
-    return profile(centers[..., 1], size), profile(centers[..., 0], size)
+    return profile(q[..., 1], m[..., 1]), profile(q[..., 0], m[..., 0])
+
+
+@functools.lru_cache(maxsize=16)
+def _block_profiles(f: int) -> np.ndarray:
+    """(f, 2K + 2) read-only table, K = ceil(radius / f): row m holds the
+    blocks k = -K..K of the profile of a joint at pixel m, each the `mean`
+    of the window rule's f full-resolution values, then the 0 that every
+    block further off and every invisible joint reads."""
+    reach = -(-_HEATMAP_RADIUS // f)
+    # a joint at pixel reach * f + m of an axis of 2K + 1 blocks: block
+    # reach + k of the axis is the joint's block k
+    offset = np.arange((2 * reach + 1) * f) - (reach * f + np.arange(f, dtype=np.float64))[:, None]
+    full = np.where(np.abs(offset) <= _HEATMAP_RADIUS,
+                    np.exp(-(offset**2) / (2.0 * HEATMAP_SIGMA**2)), 0.0)
+    table = np.zeros((f, 2 * reach + 2))
+    table[:, :-1] = full.reshape(f, 2 * reach + 1, f).mean(axis=-1)
+    table.setflags(write=False)
+    return table
 
 
 def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, size: int) -> np.ndarray:
@@ -477,7 +514,7 @@ def joints_to_heatmaps(joints2d: np.ndarray, visibility: np.ndarray, size: int) 
     Each visible channel is centered on the joint's pixel so its
     maximum is exactly 1 there; see `heatmap_profiles`.
     """
-    rows, cols = heatmap_profiles(joints2d, visibility, size)
+    rows, cols = heatmap_profiles(joints2d, visibility, size, size)
     return np.einsum("lh,lw->hwl", rows, cols)
 
 

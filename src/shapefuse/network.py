@@ -3,8 +3,9 @@
 A small convolutional encoder (average-pooled proxy input, three 3x3 stride-2
 stages) feeds an MLP with one 512-unit hidden layer and a single output
 layer, whose width is the sum of the head widths in `head_widths` — 164 for
-a 24-joint body. Variance heads pass through a clamped exponential so they
-are always strictly positive; the camera scale gets the same treatment.
+a 24-joint body. Every hidden activation is an ELU, the one `autodiff.elu`
+primitive. Variance heads pass through a clamped exponential so they are
+always strictly positive; the camera scale gets the same treatment.
 
 Training minimizes
 
@@ -13,14 +14,15 @@ Training minimizes
 where the reprojection term pushes B reparameterized samples from the
 predicted distributions through the body model and weak-perspective
 projection onto the visible target keypoints (normalized image
-coordinates).
+coordinates), posed by `bm.posed_keypoints`.
 
 Inputs always come from a packed `synth.SynthDataset`: `pooled_from_dataset`
 builds the pooled proxies of an index array in separable form, a silhouette
 plus each heatmap's row and column profiles, and the encoder's first stage
-reads those parts; no dense pooled stack is built. `train` pools each batch
-with one call, and `predict_dataset`, the inference entry point, returns one
-`PredictionSet` whose fields carry a leading sample axis.
+reads those parts; no dense pooled stack is built, and no full-resolution
+float array. `train` pools each batch with one call, and `predict_dataset`,
+the inference entry point, returns one `PredictionSet` whose fields carry
+a leading sample axis.
 """
 
 from __future__ import annotations
@@ -143,11 +145,6 @@ def _profile_taps(profiles: np.ndarray) -> np.ndarray:
     return padded[..., np.arange(0, profiles.shape[-1], 2)[:, None] + np.arange(KERNEL)]
 
 
-def elu(x):
-    xv = ad.value_of(x)
-    return ad.where(xv > 0, x, ad.exp(ad.clamp(x, hi=0.0)) - 1.0)
-
-
 class PredictorNet:
     """Weights plus layout; immutable shapes, mutable parameter values."""
 
@@ -221,8 +218,8 @@ class PredictorNet:
             # (B, patches, patch size), C-ordered so the product is one GEMM
             patches = ad.take(ad.concat([x, np.zeros((B, 1))], axis=1), self._conv_tables[i], 1)
             out = ad.matmul(patches, w) + params[f"conv{i}_b"]
-            x = ad.reshape(elu(out + heat if i == 0 else out), (B, -1))
-        h = elu(ad.matmul(x, params["dense0_w"]) + params["dense0_b"])
+            x = ad.reshape(ad.elu(out + heat if i == 0 else out), (B, -1))
+        h = ad.elu(ad.matmul(x, params["dense0_w"]) + params["dense0_b"])
         return ad.matmul(h, params["dense1_w"]) + params["dense1_b"]
 
     def heads(self, pooled: PooledProxy, params: dict = None) -> dict:
@@ -256,22 +253,24 @@ def pooled_from_dataset(dataset, indices, pool_to: int) -> PooledProxy:
     """Pooled proxies of an int or an index array, straight from packed
     dataset arrays, in the separable form the encoder reads: the block mean
     of an outer product of profiles is the outer product of their block
-    means, so no heatmap is drawn, at full or at pooled resolution."""
+    means, so no heatmap is drawn, at full or at pooled resolution.
+    ValueError unless `pool_to` is an int of at least 1 that divides the
+    image size (`camera.heatmap_profiles` checks it)."""
     size = dataset.image_size
-    if size % pool_to:
-        raise ValueError(f"image size {size} not divisible by pooled size {pool_to}")
+    rows, cols = cr.heatmap_profiles(dataset.arrays["joints2d"][indices],
+                                     dataset.arrays["visibility"][indices], size, pool_to)
+    # block sums of the 0/1 silhouette are exact in the narrowest integer
+    # that holds f^2: f strided adds of rows, then f of columns, then one
+    # division, so the bits are those of the block mean
     f = size // pool_to
-    rows, cols = cr.heatmap_profiles(
-        dataset.arrays["joints2d"][indices], dataset.arrays["visibility"][indices], size
-    )
-    lead, L = rows.shape[:-2], rows.shape[-2]
-    # block sums of the 0/1 silhouette are exact integers, so summing rows and
-    # then columns gives the block mean's bits at a third of its cost
-    sil = dataset.silhouette(indices).reshape(lead + (pool_to, f, size))
-    row_sums = sil.sum(axis=-2, dtype=np.int64).reshape(lead + (pool_to, pool_to, f))
-    return PooledProxy(row_sums.sum(axis=-1) / (f * f),
-                       rows.reshape(lead + (L, pool_to, f)).mean(axis=-1),
-                       cols.reshape(lead + (L, pool_to, f)).mean(axis=-1))
+    sil = dataset.silhouette(indices)
+    row_sums = sil[..., ::f, :].astype(np.min_scalar_type(f * f))
+    for k in range(1, f):
+        row_sums += sil[..., k::f, :]
+    sums = row_sums[..., ::f].copy()
+    for k in range(1, f):
+        sums += row_sums[..., k::f]
+    return PooledProxy(sums / float(f * f), rows, cols)
 
 
 def predict_dataset(net: PredictorNet, dataset) -> PredictionSet:
@@ -305,7 +304,7 @@ def loss_reproj_batch(heads: dict, model: bm.BodyModel, joints_norm: np.ndarray,
     """Sum over examples and reparameterized draws of the masked squared
     keypoint reprojection error (normalized image coordinates).
 
-    The drawn bodies are posed by `bm.posed_keypoints` on the full model;
+    The drawn bodies' keypoints are posed by `bm.posed_keypoints`;
     noise arrays have shape (B, n_draws, dim) and are supplied by the
     caller so the estimator stays deterministic and differentiable.
     """

@@ -361,10 +361,11 @@ class SynthDataset:
 
     Samples are packed into per-field arrays with a leading sample axis,
     silhouettes bit-packed. Heatmaps are not stored, dense or pooled:
-    `network.pooled_from_dataset` block-averages the row and column
-    profiles that `camera.heatmap_profiles` draws, at the fixed width
-    `camera.HEATMAP_SIGMA`, from the stored joints and visibilities, and
-    the encoder reads those separable parts. `from_samples(samples)` packs
+    `network.pooled_from_dataset` takes the pooled row and column profiles
+    from `camera.heatmap_profiles`, which gathers their block means, at the
+    fixed width `camera.HEATMAP_SIGMA`, from the stored joints and
+    visibilities, and block-sums the silhouette bits in integers; the
+    encoder reads those separable parts. `from_samples(samples)` packs
     in-memory samples and takes the image size from their silhouettes.
 
     Raises ValueError unless the stored arrays are exactly `DATASET_ARRAYS`

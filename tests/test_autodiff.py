@@ -211,6 +211,7 @@ class TestPrimitivePartials:
         ("neg", lambda a: -a, 1, (-5, 5)),
         ("square", lambda a: ad.square(a), 1, (-5, 5)),
         ("clamp", lambda a: ad.clamp(a, -1.0, 1.0), 1, (-2, 2)),
+        ("elu", lambda a: ad.elu(a), 1, (-3, 3)),
     ]
 
     @pytest.mark.parametrize("name,fn,arity,rng_range", CASES, ids=[c[0] for c in CASES])
@@ -483,6 +484,41 @@ class TestTensorOps:
         np.testing.assert_allclose(g, [5.0, 3.0])
 
 
+def elu_by_composition(x):
+    """ELU as the four primitives it was built from: the bit-for-bit oracle
+    for `ad.elu`."""
+    return ad.where(ad.value_of(x) > 0, x, ad.exp(ad.clamp(x, hi=0.0)) - 1.0)
+
+
+class TestElu:
+    def test_value_and_adjoint_equal_the_composition_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.normal(scale=3.0, size=2000), [0.0, -0.0, 5e-324, -5e-324,
+                            1e-300, -1e-300, 30.0, -30.0, -800.0, 800.0, np.inf, -np.inf]])
+        # adjoints of both signs, with zeros of both signs among them
+        g = np.concatenate([rng.normal(size=x.size - 4), [0.0, -0.0, 0.0, -0.0]])
+        g = g[rng.permutation(x.size)]
+        results = []
+        for fn in (ad.elu, elu_by_composition):
+            tape = ad.Tape()
+            leaf = tape.variable(x)
+            out = fn(leaf)
+            (grad,) = ad.gradient(ad.sum_(out * g), [leaf])
+            results.append((out.value, grad, len(tape.nodes)))
+        (value, grad, nodes), (want_value, want_grad, want_nodes) = results
+        # the same bits, signed zeros included
+        np.testing.assert_array_equal(value.view(np.int64), want_value.view(np.int64))
+        np.testing.assert_array_equal(grad.view(np.int64), want_grad.view(np.int64))
+        assert want_nodes - nodes == 3
+        assert np.all(grad[x < 0] == g[x < 0] * np.exp(x[x < 0]))
+        assert not grad[x == 0].any() and np.all(grad[x > 0] == g[x > 0])
+
+    def test_matches_central_differences_away_from_zero(self):
+        x = np.random.default_rng(32).uniform(-4.0, 4.0, size=40)
+        x = x[np.abs(x) > 1e-3]
+        assert grad_check(lambda xs: ad.sum_(ad.elu(ad.stack(xs)) * np.arange(len(xs))), x) < 1e-6
+
+
 class TestDeterminism:
     def test_same_tape_same_gradients(self):
         def run():
@@ -535,6 +571,8 @@ UNTAPED = {
     "square": (lambda: ad.square(_VALUES), _VALUES**2),
     "clamp": (lambda: ad.clamp(_VALUES, -1.0, 1.0), np.clip(_VALUES, -1.0, 1.0)),
     "where": (lambda: ad.where(_VALUES > 0, _VALUES, -_VALUES), np.abs(_VALUES)),
+    "elu": (lambda: ad.elu(_VALUES),
+            np.where(_VALUES > 0, _VALUES, np.exp(np.minimum(_VALUES, 0.0)) - 1.0)),
     "matmul": (lambda: ad.matmul(_VALUES, _VALUES.T), _VALUES @ _VALUES.T),
     "sum_": (lambda: ad.sum_(_VALUES), _VALUES.sum()),
     "reshape": (lambda: ad.reshape(_VALUES, (4,)), _VALUES.reshape(4)),

@@ -132,22 +132,36 @@ def tree_plan_per_call(parents) -> tuple:
     return levels, parent_slots, np.argsort(np.concatenate(levels))
 
 
-def reduced_for_keypoints(model):
-    """The model sliced down to the vertices that the keypoint and skeleton
-    regressors touch, with no faces: the oracle for `BodyModel.keypoint_model`."""
-    support = np.flatnonzero(
-        (model.joint_regressor > 0).any(axis=0) | (model.skeleton_regressor > 0).any(axis=0)
-    )
-    return dataclasses.replace(
-        model,
-        template_vertices=model.template_vertices[support],
-        shape_basis=model.shape_basis[support],
-        faces=np.zeros((0, 3), dtype=np.int64),
-        joint_regressor=model.joint_regressor[:, support],
-        skeleton_regressor=model.skeleton_regressor[:, support],
-        skinning_weights=model.skinning_weights[support],
-        part_labels=model.part_labels[support],
-    )
+def reduced_for_keypoints(model) -> tuple:
+    """The keypoint rig from its definition, one vertex and one joint at a
+    time: the vertices whose joint regressor column is nonzero, the joints
+    with a nonzero skinning weight at one of them, and the model's arrays
+    sliced to those, C-ordered, as (vertices, layout, regressor). The
+    oracle for `BodyModel.keypoint_rig`."""
+    V, J, S = model.num_vertices, model.num_joints, model.shape_dim
+    vertices = [v for v in range(V) if np.any(model.joint_regressor[:, v] != 0)]
+    joints = [j for j in range(J) if any(model.skinning_weights[v, j] != 0 for v in vertices)]
+    layout = bm.SkinningLayout(*map(np.ascontiguousarray, (
+        model.skinning_weights[np.ix_(vertices, joints)].T,
+        model.template_vertices[vertices].T,
+        model.shape_basis[vertices].transpose(2, 1, 0).reshape(S, 3 * len(vertices)),
+        np.array(joints))))
+    return np.array(vertices), layout, np.ascontiguousarray(model.joint_regressor[:, vertices])
+
+
+def keypoints_and_gradients(model, args, posed) -> tuple:
+    """The (B, L, 3) keypoints `posed(model, pose, betas, glob)` gives for the
+    arguments, and the gradients of a fixed weighting of them with respect
+    to the three arguments, from one tape."""
+    tape = ad.Tape()
+    leaves = [tape.variable(a) for a in args]
+    joints = posed(model, *leaves)
+    weights = np.random.default_rng(29).normal(size=joints.shape)
+    return (joints.value, *ad.gradient(ad.sum_(joints * weights), leaves))
+
+
+def keypoints_of_mesh(model, pose, betas, glob):
+    return bm.regress_joints(model, bm.lbs_vertices(model, pose, betas, glob))
 
 
 class TestSubtreeTable:
@@ -516,27 +530,33 @@ class TestKeypointRig:
                                         (5, 120, 8), (0, 50, 8), (11, 300, 16)])
     def test_matches_reduced_model(self, budget):
         model = bm.generate_toy_model(*budget)
-        rig, want = model.keypoint_model, reduced_for_keypoints(model)
-        for f in dataclasses.fields(bm.BodyModel):
-            got, expected = getattr(rig, f.name), getattr(want, f.name)
-            if isinstance(expected, np.ndarray):
-                assert got.dtype == expected.dtype
-                np.testing.assert_array_equal(got, expected)
-            else:
-                assert got == expected
+        rig = model.keypoint_rig
+        vertices, layout, regressor = reduced_for_keypoints(model)
+        np.testing.assert_array_equal(rig.vertices, vertices)
+        for got, want in zip(rig.layout + (rig.regressor,), layout + (regressor,)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
         if budget[1] == 6890:
-            assert rig.num_vertices < model.num_vertices // 10
+            assert len(rig.vertices) < model.num_vertices // 10
+            assert len(rig.layout.joints) < model.num_joints
+        rng = np.random.default_rng(budget[0] + budget[1])
+        args = (rng.normal(scale=0.5, size=(5, model.pose_dim)), rng.normal(size=(5, 10)),
+                rng.normal(scale=0.8, size=(5, 3)))
+        for got, want in zip(keypoints_and_gradients(model, args, bm.posed_keypoints),
+                             keypoints_and_gradients(model, args, keypoints_of_mesh)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_built_on_first_use_once_per_model(self):
         model = bm.generate_toy_model(seed=11, num_vertices=300, num_joints=16)
-        assert "keypoint_model" not in vars(model) and "tree" not in vars(model)
-        rig = model.keypoint_model
-        assert model.keypoint_model is rig
-        assert "keypoint_model" not in vars(rig)
+        assert "keypoint_rig" not in vars(model) and "tree" not in vars(model)
+        rig = model.keypoint_rig
+        assert model.keypoint_rig is rig
         fresh = dataclasses.replace(model)
-        assert fresh.keypoint_model is not rig and fresh.tree is not model.tree
-        np.testing.assert_array_equal(fresh.keypoint_model.template_vertices,
-                                      rig.template_vertices)
+        assert "keypoint_rig" not in vars(fresh)
+        assert fresh.keypoint_rig is not rig and fresh.tree is not model.tree
+        for got, want in zip(fresh.keypoint_rig.layout + (fresh.keypoint_rig.regressor,),
+                             rig.layout + (rig.regressor,)):
+            np.testing.assert_array_equal(got, want)
 
     def test_posed_keypoints_pose_the_rig(self):
         model = bm.generate_toy_model(seed=6, num_vertices=600, num_joints=24)
@@ -544,15 +564,18 @@ class TestKeypointRig:
         args = (rng.normal(scale=0.5, size=(4, model.pose_dim)), rng.normal(size=(4, 10)),
                 rng.normal(scale=0.8, size=(4, 3)))
         got = bm.posed_keypoints(model, *args)
-        oracle = reduced_for_keypoints(model)
-        np.testing.assert_array_equal(got,
-                                      bm.regress_joints(oracle, bm.lbs_vertices(oracle, *args)))
+        _, layout, regressor = reduced_for_keypoints(model)
+        rot_delta, trans = bm._joint_transforms(model, *args)
+        posed = bm._skin_components(layout, args[1], *(np.ascontiguousarray(t[:, layout.joints])
+                                                       for t in (rot_delta, trans)))
+        np.testing.assert_array_equal(got, np.einsum("bkv,lv->blk", posed, regressor))
         np.testing.assert_allclose(got, bm.regress_joints(model, bm.lbs_vertices(model, *args)),
                                    rtol=0, atol=1e-12)
 
     def test_rig_of_one_part_poses_like_the_mesh(self):
         # regressors that read torso vertices only cut the rig down to one
-        # part; the rig keeps every part name, so it still builds
+        # part and to the one joint that skins those vertices, which poses
+        # them with the whole mesh's bits
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
         torso = np.flatnonzero(model.part_labels == model.part_names.index("torso"))
 
@@ -563,13 +586,17 @@ class TestKeypointRig:
 
         model = dataclasses.replace(model, joint_regressor=one_hot(model.num_keypoints),
                                     skeleton_regressor=one_hot(model.num_joints))
-        assert set(model.keypoint_model.part_labels.tolist()) == {0}
+        rig = model.keypoint_rig
+        np.testing.assert_array_equal(rig.vertices, torso[:model.num_keypoints])
+        assert len(rig.layout.joints) == 1
         rng = np.random.default_rng(27)
         args = (rng.normal(scale=0.5, size=(2, model.pose_dim)), rng.normal(size=(2, 10)),
                 rng.normal(scale=0.8, size=(2, 3)))
-        np.testing.assert_array_equal(
-            bm.posed_keypoints(model, *args),
-            bm.regress_joints(model, bm.lbs_vertices(model, *args)))
+        np.testing.assert_array_equal(bm.posed_keypoints(model, *args),
+                                      keypoints_of_mesh(model, *args))
+        for got, want in zip(keypoints_and_gradients(model, args, bm.posed_keypoints),
+                             keypoints_and_gradients(model, args, keypoints_of_mesh)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_fewer_than_six_part_names_rejected(self, toy):
         with pytest.raises(ValueError, match="at least 6 body parts"):

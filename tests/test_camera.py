@@ -739,6 +739,27 @@ class TestHeatmaps:
         r, c = np.unravel_index(np.argmax(maps[:, :, 0]), (256, 256))
         assert (r, c) == (100, 100)
 
+    @pytest.mark.parametrize("joint", [[np.nan, 10.0], [10.0, np.inf], [-np.inf, -np.inf]])
+    @pytest.mark.parametrize("visible", [1, 0])
+    def test_non_finite_joints_rejected(self, joint, visible):
+        with pytest.raises(ValueError, match="joints must be finite"):
+            cam.heatmap_profiles(np.array([[20.0, 20.0], joint]), np.array([1, visible]), 64, 16)
+
+    @pytest.mark.parametrize("pooled", [64, 16, 1])
+    def test_joints_far_off_the_frame_have_zero_profiles(self, pooled):
+        # far enough that an unclipped integer cast would wrap or overflow
+        far = [1e6, -1e6, 1e18, -1e18, 1e300, -1e300, 2.0**63, 81.0, -18.0]
+        joints = np.array([[x, 30.0] for x in far])
+        rows, cols = cam.heatmap_profiles(joints, np.ones(len(far)), 64, pooled)
+        assert not cols.any()
+        np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+        assert rows[0].max() > 0
+
+    @pytest.mark.parametrize("pooled", [0, -4, 16.0, True, 24])
+    def test_pooled_size_must_divide_the_image(self, pooled):
+        with pytest.raises(ValueError, match="pooled size"):
+            cam.heatmap_profiles(np.zeros((1, 2)), np.ones(1), 64, pooled)
+
 
 class TestJointPixel:
     def test_rounds_half_a_pixel_off_the_rasterizer_cells(self):
@@ -754,6 +775,6 @@ class TestJointPixel:
         pixel = cam.joint_pixel(joints)
         inside = np.all((pixel >= 0) & (pixel < 64), axis=1)
         np.testing.assert_array_equal(cam.in_frame_visibility(joints, 64), inside)
-        rows, cols = cam.heatmap_profiles(joints, np.ones(40), 64)
+        rows, cols = cam.heatmap_profiles(joints, np.ones(40), 64, 64)
         np.testing.assert_array_equal(np.argmax(cols[inside], axis=1), pixel[inside, 0])
         np.testing.assert_array_equal(np.argmax(rows[inside], axis=1), pixel[inside, 1])

@@ -57,6 +57,40 @@ def average_pool(images: np.ndarray, out_size: int) -> np.ndarray:
     return reshaped.mean(axis=(-4, -2))
 
 
+def window_profiles(joints2d, visibility, size: int) -> tuple:
+    """The (..., L, S) full-resolution row and column profiles, drawn on
+    every call by the heatmap window rule over the whole frame: the
+    full-resolution oracle for `camera.heatmap_profiles`."""
+    centers = cr.joint_pixel(joints2d)
+    visible = np.asarray(visibility).astype(bool)[..., None]
+    radius = int(np.ceil(4 * cr.HEATMAP_SIGMA))
+
+    def profile(center):
+        offset = np.arange(size) - center[..., None]
+        window = visible & (np.abs(offset) <= radius)
+        return np.where(window, np.exp(-(offset**2) / (2.0 * cr.HEATMAP_SIGMA**2)), 0.0)
+
+    return profile(centers[..., 1]), profile(centers[..., 0])
+
+
+def block_mean_profiles(joints2d, visibility, size: int, pool_to: int) -> tuple:
+    """`window_profiles` averaged by `mean` over blocks of f = S / P
+    pixels: the bit-for-bit oracle for `camera.heatmap_profiles`."""
+    f = size // pool_to
+    return tuple(p.reshape(p.shape[:-1] + (pool_to, f)).mean(axis=-1)
+                 for p in window_profiles(joints2d, visibility, size))
+
+
+def block_mean_silhouette(silhouette: np.ndarray, pool_to: int) -> np.ndarray:
+    """(..., S, S) 0/1 silhouettes -> (..., P, P) block means by int64 row
+    then column sums, one reduction each: the bit-for-bit oracle for the
+    silhouette of `pooled_from_dataset`."""
+    lead, size = silhouette.shape[:-2], silhouette.shape[-1]
+    f = size // pool_to
+    rows = silhouette.reshape(lead + (pool_to, f, size)).sum(axis=-2, dtype=np.int64)
+    return rows.reshape(lead + (pool_to, pool_to, f)).sum(axis=-1) / (f * f)
+
+
 def dense_stack(pooled) -> np.ndarray:
     """The dense (..., P, P, L+1) stack of a `PooledProxy`: the silhouette at
     channel 0 and heatmap l at 1 + l, the outer product of its profiles."""
@@ -907,3 +941,61 @@ class TestPooling:
         with pytest.raises(ValueError):
             net_mod.pooled_from_dataset(synth.SynthDataset.from_samples(samples[:1]),
                                         0, 24)
+
+    @pytest.mark.parametrize("pool_to", [0, -16, 16.0, True, "16", None])
+    def test_pooled_size_must_be_an_int_of_at_least_one(self, tiny_data, pool_to):
+        ds = synth.SynthDataset.from_samples(tiny_data[:1])
+        with pytest.raises(ValueError, match="pooled size must be an int >= 1"):
+            net_mod.pooled_from_dataset(ds, 0, pool_to)
+
+    @pytest.mark.parametrize("f", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    def test_block_means_bit_for_bit_at_every_divisor(self, edge_dataset, f):
+        pool_to = 256 // f
+        for indices in (np.arange(len(edge_dataset)), np.array([5, 0, 5, 2]), 3):
+            got = net_mod.pooled_from_dataset(edge_dataset, indices, pool_to)
+            joints = edge_dataset.arrays["joints2d"][indices]
+            visibility = edge_dataset.arrays["visibility"][indices]
+            want = (block_mean_silhouette(edge_dataset.silhouette(indices), pool_to),
+                    *block_mean_profiles(joints, visibility, 256, pool_to))
+            for part, oracle in zip(got, want):
+                assert part.dtype == np.float64 and part.shape == oracle.shape
+                np.testing.assert_array_equal(part.view(np.int64), oracle.view(np.int64))
+
+    def test_edge_joints_give_the_window_profiles(self, edge_dataset):
+        joints, visibility = edge_dataset.arrays["joints2d"], edge_dataset.arrays["visibility"]
+        rows, cols = cr.heatmap_profiles(joints, visibility, 256, 256)
+        want_rows, want_cols = window_profiles(joints, visibility, 256)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        # a frame edge peaks there, one pixel outside peaks nowhere, and a
+        # joint 1e6 pixels off the frame has no profile in that axis
+        on_edge = np.isin(cr.joint_pixel(joints), [0, 255])
+        assert on_edge.any() and np.all(np.where(on_edge[..., 0], cols.max(axis=-1), 1) == 1)
+        assert not cols[np.abs(joints[..., 0]) == 1e6].any()
+        assert not rows[np.abs(joints[..., 1]) == 1e6].any()
+
+
+# joints of the bit-pin dataset: on each frame edge, one pixel outside
+# each, at +-1e6 and inside, all visible, beside random ones
+_EDGE_JOINTS = [(0, 0), (255, 255), (0, 255), (255, 0), (-1, 128), (256, 128), (128, -1),
+                (128, 256), (1e6, 40), (-1e6, 40), (40, 1e6), (40, -1e6), (-0.5, 255.49), (127.5, 0.5),
+                (-16.6, 271.4), (-17.5, 272.5), (-33.0, 290.0)]
+
+
+@pytest.fixture(scope="module")
+def edge_dataset():
+    """Six samples at 256 px with random 0/1 silhouettes: sample 0 holds the
+    `_EDGE_JOINTS`, the others random joints in and around the frame, of
+    which about one in five is hidden."""
+    rng = np.random.default_rng(30)
+    n, size, L = 6, 256, len(_EDGE_JOINTS)
+    joints = rng.uniform(-40.0, 296.0, (n, L, 2))
+    joints[0] = _EDGE_JOINTS
+    visibility = (rng.random((n, L)) < 0.8).astype(np.uint8)
+    visibility[0] = 1
+    silhouettes = rng.random((n, size * size)) < rng.uniform(0.1, 0.9, (n, 1))
+    arrays = {"silhouette_bits": np.packbits(silhouettes, axis=-1), "joints2d": joints,
+              "visibility": visibility, "theta": np.zeros((n, 3)), "beta": np.zeros((n, 2)),
+              "glob": np.zeros((n, 3)), "cam_translation": np.zeros((n, 3)),
+              "subject_id": np.arange(n), "corrupted": np.zeros(n, dtype=np.uint8)}
+    return synth.SynthDataset(arrays, {"image_size": size})

@@ -90,15 +90,23 @@ class SkinningLayout(NamedTuple):
     the joints whose weight is nonzero at some vertex of the set, so
     each blend is a dense product whose inner size is that support.
     `BodyModel.skinning` is the whole mesh over all J joints, the layout
-    of `lbs_vertices`; `BodyModel.skinning_tiles` cuts the mesh into
-    ranges of consecutive vertices, and `BodyModel.keypoint_rig` holds the
-    layout of the vertices the keypoint regressor reads. All are built on
-    first use, once per model."""
+    of `lbs_vertices`; `BodyModel.skinning_groups` cuts the mesh into
+    tiles of vertices that share one support set, and
+    `BodyModel.keypoint_rig` holds the layout of the vertices the keypoint
+    regressor reads. All are built on first use, once per model. A layout
+    is `rigid` when its support is one joint of weight exactly 1.0 at
+    every vertex, as at each one-joint vertex of the toy model: its
+    vertices move with that joint, and the buffered `_skin_components`
+    forms no blend for them."""
 
     weights: np.ndarray   # (K, Vt) skinning weights of the support joints, transposed
     template: np.ndarray  # (3, Vt) template vertices, transposed
     shape: np.ndarray     # (S, 3Vt) shape basis, component-major
     joints: np.ndarray    # (K,) the support joints, ascending
+
+    @property
+    def rigid(self) -> bool:
+        return len(self.joints) == 1 and bool((self.weights == 1.0).all())
 
 
 class KeypointRig(NamedTuple):
@@ -179,20 +187,30 @@ class BodyModel:
     def skinning(self) -> SkinningLayout:
         return _skinning_layout(self, slice(None), np.arange(self.num_joints))
 
-    def skinning_tiles(self, width: int) -> tuple:
-        """The mesh cut into ranges of `width` consecutive vertices (the
-        last one shorter), as (vertices, layout) pairs of a slice and the
-        range's `SkinningLayout` over its joint support. Built on first
-        use; the model keeps the tiles of the last width asked for."""
+    def skinning_groups(self, width: int) -> tuple:
+        """The mesh's vertices grouped by support set, the joints with a
+        nonzero weight at a vertex, and each group cut into tiles of at
+        most `width` vertices, as (vertices, layout) pairs of an ascending
+        index array and the tile's `SkinningLayout` over the group's
+        support. Built on first use; the model keeps the tiles of the last
+        width asked for."""
         check_int("tile width", width, 1)
         kept = self._tiles.get(width)
         if kept is None:
             kept = tuple((tile, _skinning_layout(self, tile))
-                         for tile in (slice(start, min(start + width, self.num_vertices))
-                                      for start in range(0, self.num_vertices, width)))
+                         for group in self._support_groups
+                         for tile in np.split(group, range(width, len(group), width)))
             self._tiles.clear()
             self._tiles[width] = kept
         return kept
+
+    @cached_property
+    def _support_groups(self) -> list:
+        """The vertices of each support set, ascending, one array per set,
+        from one `np.unique` over the rows of the nonzero-weight mask."""
+        _, group, counts = np.unique(self.skinning_weights != 0, axis=0, return_inverse=True,
+                                     return_counts=True)
+        return np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
 
     @cached_property
     def _tiles(self) -> dict:
@@ -480,7 +498,10 @@ def _skin_components(layout: SkinningLayout, betas, rot_delta, trans, out=None):
     `out`, for untaped arrays only, is a (2, B, 3, Vt) buffer: the same
     products and sums, in the same order, then write the shaped template
     into out[0] and the posed vertices into out[1], which is returned, so
-    a caller that skins layout after layout reuses two warm arrays."""
+    a caller that skins layout after layout reuses two warm arrays. A
+    `rigid` layout forms no blend there: its one joint's 3x3 R - I and u
+    per draw apply to every vertex, which gives the products over K = 1
+    bit for bit, since each weight is exactly 1.0."""
     B, width = ad.value_of(betas).shape[0], layout.template.shape[1]
     if out is None:
         shaped = _shaped_components(layout, betas)                  # (B, 3, Vt)
@@ -492,6 +513,11 @@ def _skin_components(layout: SkinningLayout, betas, rot_delta, trans, out=None):
     shaped, posed = out
     np.matmul(betas, layout.shape, out=shaped.reshape(B, 3 * width))
     shaped += layout.template
+    if layout.rigid:
+        np.einsum("bkl,blv->bkv", rot_delta[:, 0].reshape(B, 3, 3), shaped, out=posed)
+        posed += shaped
+        posed += trans[:, 0].reshape(B, 3, 1)
+        return posed
     np.einsum("bklv,blv->bkv", (rot_delta @ layout.weights).reshape(B, 3, 3, width), shaped,
               out=posed)
     posed += shaped

@@ -126,17 +126,19 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
 
     The joint transforms of all n draws are computed once, with the
     checks and messages of `lbs_vertices`. The mesh is then skinned one
-    tile at a time: `model.skinning_tiles` of `UNCERTAINTY_BLOCK_ROWS // n`
-    vertices (at least one), each over its joint support, so every blend
-    is a dense product over the few joints that weight that tile. Each
+    tile at a time: `model.skinning_groups` of `UNCERTAINTY_BLOCK_ROWS // n`
+    vertices (at least one) that share one joint support, so every blend
+    is a dense product over the joints that weight that tile, and a
+    `rigid` tile, one joint of weight 1.0, forms no blend at all. Each
     tile's (n, 3, Vt) draws go into two preallocated buffers and are
-    centred, squared and summed as rows, (x^2 + y^2) + z^2, in place, so
-    the result equals `np.linalg.norm` over the tile's (n, Vt, 3) draws
-    bit for bit and no step reads a component with a stride. No (n, 3, V)
-    array is held: the peak is one tile's skinning, about 0.15x that
-    array for 100 draws of 6890 vertices. The tiles' products differ from
-    one `lbs_vertices` call only in rounding order (within 1e-15
-    relative)."""
+    centred, squared and summed as rows, (x^2 + y^2) + z^2, in place;
+    each vertex's distances are summed draw by draw and written back at
+    the tile's vertex indices. So the result equals `np.linalg.norm`
+    over the mesh's (n, V, 3) draws bit for bit, and no step reads a
+    component with a stride. No (n, 3, V) array is held: the peak is one
+    two-joint tile's skinning, about 0.14x that array for 100 draws of
+    6890 vertices. The tiles' products differ from one `lbs_vertices`
+    call only in rounding order (within 1e-15 relative)."""
     check_int("number of draws", n_samples, 1)
     if pred.camera.ndim != 1:
         raise ValueError(f"expected one sample's prediction, got a batch of {len(pred)}")
@@ -149,8 +151,8 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
     width = max(1, UNCERTAINTY_BLOCK_ROWS // n)
     buffers = np.empty((2, 3 * n * min(width, model.num_vertices)))
     dist = np.empty(model.num_vertices)
-    for vertices, tile in model.skinning_tiles(width):
-        size = 3 * n * (vertices.stop - vertices.start)
+    for vertices, tile in model.skinning_groups(width):
+        size = 3 * n * len(vertices)
         verts = bm._skin_components(tile, shape, np.take(rot_delta, tile.joints, axis=1),
                                     np.take(trans, tile.joints, axis=1),
                                     out=buffers[:, :size].reshape(2, n, 3, -1))
@@ -160,7 +162,10 @@ def per_vertex_uncertainty(pred: PredictionSet, model: bm.BodyModel,
         tile_dist += verts[:, 1]
         tile_dist += verts[:, 2]
         np.sqrt(tile_dist, out=tile_dist)
-        dist[vertices] = tile_dist.mean(axis=0)
+        if len(vertices) > 1:
+            dist[vertices] = tile_dist.mean(axis=0)
+        else:  # one column's mean sums pairwise, a wider tile's draw by draw
+            dist[vertices] = np.add.accumulate(tile_dist[:, 0])[-1] / n
     return dist * CM
 
 
@@ -313,6 +318,9 @@ class MetricsReport:
     group_sizes: list
     group_pve_t_sc: list          # mm
     uncertainty_cm: np.ndarray = None  # (V,) mean per-vertex uncertainty
+    # (n, parts) each sample's per-vertex uncertainty averaged over each
+    # part's vertices, NaN for a part with none
+    part_uncertainty_cm: np.ndarray = None
 
     @property
     def mean_mpjpe_sc(self) -> float:
@@ -352,6 +360,10 @@ class MetricsReport:
             payload["mean_per_vertex_uncertainty_cm"] = np.round(
                 self.uncertainty_cm, 6
             ).tolist()
+        if self.part_uncertainty_cm is not None:
+            payload["per_sample"]["part_uncertainty_cm"] = np.round(
+                self.part_uncertainty_cm, 6
+            ).tolist()
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -376,8 +388,10 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
     from `bm.posed_keypoints`. Single-image evaluation is `group_size=1`, under
     which both combinations return each prediction's own shape mean.
     `uncertainty_samples` MC draws per sample give the mean per-vertex
-    uncertainty; 0 turns it off. ValueError, before predicting, unless the
-    dataset's label widths fit the model (`network.check_label_widths`)."""
+    uncertainty and each sample's mean over each body part's vertices
+    (`model.part_labels`); 0 turns both off. ValueError, before
+    predicting, unless the dataset's label widths fit the model
+    (`network.check_label_widths`)."""
     if not isinstance(combination, str) or combination not in _COMBINE:
         raise ValueError(f"unknown combination {combination!r}")
     check_int("group size", group_size, 1)
@@ -406,13 +420,18 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
             group_sizes.append(len(g))
             group_pve.append(pve_t_sc(beta_hat, a["beta"][g[0]], model))
 
-    uncertainty = None
+    uncertainty = part_uncertainty = None
     if uncertainty_samples > 0:
-        uncertainty = sum(
-            per_vertex_uncertainty(predictions[i], model, uncertainty_samples,
-                                   np.random.default_rng(uncertainty_samples + i))
-            for i in range(n)
-        ) / n
+        labels, parts = model.part_labels, len(model.part_names)
+        counts = np.bincount(labels, minlength=parts)
+        total, part_uncertainty = 0, np.full((n, parts), np.nan)
+        for i in range(n):
+            sample = per_vertex_uncertainty(predictions[i], model, uncertainty_samples,
+                                            np.random.default_rng(uncertainty_samples + i))
+            total = total + sample
+            np.divide(np.bincount(labels, weights=sample, minlength=parts), counts,
+                      out=part_uncertainty[i], where=counts > 0)
+        uncertainty = total / n
 
     return MetricsReport(
         combination=combination,
@@ -425,4 +444,5 @@ def evaluate(dataset, net, model: bm.BodyModel, group_size: int,
         group_sizes=group_sizes,
         group_pve_t_sc=group_pve,
         uncertainty_cm=uncertainty,
+        part_uncertainty_cm=part_uncertainty,
     )

@@ -686,36 +686,58 @@ class TestSkinningLayout:
 
 
 class TestSkinningTiles:
+    """`BodyModel.skinning_groups`: the vertices grouped by support set,
+    each group cut into tiles of at most the width."""
+
     @pytest.mark.parametrize("width", [1, 7, 64, 599, 600, 1000])
     def test_tiles_partition_the_vertices_over_their_supports(self, width):
         model = bm.generate_toy_model(seed=3, num_vertices=600, num_joints=24)
-        tiles = model.skinning_tiles(width)
-        assert tiles[0][0].start == 0 and tiles[-1][0].stop == model.num_vertices
-        for (here, _), (after, _) in zip(tiles, tiles[1:]):
-            assert here.stop == after.start and here.stop - here.start == width
-        assert 0 < tiles[-1][0].stop - tiles[-1][0].start <= width
+        assert "_support_groups" not in vars(model)
+        tiles = model.skinning_groups(width)
+        groups = vars(model)["_support_groups"]
         V, S = model.num_vertices, model.shape_dim
+        np.testing.assert_array_equal(np.sort(np.concatenate([v for v, _ in tiles])),
+                                      np.arange(V))
+        nonzero = model.skinning_weights != 0
+        supports = []
         for vertices, layout in tiles:
+            assert 0 < len(vertices) <= width and np.all(np.diff(vertices) > 0)
+            assert vertices.flags.c_contiguous and all(a.flags.c_contiguous for a in layout)
+            # one support set per tile
+            assert (nonzero[vertices] == nonzero[vertices[0]]).all()
+            np.testing.assert_array_equal(layout.joints, np.flatnonzero(nonzero[vertices[0]]))
             weights = model.skinning_weights[vertices]
-            np.testing.assert_array_equal(layout.joints, np.flatnonzero((weights > 0).any(axis=0)))
             np.testing.assert_array_equal(layout.weights, weights[:, layout.joints].T)
             np.testing.assert_array_equal(layout.template, model.template_vertices[vertices].T)
-            width_here = vertices.stop - vertices.start
             np.testing.assert_array_equal(
-                layout.shape.reshape(S, 3, width_here),
+                layout.shape.reshape(S, 3, len(vertices)),
                 model.shape_basis[vertices].transpose(2, 1, 0))
-            assert all(a.flags.c_contiguous for a in layout)
-        assert model.skinning_tiles(width) is tiles
-        # a model keeps the tiles of one width
-        assert model.skinning_tiles(width + 1) is not tiles
+            assert layout.rigid == (len(layout.joints) == 1)
+            if layout.rigid:
+                assert (layout.weights == 1.0).all()
+            if not supports or supports[-1][0] != tuple(layout.joints):
+                supports.append((tuple(layout.joints), []))
+            supports[-1][1].append(vertices)
+        # each group's tiles run together, ascending, as full tiles then one
+        # shorter, and hold all its vertices
+        assert len({joints for joints, _ in supports}) == len(supports) == len(groups)
+        for (_, run), group in zip(supports, groups):
+            np.testing.assert_array_equal(np.concatenate(run), group)
+            assert [len(v) for v in run[:-1]] == [width] * (len(run) - 1)
+        assert model.skinning_groups(width) is tiles
+        # a model keeps the tiles of one width, and builds its groups once
+        assert model.skinning_groups(width + 1) is not tiles
         assert vars(model)["_tiles"].keys() == {width + 1}
+        assert vars(model)["_support_groups"] is groups
+        fresh = dataclasses.replace(model)
+        assert "_support_groups" not in vars(fresh) and "_tiles" not in vars(fresh)
         np.testing.assert_array_equal(model.skinning.joints, np.arange(model.num_joints))
-        assert len(model.skinning.joints) == 24 > len(tiles[0][1].joints)
+        assert len(model.skinning.joints) == 24 > max(len(layout.joints) for _, layout in tiles)
 
     @pytest.mark.parametrize("width", [0, -1, 2.0, True])
     def test_width_must_be_a_positive_int(self, toy, width):
         with pytest.raises(ValueError, match="tile width must be an int >= 1"):
-            toy.skinning_tiles(width)
+            toy.skinning_groups(width)
 
     @pytest.mark.parametrize("width", [37, 600])
     def test_buffered_skin_is_bit_identical(self, toy, width):
@@ -723,10 +745,10 @@ class TestSkinningTiles:
         B = 5
         args = [rng.normal(scale=0.5, size=(B, w)) for w in (toy.pose_dim, 10, 3)]
         rot_delta, trans = bm._joint_transforms(toy, *args)
-        for vertices, layout in toy.skinning_tiles(width):
+        for vertices, layout in toy.skinning_groups(width):
             columns = [np.take(m, layout.joints, axis=1) for m in (rot_delta, trans)]
             want = bm._skin_components(layout, args[1], *columns)
-            out = np.full((2, B, 3, vertices.stop - vertices.start), np.nan)
+            out = np.full((2, B, 3, len(vertices)), np.nan)
             got = bm._skin_components(layout, args[1], *columns, out=out)
             assert got is out[1] or np.shares_memory(got, out[1])
             np.testing.assert_array_equal(got, want)
@@ -734,6 +756,49 @@ class TestSkinningTiles:
             np.testing.assert_allclose(
                 got, bm.lbs_vertices(toy, *args).transpose(0, 2, 1)[..., vertices],
                 rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("draws", ["random", "rest"])
+    def test_rigid_apply_equals_the_blend_bit_for_bit(self, draws):
+        # every one-joint tile at benchmark size skips the (B*9, 1) @ (1, Vt)
+        # blend; the broadcast of its joint's 3x3 keeps the blend's bits,
+        # signed zeros included, also at the rest pose, where R - I is 0
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        rng = np.random.default_rng(37)
+        B = 100
+        pose, glob = (rng.normal(scale=0.5, size=(B, w)) for w in (model.pose_dim, 3))
+        if draws == "rest":
+            pose, glob = np.zeros_like(pose), np.zeros_like(glob)
+        betas = rng.normal(size=(B, 10))
+        rot_delta, trans = bm._joint_transforms(model, pose, betas, glob)
+        if draws == "rest":
+            assert not rot_delta.any() and not trans.any()
+        rigid = 0
+        for vertices, layout in model.skinning_groups(163):  # the width at 100 draws
+            if len(layout.joints) > 1:
+                continue
+            assert layout.rigid
+            rigid += 1
+            columns = [np.take(m, layout.joints, axis=1) for m in (rot_delta, trans)]
+            want = bm._skin_components(layout, betas, *columns)
+            out = np.full((2, B, 3, len(vertices)), np.nan)
+            got = bm._skin_components(layout, betas, *columns, out=out)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert rigid == 33
+
+    def test_one_joint_below_weight_one_is_blended(self, toy):
+        # a one-joint vertex whose weight only sums to 1 within the model's
+        # tolerance keeps its blend, so the out= path still equals the product
+        vertices, layout = next((v, t) for v, t in toy.skinning_groups(16) if t.rigid)
+        near = layout._replace(weights=np.nextafter(layout.weights, 0.0))
+        assert not near.rigid
+        rng = np.random.default_rng(38)
+        args = [rng.normal(scale=0.5, size=(3, w)) for w in (toy.pose_dim, 10, 3)]
+        columns = [np.take(m, layout.joints, axis=1) for m in bm._joint_transforms(toy, *args)]
+        want = bm._skin_components(near, args[1], *columns)
+        got = bm._skin_components(near, args[1], *columns,
+                                  out=np.empty((2, 3, 3, len(vertices))))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.array_equal(want, bm._skin_components(layout, args[1], *columns))
 
 
 class TestNeutralPose:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shapefuse import bodymodel as bm
 from shapefuse import metrics, network, synth
-from shapefuse.gaussians import GaussianDiag, PredictionSet, fuse_shapes
+from shapefuse.gaussians import GaussianDiag, PredictionSet, fuse_shapes, reparam_sample
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -244,10 +244,37 @@ def uncertainty_one_call(pred, model, n, rng) -> np.ndarray:
     return np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
 
 
+def uncertainty_by_ranges(pred, model, n, rng) -> np.ndarray:
+    """`metrics.per_vertex_uncertainty` over tiles of consecutive vertices:
+    each range skinned over its joint support by the blend products, with
+    the same draws and the same in-place reduction. The bit-for-bit oracle
+    for its support-group tiles at benchmark size."""
+    pose = reparam_sample(pred.pose.mean, pred.pose.var, rng.standard_normal((n, pred.pose.dim)))
+    shape = reparam_sample(pred.shape.mean, pred.shape.var,
+                           rng.standard_normal((n, pred.shape.dim)))
+    rot_delta, trans = bm._joint_transforms(model, pose, shape, np.broadcast_to(pred.global_rot,
+                                                                               (n, 3)))
+    width = max(1, metrics.UNCERTAINTY_BLOCK_ROWS // n)
+    dist = np.empty(model.num_vertices)
+    for start in range(0, model.num_vertices, width):
+        vertices = slice(start, min(start + width, model.num_vertices))
+        tile = bm._skinning_layout(model, vertices)
+        verts = bm._skin_components(tile, shape, np.take(rot_delta, tile.joints, axis=1),
+                                    np.take(trans, tile.joints, axis=1))
+        verts -= verts.mean(axis=0)
+        np.square(verts, out=verts)
+        tile_dist = verts[:, 0]
+        tile_dist += verts[:, 1]
+        tile_dist += verts[:, 2]
+        np.sqrt(tile_dist, out=tile_dist)
+        dist[vertices] = tile_dist.mean(axis=0)
+    return dist * metrics.CM
+
+
 def uncertainty_and_tile_draws(pred, model, n, rng, monkeypatch):
     """`metrics.per_vertex_uncertainty` with the posed draws of every tile
     that its vertex skin returns recorded, before they are reduced in
-    place: (result, tile widths, the (n, V, 3) draws)."""
+    place: (result, tile widths, the (n, V, 3) draws in vertex order)."""
     tiles = []
     skin = bm._skin_components
 
@@ -258,7 +285,11 @@ def uncertainty_and_tile_draws(pred, model, n, rng, monkeypatch):
 
     monkeypatch.setattr(bm, "_skin_components", recording)
     got = metrics.per_vertex_uncertainty(pred, model, n_samples=n, rng=rng)
-    return got, [t.shape[2] for t in tiles], np.concatenate(tiles, axis=2).transpose(0, 2, 1)
+    vertices = np.concatenate([v for v, _ in model.skinning_groups(
+        max(1, metrics.UNCERTAINTY_BLOCK_ROWS // n))])
+    draws = np.empty((n, 3, model.num_vertices))
+    draws[..., vertices] = np.concatenate(tiles, axis=2)
+    return got, [t.shape[2] for t in tiles], draws.transpose(0, 2, 1)
 
 
 class TestPerVertexUncertainty:
@@ -268,7 +299,8 @@ class TestPerVertexUncertainty:
         monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 30 * 64 + 29)
         got, sizes, verts = uncertainty_and_tile_draws(pred, model, 30,
                                                        np.random.default_rng(7), monkeypatch)
-        assert sizes == [64, 64, 64, 8]  # tiles of 64 vertices
+        # tiles of at most 64 vertices, one support set each
+        assert sizes == [13, 13, 7, 4, 7, 4, 13, 13, 7, 1, 7, 1, 22, 17, 29, 18, 24]
         assert verts.shape == (30, 200, 3)
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
@@ -279,9 +311,22 @@ class TestPerVertexUncertainty:
         pred = uncertainty_prediction(model, 14)
         got, sizes, verts = uncertainty_and_tile_draws(pred, model, 100,
                                                        np.random.default_rng(15), monkeypatch)
-        assert sizes == [163] * 42 + [44]  # the default budget of 2^14 rows
+        # support groups in tiles of at most 163 vertices, the default budget
+        # of 2^14 rows
+        assert sizes == [121, 49, 121, 49, 163, 104, 71, 163, 104, 71, 163, 160, 85, 163, 160,
+                         85, 101, 31, 101, 31, 163, 48, 57, 163, 48, 57, 163, 76, 71, 163, 76,
+                         71, 163, 163, 163, 163, 106, 163, 163, 138, 163, 163, 93, 163, 163, 75,
+                         163, 163, 64, 163, 163, 163, 163, 49, 163, 163, 163, 16]
         want = np.linalg.norm(verts - verts.mean(axis=0), axis=2).mean(axis=0) * metrics.CM
         assert want.min() > 0
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_equals_consecutive_tiles_bit_for_bit_at_benchmark_size(self, seed):
+        model = bm.generate_toy_model(seed=0, num_vertices=6890, num_joints=24)
+        pred = uncertainty_prediction(model, seed)
+        want = uncertainty_by_ranges(pred, model, 100, np.random.default_rng(seed))
+        got = metrics.per_vertex_uncertainty(pred, model, 100, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -364,7 +409,7 @@ class TestPerVertexUncertainty:
         want = uncertainty_one_call(pred, model, 6, np.random.default_rng(20))
         monkeypatch.setattr(metrics, "UNCERTAINTY_BLOCK_ROWS", 6 * 32)
         got = metrics.per_vertex_uncertainty(pred, model, 6, np.random.default_rng(20))
-        tiles = model.skinning_tiles(32)
+        tiles = model.skinning_groups(32)
         assert len(tiles) == 7
         for _, tile in tiles:
             np.testing.assert_array_equal(tile.joints, np.arange(12))
@@ -728,6 +773,7 @@ class TestMetricsReportJson:
             group_sizes=[3, 3],
             group_pve_t_sc=[12.25, 30.5],
             uncertainty_cm=rng.uniform(0, 3, 8) if with_uncertainty else None,
+            part_uncertainty_cm=rng.uniform(0, 3, (6, 7)) if with_uncertainty else None,
         )
         got = json.loads(report.to_json())
         assert got["combination"] == "pc" and got["group_size"] == 4
@@ -748,8 +794,11 @@ class TestMetricsReportJson:
         if with_uncertainty:
             np.testing.assert_allclose(got["mean_per_vertex_uncertainty_cm"],
                                        report.uncertainty_cm, atol=5e-7)
+            np.testing.assert_allclose(per["part_uncertainty_cm"], report.part_uncertainty_cm,
+                                       atol=5e-7)
         else:
             assert "mean_per_vertex_uncertainty_cm" not in got
+            assert "part_uncertainty_cm" not in per
 
 
 class TestEvaluate:
@@ -841,10 +890,37 @@ class TestEvaluate:
 
     def test_uncertainty_only_with_draws(self, setup):
         model = setup[0]
-        assert self.evaluate(setup, "pc", draws=0).uncertainty_cm is None
+        off = self.evaluate(setup, "pc", draws=0)
+        assert off.uncertainty_cm is None and off.part_uncertainty_cm is None
+        assert "part_uncertainty_cm" not in json.loads(off.to_json())["per_sample"]
         uncertainty = self.evaluate(setup, "pc", draws=3).uncertainty_cm
         assert uncertainty.shape == (model.num_vertices,)
         assert np.all(uncertainty > 0)
+
+    def test_part_uncertainty_is_each_samples_part_mean(self, setup):
+        # oracle: a masked mean per sample and part; the (V,) mean over the
+        # samples keeps its sum order, so it is pinned bit for bit
+        model, _, dataset, predictions = setup
+        draws = 4
+        samples = [metrics.per_vertex_uncertainty(predictions[i], model, draws,
+                                                  np.random.default_rng(draws + i))
+                   for i in range(len(dataset))]
+        report = self.evaluate(setup, "pc", draws=draws)
+        np.testing.assert_array_equal(report.uncertainty_cm, sum(samples) / len(samples))
+        parts = len(model.part_names)
+        assert report.part_uncertainty_cm.shape == (len(dataset), parts)
+        want = [[u[model.part_labels == p].mean() for p in range(parts)] for u in samples]
+        np.testing.assert_allclose(report.part_uncertainty_cm, want, rtol=1e-12, atol=0)
+        got = json.loads(report.to_json())["per_sample"]["part_uncertainty_cm"]
+        np.testing.assert_allclose(got, want, rtol=0, atol=5e-7)
+
+    def test_part_without_vertices_reads_nan(self, setup):
+        model, net, dataset, _ = setup
+        names = model.part_names + ("empty",)
+        report = metrics.evaluate(dataset, net, dataclasses.replace(model, part_names=names), 1,
+                                  "pc", np.random.default_rng(9), 2)
+        assert np.isnan(report.part_uncertainty_cm[:, -1]).all()
+        assert np.isfinite(report.part_uncertainty_cm[:, :-1]).all()
 
     @pytest.mark.parametrize("draws", ["3", -2, 1.5, None, True])
     def test_bad_draw_count_rejected_before_predicting(self, setup, draws, monkeypatch):

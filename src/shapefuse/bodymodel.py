@@ -83,7 +83,14 @@ class JointBasis(NamedTuple):
     shape: np.ndarray    # (S, 3J) pivot offsets per unit coefficient, joint-major
 
 
-class SkinningLayout(NamedTuple):
+class _LayoutArrays(NamedTuple):
+    weights: np.ndarray   # (K, Vt) skinning weights of the support joints, transposed
+    template: np.ndarray  # (3, Vt) template vertices, transposed
+    shape: np.ndarray     # (S, 3Vt) shape basis, component-major
+    joints: np.ndarray    # (K,) the support joints, ascending
+
+
+class SkinningLayout(_LayoutArrays):
     """The skinning arrays of a set of vertices in the component-major
     layout `_skin_components` works in, where a batch of meshes is
     (B, 3, Vt) with the vertex innermost, over the set's joint support:
@@ -97,14 +104,10 @@ class SkinningLayout(NamedTuple):
     is `rigid` when its support is one joint of weight exactly 1.0 at
     every vertex, as at each one-joint vertex of the toy model: its
     vertices move with that joint, and the buffered `_skin_components`
-    forms no blend for them."""
+    forms no blend for them. `rigid` is worked out once per layout, on
+    first use; `_replace` makes a new layout, which works it out afresh."""
 
-    weights: np.ndarray   # (K, Vt) skinning weights of the support joints, transposed
-    template: np.ndarray  # (3, Vt) template vertices, transposed
-    shape: np.ndarray     # (S, 3Vt) shape basis, component-major
-    joints: np.ndarray    # (K,) the support joints, ascending
-
-    @property
+    @cached_property
     def rigid(self) -> bool:
         return len(self.joints) == 1 and bool((self.weights == 1.0).all())
 

@@ -22,10 +22,15 @@ once per model) faces the other way. Each contour edge adds +1 or -1 at
 its crossing of each pixel-center row, and one cumulative sum gives each
 center's winding number. Centers within rounding of an edge are decided
 by the per-triangle rule instead (a tie repair), so the mask is that
-rule's, pixel for pixel. `covers_any_pixel` first tests the center
-nearest the centroid of the largest positive triangle, then that of
-every positive triangle, and fills only when both fail, so it always
-agrees with `rasterize_silhouette(...).any()`.
+rule's, pixel for pixel. What depends only on a mesh's faces and twin
+table (their corner-major copies, which edge of a shared pair is counted,
+the sampled faces below) is built once per mesh, on first use
+(`_mesh_edges`); a render projects the vertices and works on the
+positive faces. `covers_any_pixel` projects and checks every vertex once,
+then tests the center nearest the centroid of each positive face of a
+fixed sample, every (F // 64)-th face, then that of every positive face,
+and fills only when both fail, so it always agrees with
+`rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
 `(vertices, faces, twins, cam)`, and part assignment labels a silhouette
 the caller already rasterized by nearest projected vertex, so it takes no
@@ -39,7 +44,9 @@ Images are square: every function takes one side `size` (S), in pixels.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,22 +126,28 @@ def project_persp(points: np.ndarray, cam: PerspCamera) -> np.ndarray:
     rasterizer, whose area test would drop its faces silently) and for a
     point at or behind the camera plane.
     """
+    return np.stack(_project(points, cam), axis=-1)
+
+
+def _project(points, cam: PerspCamera) -> tuple:
+    """The u and v pixel coordinates of `project_persp`, as two arrays, with
+    its checks."""
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(points).all():
         raise ValueError("point coordinates must be finite")
-    shifted = points + cam.translation
-    z = shifted[..., 2]
+    (tx, ty, tz), half = cam.translation, cam.size / 2.0
+    z = points[..., 2] + tz
     if np.any(z <= 1e-9):
         raise ValueError("point at or behind the camera plane")
-    u = cam.focal * shifted[..., 0] / z + cam.size / 2.0
-    v = cam.focal * shifted[..., 1] / z + cam.size / 2.0
-    return np.stack([u, v], axis=-1)
+    return (cam.focal * (points[..., 0] + tx) / z + half,
+            cam.focal * (points[..., 1] + ty) / z + half)
 
 
-def _face_pixels(vertices, faces: np.ndarray, cam: PerspCamera) -> tuple:
-    """The projected corners of the faces, x and y (3, F) with one row per
-    corner, and twice each face's signed pixel area (F,),
-    (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0).
+def _face_pixels(u, v, corners: np.ndarray) -> tuple:
+    """The projected corners of faces, x and y (3, F) with one row per
+    corner, gathered from the vertices' pixel coordinates u and v by the
+    faces' corner-major vertex indices `corners` (3, F), and twice each
+    face's signed pixel area (F,), (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0).
 
     The faces with positive area cover the same pixel centers as all the
     faces when the faces form a closed, consistently oriented surface
@@ -150,11 +163,7 @@ def _face_pixels(vertices, faces: np.ndarray, cam: PerspCamera) -> tuple:
     outward winding, positive pixel area marks the faces turned away from
     the camera, because image v grows with y.
     """
-    vertices = ad.value_of(vertices)
-    if vertices.size == 0 or faces.size == 0:
-        return np.zeros((3, 0)), np.zeros((3, 0)), np.zeros(0)
-    pixels = project_persp(vertices, cam)
-    x, y = np.take(pixels[:, 0], faces.T), np.take(pixels[:, 1], faces.T)
+    x, y = u.take(corners), v.take(corners)
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     return x, y, area2
 
@@ -198,18 +207,63 @@ def _rectangle_cells(rows: tuple, cols: tuple, size: int) -> np.ndarray:
     return (rows[0][owner] + offset // n_cols) * size + cols[0][owner] + offset % n_cols
 
 
-def _coverage(x, y, area2, twins: np.ndarray, size: int) -> np.ndarray:
+class _MeshEdges(NamedTuple):
+    """The rasterizers' tables of one mesh, from its faces (F, 3) and their
+    twin table (`bodymodel.edge_twins`), corner-major: row k holds corner k
+    of every face, or the directed edge from corner k to corner k + 1 (mod
+    3), and the flat index of edge (k, f) is k F + f. `_mesh_edges` builds
+    them once per mesh."""
+
+    corners: np.ndarray  # (3, F) vertex index of each corner
+    probe: np.ndarray    # (3, P) the corners of the faces sampled (`_PROBE_FACES`)
+    twins: np.ndarray    # (3, F) the twin face of each edge, F where it has none
+    leads: np.ndarray    # (3, F) bool: the face's index is below its twin's
+
+
+# faces sampled by `covers_any_pixel`'s first step: every (F // 64)-th face,
+# or every face when F < 128
+_PROBE_FACES = 64
+# (id(faces), id(twins)) -> (weak reference to each array, their _MeshEdges)
+_MESH_EDGES: dict = {}
+
+
+def _mesh_edges(faces: np.ndarray, twins: np.ndarray) -> _MeshEdges:
+    """The `_MeshEdges` of the faces and their twin table, built on first
+    use and kept, by the arrays' identity, while both arrays live: a body
+    model's `faces` and `edge_twins` are built into tables once per model.
+    The arrays must not change while they are kept, as a model's never do."""
+    key = (id(faces), id(twins))
+    kept = _MESH_EDGES.get(key)
+    if kept is not None and kept[0]() is faces and kept[1]() is twins:
+        return kept[2]
+    n_faces = len(faces)
+    corners, twins_t = np.ascontiguousarray(faces.T), np.ascontiguousarray(twins.T)
+    edges = _MeshEdges(corners,
+                       np.ascontiguousarray(corners[:, ::max(n_faces // _PROBE_FACES, 1)]),
+                       np.where(twins_t < 0, n_faces, twins_t), twins_t > np.arange(n_faces))
+
+    def forget(_):
+        _MESH_EDGES.pop(key, None)
+
+    _MESH_EDGES[key] = (weakref.ref(faces, forget), weakref.ref(twins, forget), edges)
+    return edges
+
+
+def _coverage(x, y, area2, edges: _MeshEdges, size: int) -> np.ndarray:
     """The (S, S) bool mask of the pixel centers that some positive face
     covers by `_rule_covers`, for a closed, consistently oriented surface:
-    faces with the twin table `twins` (F, 3) (`bodymodel.edge_twins`),
+    faces with the tables `edges` (`_mesh_edges`, built once per mesh),
     projected by `_face_pixels` to corners x, y (3, F) and doubled signed
     areas `area2`.
 
     *Fill.* Edges shared by two positive faces cancel (`_face_pixels`), so
     the positive faces hold a point exactly when the winding number of
     their contour edges about it is not 0. A contour edge is a directed
-    edge a -> b of a positive face whose twin face is not positive. It
-    crosses each center row with min(ya, yb) <= r + 0.5 < max(ya, yb)
+    edge a -> b of a positive face whose twin face is not positive; of an
+    edge two positive faces share, the direction of the lower face
+    (`_MeshEdges.leads`) is kept for the doubt set. Per render, only the
+    twins' positivity is gathered; the rest is the mesh's tables. A contour
+    edge crosses each center row with min(ya, yb) <= r + 0.5 < max(ya, yb)
     once, at x = xa + (r + 0.5 - ya) / (yb - ya) * (xb - xa), and adds +1
     going down or -1 going up at the first center at or right of x, column
     ceil(x - 0.5), or at the spare column S. One `bincount` puts every
@@ -253,8 +307,8 @@ def _coverage(x, y, area2, twins: np.ndarray, size: int) -> np.ndarray:
     # index k F + f: the contour edges, and one direction of each edge
     # that two positive faces share
     n_faces = len(area2)
-    twin_positive = np.append(positive, False)[twins.T]
-    line = np.flatnonzero(positive & (~twin_positive | (twins.T > np.arange(n_faces))))
+    twin_positive = np.append(positive, False).take(edges.twins)
+    line = np.flatnonzero(positive & (~twin_positive | edges.leads))
     contour = ~twin_positive.ravel()[line]
     head = np.where(line < 2 * n_faces, line + n_faces, line - 2 * n_faces)
     xa, ya = x.ravel()[line], y.ravel()[line]
@@ -277,33 +331,32 @@ def _coverage(x, y, area2, twins: np.ndarray, size: int) -> np.ndarray:
         mask[r0:r0 + n_rows, c0:c0 + n_cols - 1] = (np.cumsum(steps) != 0).reshape(
             n_rows, n_cols)[:, :-1]
 
-    # the doubt set: centers near a crossing, and the faces' bands about
-    # their middle corners
-    window = _TIE_BOUND * (2.0 * np.abs(x).max() + 1.0)
+    # the doubt set: centers near a crossing, and the positive faces' bands
+    # about their middle corners
+    window = _TIE_BOUND * (2.0 * max(x.max(), -x.min()) + 1.0)
     off = cross - 0.5
     doubt = np.flatnonzero(np.abs(off - np.rint(off)) <= window)
     doubt_cols = _centers(cross[doubt] - window, cross[doubt] + window, size)
+    faces_up = np.flatnonzero(positive)
+    x, y = x.take(faces_up, axis=1), y.take(faces_up, axis=1)
     (x0, x1, x2), (y0, y1, y2) = x, y
     y_min, y_max = np.minimum(np.minimum(y0, y1), y2), np.maximum(np.maximum(y0, y1), y2)
     y_mid = np.maximum(np.minimum(y0, y1), np.minimum(np.maximum(y0, y1), y2))
     height = y_max - y_min
     box = (np.maximum(np.maximum(x0, x1), x2) - np.minimum(np.minimum(x0, x1), x2)) * height
-    faces_up = np.flatnonzero(positive)
-    box, height, y_mid = box[faces_up], height[faces_up], y_mid[faces_up]
     band = _TIE_BOUND * box * height / np.maximum(area2[faces_up], _TIE_BOUND * box)
     off = y_mid - 0.5
-    in_band = np.flatnonzero(np.abs(off - np.rint(off)) <= band)
-    banded = faces_up[in_band]
+    banded = np.flatnonzero(np.abs(off - np.rint(off)) <= band)
     if doubt.size or banded.size:
         xs = x[:, banded]
         cells = np.unique(np.concatenate([
             _rectangle_cells((row[doubt], row[doubt]), doubt_cols, size),
             _rectangle_cells(
-                _centers(np.maximum(y_min[banded], (y_mid - band)[in_band]),
-                         np.minimum(y_max[banded], (y_mid + band)[in_band]), size),
+                _centers(np.maximum(y_min, y_mid - band)[banded],
+                         np.minimum(y_max, y_mid + band)[banded], size),
                 _centers(xs.min(axis=0), xs.max(axis=0), size), size),
         ]))
-        mask.ravel()[cells] = _decide(x[:, positive], y[:, positive], cells, size)
+        mask.ravel()[cells] = _decide(x, y, cells, size)
     return mask
 
 
@@ -335,27 +388,31 @@ def rasterize_silhouette(vertices, faces: np.ndarray, twins: np.ndarray,
     model holds it as `edge_twins`). A pixel is set when some face covers
     its center; see `_coverage`."""
     _check_twins(faces, twins)
-    return _coverage(*_face_pixels(vertices, faces, cam), twins, cam.size).astype(np.uint8)
+    edges = _mesh_edges(faces, twins)
+    u, v = _project(ad.value_of(vertices), cam)
+    return _coverage(*_face_pixels(u, v, edges.corners), edges, cam.size).astype(np.uint8)
 
 
 def covers_any_pixel(vertices, faces: np.ndarray, twins: np.ndarray, cam: PerspCamera) -> bool:
     """Whether the projected mesh covers any pixel center: exactly
     `rasterize_silhouette(vertices, faces, twins, cam).any()`, with the
-    same requirements. The mask holds every in-frame center that the rule
+    same requirements and checks: the mesh is projected once, and every
+    vertex is checked. The mask holds every in-frame center that the rule
     of some positive face covers, so a covered center nearest a face's
-    centroid settles it: first for the largest positive face, then for
-    every positive face at once (`_covers_centroid_center`). Only when
-    neither does is the mask filled."""
+    centroid settles it (`_covers_centroid_center`): first for the
+    positive faces of a fixed sample, every (F // 64)-th face
+    (`_MeshEdges.probe`), then for every positive face at once. Only when
+    neither settles it is the mask filled."""
     _check_twins(faces, twins)
-    x, y, area2 = _face_pixels(vertices, faces, cam)
-    if area2.size and area2.max() > 0:
-        big = np.argmax(area2)
-        if _covers_centroid_center(x[:, big:big + 1], y[:, big:big + 1], cam.size).any():
-            return True
+    edges = _mesh_edges(faces, twins)
+    u, v = _project(ad.value_of(vertices), cam)
+    for corners in (edges.probe, edges.corners):
+        x, y, area2 = _face_pixels(u, v, corners)
         positive = area2 > 0
         if _covers_centroid_center(x[:, positive], y[:, positive], cam.size).any():
             return True
-    return bool(_coverage(x, y, area2, twins, cam.size).any())
+    # x, y and area2 now hold every face
+    return bool(_coverage(x, y, area2, edges, cam.size).any())
 
 
 def _covers_centroid_center(x, y, size: int) -> np.ndarray:
@@ -372,11 +429,13 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
     """Silhouette pixels labelled by body part, -1 outside.
 
     `silhouette` is the body's coverage mask under `cam`, as returned by
-    `rasterize_silhouette`; it is not rasterized again here. Each covered
-    pixel is assigned the part of its nearest projected vertex: the exact
-    `argmin` over the vertices of the squared distance to the pixel's
-    centre, the lowest vertex index on ties. The per-part masks tile the
-    silhouette exactly, mirroring a part segmentation.
+    `rasterize_silhouette`; it is not rasterized again here. ValueError
+    unless it is (S, S) for the camera's side S and `part_labels` holds
+    one integer label per vertex. Each covered pixel is assigned the part
+    of its nearest projected vertex: the exact `argmin` over the vertices
+    of the squared distance to the pixel's centre, the lowest vertex index
+    on ties. The per-part masks tile the silhouette exactly, mirroring a
+    part segmentation.
 
     The search (`_nearest_points`) runs on a grid of pixel cells over the
     silhouette's box plus a one-cell margin. Each vertex goes into the
@@ -387,12 +446,19 @@ def rasterize_part_assignment(vertices, part_labels: np.ndarray,
     pixels not settled are searched again with K doubled, from K = 1,
     until a block covers the grid.
     """
+    vertices, part_labels = np.asarray(ad.value_of(vertices)), np.asarray(part_labels)
+    if np.shape(silhouette) != (cam.size, cam.size):
+        raise ValueError(f"silhouette has shape {np.shape(silhouette)}, the camera "
+                         f"renders ({cam.size}, {cam.size})")
+    if part_labels.shape != vertices.shape[:1] or not np.issubdtype(part_labels.dtype, np.integer):
+        raise ValueError(f"part labels must be one integer per vertex: got {part_labels.dtype} "
+                         f"{part_labels.shape} for {len(vertices)} vertices")
     assignment = np.full(silhouette.shape, -1, dtype=np.int64)
     rows, cols = np.nonzero(silhouette)
     if rows.size == 0:
         return assignment
-    projected = project_persp(ad.value_of(vertices), cam)
-    assignment[rows, cols] = np.asarray(part_labels)[_nearest_points(projected, rows, cols)]
+    projected = project_persp(vertices, cam)
+    assignment[rows, cols] = part_labels[_nearest_points(projected, rows, cols)]
     return assignment
 
 

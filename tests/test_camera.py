@@ -446,7 +446,7 @@ class TestClosedMeshRasterizer:
                 counter_clockwise(cam.project_persp(verts, c)[model.faces]), 256)
             assert want.any() == (shift < 3.0) and not want.all()
             for faces in (model.faces, model.faces[:, ::-1]):
-                kept = np.count_nonzero(cam._face_pixels(verts, faces, c)[2] > 0)
+                kept = np.count_nonzero(cam._face_pixels(*cam._project(verts, c), faces.T)[2] > 0)
                 assert 0 < kept < len(faces)
                 np.testing.assert_array_equal(silhouette(verts, faces, c), want)
                 assert covers(verts, faces, c) == want.any()
@@ -457,7 +457,7 @@ class TestClosedMeshRasterizer:
                              ids=["centred", "past-edge", "off-frame"])
     def test_covers_any_pixel_is_the_masks_any(self, benchmark_model, shift, accepted,
                                                monkeypatch):
-        # a visible body is settled by its largest face alone; a body off
+        # a visible body is settled by a face's centroid center; a body off
         # the frame needs the fill
         model = benchmark_model
         c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
@@ -474,8 +474,8 @@ class TestClosedMeshRasterizer:
     def test_every_face_is_tried_before_the_fill(self, small_at, want, monkeypatch):
         # a large triangle wholly left of the frame and a small one at
         # small_at: the center nearest the large one's centroid is off the
-        # frame, so the largest face's test fails; the small one's center
-        # settles a visible mesh, and the fill decides an invisible one
+        # frame; the small one's center settles a visible mesh, and the
+        # fill decides an invisible one
         c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
         large = [[-60.0, -10.0, 0.0], [-30.0, -10.0, 0.0], [-45.0, 10.0, 0.0]]
         small = [[small_at - 2, -2.0, 0.0], [small_at + 2, -2.0, 0.0], [small_at, 2.0, 0.0]]
@@ -492,7 +492,7 @@ class TestClosedMeshRasterizer:
         c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
         sliver = [[-16.0, 0.0, 0.0], [14.0, 0.0, 0.0], [-5.5, 0.55, 0.0]]
         verts, faces, twins = pillow(np.array([sliver]))
-        x, y, area2 = cam._face_pixels(verts, faces, c)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, c), faces.T)
         assert np.count_nonzero(area2 > 0) == 1
         assert not cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 32).any()
         want = cam.rasterize_silhouette(verts, faces, twins, c)
@@ -500,6 +500,74 @@ class TestClosedMeshRasterizer:
         filled = filling(monkeypatch)
         assert cam.covers_any_pixel(verts, faces, twins, c) is True
         assert len(filled) == 1
+
+    @pytest.mark.parametrize("rest, want, fills", [
+        ("small", True, 0), ("sliver", True, 1), ("off-frame", False, 1),
+    ], ids=["all-faces", "fill", "fill-none"])
+    def test_sampled_faces_front_facing_or_off_frame(self, rest, want, fills, monkeypatch):
+        # 130 two-sided triangles: the sample, every fourth of the 260
+        # faces, holds one face of every other triangle, turned front-facing
+        # here, and both faces of the rest of those, moved off the frame;
+        # the triangles left out of the sample decide the check by the
+        # all-faces step, or leave it to the fill
+        c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
+        n = 130
+        probed = set(range(0, 2 * n, 2 * n // 64))
+        small = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.0, 0.0]])
+        sliver = np.array([[-16.0, 0.0, 0.0], [14.0, 0.0, 0.0], [-5.5, 0.55, 0.0]])
+        off = [40.0, 0.0, 0.0]
+        triangles = []
+        for i in range(n):
+            tri = {"small": small, "sliver": sliver, "off-frame": small + off}[rest]
+            if i in probed and n + i in probed:
+                tri = small + off
+            elif i in probed:
+                tri = tri[[0, 2, 1]]  # face i front-facing, its positive twin not sampled
+            triangles.append(tri)
+        verts, faces, twins = pillow(np.array(triangles))
+        edges = cam._mesh_edges(faces, twins)
+        assert edges.probe.shape == (3, 65)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, c), edges.probe)
+        assert not cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 32).any()
+        filled = filling(monkeypatch)
+        assert cam.covers_any_pixel(verts, faces, twins, c) is want
+        assert len(filled) == fills
+        assert cam.rasterize_silhouette(verts, faces, twins, c).any() == want
+
+    @pytest.mark.parametrize("bad, match", [
+        ([np.nan, 0.0, 0.0], "finite"), ([0.0, 0.0, -2.5], "behind"),
+    ], ids=["nan", "behind"])
+    def test_every_vertex_checked_beside_the_sampled_faces(self, bad, match):
+        # the sample settles the clean mesh, and a bad vertex off every
+        # sampled face still raises
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 5, [1])[0]
+        edges = cam._mesh_edges(model.faces, model.edge_twins)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, c), edges.probe)
+        assert cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 64).any()
+        vertex = np.setdiff1d(np.arange(len(verts)), edges.probe)[0]
+        verts[vertex] = bad
+        with pytest.raises(ValueError, match=match):
+            cam.covers_any_pixel(verts, model.faces, model.edge_twins, c)
+
+    def test_mesh_tables_built_once_per_model(self):
+        model = bm.generate_toy_model(seed=0, num_vertices=150, num_joints=16)
+        edges = cam._mesh_edges(model.faces, model.edge_twins)
+        assert cam._mesh_edges(model.faces, model.edge_twins) is edges
+        F = len(model.faces)
+        np.testing.assert_array_equal(edges.corners, model.faces.T)
+        np.testing.assert_array_equal(edges.probe, model.faces[::F // 64].T)
+        np.testing.assert_array_equal(edges.twins, model.edge_twins.T)
+        np.testing.assert_array_equal(edges.leads, model.edge_twins.T > np.arange(F))
+        # other arrays, equal or not, get their own tables
+        faces = model.faces.copy()
+        assert cam._mesh_edges(faces, model.edge_twins) is not edges
+        # a table goes with its arrays
+        key = (id(faces), id(model.edge_twins))
+        assert key in cam._MESH_EDGES
+        del faces
+        assert key not in cam._MESH_EDGES
 
 
 def filling(monkeypatch):
@@ -546,7 +614,7 @@ class TestTieRepair:
     def body(self):
         model = bm.generate_toy_model(seed=2, num_vertices=150, num_joints=16)
         verts = posed_noisy_bodies(model, 3, [0])[0]
-        x, y, area2 = cam._face_pixels(verts, model.faces, EXACT)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, EXACT), model.faces.T)
         inner = np.all((x >= 20) & (x <= 44) & (y >= 20) & (y <= 44), axis=0)
         return model, verts, np.flatnonzero(inner & (area2 > 0))
 
@@ -592,7 +660,7 @@ class TestTieRepair:
             row = np.floor((va + vb) / 2) + 0.5
             place(moved, a, ua, row)
             place(moved, b, ub, row)
-            area2 = cam._face_pixels(moved, model.faces, EXACT)[2]
+            area2 = cam._face_pixels(*cam._project(moved, EXACT), model.faces.T)[2]
             if area2[face] > 0 and not area2[model.edge_twins[face, k]] > 0:
                 break
         else:
@@ -609,7 +677,7 @@ class TestTieRepair:
             pa, pb = cam.project_persp(verts[[a, b]], EXACT)
             normal = np.array([pb[1] - pa[1], pa[0] - pb[0]]) / np.hypot(*(pb - pa))
             place(moved, corner, *((pa + pb) / 2 + step * normal))
-            area2 = cam._face_pixels(moved, model.faces, EXACT)[2][face]
+            area2 = cam._face_pixels(*cam._project(moved, EXACT), model.faces.T)[2][face]
             if 0 < area2 < 1e-12:
                 break
         else:
@@ -717,6 +785,30 @@ class TestPartAssignment:
             got = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
             np.testing.assert_array_equal(got[rows, cols], model.part_labels[want])
             assert (got >= 0).sum() == rows.size
+
+    @pytest.mark.parametrize("labels", ["ten", "one-too-many", "float", "table"])
+    def test_one_integer_label_per_vertex(self, labels):
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 3, [0])[0]
+        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+        bad = {"ten": model.part_labels[:10], "one-too-many": np.append(model.part_labels, 0),
+               "float": model.part_labels.astype(np.float64),
+               "table": model.part_labels[:, None]}[labels]
+        with pytest.raises(ValueError, match="one integer per vertex"):
+            cam.rasterize_part_assignment(verts, bad, c, sil)
+        # also when the silhouette is empty
+        with pytest.raises(ValueError, match="one integer per vertex"):
+            cam.rasterize_part_assignment(verts, bad, c, np.zeros_like(sil))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (256, 128), (256,), (256, 256, 1)])
+    def test_silhouette_must_be_the_cameras_image(self, shape):
+        model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
+        c = cam.PerspCamera(300.0, 256, np.array([0.0, -0.2, 2.5]))
+        verts = posed_noisy_bodies(model, 3, [0])[0]
+        sil = np.ones(shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"silhouette has shape .*\(256, 256\)"):
+            cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
 
 
 class TestHeatmaps:

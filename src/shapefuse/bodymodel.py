@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from . import camera as cr
 from .containerio import ContainerError, read_container, write_container
 from .scalars import check_int, is_int, is_real
 
@@ -126,7 +127,8 @@ class KeypointRig(NamedTuple):
 @dataclass(frozen=True)
 class BodyModel:
     """Immutable parametric body; safe for concurrent read. Checked when
-    built, so by `dataclasses.replace` too: a broken rule raises ValueError."""
+    built, so by `dataclasses.replace` too: a broken rule raises ValueError.
+    Its arrays are set read-only, in place, when it is built."""
 
     template_vertices: np.ndarray   # (V, 3) meters
     shape_basis: np.ndarray         # (V, 3, S) meters per unit coefficient
@@ -174,10 +176,10 @@ class BodyModel:
                              np.argsort(np.concatenate(levels)))
 
     @cached_property
-    def edge_twins(self) -> np.ndarray:
-        """The (F, 3) `edge_twins` table of the faces, built on first use,
+    def mesh(self) -> cr.Mesh:
+        """The rasterizers' `camera.Mesh` of the faces, built on first use,
         once per model."""
-        return edge_twins(self.faces)
+        return cr.mesh(self.faces)
 
     @cached_property
     def joint_basis(self) -> JointBasis:
@@ -238,7 +240,7 @@ class BodyModel:
             raise ValueError("faces must be (F, 3)")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= V):
             raise ValueError("face indices out of range")
-        if not _is_closed_oriented(self.faces):
+        if not cr._is_closed_oriented(self.faces):
             raise ValueError("faces must form a closed, consistently oriented surface")
         if self.joint_regressor.shape != (L, V):
             raise ValueError("joint regressor shape mismatch")
@@ -287,68 +289,11 @@ class BodyModel:
             self.keypoint_attach >= J
         ):
             raise ValueError("keypoint attachment joints out of range")
-
-
-def _edge_keys(faces: np.ndarray) -> tuple:
-    """One key per directed edge of the faces, from corner k to corner
-    k + 1 (mod 3), in row-major order: its undirected edge low * base +
-    high, with its direction as the lowest bit. Returns (keys, base)."""
-    heads = np.empty_like(faces)
-    heads[:, :2], heads[:, 2] = faces[:, 1:], faces[:, 0]
-    tails, heads = faces.ravel(), heads.ravel()
-    base = faces.max() + 1
-    return (np.minimum(tails, heads) * base + np.maximum(tails, heads)) * 2 + (tails > heads), base
-
-
-def _reverse_positions(ranked: np.ndarray, base) -> np.ndarray:
-    """For sorted edge keys, the sorted position of each edge's reverse, or
-    -1: an edge has a reverse when it and one edge the other way are
-    alone under their undirected edge. An edge from a vertex to itself,
-    alone, is its own reverse; its undirected key v * base + v is a
-    multiple of base + 1."""
-    # whether each position starts an undirected edge, and one past the end
-    starts = np.ones(len(ranked) + 1, dtype=bool)
-    starts[1:-1] = (ranked[1:] >> 1) != (ranked[:-1] >> 1)
-    reverse = np.full(len(ranked), -1)
-    pair = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:] & (ranked[1:] != ranked[:-1]))
-    reverse[pair], reverse[pair + 1] = pair + 1, pair
-    alone = np.flatnonzero(starts[:-1] & starts[1:])
-    loop = alone[(ranked[alone] >> 1) % (base + 1) == 0]
-    reverse[loop] = loop
-    return reverse
-
-
-def _is_closed_oriented(faces: np.ndarray) -> bool:
-    """Whether each directed edge of the faces occurs once and its reverse
-    occurs once, so that `edge_twins` has no -1; true for no faces. The
-    same rule as the table's, from one sort of the edge keys."""
-    faces = np.asarray(faces, dtype=np.int64)
-    if faces.size == 0:
-        return True
-    keys, base = _edge_keys(faces)
-    return bool(np.all(_reverse_positions(np.sort(keys), base) >= 0))
-
-
-def edge_twins(faces: np.ndarray) -> np.ndarray:
-    """The (F, 3) twin table of the faces: entry (f, k) is the face holding
-    the reverse of f's directed edge from corner k to corner k + 1 (mod 3),
-    or -1 when that reverse is missing or either edge occurs more than once.
-
-    The faces form a closed, consistently oriented surface, as `BodyModel`
-    requires (`_is_closed_oriented`), exactly when no entry is -1: each
-    directed edge occurs once and its reverse once. One `argsort` of the
-    edge keys (`_edge_keys`) puts each edge beside its reverse. The
-    rasterizer reads the table to tell contour edges from shared ones
-    (see `camera._coverage`)."""
-    faces = np.asarray(faces, dtype=np.int64)
-    if faces.size == 0:
-        return np.zeros(faces.shape, dtype=np.int64)
-    keys, base = _edge_keys(faces)
-    order = np.argsort(keys)
-    reverse = _reverse_positions(keys[order], base)
-    twins = np.empty(len(keys), dtype=np.int64)
-    twins[order] = np.where(reverse >= 0, order[reverse] // 3, -1)
-    return twins.reshape(faces.shape)
+        # what is built from the arrays on first use (`tree`, `mesh`, the
+        # skinning layouts, the keypoint rig) must not go stale
+        for f in fields(self):
+            if f.type == "np.ndarray":
+                getattr(self, f.name).flags.writeable = False
 
 
 def _skinning_layout(model: BodyModel, vertices, joints: np.ndarray = None) -> SkinningLayout:
@@ -428,19 +373,10 @@ def lbs_vertices(model: BodyModel, pose, betas, glob):
     """Batched forward: (B,P),(B,S),(B,3) -> posed vertices (B,V,3);
     ValueError, naming the argument's shape and the model's width, when an
     argument is not (B, width), when the batch sizes differ, or when any
-    value is NaN or infinite.
-
-    The transpose of the component-major skinning `_skinned_components`,
-    the one skinning path: see there for the method.
-    """
-    return ad.transpose(_skinned_components(model, pose, betas, glob), (0, 2, 1))
-
-
-def _skinned_components(model: BodyModel, pose, betas, glob):
-    """Batched forward into the component-major layout: (B,P),(B,S),(B,3)
-    -> posed vertices (B,3,V), with the checks and messages of
-    `lbs_vertices`: the `_joint_transforms`, then the `_skin_components`
-    of the whole mesh, `model.skinning`, over all J joints.
+    value is NaN or infinite. The one skinning path: the
+    `_joint_transforms`, then the `_skin_components` of the whole mesh,
+    `model.skinning`, over all J joints, transposed from the
+    component-major (B,3,V).
 
     Joint pivots regress linearly from the shaped template, so they are
     linear in the shape coefficients: p = p_rest + betas @ basis, by the
@@ -461,13 +397,14 @@ def _skinned_components(model: BodyModel, pose, betas, glob):
     innermost. R - I and u are exactly 0 at the rest pose, so the rest
     pose reproduces the shaped template bit for bit.
     """
-    return _skin_components(model.skinning, betas, *_joint_transforms(model, pose, betas, glob))
+    posed = _skin_components(model.skinning, betas, *_joint_transforms(model, pose, betas, glob))
+    return ad.transpose(posed, (0, 2, 1))
 
 
 def _joint_transforms(model: BodyModel, pose, betas, glob) -> tuple:
     """The checks of `lbs_vertices`, then the world transforms of the
     joints as the blends read them: R - I as (B*9, J) rows, component pair
-    major, and u as (B*3, J) rows; see `_skinned_components`."""
+    major, and u as (B*3, J) rows; see `lbs_vertices`."""
     J = model.num_joints
     for name, x, width in (("pose", pose, model.pose_dim), ("shape", betas, model.shape_dim),
                            ("global rotation", glob, 3)):

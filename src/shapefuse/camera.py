@@ -12,27 +12,28 @@ those profiles. A rendered sample keeps only its keypoints; its
 full-resolution heatmaps are drawn on demand. The rasterizer is plain
 coverage (a pixel is set when its center lies inside a projected
 triangle), which is all a binary silhouette channel needs — no z-buffer,
-no anti-aliasing. A mesh must be a closed, consistently oriented surface
-in front of the camera, as a `BodyModel` requires of its faces when
-built; the rasterizer then counts only the triangles of one facing, those
-with positive signed pixel area, which cover exactly the pixels the whole
-mesh covers. It has one path, a scanline fill from contour edges: the
-edges of those triangles whose twin face (`bodymodel.edge_twins`, built
-once per model) faces the other way. Each contour edge adds +1 or -1 at
-its crossing of each pixel-center row, and one cumulative sum gives each
+no anti-aliasing. The rasterizers take a `Mesh`, the one value built
+from a mesh's faces by `mesh`, which checks that they form a closed,
+consistently oriented surface; the vertices must lie in front of the
+camera. A `BodyModel` builds its faces' mesh once, on first use, as
+`BodyModel.mesh`. The rasterizer counts only the triangles of one facing,
+those with positive signed pixel area, which cover exactly the pixels
+the whole mesh covers. It has one path, a scanline fill from contour
+edges: the edges of those triangles whose twin face (`edge_twins`, held
+by the mesh) faces the other way. Each contour edge adds +1 or -1 at its
+crossing of each pixel-center row, and one cumulative sum gives each
 center's winding number. Centers within rounding of an edge are decided
 by the per-triangle rule instead (a tie repair), so the mask is that
-rule's, pixel for pixel. What depends only on a mesh's faces and twin
-table (their corner-major copies, which edge of a shared pair is counted,
-the sampled faces below) is built once per mesh, on first use
-(`_mesh_edges`); a render projects the vertices and works on the
-positive faces. `covers_any_pixel` projects and checks every vertex once,
-then tests the center nearest the centroid of each positive face of a
-fixed sample, every (F // 64)-th face, then that of every positive face,
-and fills only when both fail, so it always agrees with
-`rasterize_silhouette(...).any()`.
+rule's, pixel for pixel. What depends only on the faces (their
+corner-major copies, the twin table, which edge of a shared pair is
+counted, the sampled faces below) is the mesh's; a render projects the
+vertices and works on the positive faces. `covers_any_pixel` projects and
+checks every vertex once, then tests the center nearest the centroid of
+each positive face of a fixed sample, every (F // 64)-th face, then that
+of every positive face, and fills only when both fail, so it always
+agrees with `rasterize_silhouette(...).any()`.
 A body is its posed `(V, 3)` vertex array: the rasterizers take
-`(vertices, faces, twins, cam)`, and part assignment labels a silhouette
+`(vertices, mesh, cam)`, and part assignment labels a silhouette
 the caller already rasterized by nearest projected vertex, so it takes no
 faces. The nearest vertex is exact, the lowest index on ties, and is
 found on a pixel grid over the silhouette's box, whose (2K+1)^2 block of
@@ -44,7 +45,6 @@ Images are square: every function takes one side `size` (S), in pixels.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,62 +207,118 @@ def _rectangle_cells(rows: tuple, cols: tuple, size: int) -> np.ndarray:
     return (rows[0][owner] + offset // n_cols) * size + cols[0][owner] + offset % n_cols
 
 
-class _MeshEdges(NamedTuple):
-    """The rasterizers' tables of one mesh, from its faces (F, 3) and their
-    twin table (`bodymodel.edge_twins`), corner-major: row k holds corner k
-    of every face, or the directed edge from corner k to corner k + 1 (mod
-    3), and the flat index of edge (k, f) is k F + f. `_mesh_edges` builds
-    them once per mesh."""
+class Mesh(NamedTuple):
+    """A closed, consistently oriented triangle mesh as the rasterizers read
+    it, built from its faces (F, 3) by `mesh`, with read-only tables,
+    corner-major: row k holds corner k of every face, or the directed edge
+    from corner k to corner k + 1 (mod 3), and the flat index of edge
+    (k, f) is k F + f."""
 
     corners: np.ndarray  # (3, F) vertex index of each corner
     probe: np.ndarray    # (3, P) the corners of the faces sampled (`_PROBE_FACES`)
-    twins: np.ndarray    # (3, F) the twin face of each edge, F where it has none
+    twins: np.ndarray    # (3, F) the twin face of each edge (`edge_twins`)
     leads: np.ndarray    # (3, F) bool: the face's index is below its twin's
+    num_vertices: int    # the vertices the faces index: the largest index + 1, 0 for no faces
 
 
 # faces sampled by `covers_any_pixel`'s first step: every (F // 64)-th face,
 # or every face when F < 128
 _PROBE_FACES = 64
-# (id(faces), id(twins)) -> (weak reference to each array, their _MeshEdges)
-_MESH_EDGES: dict = {}
 
 
-def _mesh_edges(faces: np.ndarray, twins: np.ndarray) -> _MeshEdges:
-    """The `_MeshEdges` of the faces and their twin table, built on first
-    use and kept, by the arrays' identity, while both arrays live: a body
-    model's `faces` and `edge_twins` are built into tables once per model.
-    The arrays must not change while they are kept, as a model's never do."""
-    key = (id(faces), id(twins))
-    kept = _MESH_EDGES.get(key)
-    if kept is not None and kept[0]() is faces and kept[1]() is twins:
-        return kept[2]
+def mesh(faces) -> Mesh:
+    """The `Mesh` of the faces (F, 3). ValueError unless they are integers
+    >= 0 that form a closed, consistently oriented surface: each directed
+    edge occurs once and its reverse once, so their `edge_twins` table has
+    no -1. No faces make a mesh that covers no pixel. A body model builds
+    its mesh once, on first use (`BodyModel.mesh`)."""
+    faces = np.asarray(faces)
+    if faces.ndim != 2 or faces.shape[1] != 3 or not np.issubdtype(faces.dtype, np.integer):
+        raise ValueError(f"faces must be (F, 3) integers, got {faces.dtype} {faces.shape}")
+    if faces.min(initial=0) < 0:
+        raise ValueError("face indices must be >= 0")
+    twins = edge_twins(faces)
+    if np.any(twins < 0):
+        raise ValueError("faces must form a closed, consistently oriented surface")
     n_faces = len(faces)
-    corners, twins_t = np.ascontiguousarray(faces.T), np.ascontiguousarray(twins.T)
-    edges = _MeshEdges(corners,
-                       np.ascontiguousarray(corners[:, ::max(n_faces // _PROBE_FACES, 1)]),
-                       np.where(twins_t < 0, n_faces, twins_t), twins_t > np.arange(n_faces))
-
-    def forget(_):
-        _MESH_EDGES.pop(key, None)
-
-    _MESH_EDGES[key] = (weakref.ref(faces, forget), weakref.ref(twins, forget), edges)
-    return edges
+    corners, twins = np.array(faces.T, dtype=np.int64, order="C"), np.ascontiguousarray(twins.T)
+    tables = (corners, np.ascontiguousarray(corners[:, ::max(n_faces // _PROBE_FACES, 1)]),
+              twins, twins > np.arange(n_faces))
+    for table in tables:
+        table.flags.writeable = False
+    return Mesh(*tables, int(corners.max(initial=-1)) + 1)
 
 
-def _coverage(x, y, area2, edges: _MeshEdges, size: int) -> np.ndarray:
+def _edge_keys(faces: np.ndarray) -> tuple:
+    """One key per directed edge of the faces, from corner k to corner
+    k + 1 (mod 3), in row-major order: its undirected edge low * base +
+    high, with its direction as the lowest bit. Returns (keys, base)."""
+    faces = np.asarray(faces, dtype=np.int64)
+    heads = np.empty_like(faces)
+    heads[:, :2], heads[:, 2] = faces[:, 1:], faces[:, 0]
+    tails, heads = faces.ravel(), heads.ravel()
+    base = faces.max(initial=0) + 1
+    return (np.minimum(tails, heads) * base + np.maximum(tails, heads)) * 2 + (tails > heads), base
+
+
+def _reverse_positions(ranked: np.ndarray, base) -> np.ndarray:
+    """For sorted edge keys, the sorted position of each edge's reverse, or
+    -1: an edge has a reverse when it and one edge the other way are
+    alone under their undirected edge. An edge from a vertex to itself,
+    alone, is its own reverse; its undirected key v * base + v is a
+    multiple of base + 1."""
+    # whether each position starts an undirected edge, and one past the end
+    starts = np.ones(len(ranked) + 1, dtype=bool)
+    starts[1:-1] = (ranked[1:] >> 1) != (ranked[:-1] >> 1)
+    reverse = np.full(len(ranked), -1)
+    pair = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:] & (ranked[1:] != ranked[:-1]))
+    reverse[pair], reverse[pair + 1] = pair + 1, pair
+    alone = np.flatnonzero(starts[:-1] & starts[1:])
+    loop = alone[(ranked[alone] >> 1) % (base + 1) == 0]
+    reverse[loop] = loop
+    return reverse
+
+
+def _is_closed_oriented(faces: np.ndarray) -> bool:
+    """Whether each directed edge of the faces occurs once and its reverse
+    occurs once, so that `edge_twins` has no -1; true for no faces. The
+    same rule as the table's, from one sort of the edge keys, with no
+    table: `BodyModel` checks its faces by it when built."""
+    keys, base = _edge_keys(faces)
+    return bool(np.all(_reverse_positions(np.sort(keys), base) >= 0))
+
+
+def edge_twins(faces: np.ndarray) -> np.ndarray:
+    """The (F, 3) twin table of the faces: entry (f, k) is the face holding
+    the reverse of f's directed edge from corner k to corner k + 1 (mod 3),
+    or -1 when that reverse is missing or either edge occurs more than once.
+
+    The faces form a closed, consistently oriented surface
+    (`_is_closed_oriented`) exactly when no entry is -1: each directed edge
+    occurs once and its reverse once. One `argsort` of the edge keys
+    (`_edge_keys`) puts each edge beside its reverse. The rasterizer reads
+    the table, as `Mesh.twins`, to tell contour edges from shared ones
+    (see `_coverage`)."""
+    keys, base = _edge_keys(faces)
+    order = np.argsort(keys)
+    reverse = _reverse_positions(keys[order], base)
+    twins = np.empty(len(keys), dtype=np.int64)
+    twins[order] = np.where(reverse >= 0, order[reverse] // 3, -1)
+    return twins.reshape(-1, 3)
+
+
+def _coverage(x, y, area2, mesh: Mesh, size: int) -> np.ndarray:
     """The (S, S) bool mask of the pixel centers that some positive face
-    covers by `_rule_covers`, for a closed, consistently oriented surface:
-    faces with the tables `edges` (`_mesh_edges`, built once per mesh),
-    projected by `_face_pixels` to corners x, y (3, F) and doubled signed
-    areas `area2`.
+    covers by `_rule_covers`: the faces of `mesh`, projected by
+    `_face_pixels` to corners x, y (3, F) and doubled signed areas `area2`.
 
     *Fill.* Edges shared by two positive faces cancel (`_face_pixels`), so
     the positive faces hold a point exactly when the winding number of
     their contour edges about it is not 0. A contour edge is a directed
     edge a -> b of a positive face whose twin face is not positive; of an
     edge two positive faces share, the direction of the lower face
-    (`_MeshEdges.leads`) is kept for the doubt set. Per render, only the
-    twins' positivity is gathered; the rest is the mesh's tables. A contour
+    (`Mesh.leads`) is kept for the doubt set. Per render, only the twins'
+    positivity is gathered; the rest is the mesh's tables. A contour
     edge crosses each center row with min(ya, yb) <= r + 0.5 < max(ya, yb)
     once, at x = xa + (r + 0.5 - ya) / (yb - ya) * (xb - xa), and adds +1
     going down or -1 going up at the first center at or right of x, column
@@ -307,8 +363,8 @@ def _coverage(x, y, area2, edges: _MeshEdges, size: int) -> np.ndarray:
     # index k F + f: the contour edges, and one direction of each edge
     # that two positive faces share
     n_faces = len(area2)
-    twin_positive = np.append(positive, False).take(edges.twins)
-    line = np.flatnonzero(positive & (~twin_positive | edges.leads))
+    twin_positive = positive.take(mesh.twins)
+    line = np.flatnonzero(positive & (~twin_positive | mesh.leads))
     contour = ~twin_positive.ravel()[line]
     head = np.where(line < 2 * n_faces, line + n_faces, line - 2 * n_faces)
     xa, ya = x.ravel()[line], y.ravel()[line]
@@ -375,44 +431,44 @@ def _decide(x, y, cells: np.ndarray, size: int) -> np.ndarray:
     return covered
 
 
-def _check_twins(faces: np.ndarray, twins: np.ndarray) -> None:
-    if np.shape(twins) != np.shape(faces):
-        raise ValueError(f"edge twins have shape {np.shape(twins)}, the faces {np.shape(faces)}")
+def _project_mesh(vertices, mesh: Mesh, cam: PerspCamera) -> tuple:
+    """`_project` of the vertices of a mesh; ValueError unless they are
+    (V, 3) with every vertex its faces index, V >= `mesh.num_vertices`."""
+    vertices = ad.value_of(vertices)
+    shape = np.shape(vertices)
+    if len(shape) != 2 or shape[1] != 3 or shape[0] < mesh.num_vertices:
+        raise ValueError(f"vertices have shape {shape}, the mesh needs (V, 3) with "
+                         f"V >= {mesh.num_vertices}")
+    return _project(vertices, cam)
 
 
-def rasterize_silhouette(vertices, faces: np.ndarray, twins: np.ndarray,
-                         cam: PerspCamera) -> np.ndarray:
-    """Binary coverage mask (S, S) uint8 of the projected mesh: faces (F, 3)
-    forming a closed, consistently oriented surface in front of the
-    camera, with their twin table `bodymodel.edge_twins(faces)` (a body
-    model holds it as `edge_twins`). A pixel is set when some face covers
-    its center; see `_coverage`."""
-    _check_twins(faces, twins)
-    edges = _mesh_edges(faces, twins)
-    u, v = _project(ad.value_of(vertices), cam)
-    return _coverage(*_face_pixels(u, v, edges.corners), edges, cam.size).astype(np.uint8)
+def rasterize_silhouette(vertices, mesh: Mesh, cam: PerspCamera) -> np.ndarray:
+    """Binary coverage mask (S, S) uint8 of the mesh's vertices (V, 3)
+    projected by the camera, which they must lie in front of; a body
+    model holds its mesh as `BodyModel.mesh`. A pixel is set when some
+    face covers its center; see `_coverage`."""
+    u, v = _project_mesh(vertices, mesh, cam)
+    return _coverage(*_face_pixels(u, v, mesh.corners), mesh, cam.size).astype(np.uint8)
 
 
-def covers_any_pixel(vertices, faces: np.ndarray, twins: np.ndarray, cam: PerspCamera) -> bool:
+def covers_any_pixel(vertices, mesh: Mesh, cam: PerspCamera) -> bool:
     """Whether the projected mesh covers any pixel center: exactly
-    `rasterize_silhouette(vertices, faces, twins, cam).any()`, with the
-    same requirements and checks: the mesh is projected once, and every
+    `rasterize_silhouette(vertices, mesh, cam).any()`, with the same
+    requirements and checks: the mesh is projected once, and every
     vertex is checked. The mask holds every in-frame center that the rule
     of some positive face covers, so a covered center nearest a face's
     centroid settles it (`_covers_centroid_center`): first for the
     positive faces of a fixed sample, every (F // 64)-th face
-    (`_MeshEdges.probe`), then for every positive face at once. Only when
+    (`Mesh.probe`), then for every positive face at once. Only when
     neither settles it is the mask filled."""
-    _check_twins(faces, twins)
-    edges = _mesh_edges(faces, twins)
-    u, v = _project(ad.value_of(vertices), cam)
-    for corners in (edges.probe, edges.corners):
+    u, v = _project_mesh(vertices, mesh, cam)
+    for corners in (mesh.probe, mesh.corners):
         x, y, area2 = _face_pixels(u, v, corners)
         positive = area2 > 0
         if _covers_centroid_center(x[:, positive], y[:, positive], cam.size).any():
             return True
     # x, y and area2 now hold every face
-    return bool(_coverage(x, y, area2, edges, cam.size).any())
+    return bool(_coverage(x, y, area2, mesh, cam.size).any())
 
 
 def _covers_centroid_center(x, y, size: int) -> np.ndarray:

@@ -220,11 +220,11 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
 
     Cameras are redrawn, up to `MAX_CAMERA_RETRIES` times, until
     `covers_any_pixel` finds one that sees the clean mesh (most views are
-    settled by one center of the largest back-facing triangle, the rest by
-    the rasterizer's fill); `ValueError` is raised when none does. The
-    accepted view is then rasterized in full exactly once, from the noisy
-    mesh when vertex noise applies and from the clean mesh otherwise. Both
-    take the model's `edge_twins` table.
+    settled by the centroid centers of a fixed sample of the faces, the
+    rest by those of every face or by the rasterizer's fill); `ValueError`
+    is raised when none does. The accepted view is then rasterized in full
+    exactly once, from the noisy mesh when vertex noise applies and from
+    the clean mesh otherwise. Both take the model's `mesh`, built once.
     """
     size = gen_cfg.image_size
     vertices = bm.forward(model, theta, beta, glob)
@@ -238,7 +238,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         if vertices[:, 2].min() + translation[2] <= 0.05:
             continue  # camera behind (or inside) the subject
         candidate = cr.PerspCamera(gen_cfg.focal_length, size, translation)
-        if cr.covers_any_pixel(vertices, model.faces, model.edge_twins, candidate):
+        if cr.covers_any_pixel(vertices, model.mesh, candidate):
             camera = candidate
             break
     if camera is None:
@@ -250,7 +250,7 @@ def render_sample(model: bm.BodyModel, theta, beta, glob,
         rendered = vertices + rng.uniform(
             -aug_cfg.vertex_noise_range, aug_cfg.vertex_noise_range, vertices.shape
         )
-    silhouette = cr.rasterize_silhouette(rendered, model.faces, model.edge_twins, camera)
+    silhouette = cr.rasterize_silhouette(rendered, model.mesh, camera)
 
     keypoints3d = bm.regress_joints(model, vertices)
     joints2d = cr.project_persp(keypoints3d, camera)

@@ -10,6 +10,8 @@ from scipy.spatial.transform import Rotation
 
 from shapefuse import autodiff as ad
 from shapefuse import bodymodel as bm
+from shapefuse import camera as cam
+from shapefuse import synth
 from shapefuse.containerio import ContainerError, read_container, write_container
 
 from gradcheck import grad_check
@@ -425,23 +427,28 @@ class TestBatchedLBS:
     def test_is_the_component_major_core_transposed(self, toy):
         rng = np.random.default_rng(35)
         args = [rng.normal(scale=0.5, size=(4, width)) for width in (toy.pose_dim, 10, 3)]
-        core = bm._skinned_components(toy, *args)
-        assert core.shape == (4, 3, toy.num_vertices)
+
+        def core(pose, betas, glob):
+            return bm._skin_components(toy.skinning, betas,
+                                       *bm._joint_transforms(toy, pose, betas, glob))
+
+        want = core(*args)
+        assert want.shape == (4, 3, toy.num_vertices)
         got = bm.lbs_vertices(toy, *args)
         assert type(got) is np.ndarray and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, core.transpose(0, 2, 1))
+        np.testing.assert_array_equal(got, want.transpose(0, 2, 1))
         tape = ad.Tape()
         taped = bm.lbs_vertices(toy, *[tape.variable(a) for a in args])
-        taped_core = bm._skinned_components(toy, *[tape.variable(a) for a in args])
+        taped_core = core(*[tape.variable(a) for a in args])
         np.testing.assert_array_equal(taped.value, got)
-        np.testing.assert_array_equal(taped_core.value, core)
+        np.testing.assert_array_equal(taped_core.value, want)
 
     @pytest.mark.parametrize("seed,V,J,nodes", [(4, 200, 12, 67), (11, 300, 16, 70),
                                                 (0, 600, 24, 82)])
     def test_tape_nodes_per_call(self, seed, V, J, nodes):
         # 55 nodes plus three per tree level (4, 5 and 9 levels here), the
-        # count from when `lbs_vertices` held the skinning itself: its one
-        # own node is the transpose of `_skinned_components`
+        # count from when `lbs_vertices` first held the skinning itself: its
+        # one own node is the transpose of the component-major result
         model = bm.generate_toy_model(seed=seed, num_vertices=V, num_joints=J)
         rng = np.random.default_rng(5)
         tape = ad.Tape()
@@ -1001,7 +1008,7 @@ def closed_oriented(faces, num_vertices):
 
 class TestEdgeTwins:
     def test_twin_of_the_twin_is_the_edge(self, toy):
-        twins = toy.edge_twins
+        twins = cam.edge_twins(toy.faces)
         assert twins.shape == toy.faces.shape and twins.min() >= 0
         faces = toy.faces
         f, k = np.meshgrid(np.arange(len(faces)), np.arange(3), indexing="ij")
@@ -1014,12 +1021,14 @@ class TestEdgeTwins:
         np.testing.assert_array_equal(twins[g, j], f)
 
     def test_built_once_on_first_use_and_not_copied(self, toy):
+        # the model's mesh, which holds the twin table, corner-major
         model = dataclasses.replace(toy)
-        assert "edge_twins" not in vars(model)
-        assert model.edge_twins is model.edge_twins
+        assert "mesh" not in vars(model)
+        assert model.mesh is model.mesh
+        np.testing.assert_array_equal(model.mesh.twins, cam.edge_twins(model.faces).T)
         moved = dataclasses.replace(model, faces=model.faces[:, [1, 2, 0]])
-        assert "edge_twins" not in vars(moved)
-        np.testing.assert_array_equal(moved.edge_twins, model.edge_twins[:, [1, 2, 0]])
+        assert "mesh" not in vars(moved)
+        np.testing.assert_array_equal(moved.mesh.twins, model.mesh.twins[[1, 2, 0]])
 
     @pytest.mark.parametrize("damage, closed", [
         pytest.param(lambda faces: faces, True, id="closed"),
@@ -1034,17 +1043,22 @@ class TestEdgeTwins:
     ])
     def test_verdict_matches_the_two_sort_check(self, toy, damage, closed):
         faces = damage(toy.faces)
-        twins = bm.edge_twins(faces)
+        twins = cam.edge_twins(faces)
         assert twins.shape == faces.shape
         assert closed_oriented(faces, toy.num_vertices) == closed
         assert np.all(twins >= 0) == closed
-        assert bm._is_closed_oriented(faces) == closed
+        assert cam._is_closed_oriented(faces) == closed
+        if closed:
+            cam.mesh(faces)
+        else:
+            with pytest.raises(ValueError, match="closed, consistently oriented"):
+                cam.mesh(faces)
 
     def test_open_mesh_marks_the_boundary(self):
         # two triangles sharing one edge: that edge pair is twinned, the
         # four boundary edges are not
         faces = np.array([[0, 1, 2], [2, 1, 3]])
-        np.testing.assert_array_equal(bm.edge_twins(faces), [[-1, 1, -1], [0, -1, -1]])
+        np.testing.assert_array_equal(cam.edge_twins(faces), [[-1, 1, -1], [0, -1, -1]])
 
 
 class TestIndexDtypes:
@@ -1078,6 +1092,34 @@ class TestFrozen:
     def test_replace_rejects_malformed_swap_pairs(self, toy, pairs):
         with pytest.raises(ValueError, match="swap pair"):
             dataclasses.replace(toy, meta=dict(toy.meta, lr_swap_pairs=pairs))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(bm.BodyModel)
+                                      if f.type == "np.ndarray"])
+    def test_arrays_are_read_only(self, toy, name):
+        # writable, an in-place edit of the faces or the skinning weights
+        # left the mesh, the skinning layouts and the keypoint rig stale
+        array = getattr(toy, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+
+    def test_read_only_model_replaces_saves_and_loads(self, toy, tmp_path):
+        skinning, mesh = toy.skinning, toy.mesh
+        weights = toy.skinning_weights.copy()
+        other = np.flatnonzero((weights != weights[0]).any(axis=1))[0]
+        weights[[0, other]] = weights[[other, 0]]
+        swapped = dataclasses.replace(toy, skinning_weights=weights)
+        # the caller's array is set read-only in place, not copied
+        assert swapped.skinning_weights is weights and not weights.flags.writeable
+        assert swapped.skinning is not skinning and swapped.mesh is not mesh
+        np.testing.assert_array_equal(swapped.skinning.weights[:, [0, other]],
+                                      skinning.weights[:, [other, 0]])
+        path = tmp_path / "model.sfc"
+        bm.save_model(path, toy)
+        loaded = bm.load_model(path)
+        assert not loaded.faces.flags.writeable
+        assert synth.model_fingerprint(loaded) == synth.model_fingerprint(toy)
+        assert synth.model_fingerprint(swapped) != synth.model_fingerprint(toy)
 
 
 def edit_measurement(**changes):

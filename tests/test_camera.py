@@ -87,19 +87,19 @@ def pillow(triangles):
     each triangle gets its own three vertices, and its reversed face with
     corners 1 and 2 swapped, as `TWO_SIDED` has it. The two pixel areas are
     then exact negatives, so the positive face is the triangle the oracle
-    tests. Returns (vertices (3n, 3), faces (2n, 3), edge twins)."""
+    tests. Returns (vertices (3n, 3), faces (2n, 3), their `camera.Mesh`)."""
     n = len(triangles)
     faces = np.arange(3 * n).reshape(n, 3)
     faces = np.concatenate([faces, faces[:, [0, 2, 1]]])
-    return np.reshape(triangles, (3 * n, 3)), faces, bm.edge_twins(faces)
+    return np.reshape(triangles, (3 * n, 3)), faces, cam.mesh(faces)
 
 
 def silhouette(vertices, faces, c):
-    return cam.rasterize_silhouette(vertices, faces, bm.edge_twins(faces), c)
+    return cam.rasterize_silhouette(vertices, cam.mesh(faces), c)
 
 
 def covers(vertices, faces, c):
-    return cam.covers_any_pixel(vertices, faces, bm.edge_twins(faces), c)
+    return cam.covers_any_pixel(vertices, cam.mesh(faces), c)
 
 
 class TestWeakPerspective:
@@ -296,13 +296,35 @@ class TestRasterizer:
         assert mask.shape == (16, 16) and not mask.any()
         assert covers(verts, faces, c) is False
 
+    @pytest.mark.parametrize("faces, match", [
+        pytest.param([[0, 1, 2]], "closed, consistently oriented", id="open-triangle"),
+        pytest.param([[0, 2, 1]], "closed, consistently oriented", id="open-reversed"),
+        pytest.param(np.concatenate([TWO_SIDED, [[0, 1, 2]]]), "closed, consistently oriented",
+                     id="duplicated-face"),
+        pytest.param(np.array([[0, 1, 2], [0, 2, 1]], dtype=np.float64), "integers", id="float"),
+        pytest.param(np.array([[True, False, True]]), "integers", id="bool"),
+        pytest.param([0, 1, 2], "integers", id="flat"),
+        pytest.param(TWO_SIDED[:, :2], "integers", id="two-corners"),
+        pytest.param(TWO_SIDED - 1, ">= 0", id="negative"),
+    ])
+    def test_mesh_checked_when_built(self, faces, match):
+        # unchecked, one open triangle rendered 15 px in one winding and
+        # none in the other
+        with pytest.raises(ValueError, match=match):
+            cam.mesh(faces)
+
     @pytest.mark.parametrize("call", [cam.rasterize_silhouette, cam.covers_any_pixel],
                              ids=["rasterize", "covers"])
-    def test_twin_table_must_match_the_faces(self, call):
-        verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    @pytest.mark.parametrize("verts", [
+        pytest.param(np.zeros((2, 3)) + [0.0, 0.0, 1.0], id="two-of-three"),
+        pytest.param(np.zeros((0, 3)), id="empty"),
+        pytest.param(np.zeros((3, 2)), id="flat"),
+    ])
+    def test_vertices_must_hold_every_face_index(self, call, verts):
+        # two vertices under faces that index three raised IndexError
         c = cam.PerspCamera(50.0, 32, np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="edge twins have shape"):
-            call(verts, TWO_SIDED, bm.edge_twins(TWO_SIDED)[:1], c)
+        with pytest.raises(ValueError, match="the mesh needs"):
+            call(verts, cam.mesh(TWO_SIDED), c)
 
     def test_degenerate_triangles_skipped(self):
         verts = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
@@ -330,9 +352,9 @@ class TestRasterizer:
             assert (np.prod(np.clip(hi, 0, size) - np.clip(lo, 0, size), axis=1) > 4096).any()
             assert (lo < 0).any(axis=0).all() and (hi > size).any(axis=0).all()
         want = brute_force_coverage(tri_px.tolist(), size, size)
-        soup, pillow_faces, twins = pillow(verts[faces])
-        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, pillow_faces, twins, c), want)
-        assert cam.covers_any_pixel(soup, pillow_faces, twins, c) == want.any()
+        soup, _, mesh = pillow(verts[faces])
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, mesh, c), want)
+        assert cam.covers_any_pixel(soup, mesh, c) == want.any()
 
     @pytest.mark.parametrize("kind, seed", [
         *(pytest.param(k, s, id=f"{k}-{s}") for k in ("centers", "slivers", "collinear")
@@ -353,9 +375,9 @@ class TestRasterizer:
             assert covers(v, TWO_SIDED, c) == want.any()
             np.testing.assert_array_equal(silhouette(v, TWO_SIDED, c), want)
         want = np.any(masks, axis=0)
-        soup, faces, twins = pillow(verts)
-        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, faces, twins, c), want)
-        assert cam.covers_any_pixel(soup, faces, twins, c) == want.any()
+        soup, faces, mesh = pillow(verts)
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, mesh, c), want)
+        assert cam.covers_any_pixel(soup, mesh, c) == want.any()
         if kind.startswith("past"):
             # no center lies within their boxes
             assert not want.any()
@@ -378,9 +400,9 @@ class TestRasterizer:
                     and (x0 - x2) * (py - y2) - (y0 - y2) * (px - x2) >= 0)
         # the camera maps these vertices back to the sliver's pixels exactly
         c = cam.PerspCamera(1.0, 16, np.array([0.0, 0.0, 1.0]))
-        soup, faces, twins = pillow(np.concatenate([tri - 8, np.zeros((3, 1))], axis=1)[None])
+        soup, faces, mesh = pillow(np.concatenate([tri - 8, np.zeros((3, 1))], axis=1)[None])
         np.testing.assert_array_equal(cam.project_persp(soup, c), tri)
-        got = cam.rasterize_silhouette(soup, faces, twins, c)
+        got = cam.rasterize_silhouette(soup, mesh, c)
         assert not got[14, 2] and not got[15, 1]
         np.testing.assert_array_equal(got, brute_force_coverage([tri.tolist()], 16, 16))
 
@@ -388,7 +410,7 @@ class TestRasterizer:
         model = bm.generate_toy_model(seed=1, num_vertices=300, num_joints=16)
         verts = bm.shaped_template(model, np.zeros(10))
         c = cam.PerspCamera(150.0, 128, np.array([0.0, -0.2, 2.5]))
-        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+        sil = cam.rasterize_silhouette(verts, model.mesh, c)
         assign = cam.rasterize_part_assignment(verts, model.part_labels, c, sil)
         np.testing.assert_array_equal(assign >= 0, sil.astype(bool))
 
@@ -423,9 +445,9 @@ class TestClosedMeshRasterizer:
             want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 48, 48)
             assert want.any() and not want.all()
             np.testing.assert_array_equal(
-                cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c), want)
+                cam.rasterize_silhouette(verts, model.mesh, c), want)
             np.testing.assert_array_equal(silhouette(verts, model.faces[:, ::-1], c), want)
-            assert cam.covers_any_pixel(verts, model.faces, model.edge_twins, c) is True
+            assert cam.covers_any_pixel(verts, model.mesh, c) is True
 
     def test_matches_brute_force_at_streamed_training_size(self):
         # 600 vertices at 64 px, the size the streamed training renders
@@ -435,7 +457,7 @@ class TestClosedMeshRasterizer:
         want = brute_force_coverage(cam.project_persp(verts, c)[model.faces].tolist(), 64, 64)
         assert want.any() and not want.all()
         np.testing.assert_array_equal(
-            cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c), want)
+            cam.rasterize_silhouette(verts, model.mesh, c), want)
 
     @pytest.mark.parametrize("shift", [0.0, 1.0, 3.0], ids=["centred", "past-edge", "off-frame"])
     def test_matches_all_faces_at_benchmark_size(self, benchmark_model, shift):
@@ -463,9 +485,9 @@ class TestClosedMeshRasterizer:
         c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
         filled = filling(monkeypatch)
         for verts in posed_noisy_bodies(model, 11, [0, 1, 2, 3]):
-            want = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c).any()
+            want = cam.rasterize_silhouette(verts, model.mesh, c).any()
             del filled[:]
-            assert cam.covers_any_pixel(verts, model.faces, model.edge_twins, c) == want
+            assert cam.covers_any_pixel(verts, model.mesh, c) == want
             if accepted is not None:
                 assert want == accepted and bool(filled) != accepted
 
@@ -479,11 +501,11 @@ class TestClosedMeshRasterizer:
         c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
         large = [[-60.0, -10.0, 0.0], [-30.0, -10.0, 0.0], [-45.0, 10.0, 0.0]]
         small = [[small_at - 2, -2.0, 0.0], [small_at + 2, -2.0, 0.0], [small_at, 2.0, 0.0]]
-        verts, faces, twins = pillow(np.array([large, small]))
+        verts, faces, mesh = pillow(np.array([large, small]))
         filled = filling(monkeypatch)
-        assert cam.covers_any_pixel(verts, faces, twins, c) is want
+        assert cam.covers_any_pixel(verts, mesh, c) is want
         assert len(filled) == (not want)
-        assert cam.rasterize_silhouette(verts, faces, twins, c).any() == want
+        assert cam.rasterize_silhouette(verts, mesh, c).any() == want
 
     def test_fill_decides_when_no_face_covers_its_centroid_center(self, monkeypatch):
         # a sliver over the centers (10.5, 16.5) and (11.5, 16.5) whose
@@ -491,14 +513,14 @@ class TestClosedMeshRasterizer:
         # settles the check, and the fill finds the centers it covers
         c = cam.PerspCamera(1.0, 32, np.array([0.0, 0.0, 1.0]))
         sliver = [[-16.0, 0.0, 0.0], [14.0, 0.0, 0.0], [-5.5, 0.55, 0.0]]
-        verts, faces, twins = pillow(np.array([sliver]))
+        verts, faces, mesh = pillow(np.array([sliver]))
         x, y, area2 = cam._face_pixels(*cam._project(verts, c), faces.T)
         assert np.count_nonzero(area2 > 0) == 1
         assert not cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 32).any()
-        want = cam.rasterize_silhouette(verts, faces, twins, c)
+        want = cam.rasterize_silhouette(verts, mesh, c)
         assert set(zip(*np.nonzero(want))) == {(16, 10), (16, 11)}
         filled = filling(monkeypatch)
-        assert cam.covers_any_pixel(verts, faces, twins, c) is True
+        assert cam.covers_any_pixel(verts, mesh, c) is True
         assert len(filled) == 1
 
     @pytest.mark.parametrize("rest, want, fills", [
@@ -524,15 +546,14 @@ class TestClosedMeshRasterizer:
             elif i in probed:
                 tri = tri[[0, 2, 1]]  # face i front-facing, its positive twin not sampled
             triangles.append(tri)
-        verts, faces, twins = pillow(np.array(triangles))
-        edges = cam._mesh_edges(faces, twins)
-        assert edges.probe.shape == (3, 65)
-        x, y, area2 = cam._face_pixels(*cam._project(verts, c), edges.probe)
+        verts, faces, mesh = pillow(np.array(triangles))
+        assert mesh.probe.shape == (3, 65)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, c), mesh.probe)
         assert not cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 32).any()
         filled = filling(monkeypatch)
-        assert cam.covers_any_pixel(verts, faces, twins, c) is want
+        assert cam.covers_any_pixel(verts, mesh, c) is want
         assert len(filled) == fills
-        assert cam.rasterize_silhouette(verts, faces, twins, c).any() == want
+        assert cam.rasterize_silhouette(verts, mesh, c).any() == want
 
     @pytest.mark.parametrize("bad, match", [
         ([np.nan, 0.0, 0.0], "finite"), ([0.0, 0.0, -2.5], "behind"),
@@ -543,31 +564,31 @@ class TestClosedMeshRasterizer:
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
         c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
         verts = posed_noisy_bodies(model, 5, [1])[0]
-        edges = cam._mesh_edges(model.faces, model.edge_twins)
-        x, y, area2 = cam._face_pixels(*cam._project(verts, c), edges.probe)
+        x, y, area2 = cam._face_pixels(*cam._project(verts, c), model.mesh.probe)
         assert cam._covers_centroid_center(x[:, area2 > 0], y[:, area2 > 0], 64).any()
-        vertex = np.setdiff1d(np.arange(len(verts)), edges.probe)[0]
+        vertex = np.setdiff1d(np.arange(len(verts)), model.mesh.probe)[0]
         verts[vertex] = bad
         with pytest.raises(ValueError, match=match):
-            cam.covers_any_pixel(verts, model.faces, model.edge_twins, c)
+            cam.covers_any_pixel(verts, model.mesh, c)
 
     def test_mesh_tables_built_once_per_model(self):
         model = bm.generate_toy_model(seed=0, num_vertices=150, num_joints=16)
-        edges = cam._mesh_edges(model.faces, model.edge_twins)
-        assert cam._mesh_edges(model.faces, model.edge_twins) is edges
+        mesh = model.mesh
+        assert model.mesh is mesh
         F = len(model.faces)
-        np.testing.assert_array_equal(edges.corners, model.faces.T)
-        np.testing.assert_array_equal(edges.probe, model.faces[::F // 64].T)
-        np.testing.assert_array_equal(edges.twins, model.edge_twins.T)
-        np.testing.assert_array_equal(edges.leads, model.edge_twins.T > np.arange(F))
-        # other arrays, equal or not, get their own tables
-        faces = model.faces.copy()
-        assert cam._mesh_edges(faces, model.edge_twins) is not edges
-        # a table goes with its arrays
-        key = (id(faces), id(model.edge_twins))
-        assert key in cam._MESH_EDGES
-        del faces
-        assert key not in cam._MESH_EDGES
+        twins = cam.edge_twins(model.faces)
+        np.testing.assert_array_equal(mesh.corners, model.faces.T)
+        np.testing.assert_array_equal(mesh.probe, model.faces[::F // 64].T)
+        np.testing.assert_array_equal(mesh.twins, twins.T)
+        np.testing.assert_array_equal(mesh.leads, twins.T > np.arange(F))
+        assert mesh.num_vertices == model.faces.max() + 1
+        for table in mesh[:4]:
+            assert table.flags.c_contiguous and not table.flags.writeable
+        # the mesh of equal faces is an equal value, built afresh
+        again = cam.mesh(model.faces.copy())
+        assert again is not mesh
+        for got, want in zip(again, mesh):
+            np.testing.assert_array_equal(got, want)
 
 
 def filling(monkeypatch):
@@ -622,7 +643,7 @@ class TestTieRepair:
     def check(model, verts, decided):
         want = brute_force_coverage(cam.project_persp(verts, EXACT)[model.faces].tolist(), 64, 64)
         assert want.any() and not want.all()
-        got = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, EXACT)
+        got = cam.rasterize_silhouette(verts, model.mesh, EXACT)
         assert decided and min(decided) > 0
         np.testing.assert_array_equal(got, want)
 
@@ -639,9 +660,9 @@ class TestTieRepair:
         # crossing's window sends it to the rule
         c = cam.PerspCamera(1.0, 16, np.array([0.0, 0.0, 1.0]))
         verts = np.concatenate([np.array(tri) - 8, np.zeros((3, 1))], axis=1)
-        soup, faces, twins = pillow(verts[None])
+        soup, faces, mesh = pillow(verts[None])
         want = brute_force_coverage([cam.project_persp(verts, c).tolist()], 16, 16)
-        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, faces, twins, c), want)
+        np.testing.assert_array_equal(cam.rasterize_silhouette(soup, mesh, c), want)
         assert decided
 
     def test_vertex_on_a_pixel_center(self, body, decided):
@@ -661,7 +682,7 @@ class TestTieRepair:
             place(moved, a, ua, row)
             place(moved, b, ub, row)
             area2 = cam._face_pixels(*cam._project(moved, EXACT), model.faces.T)[2]
-            if area2[face] > 0 and not area2[model.edge_twins[face, k]] > 0:
+            if area2[face] > 0 and not area2[model.mesh.twins[k, face]] > 0:
                 break
         else:
             pytest.fail("no contour edge stays one when laid along a row")
@@ -754,7 +775,7 @@ class TestPartAssignment:
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
         c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
         verts = posed_noisy_bodies(model, 3, [0])[0]
-        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+        sil = cam.rasterize_silhouette(verts, model.mesh, c)
         far = verts.copy()
         far[17, 0] = 1e6 * (far[17, 2] + 2.5) / 75.0
         assert cam.project_persp(far, c)[17, 0] > 1e6
@@ -774,7 +795,7 @@ class TestPartAssignment:
         model = benchmark_model
         c = cam.PerspCamera(300.0, 256, np.array([shift, -0.2, 2.5]))
         for verts in posed_noisy_bodies(model, 13, [0, 1, 2, 3]):
-            sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+            sil = cam.rasterize_silhouette(verts, model.mesh, c)
             rows, cols = np.nonzero(sil)
             projected = cam.project_persp(verts, c)
             assert rows.size > 2000
@@ -791,7 +812,7 @@ class TestPartAssignment:
         model = bm.generate_toy_model(seed=0, num_vertices=600, num_joints=16)
         c = cam.PerspCamera(75.0, 64, np.array([0.0, -0.2, 2.5]))
         verts = posed_noisy_bodies(model, 3, [0])[0]
-        sil = cam.rasterize_silhouette(verts, model.faces, model.edge_twins, c)
+        sil = cam.rasterize_silhouette(verts, model.mesh, c)
         bad = {"ten": model.part_labels[:10], "one-too-many": np.append(model.part_labels, 0),
                "float": model.part_labels.astype(np.float64),
                "table": model.part_labels[:, None]}[labels]

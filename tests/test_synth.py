@@ -269,7 +269,7 @@ class TestCleanGeneration:
             small_cfg.focal_length, small_cfg.image_size,
             s.cam_translation,
         )
-        expected = cr.rasterize_silhouette(verts, model.faces, model.edge_twins, camera)
+        expected = cr.rasterize_silhouette(verts, model.mesh, camera)
         np.testing.assert_array_equal(s.proxy.silhouette, expected)
         # visibility is exactly the in-frame indicator for clean samples
         expected_vis = cr.in_frame_visibility(s.joints2d, small_cfg.image_size)
